@@ -1,7 +1,6 @@
 //! Vendor-library schedule providers and baseline pipelines.
 
 use unigpu_device::{DeviceSpec, Platform, Vendor};
-use unigpu_graph::latency::FallbackSchedules;
 use unigpu_graph::passes::optimize;
 use unigpu_graph::{
     estimate_latency, place, Graph, LatencyOptions, LatencyReport, PlacementPolicy,
@@ -232,34 +231,6 @@ impl Baseline {
     }
 }
 
-/// Our stack's end-to-end latency with a given schedule provider (the "Ours"
-/// columns): graph optimization, all-GPU placement, optimized vision ops.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `unigpu_engine::Engine::compile` and `CompiledModel::estimate` — \
-            this free function survives as a thin shim for out-of-tree callers"
-)]
-pub fn ours_latency(
-    model: &Graph,
-    platform: &Platform,
-    provider: &dyn ScheduleProvider,
-) -> LatencyReport {
-    let g = optimize(model);
-    let placed = place(&g, PlacementPolicy::AllGpu);
-    estimate_latency(&placed, platform, provider, &LatencyOptions { vision_optimized: true })
-}
-
-/// Our stack with *fallback* (untuned) schedules — Table 5's "Before".
-#[deprecated(
-    since = "0.1.0",
-    note = "use an untuned `unigpu_engine::Engine` (the default builder) and \
-            `CompiledModel::estimate` — kept as a thin shim for out-of-tree callers"
-)]
-#[allow(deprecated)] // the shim is allowed to call its deprecated sibling
-pub fn ours_untuned_latency(model: &Graph, platform: &Platform) -> LatencyReport {
-    ours_latency(model, platform, &FallbackSchedules)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,16 +291,5 @@ mod tests {
         b0.dispatch_ms = 0.0;
         let without = b0.latency(&g, &plat, false).unwrap().total_ms;
         assert!(with > without + 1.0, "per-op dispatch must be visible: {with} vs {without}");
-    }
-
-    #[test]
-    #[allow(deprecated)] // exercising the legacy shim's contract
-    fn ours_pipeline_runs_on_all_platforms() {
-        let g = mobilenet(1, 64, 10);
-        for plat in Platform::all() {
-            let r = ours_untuned_latency(&g, &plat);
-            assert!(r.total_ms > 0.0);
-            assert_eq!(r.cpu_ms, 0.0, "classification runs fully on GPU");
-        }
     }
 }

@@ -12,6 +12,7 @@
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use unigpu_graph::{Graph, OpKind};
+use unigpu_telemetry::hash::Fnv1a;
 use unigpu_tuner::{Database, TuneRecord};
 
 /// Bump when the artifact layout changes; readers reject other versions.
@@ -134,25 +135,6 @@ pub fn records_digest(records: &[TuneRecord]) -> u64 {
         h.update(&[0xff]);
     }
     h.finish()
-}
-
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// First line of a serialized artifact: everything except the records.

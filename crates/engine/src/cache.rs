@@ -217,7 +217,7 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.misses, 2); // initial `a`, evicted `b`
-        assert_eq!(s.hits, 4);
+        assert_eq!(s.hits, 3); // `a` twice, `c` once
     }
 
     #[test]

@@ -553,15 +553,6 @@ impl CompiledModel {
         CostTable::new(self.inner.cost_table.clone())
     }
 
-    /// Predicted latency of one node from the compile-time cost table, ms.
-    pub fn predicted_node_ms(&self, node: &str) -> Option<f64> {
-        self.inner
-            .cost_table
-            .iter()
-            .find(|(n, _)| n == node)
-            .map(|&(_, ms)| ms)
-    }
-
     /// The model's (first) input shape.
     pub fn input_shape(&self) -> Shape {
         self.inner
@@ -689,7 +680,6 @@ impl CompiledModel {
 
     /// Traced estimate: one span per node plus `exec.*`/`latency.*`
     /// metrics, for Chrome-trace export.
-    #[allow(deprecated)] // the engine owns the sanctioned call of the legacy shim
     pub fn trace(&self, spans: &SpanRecorder, metrics: &MetricsRegistry) -> LatencyReport {
         let p = self.provider();
         unigpu_graph::estimate_latency_traced(

@@ -20,8 +20,7 @@
 //!   throughput flow through telemetry. The scheduler is hardened for
 //!   production failure modes: bounded admission with load shedding,
 //!   per-request deadlines, device-fault retry with an all-CPU degraded
-//!   fallback, a circuit breaker, and panic-isolated batch execution over
-//!   poison-recovering locks ([`lock`]).
+//!   fallback, a circuit breaker, and panic-isolated batch execution.
 //!
 //! Typical use:
 //!
@@ -35,9 +34,9 @@
 //! ```
 
 pub mod artifact;
+mod breaker;
 pub mod cache;
 pub mod compiled;
-pub mod lock;
 pub mod serve;
 pub mod server;
 
@@ -47,8 +46,6 @@ pub use artifact::{
 };
 pub use cache::{default_artifact_dir, ArtifactCache, CacheStats};
 pub use compiled::{CompiledModel, Engine, EngineBuilder};
-#[allow(deprecated)] // the legacy entry point stays exported through its deprecation window
-pub use serve::serve;
 pub use serve::{
     uniform_requests, Admission, ConfigError, Formation, InferenceRequest, RequestQueue,
     RequestResult, ServeConfig, ServeConfigBuilder, ServeReport, LANE_CONTROL, LANE_WORKER_BASE,

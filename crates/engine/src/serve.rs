@@ -36,25 +36,21 @@
 //!   half-opens, probes the device, and closes on success.
 //! * **Panic isolation** — each batch executes under `catch_unwind`; a
 //!   panicking launch is retried with panic injection disabled, then falls
-//!   back to CPU accounting, so a single poisoned lock or bad request can
-//!   never wedge the scheduler.
+//!   back to CPU accounting, so a single bad request can never wedge the
+//!   scheduler.
 //!
 //! With an empty fault plan and default config the scheduler is
 //! deterministic down to the bit: two runs of the same workload produce
 //! identical reports ([`ServeReport::digest`]).
 
 use crate::compiled::CompiledModel;
-use crate::lock;
-use crate::server::Server;
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use unigpu_device::{DeviceFaultPlan, MultiTimeline};
-use unigpu_telemetry::{
-    AlertRule, DriftSummary, MetricsRegistry, SloSummary, SpanRecorder, TraceContext,
-};
+use unigpu_telemetry::hash::Fnv1a;
+use unigpu_telemetry::{AlertRule, DriftSummary, SloSummary, TraceContext};
 use unigpu_tensor::Shape;
 
 /// First Chrome-trace lane used by serving workers (lanes 0–2 belong to the
@@ -403,8 +399,14 @@ pub enum Formation {
     Empty { closed: bool },
 }
 
-#[derive(Debug, Default)]
-struct QueueState {
+/// FIFO of admitted requests with shape-aware batch extraction and optional
+/// bounded admission. Owned by one [`Server`], whose event loop is its only
+/// mutator.
+///
+/// [`Server`]: crate::server::Server
+#[derive(Debug)]
+pub struct RequestQueue {
+    cap: usize,
     queue: VecDeque<InferenceRequest>,
     closed: bool,
     /// Simulated time the current underfull front run was first seen by
@@ -412,23 +414,9 @@ struct QueueState {
     window_open_ms: Option<f64>,
 }
 
-/// Thread-safe FIFO of requests with shape-aware batch extraction and
-/// optional bounded admission. All lock acquisitions recover from poison
-/// ([`lock::recover`]) so a panicked worker cannot wedge the queue.
-#[derive(Debug)]
-pub struct RequestQueue {
-    cap: usize,
-    state: Mutex<QueueState>,
-    ready: Condvar,
-}
-
 impl Default for RequestQueue {
     fn default() -> Self {
-        RequestQueue {
-            cap: usize::MAX,
-            state: Mutex::new(QueueState::default()),
-            ready: Condvar::new(),
-        }
+        RequestQueue::bounded(usize::MAX)
     }
 }
 
@@ -442,7 +430,9 @@ impl RequestQueue {
     pub fn bounded(cap: usize) -> Self {
         RequestQueue {
             cap: cap.max(1),
-            ..RequestQueue::default()
+            queue: VecDeque::new(),
+            closed: false,
+            window_open_ms: None,
         }
     }
 
@@ -451,28 +441,16 @@ impl RequestQueue {
         self.cap
     }
 
-    /// Enqueue unconditionally, bypassing admission control. Kept for
-    /// pre-admission callers and for re-inserting already-admitted work;
-    /// new code should prefer [`RequestQueue::offer`].
-    pub fn push(&self, req: InferenceRequest) {
-        lock::recover(&self.state).queue.push_back(req);
-        self.ready.notify_all();
-    }
-
     /// Offer a request through admission control: rejected (with the
     /// request handed back) when the queue is closed or at capacity.
-    pub fn offer(&self, req: InferenceRequest) -> Admission {
-        {
-            let mut st = lock::recover(&self.state);
-            if st.closed {
-                return Admission::Closed(req);
-            }
-            if st.queue.len() >= self.cap {
-                return Admission::Shed(req);
-            }
-            st.queue.push_back(req);
+    pub fn offer(&mut self, req: InferenceRequest) -> Admission {
+        if self.closed {
+            return Admission::Closed(req);
         }
-        self.ready.notify_all();
+        if self.queue.len() >= self.cap {
+            return Admission::Shed(req);
+        }
+        self.queue.push_back(req);
         Admission::Accepted
     }
 
@@ -480,9 +458,8 @@ impl RequestQueue {
     /// formation flushes what the queue holds and then reports
     /// `Empty { closed: true }` once it drains (drain-then-reject — close
     /// never loses queued requests).
-    pub fn close(&self) {
-        lock::recover(&self.state).closed = true;
-        self.ready.notify_all();
+    pub fn close(&mut self) {
+        self.closed = true;
     }
 
     /// Remove and return every queued request without forming a batch —
@@ -492,18 +469,17 @@ impl RequestQueue {
     /// the queue itself stays usable, though kill paths close it next.
     ///
     /// [`Server::kill`]: crate::server::Server::kill
-    pub fn evict(&self) -> Vec<InferenceRequest> {
-        let mut st = lock::recover(&self.state);
-        st.window_open_ms = None;
-        st.queue.drain(..).collect()
+    pub fn evict(&mut self) -> Vec<InferenceRequest> {
+        self.window_open_ms = None;
+        self.queue.drain(..).collect()
     }
 
     pub fn len(&self) -> usize {
-        lock::recover(&self.state).queue.len()
+        self.queue.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.queue.is_empty()
     }
 
     /// One simulated-clock batch-formation decision at `now_ms`: up to
@@ -516,19 +492,17 @@ impl RequestQueue {
     /// time passes from when the run was first seen, but flushes
     /// immediately when it fills, when a mismatched request is already
     /// waiting behind it (holding on would only delay that request), or
-    /// when the queue closes. Unlike the retired wall-clock
-    /// [`RequestQueue::pop_batch`], the flush window lives entirely on the
+    /// when the queue closes. The flush window lives entirely on the
     /// caller's clock, so formation is deterministic and replayable.
-    pub fn form_batch(&self, max: usize, now_ms: f64, window_ms: f64) -> Formation {
+    pub fn form_batch(&mut self, max: usize, now_ms: f64, window_ms: f64) -> Formation {
         let max = max.max(1);
-        let mut st = lock::recover(&self.state);
-        if st.queue.is_empty() {
-            st.window_open_ms = None;
-            return Formation::Empty { closed: st.closed };
+        if self.queue.is_empty() {
+            self.window_open_ms = None;
+            return Formation::Empty { closed: self.closed };
         }
-        let opened = *st.window_open_ms.get_or_insert(now_ms);
-        let anchor = st.queue.front().expect("non-empty queue").shape.clone();
-        let run = st
+        let opened = *self.window_open_ms.get_or_insert(now_ms);
+        let anchor = self.queue.front().expect("non-empty queue").shape.clone();
+        let run = self
             .queue
             .iter()
             .take(max)
@@ -537,55 +511,12 @@ impl RequestQueue {
         // `run < len` can only mean a mismatched shape is waiting behind
         // the run (the scan is capped at `max`, but `run == max` flushes
         // anyway).
-        if run == max || st.closed || run < st.queue.len() || now_ms >= opened + window_ms {
-            st.window_open_ms = None;
-            return Formation::Flush(st.queue.drain(..run).collect());
+        if run == max || self.closed || run < self.queue.len() || now_ms >= opened + window_ms {
+            self.window_open_ms = None;
+            return Formation::Flush(self.queue.drain(..run).collect());
         }
         Formation::Hold {
             until_ms: opened + window_ms,
-        }
-    }
-
-    /// Pop the next batch, blocking on the *wall* clock.
-    ///
-    /// Retired in favor of [`RequestQueue::form_batch`], which makes the
-    /// identical flush decision on the simulated clock and never blocks.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `RequestQueue::form_batch` — the flush window now lives on the \
-                simulated clock; this blocking variant survives for out-of-tree callers"
-    )]
-    pub fn pop_batch(&self, max: usize, window: Duration) -> Option<Vec<InferenceRequest>> {
-        let max = max.max(1);
-        let mut st = lock::recover(&self.state);
-        let mut deadline: Option<Instant> = None;
-        loop {
-            while st.queue.is_empty() {
-                if st.closed {
-                    return None;
-                }
-                st = self.ready.wait(st).unwrap_or_else(|p| {
-                    self.state.clear_poison();
-                    p.into_inner()
-                });
-            }
-            // the window opens when this worker first sees a request
-            let flush_at = *deadline.get_or_insert_with(|| Instant::now() + window);
-            let anchor = st.queue.front().expect("non-empty queue").shape.clone();
-            let matching = st.queue.iter().take_while(|r| r.shape == anchor).count();
-            let take = matching.min(max);
-            let now = Instant::now();
-            if take == max || st.closed || matching < st.queue.len() || now >= flush_at {
-                return Some(st.queue.drain(..take).collect());
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(st, flush_at - now)
-                .unwrap_or_else(|p| {
-                    self.state.clear_poison();
-                    p.into_inner()
-                });
-            st = guard;
         }
     }
 }
@@ -691,18 +622,6 @@ impl ServeReport {
         }
     }
 
-    pub fn mean_latency_ms(&self) -> f64 {
-        if self.results.is_empty() {
-            0.0
-        } else {
-            self.results
-                .iter()
-                .map(RequestResult::latency_ms)
-                .sum::<f64>()
-                / self.results.len() as f64
-        }
-    }
-
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -723,27 +642,24 @@ impl ServeReport {
     /// runs of the same workload must agree bit for bit — the CI
     /// determinism gate compares this across back-to-back serves.
     pub fn digest(&self) -> u64 {
-        fn mix(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(0x100_0000_01b3)
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        h = mix(h, self.offered as u64);
-        h = mix(h, self.batches as u64);
-        h = mix(h, self.makespan_ms.to_bits());
+        let mut h = Fnv1a::new();
+        h.mix_u64(self.offered as u64);
+        h.mix_u64(self.batches as u64);
+        h.mix_u64(self.makespan_ms.to_bits());
         for r in &self.results {
-            h = mix(h, r.id as u64);
-            h = mix(h, r.arrival_ms.to_bits());
-            h = mix(h, r.start_ms.to_bits());
-            h = mix(h, r.done_ms.to_bits());
-            h = mix(h, r.batch_size as u64);
-            h = mix(h, r.worker as u64);
-            h = mix(h, u64::from(r.degraded));
+            h.mix_u64(r.id as u64);
+            h.mix_u64(r.arrival_ms.to_bits());
+            h.mix_u64(r.start_ms.to_bits());
+            h.mix_u64(r.done_ms.to_bits());
+            h.mix_u64(r.batch_size as u64);
+            h.mix_u64(r.worker as u64);
+            h.mix_u64(u64::from(r.degraded));
         }
         for bucket in [&self.shed, &self.expired, &self.failed] {
-            h = mix(h, bucket.len() as u64);
+            h.mix_u64(bucket.len() as u64);
             for r in bucket {
-                h = mix(h, r.id as u64);
-                h = mix(h, r.arrival_ms.to_bits());
+                h.mix_u64(r.id as u64);
+                h.mix_u64(r.arrival_ms.to_bits());
             }
         }
         for v in [
@@ -754,145 +670,27 @@ impl ServeReport {
             self.breaker_recoveries,
             self.worker_panics,
         ] {
-            h = mix(h, v as u64);
+            h.mix_u64(v as u64);
         }
-        h = mix(h, self.device_idle_fraction.to_bits());
+        h.mix_u64(self.device_idle_fraction.to_bits());
         for u in &self.lane_utilization {
-            h = mix(h, u.to_bits());
+            h.mix_u64(u.to_bits());
         }
-        h = mix(h, self.slo.good);
-        h = mix(h, self.slo.bad);
-        h = mix(h, self.drift.samples);
-        h = mix(h, self.drift.mean_abs_rel_err.to_bits());
-        h = mix(h, self.drift.max_abs_rel_err.to_bits());
-        h = mix(h, u64::from(self.drift.miscalibrated));
-        h = mix(h, self.alerts_fired);
-        h = mix(h, self.alerts_resolved);
+        h.mix_u64(self.slo.good);
+        h.mix_u64(self.slo.bad);
+        h.mix_u64(self.drift.samples);
+        h.mix_u64(self.drift.mean_abs_rel_err.to_bits());
+        h.mix_u64(self.drift.max_abs_rel_err.to_bits());
+        h.mix_u64(u64::from(self.drift.miscalibrated));
+        h.mix_u64(self.alerts_fired);
+        h.mix_u64(self.alerts_resolved);
         for name in &self.fired_alerts {
-            for b in name.bytes() {
-                h = mix(h, u64::from(b));
-            }
+            h.update(name.as_bytes());
         }
         // Dump *count* is deterministic; the paths embed the caller's dump
         // directory, so they stay out of the digest.
-        h = mix(h, self.recorder_dumps.len() as u64);
-        h
-    }
-
-    /// Fold another replica's report into this one — the fleet-level
-    /// roll-up a router builds across a heterogeneous pool. Per-request
-    /// buckets concatenate (re-sorted by id), counters add, and the
-    /// makespan takes the slowest replica. The timeline keeps `self`'s
-    /// lanes (per-replica timelines stay meaningful only per replica);
-    /// `lane_utilization` concatenates so the merged idle fraction is the
-    /// lane-weighted mean. Windowed SLO statistics merge coarsely: lifetime
-    /// good/bad counts add and the lifetime error rate is recomputed, while
-    /// the windowed quantities (window error rate, burn rate) take the
-    /// *worst* replica — the fleet is burning as fast as its hottest
-    /// member. Drift samples merge sample-weighted; the miscalibration
-    /// verdict ORs (one drifting replica is a fleet problem).
-    pub fn merge(&mut self, other: ServeReport) {
-        self.results.extend(other.results);
-        self.results.sort_by_key(|r| r.id);
-        self.batches += other.batches;
-        self.makespan_ms = self.makespan_ms.max(other.makespan_ms);
-        self.offered += other.offered;
-        self.shed.extend(other.shed);
-        self.shed.sort_by_key(|r| r.id);
-        self.expired.extend(other.expired);
-        self.expired.sort_by_key(|r| r.id);
-        self.failed.extend(other.failed);
-        self.failed.sort_by_key(|r| r.id);
-        self.device_faults += other.device_faults;
-        self.retries += other.retries;
-        self.degraded_batches += other.degraded_batches;
-        self.breaker_trips += other.breaker_trips;
-        self.breaker_recoveries += other.breaker_recoveries;
-        self.worker_panics += other.worker_panics;
-        let a = self.lane_utilization.len().max(1) as f64;
-        let b = other.lane_utilization.len().max(1) as f64;
-        self.device_idle_fraction =
-            (self.device_idle_fraction * a + other.device_idle_fraction * b) / (a + b);
-        self.lane_utilization.extend(other.lane_utilization);
-        self.slo.good += other.slo.good;
-        self.slo.bad += other.slo.bad;
-        let total = self.slo.good + self.slo.bad;
-        self.slo.error_rate = if total == 0 {
-            0.0
-        } else {
-            self.slo.bad as f64 / total as f64
-        };
-        self.slo.window_error_rate = self.slo.window_error_rate.max(other.slo.window_error_rate);
-        self.slo.burn_rate = self.slo.burn_rate.max(other.slo.burn_rate);
-        let budget = (1.0 - self.slo.objective).max(1e-9);
-        self.slo.budget_remaining = 1.0 - self.slo.error_rate / budget;
-        let (sa, sb) = (self.drift.samples as f64, other.drift.samples as f64);
-        if sa + sb > 0.0 {
-            self.drift.mean_rel_err =
-                (self.drift.mean_rel_err * sa + other.drift.mean_rel_err * sb) / (sa + sb);
-            self.drift.mean_abs_rel_err =
-                (self.drift.mean_abs_rel_err * sa + other.drift.mean_abs_rel_err * sb) / (sa + sb);
-        }
-        self.drift.samples += other.drift.samples;
-        self.drift.max_abs_rel_err = self.drift.max_abs_rel_err.max(other.drift.max_abs_rel_err);
-        self.drift.miscalibrated |= other.drift.miscalibrated;
-        if other.drift.worst_node_rel_err.abs() > self.drift.worst_node_rel_err.abs() {
-            self.drift.worst_node = other.drift.worst_node;
-            self.drift.worst_node_rel_err = other.drift.worst_node_rel_err;
-        }
-        self.alerts_fired += other.alerts_fired;
-        self.alerts_resolved += other.alerts_resolved;
-        for name in other.fired_alerts {
-            if !self.fired_alerts.contains(&name) {
-                self.fired_alerts.push(name);
-            }
-        }
-        self.recorder_dumps.extend(other.recorder_dumps);
-    }
-}
-
-/// Serve a pre-collected request set through a compiled model.
-///
-/// Retired in favor of the streaming API: [`CompiledModel::server`] returns
-/// a [`Server`] handle with `submit`/`poll`/`drain`/`shutdown`. This shim
-/// sorts the set by arrival, submits everything, and shuts down — same
-/// scheduler, same report.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `CompiledModel::server` and `Server::submit`/`shutdown` — \
-            this free function survives as a thin shim for out-of-tree callers"
-)]
-pub fn serve(
-    compiled: &CompiledModel,
-    mut requests: Vec<InferenceRequest>,
-    cfg: &ServeConfig,
-    spans: &SpanRecorder,
-    metrics: &MetricsRegistry,
-) -> ServeReport {
-    requests.sort_by(|a, b| a.arrival_ms.total_cmp(&b.arrival_ms));
-    let mut server = Server::with_telemetry(compiled.clone(), cfg.clone(), spans.clone(), metrics.clone());
-    for r in requests {
-        let _ = server.submit(r);
-    }
-    server.shutdown()
-}
-
-impl CompiledModel {
-    /// Serve a pre-collected request set — retired convenience wrapper.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `CompiledModel::server` and `Server::submit`/`shutdown` — \
-                kept as a thin shim for out-of-tree callers"
-    )]
-    #[allow(deprecated)] // the shim is allowed to call its deprecated sibling
-    pub fn serve(
-        &self,
-        requests: Vec<InferenceRequest>,
-        cfg: &ServeConfig,
-        spans: &SpanRecorder,
-        metrics: &MetricsRegistry,
-    ) -> ServeReport {
-        serve(self, requests, cfg, spans, metrics)
+        h.mix_u64(self.recorder_dumps.len() as u64);
+        h.finish()
     }
 }
 
@@ -917,7 +715,6 @@ pub fn uniform_requests(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::AssertUnwindSafe;
 
     fn req(id: usize, dims: &[usize], arrival_ms: f64) -> InferenceRequest {
         InferenceRequest {
@@ -930,11 +727,11 @@ mod tests {
 
     #[test]
     fn form_batch_takes_contiguous_same_shape_run() {
-        let q = RequestQueue::new();
+        let mut q = RequestQueue::new();
         for i in 0..4 {
-            q.push(req(i, &[1, 3, 8, 8], 0.0));
+            q.offer(req(i, &[1, 3, 8, 8], 0.0));
         }
-        q.push(req(4, &[1, 3, 16, 16], 0.0));
+        q.offer(req(4, &[1, 3, 16, 16], 0.0));
         // flushes immediately despite the long window: a mismatched shape
         // is already waiting behind the run
         match q.form_batch(8, 0.0, 5000.0) {
@@ -957,14 +754,14 @@ mod tests {
 
     #[test]
     fn form_batch_mismatched_shapes_never_coalesce() {
-        let q = RequestQueue::new();
+        let mut q = RequestQueue::new();
         for i in 0..6 {
             let dims: &[usize] = if i % 2 == 0 {
                 &[1, 3, 8, 8]
             } else {
                 &[1, 3, 16, 16]
             };
-            q.push(req(i, dims, 0.0));
+            q.offer(req(i, dims, 0.0));
         }
         q.close();
         let mut order = Vec::new();
@@ -985,9 +782,9 @@ mod tests {
 
     #[test]
     fn form_batch_full_batch_flushes_without_waiting_for_the_window() {
-        let q = RequestQueue::new();
+        let mut q = RequestQueue::new();
         for i in 0..8 {
-            q.push(req(i, &[1, 3, 8, 8], 0.0));
+            q.offer(req(i, &[1, 3, 8, 8], 0.0));
         }
         match q.form_batch(4, 0.0, 5000.0) {
             Formation::Flush(batch) => assert_eq!(batch.len(), 4),
@@ -998,9 +795,9 @@ mod tests {
 
     #[test]
     fn form_batch_holds_partial_run_until_the_simulated_window() {
-        let q = RequestQueue::new();
+        let mut q = RequestQueue::new();
         for i in 0..3 {
-            q.push(req(i, &[1, 3, 8, 8], 0.0));
+            q.offer(req(i, &[1, 3, 8, 8], 0.0));
         }
         // the window opens the first time formation sees the run
         assert_eq!(
@@ -1014,7 +811,7 @@ mod tests {
             Formation::Hold { until_ms: 50.0 }
         );
         // a fourth same-shape arrival joins the held run
-        q.push(req(3, &[1, 3, 8, 8], 0.0));
+        q.offer(req(3, &[1, 3, 8, 8], 0.0));
         match q.form_batch(8, 50.0, 40.0) {
             Formation::Flush(batch) => assert_eq!(batch.len(), 4, "window elapsed, run flushed"),
             other => panic!("expected flush at the window, got {other:?}"),
@@ -1024,8 +821,8 @@ mod tests {
 
     #[test]
     fn form_batch_window_reopens_per_run() {
-        let q = RequestQueue::new();
-        q.push(req(0, &[1, 3, 8, 8], 0.0));
+        let mut q = RequestQueue::new();
+        q.offer(req(0, &[1, 3, 8, 8], 0.0));
         assert_eq!(
             q.form_batch(4, 0.0, 10.0),
             Formation::Hold { until_ms: 10.0 }
@@ -1035,7 +832,7 @@ mod tests {
             other => panic!("expected flush, got {other:?}"),
         }
         // the next run opens a fresh window anchored at its own first look
-        q.push(req(1, &[1, 3, 8, 8], 0.0));
+        q.offer(req(1, &[1, 3, 8, 8], 0.0));
         assert_eq!(
             q.form_batch(4, 25.0, 10.0),
             Formation::Hold { until_ms: 35.0 }
@@ -1043,37 +840,8 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn pop_batch_shim_still_flushes_partial_batch_on_the_wall_clock() {
-        let q = RequestQueue::new();
-        for i in 0..3 {
-            q.push(req(i, &[1, 3, 8, 8], 0.0));
-        }
-        let window = Duration::from_millis(40);
-        let t0 = Instant::now();
-        let batch = q.pop_batch(8, window).unwrap(); // queue stays open
-        assert_eq!(batch.len(), 3, "partial batch flushed at the window");
-        assert!(
-            t0.elapsed() >= window,
-            "held open for the full window first"
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn close_wakes_empty_pop_batch_waiters() {
-        let q = RequestQueue::new();
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| q.pop_batch(4, Duration::from_secs(10)));
-            std::thread::sleep(Duration::from_millis(10));
-            q.close();
-            assert!(waiter.join().unwrap().is_none());
-        });
-    }
-
-    #[test]
     fn bounded_queue_sheds_at_capacity() {
-        let q = RequestQueue::bounded(2);
+        let mut q = RequestQueue::bounded(2);
         assert_eq!(q.capacity(), 2);
         assert_eq!(q.offer(req(0, &[1, 3, 8, 8], 0.0)), Admission::Accepted);
         assert_eq!(q.offer(req(1, &[1, 3, 8, 8], 0.0)), Admission::Accepted);
@@ -1091,7 +859,7 @@ mod tests {
 
     #[test]
     fn close_drains_queued_requests_then_rejects_new_offers() {
-        let q = RequestQueue::new();
+        let mut q = RequestQueue::new();
         for i in 0..5 {
             assert_eq!(q.offer(req(i, &[1, 3, 8, 8], 0.0)), Admission::Accepted);
         }
@@ -1115,7 +883,7 @@ mod tests {
 
     #[test]
     fn evict_hands_back_every_queued_request() {
-        let q = RequestQueue::bounded(8);
+        let mut q = RequestQueue::bounded(8);
         for i in 0..5 {
             assert_eq!(q.offer(req(i, &[1, 3, 8, 8], 0.0)), Admission::Accepted);
         }
@@ -1135,108 +903,6 @@ mod tests {
         );
         // the queue stays usable after eviction
         assert_eq!(q.offer(req(9, &[1, 3, 8, 8], 0.0)), Admission::Accepted);
-    }
-
-    #[test]
-    fn merge_rolls_up_buckets_counters_and_rates() {
-        let result = |id: usize, done: f64| RequestResult {
-            id,
-            arrival_ms: 0.0,
-            start_ms: 1.0,
-            done_ms: done,
-            batch_size: 1,
-            worker: 0,
-            degraded: false,
-        };
-        let report = |ids: &[usize], shed: &[usize], offered: usize| ServeReport {
-            results: ids.iter().map(|&i| result(i, 5.0)).collect(),
-            batches: ids.len(),
-            makespan_ms: ids.len() as f64 * 5.0,
-            timeline: MultiTimeline::new(1),
-            offered,
-            shed: shed.iter().map(|&i| req(i, &[1, 3, 8, 8], 0.0)).collect(),
-            expired: Vec::new(),
-            failed: Vec::new(),
-            device_faults: 1,
-            retries: 2,
-            degraded_batches: 0,
-            breaker_trips: 1,
-            breaker_recoveries: 1,
-            worker_panics: 0,
-            device_idle_fraction: 0.5,
-            lane_utilization: vec![0.5],
-            slo: SloSummary {
-                objective: 0.99,
-                window_ms: 250.0,
-                good: ids.len() as u64,
-                bad: shed.len() as u64,
-                error_rate: shed.len() as f64 / offered as f64,
-                window_error_rate: 0.1,
-                burn_rate: 10.0,
-                budget_remaining: 0.0,
-            },
-            drift: DriftSummary {
-                samples: 4,
-                mean_rel_err: 0.1,
-                mean_abs_rel_err: 0.2,
-                max_abs_rel_err: 0.3,
-                threshold: 0.25,
-                miscalibrated: false,
-                worst_node: None,
-                worst_node_rel_err: 0.0,
-            },
-            alerts_fired: 1,
-            alerts_resolved: 0,
-            fired_alerts: vec!["burn".into()],
-            recorder_dumps: Vec::new(),
-        };
-        let mut merged = report(&[0, 2], &[4], 3);
-        let mut other = report(&[1, 3], &[], 2);
-        other.slo.burn_rate = 25.0;
-        other.drift.miscalibrated = true;
-        other.fired_alerts = vec!["burn".into(), "trip".into()];
-        merged.merge(other);
-        assert_eq!(merged.offered, 5);
-        assert_eq!(
-            merged.results.iter().map(|r| r.id).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3],
-            "merged results re-sort by id"
-        );
-        assert_eq!(merged.lost(), 0, "merge preserves the accounting invariant");
-        assert_eq!(merged.batches, 4);
-        assert_eq!(merged.device_faults, 2);
-        assert_eq!(merged.slo.good, 4);
-        assert_eq!(merged.slo.bad, 1);
-        assert_eq!(merged.slo.burn_rate, 25.0, "burn rate takes the worst replica");
-        assert_eq!(merged.drift.samples, 8);
-        assert!(merged.drift.miscalibrated, "one drifting replica flags the fleet");
-        assert_eq!(
-            merged.fired_alerts,
-            vec!["burn".to_string(), "trip".to_string()],
-            "fired alerts dedup by name"
-        );
-        assert_eq!(merged.lane_utilization.len(), 2);
-    }
-
-    #[test]
-    fn queue_survives_a_poisoned_lock() {
-        let q = RequestQueue::new();
-        q.push(req(0, &[1, 3, 8, 8], 0.0));
-        // poison the state mutex the way a panicking worker would
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _guard = q.state.lock().unwrap();
-            panic!("worker dies holding the queue lock");
-        }));
-        assert!(q.state.is_poisoned());
-        // every entry point recovers instead of cascading the panic
-        q.push(req(1, &[1, 3, 8, 8], 0.0));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.offer(req(2, &[1, 3, 8, 8], 0.0)), Admission::Accepted);
-        q.close();
-        match q.form_batch(8, 0.0, 1.0) {
-            Formation::Flush(batch) => assert_eq!(batch.len(), 3),
-            other => panic!("expected flush, got {other:?}"),
-        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Event-driven serving scheduler on the simulated clock.
 //!
-//! [`Server`] replaces the retired thread-per-worker blocking loops with a
-//! discrete-event core: batch *formation* ([`RequestQueue::form_batch`]),
-//! device *execution* (launches onto [`MultiTimeline`] lanes), and
-//! *readback/accounting* are overlapping stages driven by one priority
-//! queue of simulated-time events. Multiple batches are in flight per
-//! device, and a lane never idles while compatible requests are queued —
-//! the moment a readback frees a lane, formation runs again at that exact
-//! simulated instant.
+//! [`Server`] is a discrete-event core: batch *formation*
+//! ([`RequestQueue::form_batch`]), device *execution* (launches onto
+//! [`MultiTimeline`] lanes), and *readback/accounting* are overlapping
+//! stages driven by one priority queue of simulated-time events. Multiple
+//! batches are in flight per device, and a lane never idles while
+//! compatible requests are queued — the moment a readback frees a lane,
+//! formation runs again at that exact simulated instant.
 //!
 //! **Continuous batching:** [`Server::submit`] drives the clock. A request
 //! arriving while batches are in flight joins the *next* formation slot
@@ -24,10 +23,11 @@
 //! contexts, and SLO accounting — runs unchanged inside the event handlers
 //! (see [`crate::serve`] for the knob-by-knob description).
 //!
-//! [`serve_phase_sequential`] keeps a deterministic rendering of the old
-//! scheduler alive as the ablation baseline: static same-shape chunks, each
-//! waiting for its *last* arrival before launch, with no partial flushes.
+//! [`serve_phase_sequential`] is the pipelining-ablation baseline: static
+//! same-shape chunks, each waiting for its *last* arrival before launch,
+//! with no partial flushes.
 
+use crate::breaker::{Breaker, Edge};
 use crate::compiled::CompiledModel;
 use crate::serve::{
     Admission, Formation, InferenceRequest, RequestQueue, RequestResult, ServeConfig, ServeReport,
@@ -100,43 +100,6 @@ impl Ord for Event {
 impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// Per-device circuit breaker: K consecutive faults open it (batches route
-/// to the CPU variant), a simulated-clock cooldown half-opens it, and a
-/// successful probe closes it again.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum BreakerPhase {
-    Closed,
-    Open { until_ms: f64 },
-    HalfOpen,
-}
-
-#[derive(Debug)]
-struct Breaker {
-    phase: BreakerPhase,
-    consecutive_faults: usize,
-    trips: usize,
-    recoveries: usize,
-}
-
-impl Breaker {
-    fn new() -> Self {
-        Breaker {
-            phase: BreakerPhase::Closed,
-            consecutive_faults: 0,
-            trips: 0,
-            recoveries: 0,
-        }
-    }
-
-    fn gauge(&self) -> f64 {
-        match self.phase {
-            BreakerPhase::Closed => 0.0,
-            BreakerPhase::Open { .. } => 1.0,
-            BreakerPhase::HalfOpen => 2.0,
-        }
     }
 }
 
@@ -243,6 +206,7 @@ impl Server {
         Server {
             timeline: MultiTimeline::new(cfg.concurrency.max(1)),
             faults: DeviceFaultState::new(cfg.faults),
+            breaker: Breaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms),
             queue,
             slo,
             window_ms,
@@ -263,7 +227,6 @@ impl Server {
             batches: 0,
             inflight: 0,
             continuous_joins: 0,
-            breaker: Breaker::new(),
             degraded_model: None,
             device_faults: 0,
             retries: 0,
@@ -316,10 +279,7 @@ impl Server {
     /// advances when work arrives, so a router uses this to decide when a
     /// request may *probe* an open replica instead of waiting forever.
     pub fn breaker_open_until_ms(&self) -> Option<f64> {
-        match self.breaker.phase {
-            BreakerPhase::Open { until_ms } => Some(until_ms),
-            _ => None,
-        }
+        self.breaker.open_until_ms()
     }
 
     /// SLO burn rate at the current simulated instant (non-mutating; the
@@ -369,7 +329,8 @@ impl Server {
         self.advance_to(target);
         let mid_flight = self.inflight > 0;
         let id = req.id;
-        match self.queue.offer(req) {
+        let admission = self.queue.offer(req);
+        let (rejected, closed) = match &admission {
             Admission::Accepted => {
                 if mid_flight {
                     // continuous batching: this request joins the next
@@ -383,25 +344,22 @@ impl Server {
                 self.metrics
                     .set_gauge("engine.queue_depth", self.queue.len() as f64);
                 self.dispatch();
-                Admission::Accepted
+                return admission;
             }
-            Admission::Shed(r) => {
-                self.metrics.inc("engine.shed");
-                self.slo.bad(r.arrival_ms);
-                self.recorder
-                    .record(self.clock_ms, "shed", &[("id", id.to_string())]);
-                self.shed.push(r.clone());
-                Admission::Shed(r)
-            }
-            Admission::Closed(r) => {
-                self.metrics.inc("engine.shed");
-                self.slo.bad(r.arrival_ms);
-                self.recorder
-                    .record(self.clock_ms, "shed", &[("id", id.to_string()), ("closed", "1".into())]);
-                self.shed.push(r.clone());
-                Admission::Closed(r)
-            }
+            Admission::Shed(r) => (r, false),
+            Admission::Closed(r) => (r, true),
+        };
+        self.metrics.inc("engine.shed");
+        self.slo.bad(rejected.arrival_ms);
+        let id_attr = ("id", id.to_string());
+        if closed {
+            self.recorder
+                .record(self.clock_ms, "shed", &[id_attr, ("closed", "1".into())]);
+        } else {
+            self.recorder.record(self.clock_ms, "shed", &[id_attr]);
         }
+        self.shed.push(rejected.clone());
+        admission
     }
 
     /// Hand out results completed since the last harvest. Never advances
@@ -422,8 +380,8 @@ impl Server {
     }
 
     /// Close the queue (drain-then-reject), run every remaining event, and
-    /// produce the final report with the same accounting, gauges, and SLO
-    /// publication contract the retired blocking scheduler had.
+    /// produce the final report, publishing the end-of-run gauges and SLO
+    /// summary.
     pub fn shutdown(mut self) -> ServeReport {
         self.queue.close();
         self.run_to_quiescence();
@@ -647,7 +605,11 @@ impl Server {
                 let mut attempts = 0usize;
                 loop {
                     let now = self.timeline.free_at(lane).max(ready_ms);
-                    if !self.breaker_allows_gpu(now) {
+                    let (allowed, edge) = self.breaker.allows_device(now);
+                    if let Some(edge) = edge {
+                        self.breaker_edge(edge, now);
+                    }
+                    if !allowed {
                         break self.run_degraded(lane, idx, len, ready_ms);
                     }
                     match self.faults.on_launch(base_ms, len) {
@@ -658,7 +620,9 @@ impl Server {
                                 ready_ms,
                                 duration_ms,
                             );
-                            self.breaker_on_success(start + duration_ms);
+                            if let Some(edge) = self.breaker.on_success() {
+                                self.breaker_edge(edge, start + duration_ms);
+                            }
                             break (start, start + duration_ms, false);
                         }
                         LaunchOutcome::Fault(f) => {
@@ -678,7 +642,10 @@ impl Server {
                                 ready_ms,
                                 cost,
                             );
-                            let open = self.breaker_on_fault(at + cost);
+                            let (open, edge) = self.breaker.on_fault(at + cost);
+                            if let Some(edge) = edge {
+                                self.breaker_edge(edge, at + cost);
+                            }
                             attempts += 1;
                             if open || !f.is_transient() || attempts > self.cfg.max_retries {
                                 break self.run_degraded(lane, idx, len, ready_ms);
@@ -893,8 +860,35 @@ impl Server {
         (start, start + ms, true)
     }
 
-    fn breaker_transition(&mut self, to: &str, gauge: f64, at_ms: f64, detail: String) {
-        self.metrics.set_gauge("engine.breaker_state", gauge);
+    /// Publish one breaker transition, in a fixed order the recorder dumps
+    /// depend on: counter, gauge, recorder event, control span, and (on a
+    /// trip) the `breaker_trip` dump.
+    fn breaker_edge(&mut self, edge: Edge, at_ms: f64) {
+        let (to, counter, detail) = match edge {
+            Edge::HalfOpened => (
+                "half_open",
+                None,
+                format!("cooldown elapsed at {at_ms:.3} ms; probing device"),
+            ),
+            Edge::Closed => (
+                "closed",
+                Some("engine.breaker_recoveries"),
+                "probe succeeded; device recovered".into(),
+            ),
+            Edge::Opened { consecutive_faults } => (
+                "open",
+                Some("engine.breaker_trips"),
+                format!(
+                    "{consecutive_faults} consecutive fault(s); cooling down {:.1} ms",
+                    self.cfg.breaker_cooldown_ms
+                ),
+            ),
+        };
+        if let Some(counter) = counter {
+            self.metrics.inc(counter);
+        }
+        self.metrics
+            .set_gauge("engine.breaker_state", self.breaker.gauge());
         self.recorder
             .record(at_ms, "breaker", &[("to", to.into()), ("detail", detail.clone())]);
         self.spans.record(SpanRecord {
@@ -906,75 +900,12 @@ impl Server {
             attrs: vec![("detail".into(), detail)],
             trace: None,
         });
-    }
-
-    /// May this batch try the device right now? Handles the open→half-open
-    /// transition when the cooldown has elapsed on the simulated clock.
-    fn breaker_allows_gpu(&mut self, now_ms: f64) -> bool {
-        match self.breaker.phase {
-            BreakerPhase::Closed | BreakerPhase::HalfOpen => true,
-            BreakerPhase::Open { until_ms } if now_ms >= until_ms => {
-                self.breaker.phase = BreakerPhase::HalfOpen;
-                self.breaker_transition(
-                    "half_open",
-                    self.breaker.gauge(),
-                    now_ms,
-                    format!("cooldown elapsed at {now_ms:.3} ms; probing device"),
-                );
-                true
-            }
-            BreakerPhase::Open { .. } => false,
-        }
-    }
-
-    fn breaker_on_success(&mut self, at_ms: f64) {
-        self.breaker.consecutive_faults = 0;
-        if self.breaker.phase == BreakerPhase::HalfOpen {
-            self.breaker.phase = BreakerPhase::Closed;
-            self.breaker.recoveries += 1;
-            self.metrics.inc("engine.breaker_recoveries");
-            self.breaker_transition(
-                "closed",
-                self.breaker.gauge(),
-                at_ms,
-                "probe succeeded; device recovered".into(),
-            );
-        }
-    }
-
-    /// Record a device fault; returns `true` if the breaker is (now) open.
-    fn breaker_on_fault(&mut self, at_ms: f64) -> bool {
-        let threshold = self.cfg.breaker_threshold;
-        self.breaker.consecutive_faults += 1;
-        let trip = match self.breaker.phase {
-            BreakerPhase::HalfOpen => true, // failed probe: straight back open
-            BreakerPhase::Closed => {
-                threshold > 0 && self.breaker.consecutive_faults >= threshold
-            }
-            BreakerPhase::Open { .. } => return true,
-        };
-        if trip {
-            self.breaker.phase = BreakerPhase::Open {
-                until_ms: at_ms + self.cfg.breaker_cooldown_ms,
-            };
-            self.breaker.trips += 1;
-            self.metrics.inc("engine.breaker_trips");
-            self.breaker_transition(
-                "open",
-                self.breaker.gauge(),
-                at_ms,
-                format!(
-                    "{} consecutive fault(s); cooling down {:.1} ms",
-                    self.breaker.consecutive_faults, self.cfg.breaker_cooldown_ms
-                ),
-            );
+        if matches!(edge, Edge::Opened { .. }) {
             self.dump_recorder("breaker_trip");
         }
-        trip
     }
 
-    /// Build the final report and publish the end-of-run gauges — the same
-    /// contract the retired blocking scheduler had.
+    /// Build the final report and publish the end-of-run gauges.
     fn finalize(mut self) -> ServeReport {
         self.completed.sort_by_key(|r| r.id);
         self.expired.sort_by_key(|r| r.id);
@@ -1087,19 +1018,18 @@ impl CompiledModel {
     }
 }
 
-/// Deterministic rendering of the retired thread-per-worker scheduler, kept
-/// as the pipelining-ablation baseline.
+/// The pipelining-ablation baseline: a deterministic phase-sequential
+/// scheduler with no overlap between formation, execution and accounting.
 ///
 /// Requests are statically partitioned, in arrival order, into contiguous
 /// same-shape chunks of at most `cfg.max_batch`; each chunk goes to the
 /// least-loaded lane and waits for its *last* member's arrival before
 /// launching — exactly the phase-sequential form/execute/account cycle,
 /// with none of the event-driven core's partial flushes or free-lane
-/// work stealing. Admission control is bypassed (the old feeder raced the
-/// workers; the static partition models the fair rendering of that), so
-/// run it without a queue cap. Deadlines, faults, the breaker, and panic
-/// isolation all apply unchanged, making reports directly comparable with
-/// [`Server::shutdown`]'s.
+/// work stealing. Admission control is bypassed (the static partition never
+/// queues), so run it without a queue cap. Deadlines, faults, the breaker,
+/// and panic isolation all apply unchanged, making reports directly
+/// comparable with [`Server::shutdown`]'s.
 pub fn serve_phase_sequential(
     compiled: &CompiledModel,
     mut requests: Vec<InferenceRequest>,

@@ -88,8 +88,8 @@ fn cross_process_persistence_round_trip() {
     assert_eq!(files.len(), 1);
     let text = std::fs::read_to_string(&files[0]).unwrap();
     let meta: serde_json::Value = serde_json::from_str(text.lines().next().unwrap()).unwrap();
-    assert_eq!(meta["kind"], "unigpu-artifact");
-    assert_eq!(meta["model"], "persisted");
+    assert_eq!(meta["kind"].as_str(), Some("unigpu-artifact"));
+    assert_eq!(meta["model"].as_str(), Some("persisted"));
 
     // a fresh engine (≈ a new process) over the same directory compiles
     // from disk, skipping the pipeline

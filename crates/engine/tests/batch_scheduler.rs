@@ -1,13 +1,15 @@
 //! Batch-scheduler guarantees through the public API: shape isolation,
 //! window flushing, and the simulated-clock latency decomposition.
-//!
-//! Exercises the deprecated `compiled.serve`/`pop_batch` entry points on
-//! purpose: the shims must keep their original contract while they live.
-#![allow(deprecated)]
 
-use std::time::{Duration, Instant};
+mod common;
+
+use common::serve;
+use std::time::Duration;
 use unigpu_device::Platform;
-use unigpu_engine::{uniform_requests, Engine, InferenceRequest, RequestQueue, ServeConfig};
+use unigpu_engine::{
+    uniform_requests, CompiledModel, Engine, Formation, InferenceRequest, RequestQueue,
+    ServeConfig,
+};
 use unigpu_graph::{Activation, Graph, OpKind};
 use unigpu_ops::ConvWorkload;
 use unigpu_telemetry::{MetricsRegistry, SpanRecorder};
@@ -56,7 +58,7 @@ fn conv_model(name: &str) -> Graph {
     g
 }
 
-fn compile() -> unigpu_engine::CompiledModel {
+fn compile() -> CompiledModel {
     Engine::builder()
         .platform(Platform::deeplens())
         .persist(false)
@@ -75,7 +77,7 @@ fn req(id: usize, dims: &[usize], arrival_ms: f64) -> InferenceRequest {
 
 #[test]
 fn mismatched_shapes_never_coalesce() {
-    let q = RequestQueue::new();
+    let mut q = RequestQueue::new();
     // two shape populations, interleaved
     for i in 0..10 {
         let dims: &[usize] = if i % 2 == 0 {
@@ -83,11 +85,11 @@ fn mismatched_shapes_never_coalesce() {
         } else {
             &[1, 3, 32, 32]
         };
-        q.push(req(i, dims, i as f64));
+        q.offer(req(i, dims, i as f64));
     }
     q.close();
     let mut popped = Vec::new();
-    while let Some(batch) = q.pop_batch(8, Duration::from_millis(1)) {
+    while let Formation::Flush(batch) = q.form_batch(8, 0.0, 1.0) {
         let anchor = batch[0].shape.clone();
         assert!(
             batch.iter().all(|r| r.shape == anchor),
@@ -104,24 +106,32 @@ fn mismatched_shapes_never_coalesce() {
 
 #[test]
 fn batch_window_timeout_flushes_partial_batches() {
-    let q = RequestQueue::new();
+    let mut q = RequestQueue::new();
     for i in 0..3 {
-        q.push(req(i, &[1, 3, 16, 16], 0.0));
+        q.offer(req(i, &[1, 3, 16, 16], 0.0));
     }
-    let window = Duration::from_millis(50);
-    let t0 = Instant::now();
+    let window_ms = 50.0;
     // queue stays open: only the window can flush this underfull batch
-    let batch = q.pop_batch(16, window).expect("partial batch");
-    assert_eq!(batch.len(), 3);
-    assert!(
-        t0.elapsed() >= window,
-        "waited out the window before flushing"
+    assert_eq!(
+        q.form_batch(16, 0.0, window_ms),
+        Formation::Hold { until_ms: window_ms },
+        "waits out the window before flushing"
     );
+    match q.form_batch(16, window_ms, window_ms) {
+        Formation::Flush(batch) => assert_eq!(batch.len(), 3),
+        other => panic!("expected the partial batch, got {other:?}"),
+    }
     // late same-shape arrival forms its own batch
-    q.push(req(3, &[1, 3, 16, 16], 5.0));
+    q.offer(req(3, &[1, 3, 16, 16], 5.0));
     q.close();
-    assert_eq!(q.pop_batch(16, window).unwrap().len(), 1);
-    assert!(q.pop_batch(16, window).is_none());
+    match q.form_batch(16, window_ms, window_ms) {
+        Formation::Flush(batch) => assert_eq!(batch.len(), 1),
+        other => panic!("expected the late arrival, got {other:?}"),
+    }
+    assert_eq!(
+        q.form_batch(16, window_ms, window_ms),
+        Formation::Empty { closed: true }
+    );
 }
 
 #[test]
@@ -136,7 +146,7 @@ fn per_request_latency_decomposes_on_the_simulated_clock() {
         batch_window: Duration::from_millis(2),
         ..Default::default()
     };
-    let report = compiled.serve(uniform_requests(&compiled, n, 0.1), &cfg, &spans, &metrics);
+    let report = serve(&compiled, uniform_requests(&compiled, n, 0.1), &cfg, &spans, &metrics);
 
     assert_eq!(report.results.len(), n);
     assert_eq!(
@@ -188,7 +198,8 @@ fn batching_trades_latency_for_throughput() {
         let spans = SpanRecorder::new();
         let metrics = MetricsRegistry::new();
         // offered load near capacity so batches actually form
-        compiled.serve(
+        serve(
+            &compiled,
             uniform_requests(&compiled, 32, single / 4.0),
             &cfg,
             &spans,

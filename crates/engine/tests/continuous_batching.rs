@@ -170,10 +170,9 @@ fn pipelining_beats_the_phase_sequential_baseline() {
 }
 
 /// The same zero-noise workload produces byte-identical report digests on
-/// every run and through every entry point (streaming API and deprecated
-/// shim) — the property the ci.sh determinism gate checks end to end.
+/// every run — the property the ci.sh determinism gate checks end to end.
 #[test]
-fn zero_noise_runs_are_replayable_across_entry_points() {
+fn zero_noise_runs_are_replayable() {
     let compiled = compile("determinism");
     let cfg = ServeConfig::builder()
         .concurrency(2)
@@ -192,17 +191,6 @@ fn zero_noise_runs_are_replayable_across_entry_points() {
     let a = run_streaming();
     let b = run_streaming();
     assert_eq!(a, b, "two streaming runs agree bit for bit");
-
-    #[allow(deprecated)] // the shim must replay identically to the new core
-    let c = compiled
-        .serve(
-            uniform_requests(&compiled, 16, 0.1),
-            &cfg,
-            &SpanRecorder::new(),
-            &MetricsRegistry::new(),
-        )
-        .digest();
-    assert_eq!(a, c, "the deprecated shim routes through the same core");
 }
 
 /// `poll` hands out only what has retired since the last harvest; `drain`

@@ -120,7 +120,7 @@ fn throttle_chaos_flags_miscalibration_and_writes_a_retune_record() {
     let body = std::fs::read_to_string(&jsonl).expect("retune.jsonl written");
     let line = body.lines().next().expect("at least one record");
     let rec: serde_json::Value = serde_json::from_str(line).expect("valid JSONL record");
-    assert_eq!(rec["model"], "drift-chaos");
+    assert_eq!(rec["model"].as_str(), Some("drift-chaos"));
     assert!(rec["max_abs_rel_err"].as_f64().unwrap() > 0.25);
     assert_eq!(
         metrics.counter("engine.drift.retune_recommendations"),
@@ -156,9 +156,10 @@ fn zero_noise_zero_fault_run_stays_calibrated_with_no_alerts() {
 
     assert_eq!(report.results.len(), n);
     assert!(report.drift.samples >= cfg.drift_min_samples);
-    // the simulator's no-fault pricing IS the cost model: drift is exactly 0
-    assert_eq!(report.drift.mean_abs_rel_err, 0.0);
-    assert_eq!(report.drift.max_abs_rel_err, 0.0);
+    // the simulator's no-fault pricing IS the cost model, so drift is zero up
+    // to the rounding of the tap's `(start + d) - start` observation
+    assert!(report.drift.mean_abs_rel_err < 1e-12);
+    assert!(report.drift.max_abs_rel_err < 1e-12);
     assert!(!report.drift.miscalibrated);
     assert_eq!(report.alerts_fired, 0, "no alert on a calibrated run");
     assert_eq!(report.alerts_resolved, 0);
@@ -200,7 +201,7 @@ fn recorder_dumps_are_byte_identical_across_zero_noise_runs() {
     assert_eq!(bytes_a, bytes_b, "zero-noise dumps are byte-identical");
     let doc: serde_json::Value =
         serde_json::from_slice(&bytes_a).expect("shutdown dump is valid JSON");
-    assert_eq!(doc["trigger"], "shutdown");
+    assert_eq!(doc["trigger"].as_str(), Some("shutdown"));
     assert!(!doc["events"].as_array().unwrap().is_empty());
     // the report digest (which folds in drift, alert, and dump-count
     // state) agrees too

@@ -2,14 +2,13 @@
 //! accounting invariant (no request is ever lost or hung), circuit-breaker
 //! trip/recovery, deadline rejection, load shedding, panic isolation, and
 //! the bit-identical no-fault path.
-//!
-//! Exercises the deprecated `compiled.serve` shim on purpose: the PR 5
-//! chaos contract must hold unchanged through the legacy entry point.
-#![allow(deprecated)]
 
+mod common;
+
+use common::serve;
 use std::time::Duration;
 use unigpu_device::{DeviceFaultPlan, Platform};
-use unigpu_engine::{uniform_requests, Engine, ServeConfig, ServeReport};
+use unigpu_engine::{uniform_requests, CompiledModel, Engine, ServeConfig, ServeReport};
 use unigpu_graph::{Activation, Graph, OpKind};
 use unigpu_ops::ConvWorkload;
 use unigpu_telemetry::{MetricsRegistry, SpanRecorder};
@@ -43,7 +42,7 @@ fn conv_model(name: &str) -> Graph {
     g
 }
 
-fn compile(name: &str) -> unigpu_engine::CompiledModel {
+fn compile(name: &str) -> CompiledModel {
     Engine::builder()
         .platform(Platform::deeplens())
         .persist(false)
@@ -114,7 +113,8 @@ fn chaos_plan_trips_and_recovers_the_breaker_without_losing_requests() {
         ..Default::default()
     };
     let single = compiled.estimate_batch_ms(1);
-    let report = compiled.serve(
+    let report = serve(
+        &compiled,
         uniform_requests(&compiled, n, single / 2.0),
         &cfg,
         &spans,
@@ -172,7 +172,7 @@ fn no_fault_plan_serves_bit_identically_to_the_plain_scheduler() {
     let run = || {
         let spans = SpanRecorder::new();
         let metrics = MetricsRegistry::new();
-        compiled.serve(uniform_requests(&compiled, n, 0.0), &cfg, &spans, &metrics)
+        serve(&compiled, uniform_requests(&compiled, n, 0.0), &cfg, &spans, &metrics)
     };
     let a = run();
     let b = run();
@@ -220,7 +220,7 @@ fn tight_deadlines_reject_with_a_counted_reason_never_silently() {
             deadline_ms: Some(deadline_ms),
             ..Default::default()
         };
-        let report = compiled.serve(uniform_requests(&compiled, n, 0.0), &cfg, &spans, &metrics);
+        let report = serve(&compiled, uniform_requests(&compiled, n, 0.0), &cfg, &spans, &metrics);
         assert_accounted(&report, &metrics, n);
         report
     };
@@ -250,7 +250,7 @@ fn bounded_queue_sheds_overload_but_never_loses_accepted_requests() {
         queue_cap: Some(1),
         ..Default::default()
     };
-    let report = compiled.serve(uniform_requests(&compiled, n, 0.0), &cfg, &spans, &metrics);
+    let report = serve(&compiled, uniform_requests(&compiled, n, 0.0), &cfg, &spans, &metrics);
     assert_accounted(&report, &metrics, n);
     assert!(
         !report.shed.is_empty(),
@@ -278,7 +278,8 @@ fn worker_panics_are_isolated_and_batches_retried() {
         ..Default::default()
     };
     let single = compiled.estimate_batch_ms(1);
-    let report = compiled.serve(
+    let report = serve(
+        &compiled,
         uniform_requests(&compiled, n, single / 2.0),
         &cfg,
         &spans,
@@ -305,7 +306,7 @@ fn out_of_memory_re_places_the_batch_on_the_cpu_without_retrying() {
         faults: DeviceFaultPlan::parse("mem_pressure=2"),
         ..Default::default()
     };
-    let report = compiled.serve(uniform_requests(&compiled, n, 0.0), &cfg, &spans, &metrics);
+    let report = serve(&compiled, uniform_requests(&compiled, n, 0.0), &cfg, &spans, &metrics);
     assert_accounted(&report, &metrics, n);
     assert_eq!(report.results.len(), n);
     assert_eq!(report.device_faults, 1, "one OOM fault");

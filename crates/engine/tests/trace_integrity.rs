@@ -3,12 +3,10 @@
 //! the Chrome export parses as JSON, latency-histogram bucket counts sum to
 //! the counted completions, and the device-idle-fraction metric agrees with
 //! the value re-derived from the exported trace.
-//!
-//! Exercises the deprecated `compiled.serve` shim on purpose: the PR 6
-//! observability contract must hold unchanged through the legacy entry
-//! point.
-#![allow(deprecated)]
 
+mod common;
+
+use common::serve;
 use std::collections::HashSet;
 use std::time::Duration;
 use unigpu_device::{DeviceFaultPlan, Platform};
@@ -67,7 +65,7 @@ fn chaos_serve() -> (ServeReport, SpanRecorder, MetricsRegistry) {
     // collectively drain single-sample executions
     let interval = single / (WORKERS as f64 * 4.0);
     let report =
-        compiled.serve(uniform_requests(&compiled, REQUESTS, interval), &cfg, &spans, &metrics);
+        serve(&compiled, uniform_requests(&compiled, REQUESTS, interval), &cfg, &spans, &metrics);
     (report, spans, metrics)
 }
 
@@ -125,7 +123,7 @@ fn sampling_zero_disables_tracing_and_sampling_n_thins_it() {
             trace_sample_every: every,
             ..Default::default()
         };
-        compiled.serve(uniform_requests(&compiled, 16, 0.0), &cfg, &spans, &metrics);
+        serve(&compiled, uniform_requests(&compiled, 16, 0.0), &cfg, &spans, &metrics);
         spans.spans()
     };
     assert!(
@@ -163,7 +161,7 @@ fn chrome_export_parses_as_json_with_complete_events() {
     }
     // sampled request ids are greppable in the export
     assert!(
-        events.iter().any(|e| e["args"]["trace_id"].is_string()),
+        events.iter().any(|e| e["args"]["trace_id"].as_str().is_some()),
         "traced spans export their trace_id as an arg"
     );
 }

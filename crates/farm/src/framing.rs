@@ -146,14 +146,6 @@ impl From<FrameError> for io::Error {
     }
 }
 
-impl FrameError {
-    /// True when the failure is a disconnect rather than a protocol
-    /// violation — the cue for reconnect-and-resume instead of giving up.
-    pub fn is_disconnect(&self) -> bool {
-        matches!(self, FrameError::Io(_))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Body reader — never trusts the length prefix with an allocation
 // ---------------------------------------------------------------------------

@@ -237,11 +237,6 @@ pub fn estimate_latency(
 /// node on the simulated clock (lane = device, attrs = op kind/device/
 /// shape; `DeviceCopy` crossings land on their own lane with the
 /// transferred byte count) and updating the metrics registry.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `unigpu_engine::Engine::compile` and `CompiledModel::trace` — this free \
-            function survives as a thin shim for out-of-tree callers"
-)]
 pub fn estimate_latency_traced(
     placement: &Placement,
     platform: &Platform,
@@ -487,7 +482,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercising the legacy shim's contract
     fn traced_estimate_records_span_per_node_and_metrics() {
         use unigpu_telemetry::{MetricsRegistry, SpanRecorder};
         let g = conv_graph(3);
@@ -518,7 +512,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercising the legacy shim's contract
     fn traced_estimate_surfaces_device_copies() {
         use unigpu_telemetry::{MetricsRegistry, SpanRecorder};
         // Hand-placed graph with an explicit §3.1.2 boundary crossing.

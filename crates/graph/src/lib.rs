@@ -26,9 +26,9 @@ pub mod passes;
 pub use analysis::{eliminate_dead_nodes, op_histogram, parameter_count, to_dot};
 pub use exec::Executor;
 pub use graph::{Graph, NodeId};
-#[allow(deprecated)] // re-exported for out-of-tree callers of the legacy shim
-pub use latency::estimate_latency_traced;
-pub use latency::{estimate_latency, LatencyOptions, LatencyReport, ScheduleProvider};
+pub use latency::{
+    estimate_latency, estimate_latency_traced, LatencyOptions, LatencyReport, ScheduleProvider,
+};
 pub use node::{Activation, Node, OpKind};
 pub use passes::{
     fold_batch_norms, fuse_ops, place, rebatch, Device, Placement, PlacementPolicy,

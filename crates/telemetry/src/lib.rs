@@ -37,6 +37,8 @@
 //! * [`alert`] — a **deterministic alerting engine**: declarative
 //!   `name:metric>value` threshold rules evaluated on the simulated clock
 //!   against the registry, with fire/resolve hysteresis.
+//! * [`hash`] — the workspace's one **FNV-1a** and one **SplitMix64**, behind
+//!   every fingerprint, trace id and report digest.
 //! * [`lock`] — **poison-recovering lock acquisition**, shared by every
 //!   layer so one panicking thread can never wedge observability.
 //!
@@ -50,6 +52,7 @@ pub mod alert;
 pub mod chrome;
 pub mod drift;
 pub mod export;
+pub mod hash;
 pub mod json;
 pub mod lock;
 pub mod log;

@@ -19,13 +19,7 @@
 //! an optional string field in the farm's JSON frames so old peers ignore
 //! it.
 
-/// SplitMix64 finalizer: a fast, well-mixed bijection on `u64`.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use crate::hash::splitmix64;
 
 /// Identity of one traced operation: the trace it belongs to and the span
 /// that produced the current hop.

@@ -52,41 +52,6 @@ if [ -n "$stray_println" ]; then
   fail=1
 fi
 
-echo "==> deprecation gate"
-# The legacy free functions survive only as #[deprecated] shims for
-# out-of-tree callers; in-tree code goes through unigpu_engine::Engine.
-# Sanctioned call sites:
-#   crates/baselines/src/vendor.rs  (the shims themselves)
-#   crates/graph/src/latency.rs     (estimate_latency_traced's home)
-#   crates/engine/src/compiled.rs   (CompiledModel::trace wraps the shim)
-# tests/ are not scanned — they pin the legacy contract on purpose.
-stray_deprecated=$(grep -rnE --include='*.rs' \
-  '\b(ours_latency|ours_untuned_latency|estimate_latency_traced)\s*\(' \
-  crates src examples \
-  | grep -v '^crates/baselines/src/vendor\.rs:' \
-  | grep -v '^crates/graph/src/latency\.rs:' \
-  | grep -v '^crates/engine/src/compiled\.rs:' || true)
-if [ -n "$stray_deprecated" ]; then
-  echo "error: new caller of a deprecated shim — use Engine::compile instead:"
-  echo "$stray_deprecated"
-  fail=1
-fi
-
-# The blocking serve entry points are likewise shims now: in-tree code goes
-# through CompiledModel::server / Server::submit and RequestQueue::form_batch.
-# Sanctioned call sites:
-#   crates/engine/src/serve.rs  (the shims themselves + their unit tests)
-# */tests/ suites pin the legacy contract on purpose and are excluded.
-stray_serve=$(grep -rnE --include='*.rs' '\.serve\(|\bpop_batch\s*\(' \
-  crates src examples \
-  | grep -v '/tests/' \
-  | grep -v '^crates/engine/src/serve\.rs:' || true)
-if [ -n "$stray_serve" ]; then
-  echo "error: new caller of the deprecated serve/pop_batch shims — use CompiledModel::server:"
-  echo "$stray_serve"
-  fail=1
-fi
-
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi

@@ -1,22 +1,28 @@
 //! Integration tests spanning the whole stack: model construction → graph
 //! optimization → placement → functional execution → tuning → latency.
 
-// These tests deliberately pin the legacy free-function surface; new code
-// should go through `unigpu::Engine` instead.
-#![allow(deprecated)]
-
-use unigpu::baselines::vendor::{ours_latency, ours_untuned_latency};
 use unigpu::baselines::{baseline_for, openvino};
 use unigpu::device::Platform;
+use unigpu::engine::EngineBuilder;
 use unigpu::graph::latency::FallbackSchedules;
 use unigpu::graph::passes::optimize;
 use unigpu::graph::{
-    estimate_latency, place, Executor, LatencyOptions, PlacementPolicy,
+    estimate_latency, place, Executor, Graph, LatencyOptions, LatencyReport, PlacementPolicy,
 };
 use unigpu::models::{mobilenet, resnet50, ssd_mobilenet, squeezenet};
 use unigpu::tensor::init::random_uniform;
 use unigpu::tensor::allclose;
-use unigpu::tuner::{tune_graph, TunedSchedules, TuningBudget};
+use unigpu::tuner::{tune_graph, TuningBudget};
+use unigpu::Engine;
+
+fn engine(plat: &Platform) -> EngineBuilder {
+    Engine::builder().platform(plat.clone()).persist(false)
+}
+
+/// Our stack on fallback (untuned) schedules.
+fn ours_untuned(g: &Graph, plat: &Platform) -> LatencyReport {
+    engine(plat).build().compile(g).estimate()
+}
 
 #[test]
 fn optimization_and_placement_preserve_model_outputs() {
@@ -66,9 +72,8 @@ fn tuning_improves_every_platform_and_is_deterministic() {
         let db = tune_graph(&g, &plat.gpu, &budget);
         let db2 = tune_graph(&g, &plat.gpu, &budget);
         assert_eq!(db.to_json_lines(), db2.to_json_lines(), "tuning must be deterministic");
-        let tuned = TunedSchedules::new(db);
-        let before = ours_untuned_latency(&g, &plat);
-        let after = ours_latency(&g, &plat, &tuned);
+        let before = ours_untuned(&g, &plat);
+        let after = engine(&plat).tuned_database(db).build().compile(&g).estimate();
         assert!(
             after.total_ms < before.total_ms,
             "{}: {} !< {}",
@@ -142,31 +147,28 @@ fn openvino_coverage_gap_reproduces() {
     let cls = squeezenet(1, 64, 10);
     assert!(b.latency(&cls, &plat, false).is_some());
     // while our stack covers everything
-    let ours = ours_untuned_latency(&det, &plat);
+    let ours = ours_untuned(&det, &plat);
     assert!(ours.total_ms.is_finite() && ours.total_ms > 0.0);
 }
 
 #[test]
-fn engine_compile_matches_the_legacy_free_functions() {
+fn recompiling_the_same_model_hits_the_artifact_cache() {
     let g = squeezenet(1, 64, 10);
-    let plat = Platform::deeplens();
-    let engine = unigpu::Engine::builder().platform(plat.clone()).persist(false).build();
-    let compiled = engine.compile(&g);
-    let legacy = ours_untuned_latency(&g, &plat);
-    assert!(
-        (compiled.estimate().total_ms - legacy.total_ms).abs() < 1e-9,
-        "the Engine shim contract: compile+estimate == ours_untuned_latency"
-    );
-    // same model, same engine → in-memory artifact cache hit
-    assert!(engine.compile(&g).from_cache());
+    let engine = engine(&Platform::deeplens()).build();
+    let first = engine.compile(&g);
+    assert!(!first.from_cache());
+    // same model, same engine → in-memory artifact cache hit, same estimate
+    let second = engine.compile(&g);
+    assert!(second.from_cache());
+    assert_eq!(second.estimate().total_ms, first.estimate().total_ms);
 }
 
 #[test]
 fn latency_reports_are_reproducible() {
     let g = resnet50(1, 224, 1000);
     let plat = Platform::jetson_nano();
-    let a = ours_untuned_latency(&g, &plat).total_ms;
-    let b = ours_untuned_latency(&g, &plat).total_ms;
+    let a = ours_untuned(&g, &plat).total_ms;
+    let b = ours_untuned(&g, &plat).total_ms;
     assert_eq!(a, b);
     let base = baseline_for(&plat).latency(&g, &plat, false).unwrap().total_ms;
     let base2 = baseline_for(&plat).latency(&g, &plat, false).unwrap().total_ms;

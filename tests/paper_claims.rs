@@ -2,22 +2,35 @@
 //! each test encodes a *shape* of a result (who wins, where the effect is
 //! largest) rather than an absolute number.
 
-// These tests deliberately pin the legacy free-function surface; new code
-// should go through `unigpu::Engine` instead.
-#![allow(deprecated)]
-
-use unigpu::baselines::vendor::{ours_latency, ours_untuned_latency};
 use unigpu::baselines::{acl, baseline_for, cudnn_mxnet, openvino};
 use unigpu::device::Platform;
 use unigpu::graph::latency::FallbackSchedules;
 use unigpu::graph::passes::optimize;
-use unigpu::graph::{estimate_latency, place, LatencyOptions, PlacementPolicy};
+use unigpu::engine::EngineBuilder;
+use unigpu::graph::{
+    estimate_latency, place, Graph, LatencyOptions, LatencyReport, PlacementPolicy,
+};
 use unigpu::models::{mobilenet, squeezenet, ssd_mobilenet, yolov3};
-use unigpu::tuner::{tune_graph, TunedSchedules, TuningBudget};
+use unigpu::tuner::{tune_graph, Database, TunedSchedules, TuningBudget};
+use unigpu::Engine;
 
-fn tuned(g: &unigpu::graph::Graph, plat: &Platform) -> TunedSchedules {
+fn tune(g: &Graph, plat: &Platform) -> Database {
     let budget = TuningBudget { trials_per_workload: 48, ..Default::default() };
-    TunedSchedules::new(tune_graph(g, &plat.gpu, &budget))
+    tune_graph(g, &plat.gpu, &budget)
+}
+
+fn engine(plat: &Platform) -> EngineBuilder {
+    Engine::builder().platform(plat.clone()).persist(false)
+}
+
+/// Our stack on fallback (untuned) schedules — Table 5's "Before".
+fn ours_untuned(g: &Graph, plat: &Platform) -> LatencyReport {
+    engine(plat).build().compile(g).estimate()
+}
+
+/// Our stack on schedules tuned for `g` on `plat` — the "Ours" columns.
+fn ours_tuned(g: &Graph, plat: &Platform) -> LatencyReport {
+    engine(plat).tuned_database(tune(g, plat)).build().compile(g).estimate()
 }
 
 /// §1/§4.2: "compared to the state-of-the-art solutions ... our solution
@@ -27,8 +40,7 @@ fn tuned(g: &unigpu::graph::Graph, plat: &Platform) -> TunedSchedules {
 fn ours_beats_cudnn_on_nano_classification() {
     let plat = Platform::jetson_nano();
     for g in [mobilenet(1, 224, 1000), squeezenet(1, 224, 1000)] {
-        let provider = tuned(&g, &plat);
-        let ours = ours_latency(&g, &plat, &provider).total_ms;
+        let ours = ours_tuned(&g, &plat).total_ms;
         let base = cudnn_mxnet().latency(&g, &plat, false).unwrap().total_ms;
         assert!(
             base > ours,
@@ -45,8 +57,7 @@ fn ours_beats_cudnn_on_nano_classification() {
 fn openvino_wins_mobilenet_on_deeplens() {
     let plat = Platform::deeplens();
     let g = mobilenet(1, 224, 1000);
-    let provider = tuned(&g, &plat);
-    let ours = ours_latency(&g, &plat, &provider).total_ms;
+    let ours = ours_tuned(&g, &plat).total_ms;
     let vino = openvino().latency(&g, &plat, false).unwrap().total_ms;
     assert!(
         vino < ours,
@@ -54,8 +65,7 @@ fn openvino_wins_mobilenet_on_deeplens() {
     );
     // ...but the same MobileNet on Mali is OURS to win (Table 2: 1.21x).
     let plat2 = Platform::aisage();
-    let provider2 = tuned(&g, &plat2);
-    let ours2 = ours_latency(&g, &plat2, &provider2).total_ms;
+    let ours2 = ours_tuned(&g, &plat2).total_ms;
     let aclb = acl().latency(&g, &plat2, false).unwrap().total_ms;
     assert!(aclb > ours2, "ACL {aclb:.1} should lose to ours {ours2:.1} on Mali");
 }
@@ -102,14 +112,8 @@ fn squeezenet_gains_more_from_tuning_than_resnet() {
     for plat in Platform::all() {
         let sq = squeezenet(1, 224, 1000);
         let rn = resnet50(1, 224, 1000);
-        let sq_speedup = {
-            let p = tuned(&sq, &plat);
-            ours_untuned_latency(&sq, &plat).total_ms / ours_latency(&sq, &plat, &p).total_ms
-        };
-        let rn_speedup = {
-            let p = tuned(&rn, &plat);
-            ours_untuned_latency(&rn, &plat).total_ms / ours_latency(&rn, &plat, &p).total_ms
-        };
+        let sq_speedup = ours_untuned(&sq, &plat).total_ms / ours_tuned(&sq, &plat).total_ms;
+        let rn_speedup = ours_untuned(&rn, &plat).total_ms / ours_tuned(&rn, &plat).total_ms;
         assert!(
             sq_speedup > rn_speedup,
             "{}: SqueezeNet ({sq_speedup:.2}x) should out-gain ResNet50 ({rn_speedup:.2}x)",
@@ -127,7 +131,7 @@ fn gpu_outruns_cpu_on_every_platform() {
     let raw = mobilenet(1, 224, 1000);
     let g = optimize(&raw);
     for plat in Platform::all() {
-        let provider = tuned(&raw, &plat);
+        let provider = TunedSchedules::new(tune(&raw, &plat));
         let opts = LatencyOptions::default();
         let gpu = estimate_latency(&place(&g, PlacementPolicy::AllGpu), &plat, &provider, &opts);
         let cpu = estimate_latency(&place(&g, PlacementPolicy::AllCpu), &plat, &provider, &opts);
@@ -154,7 +158,11 @@ fn coverage_is_wider_than_baselines() {
         for e in &zoo {
             let g = (e.build)(aisage);
             ours_count += 1;
-            assert!(ours_untuned_latency(&g, &plat).total_ms > 0.0);
+            let ours = ours_untuned(&g, &plat);
+            assert!(ours.total_ms > 0.0);
+            if !e.is_detection {
+                assert_eq!(ours.cpu_ms, 0.0, "classification runs fully on GPU");
+            }
             if b.latency(&g, &plat, e.is_detection).is_some() {
                 baseline_count += 1;
             }
@@ -171,7 +179,7 @@ fn aisage_input_reduction_shrinks_ssd() {
     let g512 = ssd_mobilenet(512, 20);
     let g300 = ssd_mobilenet(300, 20);
     let plat = Platform::aisage();
-    let t512 = ours_untuned_latency(&g512, &plat).total_ms;
-    let t300 = ours_untuned_latency(&g300, &plat).total_ms;
+    let t512 = ours_untuned(&g512, &plat).total_ms;
+    let t300 = ours_untuned(&g300, &plat).total_ms;
     assert!(t300 < t512 * 0.6, "300² must be much cheaper: {t300:.1} vs {t512:.1}");
 }
