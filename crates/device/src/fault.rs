@@ -136,14 +136,19 @@ impl DeviceFault {
     pub fn is_transient(&self) -> bool {
         matches!(self, DeviceFault::KernelFail)
     }
+
+    /// The name traces and flight-recorder dumps show.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            DeviceFault::KernelFail => "kernel_fail",
+            DeviceFault::OutOfMemory => "oom",
+        }
+    }
 }
 
 impl std::fmt::Display for DeviceFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DeviceFault::KernelFail => f.write_str("kernel_fail"),
-            DeviceFault::OutOfMemory => f.write_str("oom"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

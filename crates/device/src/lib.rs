@@ -38,4 +38,4 @@ pub use exec::{dispatch_chunks, dispatch_map, group_barrier_loop, parallel_for_e
 pub use fault::{DeviceFault, DeviceFaultPlan, DeviceFaultState, LaunchOutcome};
 pub use profile::{KernelProfile, TransferProfile};
 pub use spec::{Api, DeviceKind, DeviceSpec, Platform, Vendor};
-pub use timeline::{MultiTimeline, StreamEvent, Timeline, TraceEntry};
+pub use timeline::{MultiTimeline, StreamEvent, StreamLabel, Timeline, TraceEntry};

@@ -3,7 +3,7 @@
 //! nvprof) would give — per-kernel timing, launch counts, and a breakdown
 //! report the examples and CLI print.
 
-use crate::{CostModel, KernelProfile};
+use crate::{CostModel, DeviceFault, KernelProfile};
 
 /// One recorded launch.
 #[derive(Debug, Clone)]
@@ -134,10 +134,47 @@ impl Timeline {
     }
 }
 
+/// What a [`StreamEvent`] is called. The serving scheduler schedules one
+/// event per launch, so its two labels are stored as their parts (no text is
+/// built until the trace is exported) and an event stays a few words long.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StreamLabel {
+    Text(String),
+    /// A launched batch: `batch{index}[{len}]`, with `@cpu` appended when it
+    /// ran on the CPU-degraded variant.
+    Batch { index: usize, len: usize, on_cpu: bool },
+    /// A failed launch occupying its lane: `fault{index}[{fault}]`.
+    Fault { index: usize, fault: DeviceFault },
+}
+
+impl std::fmt::Display for StreamLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StreamLabel::Text(s) => f.write_str(s),
+            StreamLabel::Batch { index, len, on_cpu } => {
+                write!(f, "batch{index}[{len}]{}", if *on_cpu { "@cpu" } else { "" })
+            }
+            StreamLabel::Fault { index, fault } => write!(f, "fault{index}[{fault}]"),
+        }
+    }
+}
+
+impl From<String> for StreamLabel {
+    fn from(s: String) -> Self {
+        StreamLabel::Text(s)
+    }
+}
+
+impl From<&str> for StreamLabel {
+    fn from(s: &str) -> Self {
+        StreamLabel::Text(s.to_string())
+    }
+}
+
 /// One event scheduled on a stream of a [`MultiTimeline`].
 #[derive(Debug, Clone)]
 pub struct StreamEvent {
-    pub name: String,
+    pub name: StreamLabel,
     pub stream: usize,
     pub start_ms: f64,
     pub duration_ms: f64,
@@ -195,7 +232,7 @@ impl MultiTimeline {
     pub fn schedule(
         &mut self,
         stream: usize,
-        name: impl Into<String>,
+        name: impl Into<StreamLabel>,
         ready_ms: f64,
         duration_ms: f64,
     ) -> f64 {
@@ -263,7 +300,7 @@ impl MultiTimeline {
         }
         for e in &self.events {
             trace.duration(
-                e.name.clone(),
+                e.name.to_string(),
                 "stream",
                 e.start_ms * 1000.0,
                 e.duration_ms * 1000.0,
@@ -386,6 +423,18 @@ mod tests {
         let json = trace.to_json();
         assert!(json.contains("\"tid\":10") && json.contains("\"tid\":11"), "{json}");
         assert!(json.contains("stream 0"));
+    }
+
+    #[test]
+    fn typed_labels_render_like_their_text_form() {
+        let mut mt = MultiTimeline::new(1);
+        mt.schedule(0, format!("batch{}[{}]@cpu", 12, 4), 0.0, 1.0);
+        mt.schedule(0, StreamLabel::Batch { index: 12, len: 4, on_cpu: true }, 0.0, 1.0);
+        mt.schedule(0, StreamLabel::Batch { index: 13, len: 8, on_cpu: false }, 0.0, 1.0);
+        mt.schedule(0, StreamLabel::Fault { index: 3, fault: DeviceFault::OutOfMemory }, 0.0, 1.0);
+        let names: Vec<String> = mt.events().iter().map(|e| e.name.to_string()).collect();
+        assert_eq!(names, ["batch12[4]@cpu", "batch12[4]@cpu", "batch13[8]", "fault3[oom]"]);
+        assert!(std::mem::size_of::<StreamEvent>() <= 56, "one launch, seven words");
     }
 
     #[test]

@@ -16,7 +16,8 @@ use crate::artifact::{
 use crate::cache::{default_artifact_dir, ArtifactCache, CacheStats};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use unigpu_device::{CostTable, DeviceSpec, Platform};
 use unigpu_graph::latency::FallbackSchedules;
@@ -287,7 +288,7 @@ impl Engine {
 
         let inner = Arc::clone(&compiled.inner);
         let cache = Arc::clone(&self.cache);
-        let graph = compiled.inner.graph.clone(); // already optimized
+        let graph = Arc::clone(&compiled.inner.graph); // already optimized
         let platform = self.platform.clone();
         let policy = self.policy;
         let opts = self.opts;
@@ -318,18 +319,7 @@ impl Engine {
                     .map(|t| (t.name.clone(), t.ms))
                     .collect(),
             };
-            {
-                let mut st = inner.schedules.write().expect("schedule state poisoned");
-                st.provider = Arc::new(tuned);
-                st.records = records.clone();
-                st.tuned = true;
-            }
-            // batched estimates priced on fallback schedules are stale now
-            inner
-                .batch_cost
-                .lock()
-                .expect("batch cost poisoned")
-                .clear();
+            inner.swap_schedules(Arc::new(tuned), records.clone());
             cache
                 .lock()
                 .expect("artifact cache poisoned")
@@ -442,20 +432,22 @@ impl Engine {
         CompiledModel {
             inner: Arc::new(CompiledInner {
                 key,
-                graph: g,
+                graph: Arc::new(g),
                 placement: placed,
                 platform: self.platform.clone(),
                 policy: self.policy,
                 opts: self.opts,
-                schedules: RwLock::new(ScheduleState {
+                schedules: Arc::new(RwLock::new(ScheduleState {
                     provider,
                     records: artifact.records.clone(),
                     tuned,
-                }),
+                })),
+                generation: Arc::new(AtomicU64::new(0)),
                 from_cache,
                 has_vision,
                 cost_table: artifact.meta.cost_table.clone(),
-                batch_cost: Mutex::new(HashMap::new()),
+                batch_cost: Mutex::new(BatchCosts::default()),
+                degraded: OnceLock::new(),
                 pending: Mutex::new(None),
             }),
         }
@@ -468,23 +460,53 @@ struct ScheduleState {
     tuned: bool,
 }
 
+/// Memoized batched-latency estimates, keyed by batch size, priced on the
+/// schedules of one generation.
+#[derive(Default)]
+struct BatchCosts {
+    generation: u64,
+    ms: HashMap<usize, f64>,
+}
+
 struct CompiledInner {
     key: ArtifactKey,
-    /// Optimized (fused, BN-folded) graph at the model's authored batch.
-    graph: Graph,
+    /// Optimized (fused, BN-folded) graph at the model's authored batch;
+    /// the degraded variant shares it, weights included.
+    graph: Arc<Graph>,
     placement: Placement,
     platform: Platform,
     policy: PlacementPolicy,
     opts: LatencyOptions,
-    schedules: RwLock<ScheduleState>,
+    /// Shared with the degraded variant, so both follow a schedule swap.
+    schedules: Arc<RwLock<ScheduleState>>,
+    /// Counts schedule swaps (shared like `schedules`). Every price derived
+    /// from the schedules — `batch_cost`, a server's launch plans — is
+    /// stamped with the value it was derived under and dropped once this
+    /// has moved.
+    generation: Arc<AtomicU64>,
     from_cache: bool,
     has_vision: bool,
     /// Per-node cost table from compile time, (node name, ms).
     cost_table: Vec<(String, f64)>,
-    /// Memoized batched-latency estimates, keyed by batch size.
-    batch_cost: Mutex<HashMap<usize, f64>>,
+    batch_cost: Mutex<BatchCosts>,
+    /// The all-CPU variant, derived once for every server of this model.
+    degraded: OnceLock<CompiledModel>,
     /// Background tuning thread, when compiled via `compile_deferred`.
     pending: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl CompiledInner {
+    /// Install new schedules, then move the generation: whoever sees the
+    /// new generation also sees the new schedules.
+    fn swap_schedules(&self, provider: SharedProvider, records: Vec<TuneRecord>) {
+        {
+            let mut st = self.schedules.write().expect("schedule state poisoned");
+            st.provider = provider;
+            st.records = records;
+            st.tuned = true;
+        }
+        self.generation.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 /// A model compiled by [`Engine::compile`]: optimized graph, device
@@ -605,22 +627,34 @@ impl CompiledModel {
     /// batches classification models but not detectors.
     pub fn estimate_batch_ms(&self, batch: usize) -> f64 {
         let batch = batch.max(1);
-        if let Some(&ms) = self
-            .inner
-            .batch_cost
-            .lock()
-            .expect("batch cost poisoned")
-            .get(&batch)
-        {
+        let generation = self.generation();
+        if let Some(&ms) = self.batch_costs(generation).ms.get(&batch) {
             return ms;
         }
         let ms = self.compute_batch_ms(batch);
-        self.inner
-            .batch_cost
-            .lock()
-            .expect("batch cost poisoned")
-            .insert(batch, ms);
+        // a swap while pricing may have left `ms` on the old schedules:
+        // keep it only in a memo still stamped with the generation read above
+        let mut costs = self.batch_costs(generation);
+        if costs.generation == generation {
+            costs.ms.insert(batch, ms);
+        }
         ms
+    }
+
+    /// How many schedule swaps this model has seen; prices derived under an
+    /// older value are stale.
+    pub(crate) fn generation(&self) -> u64 {
+        self.inner.generation.load(Ordering::SeqCst)
+    }
+
+    /// The memo, emptied first if it was priced under an older generation.
+    fn batch_costs(&self, generation: u64) -> MutexGuard<'_, BatchCosts> {
+        let mut costs = self.inner.batch_cost.lock().expect("batch cost poisoned");
+        if costs.generation < generation {
+            costs.ms.clear();
+            costs.generation = generation;
+        }
+        costs
     }
 
     fn compute_batch_ms(&self, batch: usize) -> f64 {
@@ -641,35 +675,33 @@ impl CompiledModel {
     /// records, re-placed with [`PlacementPolicy::AllCpu`]. This is the
     /// graceful-degradation target the serving layer routes batches to when
     /// the device misbehaves (circuit breaker open, retries exhausted,
-    /// out-of-memory) — slower, but it keeps answering. Built lazily by the
-    /// scheduler, so fault-free serving never pays for it.
+    /// out-of-memory) — slower, but it keeps answering. Derived on first
+    /// use, so fault-free serving never pays for it, and once per model:
+    /// every server and replica shares the one variant, which shares this
+    /// model's graph and live schedules.
     pub fn degraded(&self) -> CompiledModel {
-        let placed = place(&self.inner.graph, PlacementPolicy::AllCpu);
-        let st = self
-            .inner
-            .schedules
-            .read()
-            .expect("schedule state poisoned");
-        CompiledModel {
-            inner: Arc::new(CompiledInner {
-                key: self.inner.key.clone(),
-                graph: self.inner.graph.clone(),
-                placement: placed,
-                platform: self.inner.platform.clone(),
-                policy: PlacementPolicy::AllCpu,
-                opts: self.inner.opts,
-                schedules: RwLock::new(ScheduleState {
-                    provider: st.provider.clone(),
-                    records: st.records.clone(),
-                    tuned: st.tuned,
+        let inner = &self.inner;
+        inner
+            .degraded
+            .get_or_init(|| CompiledModel {
+                inner: Arc::new(CompiledInner {
+                    key: inner.key.clone(),
+                    graph: Arc::clone(&inner.graph),
+                    placement: place(&inner.graph, PlacementPolicy::AllCpu),
+                    platform: inner.platform.clone(),
+                    policy: PlacementPolicy::AllCpu,
+                    opts: inner.opts,
+                    schedules: Arc::clone(&inner.schedules),
+                    generation: Arc::clone(&inner.generation),
+                    from_cache: inner.from_cache,
+                    has_vision: inner.has_vision,
+                    cost_table: inner.cost_table.clone(),
+                    batch_cost: Mutex::new(BatchCosts::default()),
+                    degraded: OnceLock::new(),
+                    pending: Mutex::new(None),
                 }),
-                from_cache: self.inner.from_cache,
-                has_vision: self.inner.has_vision,
-                cost_table: self.inner.cost_table.clone(),
-                batch_cost: Mutex::new(HashMap::new()),
-                pending: Mutex::new(None),
-            }),
-        }
+            })
+            .clone()
     }
 
     /// Execute the model functionally on real tensors (placement-aware

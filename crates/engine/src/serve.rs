@@ -177,14 +177,18 @@ impl ServeConfig {
         }
     }
 
-    /// The trace context for `r` under this config's sampling: the
-    /// request's own context if it carried one, else a deterministic root
-    /// derived from the request id; `None` when the id is not sampled.
-    pub(crate) fn request_trace(&self, r: &InferenceRequest) -> Option<TraceContext> {
-        if self.trace_sample_every == 0 || r.id % self.trace_sample_every != 0 {
+    /// The trace context for request `id` under this config's sampling:
+    /// the context the request carried if any, else a deterministic root
+    /// derived from the id; `None` when the id is not sampled.
+    pub(crate) fn request_trace(
+        &self,
+        id: usize,
+        carried: Option<TraceContext>,
+    ) -> Option<TraceContext> {
+        if self.trace_sample_every == 0 || id % self.trace_sample_every != 0 {
             return None;
         }
-        Some(r.trace.unwrap_or_else(|| TraceContext::from_seed(r.id as u64)))
+        Some(carried.unwrap_or_else(|| TraceContext::from_seed(id as u64)))
     }
 }
 
@@ -412,6 +416,9 @@ pub struct RequestQueue {
     /// Simulated time the current underfull front run was first seen by
     /// [`RequestQueue::form_batch`]; cleared on flush/empty.
     window_open_ms: Option<f64>,
+    /// An emptied batch handed back by [`RequestQueue::recycle`]: the next
+    /// flush fills it instead of allocating.
+    spare: Vec<InferenceRequest>,
 }
 
 impl Default for RequestQueue {
@@ -433,6 +440,7 @@ impl RequestQueue {
             queue: VecDeque::new(),
             closed: false,
             window_open_ms: None,
+            spare: Vec::new(),
         }
     }
 
@@ -474,6 +482,12 @@ impl RequestQueue {
         self.queue.drain(..).collect()
     }
 
+    /// Hand a finished batch's buffer back for the next flush to reuse.
+    pub fn recycle(&mut self, mut batch: Vec<InferenceRequest>) {
+        batch.clear();
+        self.spare = batch;
+    }
+
     pub fn len(&self) -> usize {
         self.queue.len()
     }
@@ -501,19 +515,21 @@ impl RequestQueue {
             return Formation::Empty { closed: self.closed };
         }
         let opened = *self.window_open_ms.get_or_insert(now_ms);
-        let anchor = self.queue.front().expect("non-empty queue").shape.clone();
+        let anchor = &self.queue.front().expect("non-empty queue").shape;
         let run = self
             .queue
             .iter()
             .take(max)
-            .take_while(|r| r.shape == anchor)
+            .take_while(|r| r.shape == *anchor)
             .count();
         // `run < len` can only mean a mismatched shape is waiting behind
         // the run (the scan is capped at `max`, but `run == max` flushes
         // anyway).
         if run == max || self.closed || run < self.queue.len() || now_ms >= opened + window_ms {
             self.window_open_ms = None;
-            return Formation::Flush(self.queue.drain(..run).collect());
+            let mut batch = std::mem::take(&mut self.spare);
+            batch.extend(self.queue.drain(..run));
+            return Formation::Flush(batch);
         }
         Formation::Hold {
             until_ms: opened + window_ms,

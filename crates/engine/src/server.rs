@@ -37,10 +37,12 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use unigpu_device::{DeviceFaultState, LaunchOutcome, MultiTimeline};
+use unigpu_device::{DeviceFaultState, LaunchOutcome, MultiTimeline, StreamLabel};
+use unigpu_telemetry::AttrValue::{Static, Text, F64, U64};
 use unigpu_telemetry::{
-    append_retune_recommendation, tel_warn, AlertEngine, DriftConfig, DriftMonitor, FlightRecorder,
-    MetricsRegistry, RetuneRecommendation, SloConfig, SloTracker, SpanRecord, SpanRecorder,
+    append_retune_recommendation, tel_warn, AlertEngine, CounterSlot, DriftConfig, DriftMonitor,
+    FlightRecorder, GaugeSlot, HistogramSlot, MetricsRegistry, RetuneRecommendation, SloConfig,
+    SloTracker, SpanRecord, SpanRecorder, TraceContext,
 };
 
 /// Deadline expiries within [`DEADLINE_BURST_WINDOW_MS`] that trip a
@@ -50,6 +52,14 @@ const DEADLINE_BURST_COUNT: usize = 4;
 const DEADLINE_BURST_WINDOW_MS: f64 = 50.0;
 /// SLO burn rate above which the (once-per-run) burn dump triggers.
 const BURN_DUMP_THRESHOLD: f64 = 2.0;
+
+/// What readback needs of a request that rode a launched batch.
+#[derive(Debug, Clone, Copy)]
+struct Rider {
+    id: usize,
+    arrival_ms: f64,
+    trace: Option<TraceContext>,
+}
 
 /// A batch whose execution interval is already priced on the timeline,
 /// waiting for its readback event to be accounted.
@@ -61,7 +71,102 @@ struct Retire {
     start_ms: f64,
     done_ms: f64,
     degraded: bool,
-    kept: Vec<InferenceRequest>,
+    /// Drawn from and returned to [`Server::rider_pool`].
+    kept: Vec<Rider>,
+}
+
+/// What launching a batch of one size on one device variant costs.
+#[derive(Debug)]
+struct LaunchPlan {
+    base_ms: f64,
+    /// Per cost-table row, the node's predicted share of `base_ms` — what
+    /// the drift tap compares against. Empty for the CPU variant (its
+    /// batches say nothing about the GPU cost table) and when there is no
+    /// positive prediction to apportion.
+    node_ms: Vec<f64>,
+}
+
+/// A server's launch plans, indexed `2 * batch_len + degraded`: derived on
+/// first use, dropped when the model's schedules are swapped.
+#[derive(Debug, Default)]
+struct LaunchPlans {
+    /// [`CompiledModel::generation`] the plans were priced under.
+    generation: u64,
+    plans: Vec<Option<LaunchPlan>>,
+}
+
+impl LaunchPlans {
+    fn get(&mut self, compiled: &CompiledModel, len: usize, degraded: bool) -> &LaunchPlan {
+        let generation = compiled.generation();
+        if generation != self.generation {
+            self.plans.clear();
+            self.generation = generation;
+        }
+        let at = 2 * len + usize::from(degraded);
+        if self.plans.len() <= at {
+            self.plans.resize_with(at + 1, || None);
+        }
+        self.plans[at].get_or_insert_with(|| {
+            if degraded {
+                let base_ms = compiled.degraded().estimate_batch_ms(len);
+                return LaunchPlan { base_ms, node_ms: Vec::new() };
+            }
+            let base_ms = compiled.estimate_batch_ms(len);
+            let table = compiled.cost_table();
+            let total: f64 = table.iter().map(|(_, ms)| ms).sum();
+            let mut node_ms = Vec::new();
+            if base_ms > 0.0 && total > 0.0 {
+                let scale = base_ms / total;
+                node_ms = table.iter().map(|(_, ms)| ms * scale).collect();
+            }
+            LaunchPlan { base_ms, node_ms }
+        })
+    }
+}
+
+/// The metrics the server moves per request, per batch or per device
+/// fault, resolved to registry slots at construction. (The panic ladder,
+/// dumps and end-of-run gauges are rare enough to go by name.)
+struct MetricSlots {
+    continuous_joins: CounterSlot,
+    shed: CounterSlot,
+    deadline_expired: CounterSlot,
+    device_faults: CounterSlot,
+    retries: CounterSlot,
+    degraded_batches: CounterSlot,
+    batches: CounterSlot,
+    requests: CounterSlot,
+    queue_depth: GaugeSlot,
+    inflight: GaugeSlot,
+    batch_size: HistogramSlot,
+    exec_ms: HistogramSlot,
+    queue_ms: HistogramSlot,
+    latency_ms: HistogramSlot,
+}
+
+impl MetricSlots {
+    fn resolve(m: &MetricsRegistry) -> Self {
+        MetricSlots {
+            continuous_joins: m.counter_slot("engine.continuous_joins"),
+            shed: m.counter_slot("engine.shed"),
+            deadline_expired: m.counter_slot("engine.deadline_expired"),
+            device_faults: m.counter_slot("engine.device_faults"),
+            retries: m.counter_slot("engine.retries"),
+            degraded_batches: m.counter_slot("engine.degraded_batches"),
+            batches: m.counter_slot("engine.batches"),
+            requests: m.counter_slot("engine.requests"),
+            queue_depth: m.gauge_slot("engine.queue_depth"),
+            inflight: m.gauge_slot("engine.inflight"),
+            batch_size: m.histogram_slot("engine.batch_size"),
+            exec_ms: m.histogram_slot("engine.exec_ms"),
+            queue_ms: m.histogram_slot("engine.queue_ms"),
+            latency_ms: m.histogram_slot("engine.latency_ms"),
+        }
+    }
+}
+
+fn device_name(degraded: bool) -> &'static str {
+    if degraded { "cpu" } else { "gpu" }
 }
 
 #[derive(Debug)]
@@ -131,6 +236,7 @@ pub struct Server {
     cfg: ServeConfig,
     spans: SpanRecorder,
     metrics: MetricsRegistry,
+    slots: MetricSlots,
     queue: RequestQueue,
     timeline: MultiTimeline,
     clock_ms: f64,
@@ -152,7 +258,9 @@ pub struct Server {
     continuous_joins: usize,
     faults: DeviceFaultState,
     breaker: Breaker,
-    degraded_model: Option<CompiledModel>,
+    plans: LaunchPlans,
+    /// Idle `Retire::kept` buffers (at most one per lane in flight).
+    rider_pool: Vec<Vec<Rider>>,
     device_faults: usize,
     retries: usize,
     degraded_batches: usize,
@@ -162,6 +270,8 @@ pub struct Server {
     recorder: FlightRecorder,
     /// Predicted-vs-observed latency accounting against the cost table.
     drift: DriftMonitor,
+    /// `drift`'s slot for each cost-table row, in table order.
+    node_slots: Vec<usize>,
     /// Declarative threshold alerting over the metrics registry.
     alerts: AlertEngine,
     /// Flight-recorder dump files written so far this run.
@@ -198,10 +308,15 @@ impl Server {
         });
         let window_ms = cfg.batch_window.as_secs_f64() * 1000.0;
         let recorder = FlightRecorder::new(cfg.recorder_capacity);
-        let drift = DriftMonitor::new(DriftConfig {
+        let mut drift = DriftMonitor::new(DriftConfig {
             threshold: cfg.drift_threshold,
             min_samples: cfg.drift_min_samples,
         });
+        let node_slots = compiled
+            .cost_table()
+            .iter()
+            .map(|(name, _)| drift.node_slot(name))
+            .collect();
         let alerts = AlertEngine::new(cfg.alert_rules.clone());
         Server {
             timeline: MultiTimeline::new(cfg.concurrency.max(1)),
@@ -210,9 +325,12 @@ impl Server {
             queue,
             slo,
             window_ms,
+            plans: LaunchPlans::default(),
+            rider_pool: Vec::new(),
             compiled,
             cfg,
             spans,
+            slots: MetricSlots::resolve(&metrics),
             metrics,
             clock_ms: 0.0,
             events: BinaryHeap::new(),
@@ -227,13 +345,13 @@ impl Server {
             batches: 0,
             inflight: 0,
             continuous_joins: 0,
-            degraded_model: None,
             device_faults: 0,
             retries: 0,
             degraded_batches: 0,
             worker_panics: 0,
             recorder,
             drift,
+            node_slots,
             alerts,
             dumps: Vec::new(),
             recent_expiries: VecDeque::new(),
@@ -330,33 +448,34 @@ impl Server {
         let mid_flight = self.inflight > 0;
         let id = req.id;
         let admission = self.queue.offer(req);
+        let id_attr = ("id", U64(id as u64));
         let (rejected, closed) = match &admission {
             Admission::Accepted => {
-                if mid_flight {
-                    // continuous batching: this request joins the next
-                    // formation slot while earlier batches are still on
-                    // the device
-                    self.continuous_joins += 1;
-                    self.metrics.inc("engine.continuous_joins");
+                {
+                    let mut m = self.metrics.lock();
+                    if mid_flight {
+                        // continuous batching: this request joins the next
+                        // formation slot while earlier batches are still
+                        // on the device
+                        self.continuous_joins += 1;
+                        m.inc(self.slots.continuous_joins);
+                    }
+                    m.set_gauge(self.slots.queue_depth, self.queue.len() as f64);
                 }
-                self.recorder
-                    .record(self.clock_ms, "admit", &[("id", id.to_string())]);
-                self.metrics
-                    .set_gauge("engine.queue_depth", self.queue.len() as f64);
+                self.recorder.event(self.clock_ms, "admit", [id_attr]);
                 self.dispatch();
                 return admission;
             }
             Admission::Shed(r) => (r, false),
             Admission::Closed(r) => (r, true),
         };
-        self.metrics.inc("engine.shed");
+        self.metrics.lock().inc(self.slots.shed);
         self.slo.bad(rejected.arrival_ms);
-        let id_attr = ("id", id.to_string());
         if closed {
             self.recorder
-                .record(self.clock_ms, "shed", &[id_attr, ("closed", "1".into())]);
+                .event(self.clock_ms, "shed", [id_attr, ("closed", Static("1"))]);
         } else {
-            self.recorder.record(self.clock_ms, "shed", &[id_attr]);
+            self.recorder.event(self.clock_ms, "shed", [id_attr]);
         }
         self.shed.push(rejected.clone());
         admission
@@ -445,10 +564,12 @@ impl Server {
                 .queue
                 .form_batch(self.cfg.max_batch, self.clock_ms, self.window_ms)
             {
-                Formation::Flush(batch) => {
+                Formation::Flush(mut batch) => {
                     self.metrics
-                        .set_gauge("engine.queue_depth", self.queue.len() as f64);
-                    self.execute(lane, batch);
+                        .lock()
+                        .set_gauge(self.slots.queue_depth, self.queue.len() as f64);
+                    self.execute(lane, &mut batch);
+                    self.queue.recycle(batch);
                 }
                 Formation::Hold { until_ms } => {
                     if self.flush_armed_at != Some(until_ms) {
@@ -465,7 +586,7 @@ impl Server {
     /// Execute one formed batch on `lane` under the panic-isolation
     /// ladder: device with injected panics → device without → forced CPU
     /// accounting → the counted `failed` bucket.
-    fn execute(&mut self, lane: usize, batch: Vec<InferenceRequest>) {
+    fn execute(&mut self, lane: usize, batch: &mut Vec<InferenceRequest>) {
         for (attempt, mode) in [
             ExecMode::Device {
                 inject_panics: true,
@@ -478,12 +599,13 @@ impl Server {
         .into_iter()
         .enumerate()
         {
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.try_batch(lane, &batch, mode)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.try_batch(lane, batch, mode)));
             match outcome {
                 Ok(Some(retire)) => {
                     self.inflight += 1;
                     self.metrics
-                        .set_gauge("engine.inflight", self.inflight as f64);
+                        .lock()
+                        .set_gauge(self.slots.inflight, self.inflight as f64);
                     self.push_event(retire.done_ms, EventKind::Readback(retire));
                     return;
                 }
@@ -492,13 +614,13 @@ impl Server {
                 Err(_) => {
                     self.worker_panics += 1;
                     self.metrics.inc("engine.worker_panics");
-                    self.recorder.record(
+                    self.recorder.event(
                         self.clock_ms,
                         "panic",
-                        &[
-                            ("lane", lane.to_string()),
-                            ("n", batch.len().to_string()),
-                            ("attempt", (attempt + 1).to_string()),
+                        [
+                            ("lane", U64(lane as u64)),
+                            ("n", U64(batch.len() as u64)),
+                            ("attempt", U64(attempt as u64 + 1)),
                         ],
                     );
                     self.dump_recorder("panic");
@@ -515,11 +637,11 @@ impl Server {
         // failed so they are counted, never silently dropped
         self.metrics.add("engine.failed", batch.len() as u64);
         self.recorder
-            .record(self.clock_ms, "failed", &[("n", batch.len().to_string())]);
-        for r in &batch {
+            .event(self.clock_ms, "failed", [("n", U64(batch.len() as u64))]);
+        for r in batch.iter() {
             self.slo.bad(r.arrival_ms);
         }
-        self.failed.extend(batch);
+        self.failed.append(batch);
     }
 
     /// Price one batch onto the timeline (deadline filter, breaker, fault
@@ -546,58 +668,68 @@ impl Server {
         // never executed. The projection uses the full batch; survivors
         // ride a batch that is no larger, so it finishes no later than
         // projected.
-        let mut kept: Vec<&InferenceRequest> = batch.iter().collect();
-        if let Some(budget) = self.cfg.deadline_ms {
+        let mut kept = self.rider_pool.pop().unwrap_or_default();
+        kept.clear();
+        let deadline = self.cfg.deadline_ms.map(|budget| {
             let free = self.timeline.free_at(lane);
             let ready = batch.iter().map(|r| r.arrival_ms).fold(0.0, f64::max);
-            let base = self.compiled.estimate_batch_ms(batch.len());
+            let base = self.base_ms(batch.len(), false);
             let factor = self.faults.throttle_factor_now();
-            let projected_done = free.max(ready) + base * factor;
-            let (ok, late): (Vec<_>, Vec<_>) = kept
-                .into_iter()
-                .partition(|r| r.arrival_ms + budget >= projected_done);
-            if !late.is_empty() {
-                self.metrics
-                    .add("engine.deadline_expired", late.len() as u64);
-                for r in &late {
-                    self.slo.bad(r.arrival_ms);
-                    self.recorder.record(
-                        self.clock_ms,
-                        "deadline_expired",
-                        &[
-                            ("id", r.id.to_string()),
-                            ("projected_done", format!("{projected_done:.3}")),
-                        ],
-                    );
-                    self.recent_expiries.push_back(self.clock_ms);
-                }
-                while self
-                    .recent_expiries
-                    .front()
-                    .is_some_and(|t| *t < self.clock_ms - DEADLINE_BURST_WINDOW_MS)
-                {
-                    self.recent_expiries.pop_front();
-                }
-                if self.recent_expiries.len() >= DEADLINE_BURST_COUNT {
-                    self.recent_expiries.clear();
-                    self.dump_recorder("deadline_burst");
-                }
-                self.expired.extend(late.into_iter().cloned());
+            (budget, free.max(ready) + base * factor)
+        });
+        let projected_done = deadline.map_or(0.0, |(_, done)| done);
+        let mut late = 0u64;
+        for r in batch {
+            if deadline.is_none_or(|(budget, done)| r.arrival_ms + budget >= done) {
+                kept.push(Rider {
+                    id: r.id,
+                    arrival_ms: r.arrival_ms,
+                    trace: r.trace,
+                });
+                continue;
             }
-            kept = ok;
+            late += 1;
+            self.slo.bad(r.arrival_ms);
+            self.recorder.event(
+                self.clock_ms,
+                "deadline_expired",
+                [
+                    ("id", U64(r.id as u64)),
+                    ("projected_done", F64(projected_done, 3)),
+                ],
+            );
+            self.recent_expiries.push_back(self.clock_ms);
+            self.expired.push(r.clone());
+        }
+        if late > 0 {
+            self.metrics.lock().add(self.slots.deadline_expired, late);
+            while self
+                .recent_expiries
+                .front()
+                .is_some_and(|t| *t < self.clock_ms - DEADLINE_BURST_WINDOW_MS)
+            {
+                self.recent_expiries.pop_front();
+            }
+            if self.recent_expiries.len() >= DEADLINE_BURST_COUNT {
+                self.recent_expiries.clear();
+                self.dump_recorder("deadline_burst");
+            }
         }
         if kept.is_empty() {
+            self.rider_pool.push(kept);
             return None;
         }
 
         let len = kept.len();
         let ready_ms = kept.iter().map(|r| r.arrival_ms).fold(0.0, f64::max);
-        let base_ms = self.compiled.estimate_batch_ms(len);
+        let base_ms = self.base_ms(len, false);
         let idx = self.batches;
         self.batches += 1;
         // batch-level control spans (retries) stitch into the trace of the
         // first sampled request riding the batch
-        let batch_trace = kept.iter().find_map(|r| self.cfg.request_trace(r));
+        let batch_trace = kept
+            .iter()
+            .find_map(|r| self.cfg.request_trace(r.id, r.trace));
 
         let (start, done, degraded) = match mode {
             ExecMode::ForceDegraded => self.run_degraded(lane, idx, len, ready_ms),
@@ -616,7 +748,7 @@ impl Server {
                         LaunchOutcome::Ok { duration_ms } => {
                             let start = self.timeline.schedule(
                                 lane,
-                                format!("batch{idx}[{len}]"),
+                                StreamLabel::Batch { index: idx, len, on_cpu: false },
                                 ready_ms,
                                 duration_ms,
                             );
@@ -627,18 +759,18 @@ impl Server {
                         }
                         LaunchOutcome::Fault(f) => {
                             self.device_faults += 1;
-                            self.metrics.inc("engine.device_faults");
-                            self.recorder.record(
+                            self.metrics.lock().inc(self.slots.device_faults);
+                            self.recorder.event(
                                 now,
                                 "fault",
-                                &[("slot", idx.to_string()), ("fault", f.to_string())],
+                                [("slot", U64(idx as u64)), ("fault", Static(f.as_str()))],
                             );
                             // the failed launch occupies the lane until the
                             // driver reports the error
                             let cost = base_ms * FAULT_LATENCY_FRACTION;
                             let at = self.timeline.schedule(
                                 lane,
-                                format!("fault{idx}[{f}]"),
+                                StreamLabel::Fault { index: idx, fault: f },
                                 ready_ms,
                                 cost,
                             );
@@ -651,11 +783,11 @@ impl Server {
                                 break self.run_degraded(lane, idx, len, ready_ms);
                             }
                             self.retries += 1;
-                            self.metrics.inc("engine.retries");
-                            self.recorder.record(
+                            self.metrics.lock().inc(self.slots.retries);
+                            self.recorder.event(
                                 at + cost,
                                 "retry",
-                                &[("slot", idx.to_string()), ("attempt", attempts.to_string())],
+                                [("slot", U64(idx as u64)), ("attempt", U64(attempts as u64))],
                             );
                             self.spans.record(SpanRecord {
                                 name: format!("retry batch{idx}"),
@@ -675,15 +807,15 @@ impl Server {
             }
         };
 
-        self.recorder.record(
+        self.recorder.event(
             start,
             "launch",
-            &[
-                ("slot", idx.to_string()),
-                ("lane", lane.to_string()),
-                ("n", len.to_string()),
-                ("done", format!("{done:.3}")),
-                ("device", if degraded { "cpu" } else { "gpu" }.into()),
+            [
+                ("slot", U64(idx as u64)),
+                ("lane", U64(lane as u64)),
+                ("n", U64(len as u64)),
+                ("done", F64(done, 3)),
+                ("device", Static(device_name(degraded))),
             ],
         );
 
@@ -693,7 +825,7 @@ impl Server {
             start_ms: start,
             done_ms: done,
             degraded,
-            kept: kept.into_iter().cloned().collect(),
+            kept,
         })
     }
 
@@ -702,8 +834,6 @@ impl Server {
     /// results, and free the lane for the next dispatch.
     fn retire(&mut self, retire: Retire) {
         self.inflight -= 1;
-        self.metrics
-            .set_gauge("engine.inflight", self.inflight as f64);
         let Retire {
             lane,
             idx,
@@ -713,16 +843,19 @@ impl Server {
             kept,
         } = retire;
         let len = kept.len();
-        self.metrics.inc("engine.batches");
-        self.metrics.observe("engine.batch_size", len as f64);
-        self.metrics.observe("engine.exec_ms", done - start);
-        for r in kept {
-            self.metrics.inc("engine.requests");
-            self.metrics.observe("engine.queue_ms", start - r.arrival_ms);
-            self.metrics
-                .observe("engine.latency_ms", done - r.arrival_ms);
+        // one registry lock for the whole batch; released before anything
+        // below reads the registry (SLO publish, alert rules)
+        let mut m = self.metrics.lock();
+        m.set_gauge(self.slots.inflight, self.inflight as f64);
+        m.inc(self.slots.batches);
+        m.observe(self.slots.batch_size, len as f64);
+        m.observe(self.slots.exec_ms, done - start);
+        for r in &kept {
+            m.inc(self.slots.requests);
+            m.observe(self.slots.queue_ms, start - r.arrival_ms);
+            m.observe(self.slots.latency_ms, done - r.arrival_ms);
             self.slo.good(done);
-            if let Some(trace) = self.cfg.request_trace(&r) {
+            if let Some(trace) = self.cfg.request_trace(r.id, r.trace) {
                 self.spans.record(SpanRecord {
                     name: format!("req{}", r.id),
                     category: "request".into(),
@@ -733,7 +866,7 @@ impl Server {
                         ("batch".into(), len.to_string()),
                         ("worker".into(), lane.to_string()),
                         ("queue_ms".into(), format!("{:.3}", start - r.arrival_ms)),
-                        ("device".into(), if degraded { "cpu" } else { "gpu" }.into()),
+                        ("device".into(), device_name(degraded).into()),
                         ("slot".into(), idx.to_string()),
                     ],
                     trace: Some(trace),
@@ -749,14 +882,16 @@ impl Server {
                 degraded,
             });
         }
-        self.recorder.record(
+        drop(m);
+        self.rider_pool.push(kept);
+        self.recorder.event(
             done,
             "retire",
-            &[
-                ("slot", idx.to_string()),
-                ("lane", lane.to_string()),
-                ("n", len.to_string()),
-                ("device", if degraded { "cpu" } else { "gpu" }.into()),
+            [
+                ("slot", U64(idx as u64)),
+                ("lane", U64(lane as u64)),
+                ("n", U64(len as u64)),
+                ("device", Static(device_name(degraded))),
             ],
         );
         // Drift tap: the cost table predicted this batch's latency; the
@@ -764,22 +899,17 @@ impl Server {
         // observation. Batches priced on the CPU-degraded variant say
         // nothing about the GPU cost table and are excluded.
         if !degraded {
-            let predicted = self.compiled.estimate_batch_ms(len);
+            let plan = self.plans.get(&self.compiled, len, false);
+            let predicted = plan.base_ms;
             let observed = done - start;
             self.drift.record_graph(predicted, observed);
-            let table = self.compiled.cost_table();
-            let total: f64 = table.iter().map(|(_, ms)| ms).sum();
-            if predicted > 0.0 && total > 0.0 {
-                // The simulator observes batch-level latency only, so each
-                // node's observation is apportioned by its predicted share:
-                // every node inherits the batch's relative error.
-                let scale = predicted / total;
-                let factor = observed / predicted;
-                for (name, ms) in table {
-                    let node_predicted = ms * scale;
-                    self.drift
-                        .record_node(name, node_predicted, node_predicted * factor);
-                }
+            // The simulator observes batch-level latency only, so each
+            // node's observation is apportioned by its predicted share:
+            // every node inherits the batch's relative error.
+            let factor = observed / predicted;
+            for (&slot, &node_predicted) in self.node_slots.iter().zip(&plan.node_ms) {
+                self.drift
+                    .record_slot(slot, node_predicted, node_predicted * factor);
             }
         }
         // Alert rules run on the freshly updated registry; publish the SLO
@@ -794,7 +924,7 @@ impl Server {
                     .is_some_and(|b| b > BURN_DUMP_THRESHOLD)
             {
                 self.burn_dumped = true;
-                self.recorder.record(done, "slo_burn", &[]);
+                self.recorder.event(done, "slo_burn", []);
                 self.dump_recorder("slo_burn");
             }
             self.evaluate_alerts(done);
@@ -808,13 +938,10 @@ impl Server {
             return;
         }
         for t in self.alerts.evaluate(&self.metrics, now_ms) {
-            self.recorder.record(
+            self.recorder.event(
                 now_ms,
                 if t.firing { "alert_fire" } else { "alert_resolve" },
-                &[
-                    ("rule", t.rule.clone()),
-                    ("value", format!("{:.6}", t.value)),
-                ],
+                [("rule", Text(t.rule.clone())), ("value", F64(t.value, 6))],
             );
             if t.firing {
                 let trigger = format!("alert_{}", t.rule);
@@ -847,17 +974,19 @@ impl Server {
     /// Price the batch on the all-CPU degraded variant (graceful
     /// degradation).
     fn run_degraded(&mut self, lane: usize, idx: usize, len: usize, ready_ms: f64) -> (f64, f64, bool) {
-        if self.degraded_model.is_none() {
-            self.degraded_model = Some(self.compiled.degraded());
-        }
-        let model = self.degraded_model.as_ref().expect("degraded model set above");
-        let ms = model.estimate_batch_ms(len);
-        let start =
-            self.timeline
-                .schedule(lane, format!("batch{idx}[{len}]@cpu"), ready_ms, ms);
+        let ms = self.base_ms(len, true);
+        let start = self
+            .timeline
+            .schedule(lane, StreamLabel::Batch { index: idx, len, on_cpu: true }, ready_ms, ms);
         self.degraded_batches += 1;
-        self.metrics.inc("engine.degraded_batches");
+        self.metrics.lock().inc(self.slots.degraded_batches);
         (start, start + ms, true)
+    }
+
+    /// What a batch of `len` costs on the compiled placement or the
+    /// CPU-degraded variant, from the launch plans.
+    pub(crate) fn base_ms(&mut self, len: usize, degraded: bool) -> f64 {
+        self.plans.get(&self.compiled, len, degraded).base_ms
     }
 
     /// Publish one breaker transition, in a fixed order the recorder dumps
@@ -889,8 +1018,11 @@ impl Server {
         }
         self.metrics
             .set_gauge("engine.breaker_state", self.breaker.gauge());
-        self.recorder
-            .record(at_ms, "breaker", &[("to", to.into()), ("detail", detail.clone())]);
+        self.recorder.event(
+            at_ms,
+            "breaker",
+            [("to", Static(to)), ("detail", Text(detail.clone()))],
+        );
         self.spans.record(SpanRecord {
             name: format!("breaker→{to}"),
             category: "breaker".into(),
@@ -959,13 +1091,13 @@ impl Server {
         // unconditional shutdown dump: every configured run leaves at
         // least one dump, so determinism can be checked even on clean runs
         self.evaluate_alerts(makespan_ms);
-        self.recorder.record(
+        self.recorder.event(
             makespan_ms,
             "shutdown",
-            &[
-                ("offered", self.offered.to_string()),
-                ("completed", self.completed.len().to_string()),
-                ("batches", self.batches.to_string()),
+            [
+                ("offered", U64(self.offered as u64)),
+                ("completed", U64(self.completed.len() as u64)),
+                ("batches", U64(self.batches as u64)),
             ],
         );
         self.dump_recorder("shutdown");
@@ -1047,13 +1179,14 @@ pub fn serve_phase_sequential(
         let boundary = chunk.len() == max || chunk.first().is_some_and(|f| f.shape != r.shape);
         if boundary {
             let lane = server.timeline.least_loaded();
-            server.execute(lane, std::mem::take(&mut chunk));
+            server.execute(lane, &mut chunk);
+            chunk.clear();
         }
         chunk.push(r);
     }
     if !chunk.is_empty() {
         let lane = server.timeline.least_loaded();
-        server.execute(lane, chunk);
+        server.execute(lane, &mut chunk);
     }
     server.run_to_quiescence();
     server.finalize()

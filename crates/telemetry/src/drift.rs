@@ -18,7 +18,7 @@
 //! have gone stale.
 
 use crate::json;
-use crate::metrics::{Histogram, MetricsRegistry};
+use crate::metrics::{Histogram, MetricsRegistry, Table};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -181,7 +181,9 @@ pub struct DriftSummary {
 pub struct DriftMonitor {
     cfg: DriftConfig,
     graph: DriftStat,
-    nodes: BTreeMap<String, DriftStat>,
+    /// One accumulator per node; a node that was resolved to its slot but
+    /// never recorded is not reported.
+    nodes: Table<DriftStat>,
 }
 
 impl DriftMonitor {
@@ -201,11 +203,18 @@ impl DriftMonitor {
         self.graph.observe(rel_err(predicted_ms, observed_ms));
     }
 
-    /// Record one per-node (predicted, observed) latency pair.
-    pub fn record_node(&mut self, node: &str, predicted_ms: f64, observed_ms: f64) {
+    /// Resolve `node` to its accumulator slot, once, so that the per-batch
+    /// tap ([`DriftMonitor::record_slot`]) neither hashes nor allocates.
+    /// The same name always resolves to the same slot.
+    pub fn node_slot(&mut self, node: &str) -> usize {
+        self.nodes.slot(node)
+    }
+
+    /// Record one per-node (predicted, observed) latency pair into a slot
+    /// obtained from [`DriftMonitor::node_slot`] on this monitor.
+    pub fn record_slot(&mut self, slot: usize, predicted_ms: f64, observed_ms: f64) {
         self.nodes
-            .entry(node.to_string())
-            .or_default()
+            .cell(slot)
             .observe(rel_err(predicted_ms, observed_ms));
     }
 
@@ -213,15 +222,17 @@ impl DriftMonitor {
         &self.graph
     }
 
-    pub fn nodes(&self) -> &BTreeMap<String, DriftStat> {
-        &self.nodes
+    /// Every node recorded so far, by name.
+    pub fn nodes(&self) -> BTreeMap<&str, &DriftStat> {
+        self.nodes.iter().map(|(n, s)| (n.as_str(), s)).collect()
     }
 
     /// Fold another monitor (e.g. a per-worker or per-replica one) in.
     pub fn merge(&mut self, other: &DriftMonitor) {
         self.graph.merge(&other.graph);
-        for (name, stat) in &other.nodes {
-            self.nodes.entry(name.clone()).or_default().merge(stat);
+        for (name, stat) in other.nodes.iter() {
+            let slot = self.nodes.slot(name);
+            self.nodes.cell(slot).merge(stat);
         }
     }
 
@@ -234,15 +245,10 @@ impl DriftMonitor {
     /// The node with the worst mean |relative error|, ties broken by name
     /// (the map iterates sorted) so the answer is deterministic.
     pub fn worst_node(&self) -> Option<(&str, &DriftStat)> {
-        self.nodes
-            .iter()
+        self.nodes()
+            .into_iter()
             .filter(|(_, s)| s.count() > 0)
-            .max_by(|(an, a), (bn, b)| {
-                a.mean_abs()
-                    .total_cmp(&b.mean_abs())
-                    .then(bn.as_str().cmp(an.as_str()))
-            })
-            .map(|(n, s)| (n.as_str(), s))
+            .max_by(|(an, a), (bn, b)| a.mean_abs().total_cmp(&b.mean_abs()).then(bn.cmp(an)))
     }
 
     pub fn summary(&self) -> DriftSummary {
@@ -271,7 +277,7 @@ impl DriftMonitor {
             &format!("{prefix}.miscalibrated"),
             if s.miscalibrated { 1.0 } else { 0.0 },
         );
-        metrics.set_gauge(&format!("{prefix}.nodes"), self.nodes.len() as f64);
+        metrics.set_gauge(&format!("{prefix}.nodes"), self.nodes().len() as f64);
         metrics.set_gauge(
             &format!("{prefix}.worst_node_rel_err"),
             s.worst_node_rel_err,
@@ -444,9 +450,10 @@ mod tests {
     #[test]
     fn worst_node_and_summary_are_deterministic() {
         let mut m = DriftMonitor::new(DriftConfig::default());
-        m.record_node("conv0", 10.0, 11.0);
-        m.record_node("conv1", 10.0, 18.0);
-        m.record_node("relu0", 10.0, 10.0);
+        for (node, observed) in [("conv0", 11.0), ("conv1", 18.0), ("relu0", 10.0)] {
+            let slot = m.node_slot(node);
+            m.record_slot(slot, 10.0, observed);
+        }
         m.record_graph(30.0, 39.0);
         let (name, stat) = m.worst_node().expect("nodes recorded");
         assert_eq!(name, "conv1");
@@ -461,13 +468,37 @@ mod tests {
     fn monitor_merge_folds_nodes() {
         let mut a = DriftMonitor::new(DriftConfig::default());
         let mut b = DriftMonitor::new(DriftConfig::default());
-        a.record_node("n", 10.0, 12.0);
-        b.record_node("n", 10.0, 14.0);
-        b.record_node("only_b", 10.0, 10.0);
+        let (an, bn, only_b) = (a.node_slot("n"), b.node_slot("n"), b.node_slot("only_b"));
+        a.record_slot(an, 10.0, 12.0);
+        b.record_slot(bn, 10.0, 14.0);
+        b.record_slot(only_b, 10.0, 10.0);
         a.merge(&b);
         assert_eq!(a.nodes()["n"].count(), 2);
         assert!((a.nodes()["n"].mean() - 0.3).abs() < 1e-12);
         assert_eq!(a.nodes()["only_b"].count(), 1);
+    }
+
+    #[test]
+    fn slots_are_stable_and_unobserved_ones_stay_invisible() {
+        let mut m = DriftMonitor::new(DriftConfig::default());
+        let conv = m.node_slot("conv");
+        let relu = m.node_slot("relu");
+        assert_eq!(m.node_slot("conv"), conv, "one name, one slot");
+        assert_ne!(conv, relu);
+        assert!(
+            m.nodes().is_empty(),
+            "resolved, never recorded: not a node yet"
+        );
+        assert!(m.worst_node().is_none());
+        // two table rows sharing a name fold into one accumulator, in order
+        m.record_slot(conv, 10.0, 12.0);
+        m.record_slot(conv, 10.0, 14.0);
+        assert_eq!(m.nodes().len(), 1);
+        assert_eq!(m.nodes()["conv"].count(), 2);
+        assert!((m.nodes()["conv"].mean() - 0.3).abs() < 1e-12);
+        let registry = MetricsRegistry::new();
+        m.publish(&registry, "d");
+        assert_eq!(registry.gauge("d.nodes"), Some(1.0));
     }
 
     #[test]

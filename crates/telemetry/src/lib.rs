@@ -70,8 +70,11 @@ pub use drift::{
 };
 pub use export::{to_json, to_prometheus, MetricsServer};
 pub use log::{JsonlSink, Level, LogRecord, LogSink, Logger, StderrSink};
-pub use metrics::{Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
-pub use recorder::{FlightEvent, FlightRecorder};
+pub use metrics::{
+    CounterSlot, GaugeSlot, Histogram, HistogramSlot, HistogramSummary, MetricsGuard,
+    MetricsRegistry, MetricsSnapshot,
+};
+pub use recorder::{AttrValue, FlightEvent, FlightRecorder};
 pub use slo::{SloConfig, SloSummary, SloTracker};
 pub use span::{SpanGuard, SpanRecord, SpanRecorder};
 pub use trace::TraceContext;

@@ -6,7 +6,7 @@
 
 use crate::lock;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of log₂ buckets. With `BUCKET_LO = 1e-6`, bucket `i` covers
 /// `[1e-6 · 2^i, 1e-6 · 2^(i+1))`, spanning ~1e-6 to ~2.8e8 — in
@@ -132,17 +132,92 @@ pub struct HistogramSummary {
     pub p99: f64,
 }
 
+/// The named cells of one metric kind. A name resolves to its slot once
+/// ([`Table::slot`]); a cell stays `None`, and out of every read, until the
+/// first write — so resolving slots up front changes no snapshot.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Table<T> {
+    /// Name → index into `cells`; sorted, which orders snapshots.
+    index: BTreeMap<String, usize>,
+    cells: Vec<Option<T>>,
+}
+
+impl<T: Default> Table<T> {
+    /// Looks the name up before allocating a key for it.
+    pub(crate) fn slot(&mut self, name: &str) -> usize {
+        if let Some(&slot) = self.index.get(name) {
+            return slot;
+        }
+        let slot = self.cells.len();
+        self.cells.push(None);
+        self.index.insert(name.to_string(), slot);
+        slot
+    }
+
+    /// The cell behind `slot`, created on this first write if need be.
+    pub(crate) fn cell(&mut self, slot: usize) -> &mut T {
+        self.cells[slot].get_or_insert_with(T::default)
+    }
+
+    fn get(&self, name: &str) -> Option<&T> {
+        self.cells[*self.index.get(name)?].as_ref()
+    }
+
+    /// Written cells, sorted by name.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&String, &T)> {
+        self.index
+            .iter()
+            .filter_map(|(name, &slot)| Some((name, self.cells[slot].as_ref()?)))
+    }
+}
+
 #[derive(Debug, Default)]
 struct RegistryInner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Table<u64>,
+    gauges: Table<f64>,
+    histograms: Table<Histogram>,
 }
 
 /// Thread-safe registry of named counters, gauges, and histograms.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     inner: Arc<Mutex<RegistryInner>>,
+}
+
+/// A counter resolved by [`MetricsRegistry::counter_slot`]. Slots index the
+/// registry that issued them (and its clones) — nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterSlot(usize);
+
+/// A gauge resolved by [`MetricsRegistry::gauge_slot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeSlot(usize);
+
+/// A histogram resolved by [`MetricsRegistry::histogram_slot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramSlot(usize);
+
+/// The registry, locked once for a run of slot updates
+/// ([`MetricsRegistry::lock`]). Drop it before anything else reads the
+/// registry.
+pub struct MetricsGuard<'a>(MutexGuard<'a, RegistryInner>);
+
+impl MetricsGuard<'_> {
+    pub fn add(&mut self, slot: CounterSlot, delta: u64) {
+        *self.0.counters.cell(slot.0) += delta;
+    }
+
+    pub fn inc(&mut self, slot: CounterSlot) {
+        self.add(slot, 1);
+    }
+
+    pub fn set_gauge(&mut self, slot: GaugeSlot, v: f64) {
+        *self.0.gauges.cell(slot.0) = v;
+    }
+
+    pub fn observe(&mut self, slot: HistogramSlot, v: f64) {
+        self.0.histograms.cell(slot.0).observe(v);
+    }
 }
 
 /// Point-in-time snapshot of every metric (sorted by name — `BTreeMap`).
@@ -199,10 +274,30 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// Lock the registry for a run of slot updates.
+    pub fn lock(&self) -> MetricsGuard<'_> {
+        MetricsGuard(lock::recover(&self.inner))
+    }
+
+    /// Resolve a counter name once; update it through [`MetricsGuard`].
+    /// Resolving alone does not make the counter appear in snapshots.
+    pub fn counter_slot(&self, name: &str) -> CounterSlot {
+        CounterSlot(self.lock().0.counters.slot(name))
+    }
+
+    pub fn gauge_slot(&self, name: &str) -> GaugeSlot {
+        GaugeSlot(self.lock().0.gauges.slot(name))
+    }
+
+    pub fn histogram_slot(&self, name: &str) -> HistogramSlot {
+        HistogramSlot(self.lock().0.histograms.slot(name))
+    }
+
     /// Add `delta` to a monotonic counter.
     pub fn add(&self, name: &str, delta: u64) {
-        let mut inner = lock::recover(&self.inner);
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        let mut guard = self.lock();
+        let slot = CounterSlot(guard.0.counters.slot(name));
+        guard.add(slot, delta);
     }
 
     /// Increment a counter by one.
@@ -217,8 +312,9 @@ impl MetricsRegistry {
 
     /// Set a gauge to an instantaneous value.
     pub fn set_gauge(&self, name: &str, v: f64) {
-        let mut inner = lock::recover(&self.inner);
-        inner.gauges.insert(name.to_string(), v);
+        let mut guard = self.lock();
+        let slot = GaugeSlot(guard.0.gauges.slot(name));
+        guard.set_gauge(slot, v);
     }
 
     pub fn gauge(&self, name: &str) -> Option<f64> {
@@ -228,12 +324,9 @@ impl MetricsRegistry {
 
     /// Record one observation into a log-scale histogram.
     pub fn observe(&self, name: &str, v: f64) {
-        let mut inner = lock::recover(&self.inner);
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(v);
+        let mut guard = self.lock();
+        let slot = HistogramSlot(guard.0.histograms.slot(name));
+        guard.observe(slot, v);
     }
 
     pub fn histogram_summary(&self, name: &str) -> Option<HistogramSummary> {
@@ -340,6 +433,47 @@ mod tests {
         assert_eq!(s.gauges.len(), 1);
         assert_eq!(s.histograms.len(), 1);
         assert_eq!(s.histograms[0].1.count, 1);
+    }
+
+    #[test]
+    fn slots_and_names_write_the_same_registry() {
+        let by_name = MetricsRegistry::new();
+        let by_slot = MetricsRegistry::new();
+        // resolved up front, some never written: they must stay invisible
+        let c = by_slot.counter_slot("c");
+        let g = by_slot.gauge_slot("g");
+        let h = by_slot.histogram_slot("h");
+        by_slot.counter_slot("never");
+        by_slot.gauge_slot("never");
+        by_slot.histogram_slot("never");
+        assert!(by_slot.snapshot().counters.is_empty());
+        assert_eq!(by_slot.gauge("g"), None);
+        assert!(by_slot.histogram_summary("h").is_none());
+
+        by_name.add("c", 0); // a zero delta still creates the counter
+        by_name.inc("c");
+        by_name.set_gauge("g", 2.5);
+        by_name.observe("h", 3.0);
+        {
+            let mut m = by_slot.lock();
+            m.add(c, 0);
+            m.inc(c);
+            m.set_gauge(g, 2.5);
+            m.observe(h, 3.0);
+        }
+        // either path may continue what the other started
+        by_name.inc("a");
+        by_slot.inc("a");
+        by_slot.inc("c");
+        let c_again = by_name.counter_slot("c");
+        by_name.lock().inc(c_again);
+
+        let (a, b) = (by_name.snapshot(), by_slot.snapshot());
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.counters, vec![("a".into(), 1), ("c".into(), 2)]);
+        assert_eq!(a.gauges, b.gauges);
+        assert_eq!(a.histograms, b.histograms);
+        assert_eq!(b.raw_histograms.len(), 1);
     }
 
     #[test]

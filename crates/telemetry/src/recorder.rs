@@ -17,8 +17,25 @@
 
 use crate::json;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+
+/// Attributes one event can carry (`launch` carries the most).
+pub const MAX_ATTRS: usize = 5;
+
+/// One attribute value. Recording stores the number; the text a dump shows
+/// is produced only when the dump is rendered.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AttrValue {
+    U64(u64),
+    /// A float rendered with this many decimals (`{:.3}` for simulated ms).
+    F64(f64, u8),
+    Static(&'static str),
+    /// Owned text, for the rare free-form strings (breaker detail, alert
+    /// rule names) and the string-attr [`FlightRecorder::record`] path.
+    Text(String),
+}
 
 /// One recorded event on the simulated clock.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,9 +45,15 @@ pub struct FlightEvent {
     /// Monotonic sequence number (never reset, survives ring eviction).
     pub seq: u64,
     /// Event kind, e.g. `admit`, `launch`, `breaker`, `panic`.
-    pub kind: String,
-    /// Free-form key/value detail.
-    pub attrs: Vec<(String, String)>,
+    pub kind: &'static str,
+    attrs: [Option<(&'static str, AttrValue)>; MAX_ATTRS],
+}
+
+impl FlightEvent {
+    /// Key/value detail, in recording order.
+    pub fn attrs(&self) -> impl Iterator<Item = &(&'static str, AttrValue)> {
+        self.attrs.iter().flatten()
+    }
 }
 
 /// Bounded ring buffer of [`FlightEvent`]s with triggered JSON dumps.
@@ -81,22 +104,38 @@ impl FlightRecorder {
     }
 
     /// Append one event at simulated time `at_ms`, evicting the oldest
-    /// event once the ring is full.
-    pub fn record(&mut self, at_ms: f64, kind: &str, attrs: &[(&str, String)]) {
+    /// event once the ring is full. Allocates nothing unless a value is
+    /// [`AttrValue::Text`].
+    pub fn event(
+        &mut self,
+        at_ms: f64,
+        kind: &'static str,
+        attrs: impl IntoIterator<Item = (&'static str, AttrValue)>,
+    ) {
         if self.ring.len() == self.cap {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back(FlightEvent {
+        let mut ev = FlightEvent {
             at_ms,
             seq: self.next_seq,
-            kind: kind.to_string(),
-            attrs: attrs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        });
+            kind,
+            attrs: Default::default(),
+        };
+        let mut slots = ev.attrs.iter_mut();
+        for attr in attrs {
+            *slots
+                .next()
+                .expect("a flight event carries at most MAX_ATTRS attributes") = Some(attr);
+        }
+        self.ring.push_back(ev);
         self.next_seq += 1;
+    }
+
+    /// [`FlightRecorder::event`] for callers holding their values as text.
+    pub fn record(&mut self, at_ms: f64, kind: &'static str, attrs: &[(&'static str, String)]) {
+        let attrs = attrs.iter().map(|(k, v)| (*k, AttrValue::Text(v.clone())));
+        self.event(at_ms, kind, attrs);
     }
 
     /// The retained window, oldest first.
@@ -134,16 +173,25 @@ impl FlightRecorder {
             out.push_str(&ev.seq.to_string());
             out.push(',');
             json::write_key(&mut out, "kind");
-            json::write_str(&mut out, &ev.kind);
+            json::write_str(&mut out, ev.kind);
             out.push(',');
             json::write_key(&mut out, "attrs");
             out.push('{');
-            for (j, (k, v)) in ev.attrs.iter().enumerate() {
+            for (j, (k, v)) in ev.attrs().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
                 json::write_key(&mut out, k);
-                json::write_str(&mut out, v);
+                match v {
+                    // digits, sign, '.', "NaN"/"inf": nothing to escape
+                    AttrValue::U64(n) => write!(out, "\"{n}\"").expect("write to a String"),
+                    AttrValue::F64(x, decimals) => {
+                        let decimals = usize::from(*decimals);
+                        write!(out, "\"{x:.decimals$}\"").expect("write to a String")
+                    }
+                    AttrValue::Static(s) => json::write_str(&mut out, s),
+                    AttrValue::Text(s) => json::write_str(&mut out, s),
+                }
             }
             out.push('}');
             out.push('}');
@@ -260,6 +308,43 @@ mod tests {
             b.to_json("t", 0),
             "identical event streams render byte-identically"
         );
+    }
+
+    #[test]
+    fn typed_events_render_exactly_like_their_string_form() {
+        let (done, value, lane) = (829.8984375_f64, 0.123456789_f64, 3_usize);
+        let mut text = FlightRecorder::new(4);
+        let mut typed = FlightRecorder::new(4);
+        text.record(
+            1.5,
+            "launch",
+            &[
+                ("lane", lane.to_string()),
+                ("done", format!("{done:.3}")),
+                ("value", format!("{value:.6}")),
+                ("device", "gpu".into()),
+                ("detail", "3 fault(s); \"cooling\" down".into()),
+            ],
+        );
+        typed.event(
+            1.5,
+            "launch",
+            [
+                ("lane", AttrValue::U64(lane as u64)),
+                ("done", AttrValue::F64(done, 3)),
+                ("value", AttrValue::F64(value, 6)),
+                ("device", AttrValue::Static("gpu")),
+                (
+                    "detail",
+                    AttrValue::Text("3 fault(s); \"cooling\" down".into()),
+                ),
+            ],
+        );
+        text.record(2.0, "slo_burn", &[]);
+        typed.event(2.0, "slo_burn", []);
+        assert_eq!(text.to_json("t", 0), typed.to_json("t", 0));
+        assert!(typed.to_json("t", 0).contains("\"done\":\"829.898\""));
+        assert_eq!(typed.events().next().unwrap().attrs().count(), MAX_ATTRS);
     }
 
     #[test]

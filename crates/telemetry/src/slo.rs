@@ -14,16 +14,7 @@
 //! multi-window alerting quantity from the SRE literature, computed here
 //! over one trailing window of simulated time.
 
-use crate::lock;
 use crate::metrics::MetricsRegistry;
-use std::sync::Mutex;
-
-/// One good/bad observation on the caller's clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct SloEvent {
-    t_ms: f64,
-    good: bool,
-}
 
 /// SLO definition: target success fraction and the trailing window the burn
 /// rate is computed over.
@@ -45,20 +36,55 @@ impl Default for SloConfig {
     }
 }
 
-/// Thread-safe good/bad event recorder with windowed burn-rate summaries.
-/// Lock acquisition recovers from poison: a panicking recorder thread must
-/// never wedge SLO reads.
+/// The timestamps of one outcome, kept sorted so a window is counted by two
+/// binary searches instead of a scan of the whole history.
+#[derive(Debug, Default)]
+struct Outcomes {
+    /// Every observation, including NaN-stamped ones (in no window).
+    total: u64,
+    sorted_ms: Vec<f64>,
+}
+
+impl Outcomes {
+    fn push(&mut self, t_ms: f64) {
+        self.total += 1;
+        if t_ms.is_nan() {
+            return;
+        }
+        // arrivals are nearly in time order: the place is at or near the end
+        let at = self
+            .sorted_ms
+            .iter()
+            .rposition(|&t| t <= t_ms)
+            .map_or(0, |i| i + 1);
+        self.sorted_ms.insert(at, t_ms);
+    }
+
+    /// Observations with `start_ms < t <= end_ms`.
+    fn in_window(&self, start_ms: f64, end_ms: f64) -> u64 {
+        if start_ms.is_nan() {
+            return 0; // nothing is "after NaN"
+        }
+        let upto = |limit: f64| self.sorted_ms.partition_point(|&t| t <= limit);
+        upto(end_ms).saturating_sub(upto(start_ms)) as u64
+    }
+}
+
+/// Good/bad event recorder with windowed burn-rate summaries. Owned by one
+/// scheduler; events may carry timestamps in any order.
 #[derive(Debug)]
 pub struct SloTracker {
     cfg: SloConfig,
-    events: Mutex<Vec<SloEvent>>,
+    good: Outcomes,
+    bad: Outcomes,
 }
 
 impl SloTracker {
     pub fn new(cfg: SloConfig) -> Self {
         SloTracker {
             cfg,
-            events: Mutex::new(Vec::new()),
+            good: Outcomes::default(),
+            bad: Outcomes::default(),
         }
     }
 
@@ -68,40 +94,23 @@ impl SloTracker {
 
     /// Record a success (e.g. a request completed within deadline) at
     /// `t_ms` on the caller's clock.
-    pub fn good(&self, t_ms: f64) {
-        lock::recover(&self.events).push(SloEvent { t_ms, good: true });
+    pub fn good(&mut self, t_ms: f64) {
+        self.good.push(t_ms);
     }
 
     /// Record a failure (deadline miss, shed, abandoned) at `t_ms`.
-    pub fn bad(&self, t_ms: f64) {
-        lock::recover(&self.events).push(SloEvent { t_ms, good: false });
+    pub fn bad(&mut self, t_ms: f64) {
+        self.bad.push(t_ms);
     }
 
     /// Summarize at `now_ms`: overall and trailing-window error rates, burn
-    /// rate, and the fraction of error budget left. Events may arrive out of
-    /// timestamp order (concurrent workers); the window filter is
-    /// order-independent.
+    /// rate, and the fraction of error budget left. Costs two binary
+    /// searches per outcome, however long the history.
     pub fn summary(&self, now_ms: f64) -> SloSummary {
-        let events = lock::recover(&self.events);
-        let mut good = 0u64;
-        let mut bad = 0u64;
-        let mut window_good = 0u64;
-        let mut window_bad = 0u64;
+        let (good, bad) = (self.good.total, self.bad.total);
         let window_start = now_ms - self.cfg.window_ms;
-        for e in events.iter() {
-            if e.good {
-                good += 1;
-            } else {
-                bad += 1;
-            }
-            if e.t_ms > window_start && e.t_ms <= now_ms {
-                if e.good {
-                    window_good += 1;
-                } else {
-                    window_bad += 1;
-                }
-            }
-        }
+        let window_good = self.good.in_window(window_start, now_ms);
+        let window_bad = self.bad.in_window(window_start, now_ms);
         let rate = |b: u64, g: u64| {
             let total = b + g;
             if total == 0 {
@@ -177,7 +186,7 @@ mod tests {
 
     #[test]
     fn burn_rate_is_windowed_error_over_budget() {
-        let t = SloTracker::new(SloConfig {
+        let mut t = SloTracker::new(SloConfig {
             objective: 0.9,
             window_ms: 100.0,
         });
@@ -203,7 +212,7 @@ mod tests {
 
     #[test]
     fn out_of_order_events_are_window_filtered_correctly() {
-        let t = SloTracker::new(SloConfig {
+        let mut t = SloTracker::new(SloConfig {
             objective: 0.99,
             window_ms: 50.0,
         });
@@ -216,8 +225,69 @@ mod tests {
     }
 
     #[test]
+    fn summaries_match_a_full_scan_for_any_insertion_order() {
+        let cfg = SloConfig {
+            objective: 0.95,
+            window_ms: 40.0,
+        };
+        let mut t = SloTracker::new(cfg);
+        let mut events: Vec<(f64, bool)> = Vec::new();
+        // a drifting clock with frequent steps back, ties, and a NaN stamp
+        let mut z = 7u64;
+        let mut clock = 0.0;
+        for i in 0..500 {
+            z = crate::hash::splitmix64(z);
+            clock += (z % 7) as f64;
+            let t_ms = match i % 9 {
+                0 => clock - (z % 60) as f64,
+                1 => f64::NAN,
+                _ => clock,
+            };
+            let good = z % 5 != 0;
+            events.push((t_ms, good));
+            if good {
+                t.good(t_ms);
+            } else {
+                t.bad(t_ms);
+            }
+        }
+        for now in [
+            -5.0,
+            0.0,
+            40.0,
+            333.0,
+            clock / 2.0,
+            clock,
+            clock + 1e6,
+            f64::NAN,
+        ] {
+            let count = |want_good: bool, windowed: bool| {
+                events
+                    .iter()
+                    .filter(|(t_ms, good)| {
+                        *good == want_good
+                            && (!windowed || (*t_ms > now - cfg.window_ms && *t_ms <= now))
+                    })
+                    .count() as f64
+            };
+            let s = t.summary(now);
+            assert_eq!(
+                (s.good as f64, s.bad as f64),
+                (count(true, false), count(false, false))
+            );
+            let in_window = count(true, true) + count(false, true);
+            let expected = if in_window == 0.0 {
+                0.0
+            } else {
+                count(false, true) / in_window
+            };
+            assert_eq!(s.window_error_rate, expected, "now = {now}");
+        }
+    }
+
+    #[test]
     fn publish_sets_prefixed_gauges() {
-        let t = SloTracker::new(SloConfig::default());
+        let mut t = SloTracker::new(SloConfig::default());
         t.good(1.0);
         t.bad(2.0);
         let m = MetricsRegistry::new();
@@ -233,7 +303,7 @@ mod tests {
 
     #[test]
     fn perfect_objective_stays_finite() {
-        let t = SloTracker::new(SloConfig {
+        let mut t = SloTracker::new(SloConfig {
             objective: 1.0,
             window_ms: 10.0,
         });
