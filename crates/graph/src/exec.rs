@@ -1,7 +1,7 @@
 //! Functional graph executor — computes real tensors for every node.
 
 use crate::graph::Graph;
-use crate::node::{Activation, OpKind};
+use crate::node::{Activation, Node, OpKind};
 use unigpu_ops::conv::conv2d_ref;
 use unigpu_ops::nn;
 use unigpu_ops::vision;
@@ -12,12 +12,54 @@ use unigpu_tensor::Tensor;
 #[derive(Debug, Default)]
 pub struct Executor;
 
-fn apply_act(t: Tensor, act: Activation) -> Tensor {
+/// A node's value for the length of one run. Borrow rule: only what a node
+/// computes is owned; weights stay in the graph, inputs with the caller, and a
+/// `DeviceCopy` (integrated GPUs share DRAM with the CPU) names its producer.
+enum Value<'a> {
+    Owned(Tensor),
+    Borrowed(&'a Tensor),
+    SameAs(usize),
+}
+
+fn tensor<'v>(values: &'v [Value<'_>], id: usize) -> &'v Tensor {
+    match values.get(id).unwrap_or_else(|| panic!("node {id} read before it was computed")) {
+        Value::Owned(t) => t,
+        Value::Borrowed(t) => t,
+        Value::SameAs(producer) => tensor(values, *producer),
+    }
+}
+
+/// The same scalar formulas as `nn::{relu, leaky_relu, sigmoid}`, applied to
+/// a buffer the caller already owns.
+fn act_inplace(xs: &mut [f32], act: Activation) {
     match act {
-        Activation::None => t,
-        Activation::Relu => nn::relu(&t),
-        Activation::LeakyRelu(a) => nn::leaky_relu(&t, a),
-        Activation::Sigmoid => nn::sigmoid(&t),
+        Activation::None => {}
+        Activation::Relu => xs.iter_mut().for_each(|v| *v = v.max(0.0)),
+        Activation::LeakyRelu(a) => {
+            xs.iter_mut().for_each(|v| *v = if *v >= 0.0 { *v } else { a * *v })
+        }
+        Activation::Sigmoid => xs.iter_mut().for_each(|v| *v = 1.0 / (1.0 + (-*v).exp())),
+    }
+}
+
+fn apply_act(mut t: Tensor, act: Activation) -> Tensor {
+    act_inplace(t.as_f32_mut(), act);
+    t
+}
+
+/// Bias then activation over the convolution's accumulator, one output plane
+/// at a time while it is cache-hot.
+fn conv_epilogue(y: &mut Tensor, bias: Option<&Tensor>, act: Activation) {
+    let (_, c, h, w) = y.shape().nchw();
+    if let Some(b) = bias {
+        assert_eq!(b.numel(), c, "bias length {} != channels {c}", b.numel());
+    }
+    for (p, plane) in y.as_f32_mut().chunks_mut(h * w).enumerate() {
+        if let Some(b) = bias {
+            let b = b.as_f32()[p % c];
+            plane.iter_mut().for_each(|v| *v += b);
+        }
+        act_inplace(plane, act);
     }
 }
 
@@ -54,19 +96,15 @@ impl Executor {
             input_ids.len(),
             inputs.len()
         );
-        let mut values: Vec<Option<Tensor>> = vec![None; graph.nodes.len()];
+        // in node order: `values[id]` exists once node `id` has run
+        let mut values: Vec<Value> = Vec::with_capacity(graph.nodes.len());
         let mut next_input = 0usize;
 
         for (id, node) in graph.nodes.iter().enumerate() {
-            let get = |i: usize| -> &Tensor {
-                values[node.inputs[i]]
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("node {id} input {i} not computed"))
-            };
             let span_clock = recorder.map(|r| (r.now_us(), std::time::Instant::now()));
-            let out: Tensor = match &node.op {
+            let out = match &node.op {
                 OpKind::Input { shape } => {
-                    let t = inputs[next_input].clone();
+                    let t = &inputs[next_input];
                     assert_eq!(
                         t.shape(),
                         shape,
@@ -74,72 +112,13 @@ impl Executor {
                         node.name
                     );
                     next_input += 1;
-                    t
+                    Value::Borrowed(t)
                 }
-                OpKind::Constant(t) => t.clone(),
-                OpKind::Conv2d { w, bias, act } => {
-                    let mut y = conv2d_ref(get(0), get(1), w);
-                    if *bias {
-                        y = nn::bias_add(&y, get(2));
-                    }
-                    apply_act(y, *act)
-                }
-                OpKind::BatchNorm { eps } => {
-                    nn::batch_norm(get(0), get(1), get(2), get(3), get(4), *eps)
-                }
-                OpKind::Act(a) => apply_act(get(0).clone(), *a),
-                OpKind::Add => nn::add(get(0), get(1)),
-                OpKind::Concat => {
-                    let parts: Vec<&Tensor> = (0..node.inputs.len()).map(get).collect();
-                    nn::concat_channels(&parts)
-                }
-                OpKind::MaxPool { k, s, p } => nn::max_pool2d(get(0), *k, *s, *p),
-                OpKind::AvgPool { k, s, p } => nn::avg_pool2d(get(0), *k, *s, *p),
-                OpKind::GlobalAvgPool => nn::global_avg_pool(get(0)),
-                OpKind::Dense { bias, .. } => {
-                    nn::dense(get(0), get(1), if *bias { Some(get(2)) } else { None })
-                }
-                OpKind::Flatten => nn::flatten(get(0)),
-                OpKind::Softmax => nn::softmax(get(0)),
-                OpKind::UpsampleNearest { scale } => nn::upsample_nearest(get(0), *scale),
-                OpKind::FlattenHead => flatten_head(get(0)),
-                OpKind::ConcatFlat => {
-                    let n = get(0).shape().dim(0);
-                    let mut data = Vec::new();
-                    // concat along axis 1 for each batch row
-                    let parts: Vec<&Tensor> = (0..node.inputs.len()).map(get).collect();
-                    for b in 0..n {
-                        for p in &parts {
-                            let cols = p.shape().dim(1);
-                            data.extend_from_slice(&p.as_f32()[b * cols..(b + 1) * cols]);
-                        }
-                    }
-                    let total: usize = parts.iter().map(|p| p.shape().dim(1)).sum();
-                    Tensor::from_vec([n, total], data)
-                }
-                OpKind::ClsProbs { classes } => cls_probs(get(0), *classes),
-                OpKind::MultiboxPrior { sizes, ratios } => {
-                    let (_, _, h, w) = get(0).shape().nchw();
-                    vision::multibox_prior(h, w, sizes, ratios)
-                }
-                OpKind::ConcatAnchors => {
-                    let parts: Vec<&Tensor> = (0..node.inputs.len()).map(get).collect();
-                    let total: usize = parts.iter().map(|p| p.shape().dim(1)).sum();
-                    let mut data = Vec::with_capacity(total * 4);
-                    for p in &parts {
-                        data.extend_from_slice(p.as_f32());
-                    }
-                    Tensor::from_vec([1, total, 4], data)
-                }
-                OpKind::MultiboxDetection { cfg } => {
-                    vision::multibox_detection(get(0), get(1), get(2), cfg)
-                }
-                OpKind::YoloDetect { anchors, strides, classes, conf, nms } => {
-                    let feats: Vec<&Tensor> = (0..node.inputs.len()).map(get).collect();
-                    vision::yolo::yolo_detect(&feats, anchors, strides, *classes, *conf, nms)
-                }
-                OpKind::DeviceCopy => get(0).clone(),
+                OpKind::Constant(t) => Value::Borrowed(t),
+                OpKind::DeviceCopy => Value::SameAs(node.inputs[0]),
+                _ => Value::Owned(compute(node, |i| tensor(&values, node.inputs[i]))),
             };
+            values.push(out);
             if let (Some(r), Some((start_us, started))) = (recorder, span_clock) {
                 r.record(unigpu_telemetry::SpanRecord {
                     name: node.name.clone(),
@@ -149,19 +128,74 @@ impl Executor {
                     lane: 0,
                     attrs: vec![
                         ("op".into(), node.op.name().into()),
-                        ("shape".into(), format!("{:?}", out.shape().dims())),
+                        ("shape".into(), format!("{:?}", tensor(&values, id).shape().dims())),
                     ],
                     trace: None,
                 });
             }
-            values[id] = Some(out);
         }
 
-        graph
-            .outputs
-            .iter()
-            .map(|&o| values[o].clone().expect("output not computed"))
-            .collect()
+        graph.outputs.iter().map(|&o| tensor(&values, o).clone()).collect()
+    }
+}
+
+/// The tensor a computing node produces from its inputs (`get(i)` is the
+/// value of `node.inputs[i]`).
+fn compute<'v>(node: &Node, get: impl Fn(usize) -> &'v Tensor) -> Tensor {
+    let all_inputs = || (0..node.inputs.len()).map(&get).collect::<Vec<&Tensor>>();
+    match &node.op {
+        OpKind::Input { .. } | OpKind::Constant(_) | OpKind::DeviceCopy => {
+            unreachable!("`{}` holds no tensor of its own", node.op.name())
+        }
+        OpKind::Conv2d { w, bias, act } => {
+            let mut y = conv2d_ref(get(0), get(1), w);
+            conv_epilogue(&mut y, bias.then(|| get(2)), *act);
+            y
+        }
+        OpKind::BatchNorm { eps } => nn::batch_norm(get(0), get(1), get(2), get(3), get(4), *eps),
+        OpKind::Act(a) => apply_act(get(0).clone(), *a),
+        OpKind::Add => nn::add(get(0), get(1)),
+        OpKind::Concat => nn::concat_channels(&all_inputs()),
+        OpKind::MaxPool { k, s, p } => nn::max_pool2d(get(0), *k, *s, *p),
+        OpKind::AvgPool { k, s, p } => nn::avg_pool2d(get(0), *k, *s, *p),
+        OpKind::GlobalAvgPool => nn::global_avg_pool(get(0)),
+        OpKind::Dense { bias, .. } => nn::dense(get(0), get(1), bias.then(|| get(2))),
+        OpKind::Flatten => nn::flatten(get(0)),
+        OpKind::Softmax => nn::softmax(get(0)),
+        OpKind::UpsampleNearest { scale } => nn::upsample_nearest(get(0), *scale),
+        OpKind::FlattenHead => flatten_head(get(0)),
+        OpKind::ConcatFlat => {
+            // concat along axis 1 for each batch row
+            let parts = all_inputs();
+            let n = parts[0].shape().dim(0);
+            let total: usize = parts.iter().map(|p| p.shape().dim(1)).sum();
+            let mut data = Vec::with_capacity(n * total);
+            for b in 0..n {
+                for p in &parts {
+                    let cols = p.shape().dim(1);
+                    data.extend_from_slice(&p.as_f32()[b * cols..(b + 1) * cols]);
+                }
+            }
+            Tensor::from_vec([n, total], data)
+        }
+        OpKind::ClsProbs { classes } => cls_probs(get(0), *classes),
+        OpKind::MultiboxPrior { sizes, ratios } => {
+            let (_, _, h, w) = get(0).shape().nchw();
+            vision::multibox_prior(h, w, sizes, ratios)
+        }
+        OpKind::ConcatAnchors => {
+            let parts = all_inputs();
+            let total: usize = parts.iter().map(|p| p.shape().dim(1)).sum();
+            let mut data = Vec::with_capacity(total * 4);
+            for p in &parts {
+                data.extend_from_slice(p.as_f32());
+            }
+            Tensor::from_vec([1, total, 4], data)
+        }
+        OpKind::MultiboxDetection { cfg } => vision::multibox_detection(get(0), get(1), get(2), cfg),
+        OpKind::YoloDetect { anchors, strides, classes, conf, nms } => {
+            vision::yolo::yolo_detect(&all_inputs(), anchors, strides, *classes, *conf, nms)
+        }
     }
 }
 
@@ -199,10 +233,15 @@ fn cls_probs(x: &Tensor, classes: usize) -> Tensor {
         for a in 0..anchors {
             let row = &src[b * d[1] + a * per..b * d[1] + (a + 1) * per];
             let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let exps: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
-            let sum: f32 = exps.iter().sum();
-            for (cls, &e) in exps.iter().enumerate() {
-                o[(b * per + cls) * anchors + a] = e / sum;
+            // exponentials go straight into their output slots, then get normalized
+            let mut sum = 0.0f32;
+            for (cls, &v) in row.iter().enumerate() {
+                let e = (v - max).exp();
+                o[(b * per + cls) * anchors + a] = e;
+                sum += e;
+            }
+            for cls in 0..per {
+                o[(b * per + cls) * anchors + a] /= sum;
             }
         }
     }
@@ -266,6 +305,63 @@ mod tests {
         let a = Executor.run(&build(true), &[data.clone()]);
         let b = Executor.run(&build(false), &[data]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn conv_epilogue_equals_bias_add_then_activation() {
+        let w = ConvWorkload::square(2, 3, 4, 5, 3, 1, 1);
+        let signed = |seed| {
+            let mut t = random_uniform(w.input_shape(), seed);
+            t.map_inplace(|v| v - 0.5);
+            t
+        };
+        let (data, wt) = (signed(5), random_uniform(w.weight_shape(), 6));
+        let mut bias = random_uniform([4], 7);
+        bias.map_inplace(|v| v - 0.5);
+        let biased = nn::bias_add(&conv2d_ref(&data, &wt, &w), &bias);
+        for act in [
+            Activation::None,
+            Activation::Relu,
+            Activation::LeakyRelu(0.1),
+            Activation::Sigmoid,
+        ] {
+            let mut g = Graph::new("t");
+            let x = g.add(OpKind::Input { shape: Shape::from(w.input_shape()) }, vec![], "x");
+            let k = g.add(OpKind::Constant(wt.clone()), vec![], "w");
+            let b = g.add(OpKind::Constant(bias.clone()), vec![], "b");
+            let c = g.add(OpKind::Conv2d { w, bias: true, act }, vec![x, k, b], "c");
+            g.mark_output(c);
+            let want = match act {
+                Activation::None => biased.clone(),
+                Activation::Relu => nn::relu(&biased),
+                Activation::LeakyRelu(a) => nn::leaky_relu(&biased, a),
+                Activation::Sigmoid => nn::sigmoid(&biased),
+            };
+            assert_eq!(Executor.run(&g, std::slice::from_ref(&data)), [want], "{act:?}");
+        }
+    }
+
+    #[test]
+    fn device_copies_and_borrowed_values_reach_consumers_and_outputs() {
+        let mut g = Graph::new("copies");
+        let sh = Shape::from([1, 1, 2, 2]);
+        let x = g.add(OpKind::Input { shape: sh.clone() }, vec![], "x");
+        let k = g.add(OpKind::Constant(Tensor::full(sh, 10.0)), vec![], "k");
+        let x_gpu = g.add(OpKind::DeviceCopy, vec![x], "x.gpu");
+        let sum = g.add(OpKind::Add, vec![x_gpu, k], "sum");
+        let sum_cpu = g.add(OpKind::DeviceCopy, vec![sum], "sum.cpu");
+        let sum_back = g.add(OpKind::DeviceCopy, vec![sum_cpu], "sum.gpu");
+        let twice = g.add(OpKind::Add, vec![sum_back, sum], "twice");
+        for id in [x, k, x_gpu, sum_back, twice] {
+            g.mark_output(id);
+        }
+        let data = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
+        let out = Executor.run(&g, std::slice::from_ref(&data));
+        assert_eq!(out[0], data);
+        assert_eq!(out[1].as_f32(), &[10.0; 4]);
+        assert_eq!(out[2], data);
+        assert_eq!(out[3].as_f32(), &[11.0, 12.0, 13.0, 14.0]);
+        assert_eq!(out[4].as_f32(), &[22.0, 24.0, 26.0, 28.0]);
     }
 
     #[test]

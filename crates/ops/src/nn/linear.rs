@@ -46,17 +46,16 @@ pub fn dense(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Tensor {
 
 /// Add a per-channel bias to an `NCHW` tensor.
 pub fn bias_add(x: &Tensor, bias: &Tensor) -> Tensor {
-    let (n, c, h, w) = x.shape().nchw();
+    let (_, c, h, w) = x.shape().nchw();
     assert_eq!(bias.numel(), c, "bias length {} != channels {c}", bias.numel());
     let mut out = x.clone();
-    let b = bias.as_f32().to_vec();
+    let b = bias.as_f32();
     let plane = h * w;
     out.as_f32_mut()
         .par_chunks_mut(plane)
         .enumerate()
         .for_each(|(p, chunk)| {
             let ci = p % c;
-            let _ = n;
             for v in chunk {
                 *v += b[ci];
             }

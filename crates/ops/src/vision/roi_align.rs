@@ -4,35 +4,60 @@
 use unigpu_device::KernelProfile;
 use unigpu_tensor::Tensor;
 
-/// Bilinear sample `features[n, c, y, x]` at fractional coordinates, with
-/// zero outside the map (Detectron semantics).
-fn bilinear(feat: &[f32], h: usize, w: usize, y: f32, x: f32) -> f32 {
-    if y < -1.0 || y > h as f32 || x < -1.0 || x > w as f32 {
-        return 0.0;
+/// One bilinear sample of an `h × w` plane: the offsets of its four taps
+/// `(v00, v01, v10, v11)` and the weights `(1-ly, 1-lx, ly, lx)`. It depends
+/// on the ROI geometry only, so it is built once per ROI and shared by every
+/// channel.
+struct Sample {
+    taps: [usize; 4],
+    hy: f32,
+    hx: f32,
+    ly: f32,
+    lx: f32,
+}
+
+impl Sample {
+    /// The sample at fractional `(y, x)`; `None` outside the map, where the
+    /// sample is zero whatever the features hold (Detectron semantics).
+    fn at(h: usize, w: usize, y: f32, x: f32) -> Option<Sample> {
+        if y < -1.0 || y > h as f32 || x < -1.0 || x > w as f32 {
+            return None;
+        }
+        let y = y.max(0.0);
+        let x = x.max(0.0);
+        let (y0, x0) = (y.floor() as usize, x.floor() as usize);
+        let y1 = (y0 + 1).min(h - 1);
+        let x1 = (x0 + 1).min(w - 1);
+        let y0 = y0.min(h - 1);
+        let x0 = x0.min(w - 1);
+        let ly = y - y0 as f32;
+        let lx = x - x0 as f32;
+        Some(Sample {
+            taps: [y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1],
+            hy: 1.0 - ly,
+            hx: 1.0 - lx,
+            ly,
+            lx,
+        })
     }
-    let y = y.max(0.0);
-    let x = x.max(0.0);
-    let (y0, x0) = (y.floor() as usize, x.floor() as usize);
-    let y1 = (y0 + 1).min(h - 1);
-    let x1 = (x0 + 1).min(w - 1);
-    let y0 = y0.min(h - 1);
-    let x0 = x0.min(w - 1);
-    let ly = y - y0 as f32;
-    let lx = x - x0 as f32;
-    let v00 = feat[y0 * w + x0];
-    let v01 = feat[y0 * w + x1];
-    let v10 = feat[y1 * w + x0];
-    let v11 = feat[y1 * w + x1];
-    v00 * (1.0 - ly) * (1.0 - lx) + v01 * (1.0 - ly) * lx + v10 * ly * (1.0 - lx) + v11 * ly * lx
+
+    fn eval(&self, feat: &[f32]) -> f32 {
+        let [v00, v01, v10, v11] = self.taps.map(|t| feat[t]);
+        v00 * self.hy * self.hx + v01 * self.hy * self.lx + v10 * self.ly * self.hx + v11 * self.ly * self.lx
+    }
 }
 
 /// ROIAlign.
 ///
 /// * `features`: `[n, c, h, w]`;
 /// * `rois`: `[r, 5]` rows `(batch_index, x1, y1, x2, y2)` in feature-map
-///   coordinates after `spatial_scale` is applied;
+///   coordinates after `spatial_scale` is applied; a negative batch index
+///   (MXNet's `-1` padding marker) yields an all-zero output row;
 /// * output: `[r, c, pooled, pooled]`, each bin averaging
 ///   `sampling_ratio × sampling_ratio` bilinear samples.
+///
+/// # Panics
+/// Panics on a non-finite or out-of-range batch index.
 pub fn roi_align(
     features: &Tensor,
     rois: &Tensor,
@@ -50,9 +75,18 @@ pub fn roi_align(
     let rr = rois.as_f32();
     let mut out = Tensor::zeros([r, c, pooled, pooled]);
     let o = out.as_f32_mut();
+    let bins = pooled * pooled;
+    let per_bin = sampling_ratio * sampling_ratio;
+    // bin-major, `per_bin` samples per bin in (sy, sx) order
+    let mut samples = Vec::with_capacity(bins * per_bin);
 
     for ri in 0..r {
-        let b = rr[ri * 5] as usize;
+        let batch = rr[ri * 5];
+        assert!(batch.is_finite(), "roi {ri} batch index {batch} is not finite");
+        if batch < 0.0 {
+            continue;
+        }
+        let b = batch as usize;
         assert!(b < n, "roi batch index {b} out of range");
         let x1 = rr[ri * 5 + 1] * spatial_scale;
         let y1 = rr[ri * 5 + 2] * spatial_scale;
@@ -62,25 +96,31 @@ pub fn roi_align(
         let rh = (y2 - y1).max(1.0);
         let bin_w = rw / pooled as f32;
         let bin_h = rh / pooled as f32;
-        for ci in 0..c {
-            let feat = &f[(b * c + ci) * h * w..(b * c + ci + 1) * h * w];
-            for py in 0..pooled {
-                for px in 0..pooled {
-                    let mut acc = 0.0f32;
-                    for sy in 0..sampling_ratio {
-                        let yy = y1
-                            + py as f32 * bin_h
-                            + (sy as f32 + 0.5) * bin_h / sampling_ratio as f32;
-                        for sx in 0..sampling_ratio {
-                            let xx = x1
-                                + px as f32 * bin_w
-                                + (sx as f32 + 0.5) * bin_w / sampling_ratio as f32;
-                            acc += bilinear(feat, h, w, yy, xx);
-                        }
+        samples.clear();
+        for py in 0..pooled {
+            for px in 0..pooled {
+                for sy in 0..sampling_ratio {
+                    let yy = y1
+                        + py as f32 * bin_h
+                        + (sy as f32 + 0.5) * bin_h / sampling_ratio as f32;
+                    for sx in 0..sampling_ratio {
+                        let xx = x1
+                            + px as f32 * bin_w
+                            + (sx as f32 + 0.5) * bin_w / sampling_ratio as f32;
+                        samples.push(Sample::at(h, w, yy, xx));
                     }
-                    o[((ri * c + ci) * pooled + py) * pooled + px] =
-                        acc / (sampling_ratio * sampling_ratio) as f32;
                 }
+            }
+        }
+        for ci in 0..c {
+            let feat = &f[(b * c + ci) * h * w..][..h * w];
+            let out_bins = &mut o[(ri * c + ci) * bins..][..bins];
+            for (slot, bin) in out_bins.iter_mut().zip(samples.chunks(per_bin)) {
+                let mut acc = 0.0f32;
+                for s in bin {
+                    acc += s.as_ref().map_or(0.0, |s| s.eval(feat));
+                }
+                *slot = acc / per_bin as f32;
             }
         }
     }
@@ -154,6 +194,32 @@ mod tests {
         let y = roi_align(&feat, &rois, 1, 1.0, 1);
         assert_eq!(y.at(&[0, 0, 0, 0]), 0.0);
         assert_eq!(y.at(&[1, 0, 0, 0]), 9.0);
+    }
+
+    #[test]
+    fn negative_batch_index_marks_a_padding_roi() {
+        // MXNet pads ROI lists with batch index -1: such a row pools nothing,
+        // it must not fall through to image 0.
+        let feat = Tensor::full([1, 2, 4, 4], 7.0);
+        let rois = Tensor::from_vec([2, 5], vec![
+            -1.0, 0.0, 0.0, 4.0, 4.0, //
+            0.0, 0.0, 0.0, 4.0, 4.0,
+        ]);
+        let y = roi_align(&feat, &rois, 2, 1.0, 2);
+        let (padding, real) = y.as_f32().split_at(2 * 2 * 2);
+        assert!(padding.iter().all(|&v| v == 0.0));
+        assert!(real.iter().all(|&v| v == 7.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "roi 1 batch index NaN is not finite")]
+    fn non_finite_batch_index_panics() {
+        let feat = Tensor::full([1, 1, 4, 4], 1.0);
+        let rois = Tensor::from_vec([2, 5], vec![
+            0.0, 0.0, 0.0, 4.0, 4.0, //
+            f32::NAN, 0.0, 0.0, 4.0, 4.0,
+        ]);
+        roi_align(&feat, &rois, 2, 1.0, 1);
     }
 
     #[test]

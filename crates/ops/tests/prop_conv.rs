@@ -2,85 +2,85 @@
 //! configuration drawn from the template's search space produces bit-identical
 //! output to the direct reference convolution.
 
-use proptest::prelude::*;
+mod common;
+
+use common::Rng;
+use unigpu_device::DeviceSpec;
 use unigpu_ops::conv::{conv2d_ref, conv2d_spatial_pack, ConfigSpace, ConvConfig};
 use unigpu_ops::ConvWorkload;
-use unigpu_device::DeviceSpec;
 use unigpu_tensor::init::random_uniform;
 
-fn arb_workload() -> impl Strategy<Value = ConvWorkload> {
-    (
-        1usize..3,   // batch
-        1usize..9,   // in channels
-        1usize..13,  // out channels
-        4usize..14,  // size
-        prop_oneof![Just(1usize), Just(3), Just(5)],
-        1usize..3, // stride
-        0usize..3, // pad
-    )
-        .prop_filter_map("output must be non-empty", |(n, c, oc, s, k, st, p)| {
-            if s + 2 * p < k {
-                return None;
-            }
-            Some(ConvWorkload::square(n, c, oc, s, k, st, p))
-        })
+const CASES: u64 = 48;
+
+fn arb_workload(rng: &mut Rng) -> ConvWorkload {
+    loop {
+        let (n, c, oc) = (rng.int(1, 3), rng.int(1, 9), rng.int(1, 13));
+        let (size, k) = (rng.int(4, 14), rng.pick(&[1, 3, 5]));
+        let (stride, pad) = (rng.int(1, 3), rng.int(0, 3));
+        // output must be non-empty
+        if size + 2 * pad >= k {
+            return ConvWorkload::square(n, c, oc, size, k, stride, pad);
+        }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+fn arb_spec(rng: &mut Rng) -> DeviceSpec {
+    match rng.int(0, 3) {
+        0 => DeviceSpec::intel_hd505(),
+        1 => DeviceSpec::mali_t860(),
+        _ => DeviceSpec::maxwell_nano(),
+    }
+}
 
-    #[test]
-    fn any_config_matches_reference(
-        w in arb_workload(),
-        cfg_idx in any::<prop::sample::Index>(),
-        dev in 0usize..3,
-    ) {
-        let spec = match dev {
-            0 => DeviceSpec::intel_hd505(),
-            1 => DeviceSpec::mali_t860(),
-            _ => DeviceSpec::maxwell_nano(),
-        };
-        let space = ConfigSpace::build(&w, &spec);
-        let cfg = space.get(cfg_idx.index(space.len()));
+fn arb_config(rng: &mut Rng, w: &ConvWorkload, spec: &DeviceSpec) -> ConvConfig {
+    let space = ConfigSpace::build(w, spec);
+    space.get(rng.int(0, space.len()))
+}
+
+#[test]
+fn any_config_matches_reference() {
+    for case in 0..CASES {
+        let mut rng = Rng::new(case);
+        let w = arb_workload(&mut rng);
+        let spec = arb_spec(&mut rng);
+        let cfg = arb_config(&mut rng, &w, &spec);
         let data = random_uniform(w.input_shape(), 97);
         let wt = random_uniform(w.weight_shape(), 98);
         let r = conv2d_ref(&data, &wt, &w);
         let s = conv2d_spatial_pack(&data, &wt, &w, &cfg);
-        prop_assert_eq!(r, s, "config {:?} diverged on {}", cfg, w);
+        assert_eq!(r, s, "case {case}: config {cfg:?} diverged on {w}");
     }
+}
 
-    #[test]
-    fn depthwise_any_config_matches_reference(
-        ch in 1usize..9,
-        size in 4usize..12,
-        cfg_idx in any::<prop::sample::Index>(),
-    ) {
-        let w = ConvWorkload::depthwise(1, ch, size, 3, 1, 1);
-        let spec = DeviceSpec::maxwell_nano();
-        let space = ConfigSpace::build(&w, &spec);
-        let cfg = space.get(cfg_idx.index(space.len()));
+#[test]
+fn depthwise_any_config_matches_reference() {
+    for case in 0..CASES {
+        let mut rng = Rng::new(case);
+        let w = ConvWorkload::depthwise(1, rng.int(1, 9), rng.int(4, 12), 3, 1, 1);
+        let cfg = arb_config(&mut rng, &w, &DeviceSpec::maxwell_nano());
         let data = random_uniform(w.input_shape(), 99);
         let wt = random_uniform(w.weight_shape(), 100);
-        prop_assert_eq!(
+        assert_eq!(
             conv2d_ref(&data, &wt, &w),
-            conv2d_spatial_pack(&data, &wt, &w, &cfg)
+            conv2d_spatial_pack(&data, &wt, &w, &cfg),
+            "case {case}: config {cfg:?} diverged on {w}"
         );
     }
+}
 
-    #[test]
-    fn fallback_config_is_always_valid(w in arb_workload(), dev in 0usize..3) {
-        let spec = match dev {
-            0 => DeviceSpec::intel_hd505(),
-            1 => DeviceSpec::mali_t860(),
-            _ => DeviceSpec::maxwell_nano(),
-        };
-        let cfg = ConvConfig::fallback_for(&w, &spec);
-        prop_assert!(cfg.tile_size() >= 1);
+#[test]
+fn fallback_config_is_always_valid() {
+    for case in 0..CASES {
+        let mut rng = Rng::new(case);
+        let w = arb_workload(&mut rng);
+        let cfg = ConvConfig::fallback_for(&w, &arb_spec(&mut rng));
+        assert!(cfg.tile_size() >= 1, "case {case}");
         let data = random_uniform(w.input_shape(), 101);
         let wt = random_uniform(w.weight_shape(), 102);
-        prop_assert_eq!(
+        assert_eq!(
             conv2d_ref(&data, &wt, &w),
-            conv2d_spatial_pack(&data, &wt, &w, &cfg)
+            conv2d_spatial_pack(&data, &wt, &w, &cfg),
+            "case {case}: fallback {cfg:?} diverged on {w}"
         );
     }
 }

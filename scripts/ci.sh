@@ -11,6 +11,14 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> functional bit-identity gate (release codegen)"
+# `cargo test` above builds at opt-level 2; the kernels' bit-for-bit contracts
+# (conv2d_ref == scalar oracle == spatial pack, roi_align == per-channel loop,
+# end-to-end output digests) must also hold under the optimizer that ships.
+cargo test -q --release -p unigpu-ops --lib -- conv::reference vision::roi_align
+cargo test -q --release -p unigpu-ops --test prop_conv --test prop_vision
+cargo test -q --release -p unigpu-engine --test functional_golden
+
 echo "==> cargo fmt --check"
 # The telemetry crate is held to rustfmt; the rest of the tree predates
 # formatting enforcement, so workspace-wide drift is reported but advisory.

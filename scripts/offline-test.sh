@@ -29,7 +29,7 @@ grep -q '^exclude = ' Cargo.toml || { echo "error: root Cargo.toml has no member
 } >> Cargo.toml
 
 echo "==> skipped (cannot build offline):"
-echo "    proptest suites: crates/{ops,graph,ir,tensor,device}/tests/*.rs (no proptest shim)"
+echo "    proptest suites: crates/{graph,ir,tensor,device}/tests/*.rs (no proptest shim)"
 echo "    crates/telemetry/tests/{chrome_roundtrip,exposition}.rs (need serde_json::Value API the shim lacks)"
 echo "    crates/bench (criterion benches)"
 
@@ -37,7 +37,7 @@ libs=(telemetry tensor device ir ops graph tuner farm engine fleet models baseli
 echo "==> unit tests: ${libs[*]}"
 cargo test --offline -q --no-fail-fast --lib "${libs[@]/#/--package=unigpu-}"
 
-for crate in engine farm fleet; do
+for crate in ops engine farm fleet; do
   echo "==> integration suites: unigpu-$crate"
   cargo test --offline -q --no-fail-fast -p "unigpu-$crate" --test '*'
 done
