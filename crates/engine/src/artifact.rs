@@ -95,9 +95,9 @@ fn slugify(s: &str) -> String {
 /// convolution workload key, input wiring, inferred output shape, and the
 /// graph outputs. Deliberately *not* `DefaultHasher` (unstable across
 /// processes/releases) and deliberately not a `Debug` dump (a
-/// `Constant(Tensor)` node would drag megabytes of weights through the
-/// hasher); weight *values* do not affect scheduling, so structure is the
-/// right identity for schedule reuse.
+/// `Constant(Arc<Tensor>)` node would drag megabytes of shared weights
+/// through the hasher); weight *values* do not affect scheduling, so
+/// structure is the right identity for schedule reuse.
 pub fn fingerprint(g: &Graph) -> u64 {
     let shapes = g.infer_shapes();
     let mut h = Fnv1a::new();
@@ -262,7 +262,7 @@ mod tests {
             "data",
         );
         let wt = g.add(
-            OpKind::Constant(Tensor::zeros(w.weight_shape())),
+            OpKind::constant(Tensor::zeros(w.weight_shape())),
             vec![],
             "w0",
         );

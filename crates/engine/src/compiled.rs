@@ -745,7 +745,7 @@ mod tests {
         for i in 0..layers {
             let w = ConvWorkload::square(1, in_ch, 8, 16, 3, 1, 1);
             let wt = g.add(
-                OpKind::Constant(Tensor::zeros(w.weight_shape())),
+                OpKind::constant(Tensor::zeros(w.weight_shape())),
                 vec![],
                 format!("w{i}"),
             );
@@ -864,6 +864,34 @@ mod tests {
             degraded.estimate_batch_ms(4) != compiled.estimate_batch_ms(4),
             "CPU pricing differs from the compiled placement"
         );
+    }
+
+    #[test]
+    fn every_graph_of_a_compiled_model_shares_the_source_weights() {
+        fn weights(g: &Graph) -> Vec<&Arc<Tensor>> {
+            g.nodes
+                .iter()
+                .filter_map(|n| match &n.op {
+                    OpKind::Constant(t) => Some(t),
+                    _ => None,
+                })
+                .collect()
+        }
+        let g = conv_chain("chain", 2);
+        let compiled = memory_engine().compile(&g);
+        compiled.estimate_batch_ms(4); // rebatch + place: nothing may copy
+        let degraded = compiled.degraded();
+        for (what, derived) in [
+            ("optimized", compiled.graph()),
+            ("placed", &compiled.placement().graph),
+            ("degraded", &degraded.placement().graph),
+        ] {
+            let got = weights(derived);
+            assert_eq!(got.len(), 2, "{what} keeps both weights");
+            for (t, src) in got.iter().zip(weights(&g)) {
+                assert!(Arc::ptr_eq(t, src), "the {what} graph copied a weight");
+            }
+        }
     }
 
     #[test]

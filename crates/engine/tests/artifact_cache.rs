@@ -20,7 +20,7 @@ fn conv_model(name: &str, channels: usize) -> Graph {
         "data",
     );
     let wt = g.add(
-        OpKind::Constant(Tensor::zeros(w.weight_shape())),
+        OpKind::constant(Tensor::zeros(w.weight_shape())),
         vec![],
         "w0",
     );

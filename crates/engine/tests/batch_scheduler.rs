@@ -26,7 +26,7 @@ fn conv_model(name: &str) -> Graph {
         "data",
     );
     let wt0 = g.add(
-        OpKind::Constant(Tensor::zeros(w0.weight_shape())),
+        OpKind::constant(Tensor::zeros(w0.weight_shape())),
         vec![],
         "w0",
     );
@@ -41,7 +41,7 @@ fn conv_model(name: &str) -> Graph {
     );
     let w1 = ConvWorkload::square(1, 8, 8, 16, 3, 1, 1);
     let wt1 = g.add(
-        OpKind::Constant(Tensor::zeros(w1.weight_shape())),
+        OpKind::constant(Tensor::zeros(w1.weight_shape())),
         vec![],
         "w1",
     );

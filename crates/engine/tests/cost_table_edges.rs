@@ -24,7 +24,7 @@ fn conv_model(name: &str) -> Graph {
         "data",
     );
     let wt = g.add(
-        OpKind::Constant(Tensor::zeros(w.weight_shape())),
+        OpKind::constant(Tensor::zeros(w.weight_shape())),
         vec![],
         "w0",
     );

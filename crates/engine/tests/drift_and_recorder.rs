@@ -25,7 +25,7 @@ fn conv_model(name: &str) -> Graph {
         "data",
     );
     let wt0 = g.add(
-        OpKind::Constant(Tensor::zeros(w0.weight_shape())),
+        OpKind::constant(Tensor::zeros(w0.weight_shape())),
         vec![],
         "w0",
     );

@@ -25,7 +25,7 @@ fn conv_model(name: &str) -> Graph {
     let mut g = Graph::new(name);
     let w0 = ConvWorkload::square(1, 3, 8, 16, 3, 1, 1);
     let x = g.add(OpKind::Input { shape: Shape::from(w0.input_shape()) }, vec![], "data");
-    let wt0 = g.add(OpKind::Constant(Tensor::zeros(w0.weight_shape())), vec![], "w0");
+    let wt0 = g.add(OpKind::constant(Tensor::zeros(w0.weight_shape())), vec![], "w0");
     let c0 = g.add(
         OpKind::Conv2d { w: w0, bias: false, act: Activation::Relu },
         vec![x, wt0],

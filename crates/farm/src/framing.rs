@@ -17,6 +17,12 @@
 //!   parse failure; the monotonic sequence number lets a receiver drop
 //!   duplicated frames silently and flag gaps.
 //!
+//! A [`Framed`] builds each outgoing frame — header, body, trailer — in one
+//! buffer it reuses and writes with a single `write_all`, and reads each
+//! incoming frame into another; a protocol can hand-write the bodies of its
+//! per-request frames into that buffer ([`WireFrame`]) as long as the bytes
+//! stay serde's.
+//!
 //! Error contract (shared by every protocol built on this codec):
 //! - a clean peer close or truncated body surfaces as `UnexpectedEof`;
 //! - an oversized length prefix, unparseable body, bad checksum, or
@@ -37,12 +43,15 @@ pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 pub const FRAMING_VERSION: u8 = 2;
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) — table built at compile
-// time so the codec stays dependency-free.
+// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320), eight bytes per step —
+// tables built at compile time so the codec stays dependency-free.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `T[0]` is the classic byte table, and `T[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so eight input bytes fold into
+/// the state with eight independent lookups instead of a serial chain.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -51,37 +60,45 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-struct Crc32(u32);
-
-impl Crc32 {
-    fn new() -> Crc32 {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.0 = CRC32_TABLE[((self.0 ^ b as u32) & 0xFF) as usize] ^ (self.0 >> 8);
+    let mut k = 1usize;
+    while k < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
         }
+        k += 1;
     }
-
-    fn finish(self) -> u32 {
-        !self.0
-    }
+    t
 }
+
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 of one buffer (IEEE polynomial; `crc32(b"123456789") == 0xCBF43926`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(data);
-    h.finish()
+    let t = &CRC32_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    !crc
 }
 
 // ---------------------------------------------------------------------------
@@ -150,19 +167,33 @@ impl From<FrameError> for io::Error {
 // Body reader — never trusts the length prefix with an allocation
 // ---------------------------------------------------------------------------
 
-/// Read exactly `len` body bytes via `Read::take` into a growing buffer,
-/// so a corrupt-but-under-cap prefix on a short connection costs a short
-/// read, not a 16 MiB up-front allocation.
-fn read_body<R: Read + ?Sized>(r: &mut R, len: usize) -> io::Result<Vec<u8>> {
-    let mut body = Vec::with_capacity(len.min(64 * 1024));
-    let got = (&mut *r).take(len as u64).read_to_end(&mut body)?;
+/// A buffer a frame passed through keeps at most this much capacity, and a
+/// length prefix is trusted with at most this much up front.
+const KEEP_BYTES: usize = 64 * 1024;
+
+/// Read exactly `len` bytes via `Read::take` into `buf` (emptied first),
+/// growing it as data arrives, so a corrupt-but-under-cap prefix on a short
+/// connection costs a short read, not a 16 MiB up-front allocation.
+fn read_exactly<R: Read + ?Sized>(r: &mut R, len: usize, buf: &mut Vec<u8>) -> io::Result<()> {
+    buf.clear();
+    buf.reserve(len.min(KEEP_BYTES));
+    let got = (&mut *r).take(len as u64).read_to_end(buf)?;
     if got < len {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
-            format!("frame body truncated: got {got} of {len} bytes"),
+            format!("frame truncated: got {got} of {len} bytes"),
         ));
     }
-    Ok(body)
+    Ok(())
+}
+
+/// Give back what one large frame (an artifact blob, a final report) grew a
+/// connection's reused buffer to, so it is not pinned for the connection's
+/// life.
+fn release_large(buf: &mut Vec<u8>) {
+    if buf.capacity() > KEEP_BYTES {
+        *buf = Vec::new();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -194,7 +225,8 @@ pub fn read_frame<F: DeserializeOwned>(r: &mut dyn Read) -> io::Result<F> {
             format!("frame length prefix of {len} bytes exceeds MAX_FRAME_BYTES"),
         ));
     }
-    let body = read_body(r, len)?;
+    let mut body = Vec::new();
+    read_exactly(r, len, &mut body)?;
     serde_json::from_slice(&body)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("malformed frame: {e}")))
 }
@@ -202,6 +234,24 @@ pub fn read_frame<F: DeserializeOwned>(r: &mut dyn Read) -> io::Result<F> {
 // ---------------------------------------------------------------------------
 // Framed — stateful codec that can upgrade from v1 to v2 mid-connection
 // ---------------------------------------------------------------------------
+
+/// A message type [`Framed`] carries. Serde is the encoding; a protocol may
+/// also hand-write the frames it sends per request, as long as the bytes
+/// stay what serde would have written.
+pub trait WireFrame: Serialize + DeserializeOwned {
+    /// Append this frame's JSON body to `out` and return `true`, or append
+    /// nothing and return `false` to have serde encode it.
+    fn write_body(&self, _out: &mut Vec<u8>) -> bool {
+        false
+    }
+
+    /// Decode a body laid out exactly as [`WireFrame::write_body`] writes
+    /// it; `None` sends anything else — other variants, reordered or unknown
+    /// keys, whitespace, damage — through serde, which owns the errors.
+    fn scan_body(_body: &[u8]) -> Option<Self> {
+        None
+    }
+}
 
 /// A stateful frame codec over one connection. Starts in v1 (plain
 /// length-prefixed) mode; after both peers agree in their hello exchange,
@@ -213,12 +263,30 @@ pub struct Framed<S> {
     next_send_seq: u64,
     next_recv_seq: u64,
     dup_skipped: u64,
+    /// The outgoing frame, header to trailer, built in place and written
+    /// with one `write_all`; reused from frame to frame.
+    tx: Vec<u8>,
+    /// The incoming frame past its length prefix; reused likewise.
+    rx: Vec<u8>,
 }
+
+/// v2 bytes between the length prefix and the body (the sequence number),
+/// and after the body (the CRC).
+const SEQ_BYTES: usize = 8;
+const CRC_BYTES: usize = 4;
 
 impl<S: Read + Write> Framed<S> {
     /// Wrap a transport in v1 mode.
     pub fn new(stream: S) -> Framed<S> {
-        Framed { stream, v2: false, next_send_seq: 0, next_recv_seq: 0, dup_skipped: 0 }
+        Framed {
+            stream,
+            v2: false,
+            next_send_seq: 0,
+            next_recv_seq: 0,
+            dup_skipped: 0,
+            tx: Vec::new(),
+            rx: Vec::new(),
+        }
     }
 
     /// Switch this side to the v2 format, resetting both sequence spaces.
@@ -250,38 +318,47 @@ impl<S: Read + Write> Framed<S> {
 
     /// Serialize and send one frame (exactly one `flush` per frame — the
     /// boundary the chaos layer keys on).
-    pub fn send<F: Serialize>(&mut self, frame: &F) -> Result<(), FrameError> {
-        let body =
-            serde_json::to_vec(frame).map_err(|e| FrameError::Malformed(e.to_string()))?;
-        if body.len() > MAX_FRAME_BYTES {
-            return Err(FrameError::TooLarge(body.len()));
+    pub fn send<F: WireFrame>(&mut self, frame: &F) -> Result<(), FrameError> {
+        let sent = self.send_inner(frame);
+        release_large(&mut self.tx);
+        sent
+    }
+
+    fn send_inner<F: WireFrame>(&mut self, frame: &F) -> Result<(), FrameError> {
+        let head = if self.v2 { 4 + SEQ_BYTES } else { 4 };
+        self.tx.clear();
+        self.tx.resize(head, 0);
+        if !frame.write_body(&mut self.tx) {
+            let body =
+                serde_json::to_vec(frame).map_err(|e| FrameError::Malformed(e.to_string()))?;
+            self.tx.extend_from_slice(&body);
         }
-        if !self.v2 {
-            self.stream.write_all(&(body.len() as u32).to_be_bytes())?;
-            self.stream.write_all(&body)?;
-            self.stream.flush()?;
-            return Ok(());
+        let len = self.tx.len() - head;
+        if len > MAX_FRAME_BYTES {
+            return Err(FrameError::TooLarge(len));
         }
-        let seq = self.next_send_seq;
-        self.next_send_seq += 1;
-        let mut h = Crc32::new();
-        h.update(&seq.to_be_bytes());
-        h.update(&body);
-        let crc = h.finish();
-        let mut wire = Vec::with_capacity(16 + body.len());
-        wire.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        wire.extend_from_slice(&seq.to_be_bytes());
-        wire.extend_from_slice(&body);
-        wire.extend_from_slice(&crc.to_be_bytes());
-        self.stream.write_all(&wire)?;
+        self.tx[..4].copy_from_slice(&(len as u32).to_be_bytes());
+        if self.v2 {
+            self.tx[4..head].copy_from_slice(&self.next_send_seq.to_be_bytes());
+            self.next_send_seq += 1;
+            let crc = crc32(&self.tx[4..]);
+            self.tx.extend_from_slice(&crc.to_be_bytes());
+        }
+        self.stream.write_all(&self.tx)?;
         self.stream.flush()?;
         Ok(())
     }
 
     /// Receive the next frame, silently skipping v2 duplicates (sequence
     /// numbers already seen) and verifying the CRC trailer.
-    pub fn recv<F: DeserializeOwned>(&mut self) -> Result<F, FrameError> {
-        loop {
+    pub fn recv<F: WireFrame>(&mut self) -> Result<F, FrameError> {
+        let received = self.recv_inner();
+        release_large(&mut self.rx);
+        received
+    }
+
+    fn recv_inner<F: WireFrame>(&mut self) -> Result<F, FrameError> {
+        let body = loop {
             let mut prefix = [0u8; 4];
             self.stream.read_exact(&mut prefix)?;
             let len = u32::from_be_bytes(prefix) as usize;
@@ -289,24 +366,18 @@ impl<S: Read + Write> Framed<S> {
                 return Err(FrameError::TooLarge(len));
             }
             if !self.v2 {
-                let body = read_body(&mut self.stream, len)?;
-                return serde_json::from_slice(&body)
-                    .map_err(|e| FrameError::Malformed(e.to_string()));
+                read_exactly(&mut self.stream, len, &mut self.rx)?;
+                break &self.rx[..];
             }
-            let mut seq_bytes = [0u8; 8];
-            self.stream.read_exact(&mut seq_bytes)?;
-            let body = read_body(&mut self.stream, len)?;
-            let mut crc_bytes = [0u8; 4];
-            self.stream.read_exact(&mut crc_bytes)?;
-            let mut h = Crc32::new();
-            h.update(&seq_bytes);
-            h.update(&body);
-            let computed = h.finish();
-            let wire = u32::from_be_bytes(crc_bytes);
+            read_exactly(&mut self.stream, SEQ_BYTES + len + CRC_BYTES, &mut self.rx)?;
+            let (checked, trailer) = self.rx.split_at(SEQ_BYTES + len);
+            let wire = u32::from_be_bytes(trailer.try_into().expect("a 4-byte trailer"));
+            let computed = crc32(checked);
             if wire != computed {
                 return Err(FrameError::ChecksumMismatch { wire, computed });
             }
-            let seq = u64::from_be_bytes(seq_bytes);
+            let (seq, body) = checked.split_at(SEQ_BYTES);
+            let seq = u64::from_be_bytes(seq.try_into().expect("an 8-byte sequence number"));
             if seq < self.next_recv_seq {
                 self.dup_skipped += 1;
                 continue;
@@ -315,8 +386,11 @@ impl<S: Read + Write> Framed<S> {
                 return Err(FrameError::SequenceGap { expected: self.next_recv_seq, got: seq });
             }
             self.next_recv_seq += 1;
-            return serde_json::from_slice(&body)
-                .map_err(|e| FrameError::Malformed(e.to_string()));
+            break body;
+        };
+        match F::scan_body(body) {
+            Some(frame) => Ok(frame),
+            None => serde_json::from_slice(body).map_err(|e| FrameError::Malformed(e.to_string())),
         }
     }
 }
@@ -334,10 +408,28 @@ mod tests {
         Blob { data: String },
     }
 
+    impl WireFrame for Probe {}
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slice_by_8_equals_the_bytewise_loop_at_every_length_and_alignment() {
+        fn bytewise(data: &[u8]) -> u32 {
+            !data.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
+                CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
+            })
+        }
+        let block: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(0x9E37_79B1) >> 24) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let data = &block[offset..offset + len];
+                assert_eq!(crc32(data), bytewise(data), "offset {offset}, len {len}");
+            }
+        }
     }
 
     #[test]
@@ -377,6 +469,41 @@ mod tests {
         buf.extend_from_slice(b"abc");
         let err = read_frame::<Probe>(&mut Cursor::new(buf)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_lying_v2_length_prefix_costs_a_short_read_not_an_allocation() {
+        let mut wire = (1_048_576u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(b"abc");
+        let mut rx = Framed::new(Cursor::new(wire));
+        rx.upgrade();
+        let err = rx.recv::<Probe>().unwrap_err();
+        assert!(
+            matches!(&err, FrameError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "got {err}"
+        );
+        assert!(rx.rx.capacity() <= KEEP_BYTES, "the prefix was trusted with {}", rx.rx.capacity());
+    }
+
+    #[test]
+    fn one_large_frame_does_not_pin_its_buffers_for_the_connections_life() {
+        let mut framed = Framed::new(Cursor::new(Vec::new()));
+        framed.upgrade();
+        framed.send(&Probe::Blob { data: "x".repeat(4 * KEEP_BYTES) }).unwrap();
+        framed.send(&Probe::Ping { n: 1 }).unwrap();
+        assert!(framed.tx.capacity() <= KEEP_BYTES, "tx keeps {}", framed.tx.capacity());
+        framed.get_mut().set_position(0);
+        assert!(matches!(framed.recv::<Probe>().unwrap(), Probe::Blob { .. }));
+        assert!(framed.rx.capacity() <= KEEP_BYTES, "rx keeps {}", framed.rx.capacity());
+        assert_eq!(framed.recv::<Probe>().unwrap(), Probe::Ping { n: 1 });
+        // small frames keep reusing what they grew
+        let (tx, rx) = (framed.tx.capacity(), framed.rx.capacity());
+        assert!(tx > 0 && rx > 0);
+        let end = framed.get_ref().position();
+        framed.send(&Probe::Ping { n: 2 }).unwrap();
+        framed.get_mut().set_position(end);
+        assert_eq!(framed.recv::<Probe>().unwrap(), Probe::Ping { n: 2 });
+        assert_eq!((framed.tx.capacity(), framed.rx.capacity()), (tx, rx));
     }
 
     #[test]

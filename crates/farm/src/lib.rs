@@ -39,7 +39,7 @@ pub mod worker;
 pub use backoff::Backoff;
 pub use client::FarmClient;
 pub use fault::{FaultPlan, FaultState, SendFault};
-pub use framing::{crc32, FrameError, Framed, FRAMING_VERSION};
+pub use framing::{crc32, FrameError, Framed, WireFrame, FRAMING_VERSION};
 pub use netchaos::{ChaosStream, NetFaultPlan, NetStats, SharedNetFaults};
 pub use proto::{read_frame, write_frame, Frame, MAX_FRAME_BYTES};
 pub use tracker::{Tracker, TrackerConfig, TrackerHandle, LANE_FARM_WORKER_BASE};

@@ -122,6 +122,9 @@ pub enum Frame {
     Error { message: String },
 }
 
+/// Farm frames are per tuning job, not per request: serde encodes them all.
+impl framing::WireFrame for Frame {}
+
 /// Serialize `frame` as one length-prefixed JSON message.
 pub fn write_frame(w: &mut dyn Write, frame: &Frame) -> io::Result<()> {
     framing::write_frame(w, frame)

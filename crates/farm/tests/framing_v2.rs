@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use serde::{Deserialize, Serialize};
 use unigpu_farm::framing::FrameError;
 use unigpu_farm::{
-    read_frame, write_frame, Frame, Framed, Tracker, TrackerConfig, FRAMING_VERSION,
+    read_frame, write_frame, Frame, Framed, Tracker, TrackerConfig, WireFrame, FRAMING_VERSION,
     MAX_FRAME_BYTES,
 };
 
@@ -16,6 +16,8 @@ use unigpu_farm::{
 struct Blob {
     data: String,
 }
+
+impl WireFrame for Blob {}
 
 /// A blob whose serialized JSON body is exactly `body_len` bytes.
 fn blob_of_body_len(body_len: usize) -> Blob {

@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
-use unigpu_farm::framing;
+use unigpu_farm::framing::{self, WireFrame};
 
 pub use unigpu_farm::framing::MAX_FRAME_BYTES;
 
@@ -161,6 +161,157 @@ pub enum FleetFrame {
         #[serde(default, skip_serializing_if = "std::ops::Not::not")]
         fatal: bool,
     },
+}
+
+/// `Infer` and `InferAck` cross the wire once per request, so they are
+/// written and scanned field by field; every other frame is per session and
+/// goes through serde. Both halves are pinned to serde's bytes by
+/// `tests/codec_equivalence.rs` and `tests/golden/exchange.hex`.
+impl WireFrame for FleetFrame {
+    fn write_body(&self, out: &mut Vec<u8>) -> bool {
+        // JSON has no NaN or infinity (serde writes `null`): leave those to it.
+        match self {
+            FleetFrame::Infer { id, arrival_ms } if arrival_ms.is_finite() => {
+                out.extend_from_slice(br#"{"type":"infer","id":"#);
+                push_uint(out, *id);
+                out.extend_from_slice(br#","arrival_ms":"#);
+                push_f64(out, *arrival_ms);
+                out.push(b'}');
+                true
+            }
+            FleetFrame::InferAck { admitted, health: h }
+                if h.breaker.is_finite()
+                    && h.burn_rate.is_finite()
+                    && h.breaker_open_until_ms.map_or(true, f64::is_finite) =>
+            {
+                out.extend_from_slice(br#"{"type":"infer_ack","admitted":"#);
+                out.extend_from_slice(if *admitted { b"true" } else { b"false" });
+                out.extend_from_slice(br#","health":{"queue_depth":"#);
+                push_uint(out, h.queue_depth);
+                out.extend_from_slice(br#","inflight":"#);
+                push_uint(out, h.inflight);
+                out.extend_from_slice(br#","breaker":"#);
+                push_f64(out, h.breaker);
+                if let Some(until_ms) = h.breaker_open_until_ms {
+                    out.extend_from_slice(br#","breaker_open_until_ms":"#);
+                    push_f64(out, until_ms);
+                }
+                out.extend_from_slice(br#","burn_rate":"#);
+                push_f64(out, h.burn_rate);
+                out.extend_from_slice(b"}}");
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn scan_body(body: &[u8]) -> Option<FleetFrame> {
+        let mut s = Scan(body);
+        s.lit(br#"{"type":"infer"#)?;
+        let frame = if s.lit(br#"","id":"#).is_some() {
+            let id = s.uint()?;
+            s.lit(br#","arrival_ms":"#)?;
+            let arrival_ms = s.float()?;
+            FleetFrame::Infer { id, arrival_ms }
+        } else {
+            s.lit(br#"_ack","admitted":"#)?;
+            let admitted = s.boolean()?;
+            s.lit(br#","health":{"queue_depth":"#)?;
+            let queue_depth = s.uint()?;
+            s.lit(br#","inflight":"#)?;
+            let inflight = s.uint()?;
+            s.lit(br#","breaker":"#)?;
+            let breaker = s.float()?;
+            let breaker_open_until_ms = match s.lit(br#","breaker_open_until_ms":"#) {
+                Some(()) => Some(s.float()?),
+                None => None,
+            };
+            s.lit(br#","burn_rate":"#)?;
+            let burn_rate = s.float()?;
+            s.lit(b"}")?;
+            let health =
+                ReplicaHealth { queue_depth, inflight, breaker, breaker_open_until_ms, burn_rate };
+            FleetFrame::InferAck { admitted, health }
+        };
+        s.lit(b"}")?;
+        s.0.is_empty().then_some(frame)
+    }
+}
+
+fn push_uint(out: &mut Vec<u8>, n: usize) {
+    write!(out, "{n}").expect("writing to a Vec cannot fail");
+}
+
+/// A finite `f64` in Rust's shortest round-trip form (`82.0`, `2.5e-7`): the
+/// digits `serde_json` prints, formatted straight into `out`.
+fn push_f64(out: &mut Vec<u8>, f: f64) {
+    write!(out, "{f:?}").expect("writing to a Vec cannot fail");
+}
+
+/// A cursor over a frame body in canonical layout. Every method consumes
+/// what it matched, or returns `None` and the scan is abandoned.
+struct Scan<'a>(&'a [u8]);
+
+impl<'a> Scan<'a> {
+    fn lit(&mut self, lit: &[u8]) -> Option<()> {
+        self.0 = self.0.strip_prefix(lit)?;
+        Some(())
+    }
+
+    /// The scalar up to the next `,` or `}`, as text.
+    fn token(&mut self) -> Option<&'a str> {
+        let end = self.0.iter().position(|b| matches!(b, b',' | b'}'))?;
+        let (token, rest) = self.0.split_at(end);
+        self.0 = rest;
+        std::str::from_utf8(token).ok()
+    }
+
+    fn boolean(&mut self) -> Option<bool> {
+        match self.token()? {
+            "true" => Some(true),
+            "false" => Some(false),
+            _ => None,
+        }
+    }
+
+    fn uint(&mut self) -> Option<usize> {
+        let token = self.token()?;
+        let canonical = token.bytes().all(|b| b.is_ascii_digit())
+            && (token.len() == 1 || !token.starts_with('0'));
+        if canonical { token.parse().ok() } else { None }
+    }
+
+    /// A finite JSON number: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+    /// `str::parse` alone would also take `inf`, `+1`, `.5` and `1.`.
+    fn float(&mut self) -> Option<f64> {
+        let token = self.token()?;
+        let digits = |s: &str| s.bytes().take_while(u8::is_ascii_digit).count();
+        let mut rest = token.strip_prefix('-').unwrap_or(token);
+        let int = digits(rest);
+        if int == 0 || (int > 1 && rest.starts_with('0')) {
+            return None;
+        }
+        rest = &rest[int..];
+        if let Some(frac) = rest.strip_prefix('.') {
+            let n = digits(frac);
+            if n == 0 {
+                return None;
+            }
+            rest = &frac[n..];
+        }
+        if let Some(exp) = rest.strip_prefix(['e', 'E']) {
+            let exp = exp.strip_prefix(['+', '-']).unwrap_or(exp);
+            let n = digits(exp);
+            if n == 0 {
+                return None;
+            }
+            rest = &exp[n..];
+        }
+        if !rest.is_empty() {
+            return None;
+        }
+        token.parse().ok().filter(|f: &f64| f.is_finite())
+    }
 }
 
 /// Serialize `frame` as one length-prefixed JSON message.

@@ -105,7 +105,7 @@ mod tests {
             "data",
         );
         let wt = g.add(
-            OpKind::Constant(Tensor::zeros(w.weight_shape())),
+            OpKind::constant(Tensor::zeros(w.weight_shape())),
             vec![],
             "w0",
         );

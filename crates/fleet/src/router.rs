@@ -37,7 +37,7 @@ use unigpu_farm::backoff::Backoff;
 use unigpu_farm::framing::{FrameError, Framed, FRAMING_VERSION};
 use unigpu_farm::netchaos::{ChaosStream, NetFaultPlan, NetStats, SharedNetFaults};
 use unigpu_telemetry::hash::{splitmix64, Fnv1a};
-use unigpu_telemetry::{MetricsRegistry, SpanRecord, SpanRecorder};
+use unigpu_telemetry::{CounterSlot, GaugeSlot, MetricsRegistry, SpanRecord, SpanRecorder};
 
 use crate::proto::{FleetFrame, ReplicaHealth, ReplicaReport};
 use crate::replica::ReplicaLink;
@@ -151,7 +151,7 @@ impl FleetReport {
             return 0.0;
         }
         let mut lat: Vec<f64> = self.completed.iter().map(|&(_, ms)| ms).collect();
-        lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        lat.sort_by(f64::total_cmp);
         let idx = ((lat.len() as f64) * 0.99).ceil() as usize;
         lat[idx.clamp(1, lat.len()) - 1]
     }
@@ -204,6 +204,34 @@ struct Slot {
     /// Admitted-but-unconfirmed requests: the failover ledger.
     assigned: Vec<(usize, f64)>,
     report: Option<ReplicaReport>,
+    metrics: SlotMetrics,
+}
+
+/// One replica's `fleet.<metric>.<index>` cells, named once at construction.
+struct SlotMetrics {
+    routed: CounterSlot,
+    replica_shed: CounterSlot,
+    up: GaugeSlot,
+    queue_depth: GaugeSlot,
+    inflight: GaugeSlot,
+    breaker_state: GaugeSlot,
+    burn_rate: GaugeSlot,
+}
+
+/// The fleet-wide counters `route` touches.
+struct FleetMetrics {
+    offered: CounterSlot,
+    shed: CounterSlot,
+    rerouted: CounterSlot,
+    replica_deaths: CounterSlot,
+}
+
+/// What the router traces, kept as values: a span is formatted from its
+/// event when the recorder is read ([`Router::spans`]) or at
+/// [`Router::finish`], never while routing.
+enum FleetEvent {
+    Routed { id: usize, replica: usize, arrival_ms: f64, rerouted: bool },
+    Died { replica: usize, arrival_ms: f64, error: String, failover: usize, report_recovered: bool },
 }
 
 /// The fleet router. Owns the replica handles; consume with
@@ -212,7 +240,12 @@ pub struct Router {
     slots: Vec<Slot>,
     cfg: RouterConfig,
     metrics: MetricsRegistry,
-    spans: SpanRecorder,
+    fleet_metrics: FleetMetrics,
+    /// The recorder [`Router::with_telemetry`] was handed; a router built
+    /// with [`Router::new`] has nobody to read spans and traces none.
+    spans: Option<SpanRecorder>,
+    /// Events not yet formatted into `spans`, in order.
+    events: Vec<FleetEvent>,
     rr_next: usize,
     offered: usize,
     fleet_shed: Vec<usize>,
@@ -223,19 +256,32 @@ pub struct Router {
 
 impl Router {
     pub fn new(cfg: RouterConfig, replicas: Vec<Box<dyn ReplicaLink>>) -> Router {
-        Router::with_telemetry(cfg, replicas, SpanRecorder::new(), MetricsRegistry::new())
+        Router::build(cfg, replicas, None, MetricsRegistry::new())
     }
 
-    /// A router recording into caller-owned telemetry.
+    /// A router recording into caller-owned telemetry. Metrics land as they
+    /// happen; route and death spans reach `spans` when [`Router::spans`] is
+    /// called and at [`Router::finish`]. [`Router::new`] records metrics
+    /// only.
     pub fn with_telemetry(
         cfg: RouterConfig,
         replicas: Vec<Box<dyn ReplicaLink>>,
         spans: SpanRecorder,
         metrics: MetricsRegistry,
     ) -> Router {
+        Router::build(cfg, replicas, Some(spans), metrics)
+    }
+
+    fn build(
+        cfg: RouterConfig,
+        replicas: Vec<Box<dyn ReplicaLink>>,
+        spans: Option<SpanRecorder>,
+        metrics: MetricsRegistry,
+    ) -> Router {
         let slots = replicas
             .into_iter()
-            .map(|link| Slot {
+            .enumerate()
+            .map(|(i, link)| Slot {
                 name: link.name().to_string(),
                 device: link.device().to_string(),
                 predicted_ms: link.predicted_ms().max(f64::MIN_POSITIVE),
@@ -244,14 +290,30 @@ impl Router {
                 finished: false,
                 assigned: Vec::new(),
                 report: None,
+                metrics: SlotMetrics {
+                    routed: metrics.counter_slot(&format!("fleet.routed.{i}")),
+                    replica_shed: metrics.counter_slot(&format!("fleet.replica_shed.{i}")),
+                    up: metrics.gauge_slot(&format!("fleet.up.{i}")),
+                    queue_depth: metrics.gauge_slot(&format!("fleet.queue_depth.{i}")),
+                    inflight: metrics.gauge_slot(&format!("fleet.inflight.{i}")),
+                    breaker_state: metrics.gauge_slot(&format!("fleet.breaker_state.{i}")),
+                    burn_rate: metrics.gauge_slot(&format!("fleet.burn_rate.{i}")),
+                },
                 link,
             })
             .collect();
         Router {
             slots,
             cfg,
+            fleet_metrics: FleetMetrics {
+                offered: metrics.counter_slot("fleet.offered"),
+                shed: metrics.counter_slot("fleet.shed"),
+                rerouted: metrics.counter_slot("fleet.rerouted"),
+                replica_deaths: metrics.counter_slot("fleet.replica_deaths"),
+            },
             metrics,
             spans,
+            events: Vec::new(),
             rr_next: 0,
             offered: 0,
             fleet_shed: Vec::new(),
@@ -265,8 +327,55 @@ impl Router {
         &self.metrics
     }
 
-    pub fn spans(&self) -> &SpanRecorder {
-        &self.spans
+    /// The span recorder of [`Router::with_telemetry`], brought up to date
+    /// with everything routed so far.
+    pub fn spans(&mut self) -> Option<&SpanRecorder> {
+        self.flush_events();
+        self.spans.as_ref()
+    }
+
+    /// Note `event` for the recorder, if there is one.
+    fn trace(&mut self, event: FleetEvent) {
+        if self.spans.is_some() {
+            self.events.push(event);
+        }
+    }
+
+    /// Format the pending events into the recorder, in the order they
+    /// happened.
+    fn flush_events(&mut self) {
+        let Some(spans) = &self.spans else { return };
+        for event in self.events.drain(..) {
+            spans.record(match event {
+                FleetEvent::Routed { id, replica, arrival_ms, rerouted } => SpanRecord {
+                    name: format!("req {id}"),
+                    category: "fleet.route".into(),
+                    start_us: arrival_ms * 1000.0,
+                    dur_us: 0.0,
+                    lane: LANE_FLEET_REPLICA_BASE + replica as u32,
+                    attrs: vec![
+                        ("replica".into(), self.slots[replica].name.clone()),
+                        ("rerouted".into(), rerouted.to_string()),
+                    ],
+                    trace: None,
+                },
+                FleetEvent::Died { replica, arrival_ms, error, failover, report_recovered } => {
+                    SpanRecord {
+                        name: format!("replica {} died", self.slots[replica].name),
+                        category: "fleet.death".into(),
+                        start_us: arrival_ms * 1000.0,
+                        dur_us: 0.0,
+                        lane: LANE_FLEET_CONTROL,
+                        attrs: vec![
+                            ("error".into(), error),
+                            ("failover".into(), failover.to_string()),
+                            ("report_recovered".into(), report_recovered.to_string()),
+                        ],
+                        trace: None,
+                    }
+                }
+            });
+        }
     }
 
     /// A replica takes traffic when it is alive, not finished, not
@@ -300,22 +409,26 @@ impl Router {
     }
 
     fn pick(&mut self, id: usize, arrival_ms: f64, excluded: &[usize]) -> Option<usize> {
-        let candidates: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| !excluded.contains(&i) && self.healthy(i, arrival_ms))
-            .collect();
-        if candidates.is_empty() {
+        // candidates are counted, then drawn by rank: no list is built
+        let candidates = || {
+            (0..self.slots.len())
+                .filter(|i| !excluded.contains(i) && self.healthy(*i, arrival_ms))
+        };
+        let n = candidates().count();
+        if n == 0 {
             return None;
         }
+        let nth = |k: usize| candidates().nth(k).expect("k < the candidate count");
         match self.cfg.policy {
             RoutePolicy::RoundRobin => {
-                let i = candidates[self.rr_next % candidates.len()];
+                let i = nth(self.rr_next % n);
                 self.rr_next = self.rr_next.wrapping_add(1);
                 Some(i)
             }
             RoutePolicy::PowerOfTwo => {
                 let h = splitmix64(self.cfg.seed ^ (id as u64));
-                let a = candidates[(h as usize) % candidates.len()];
-                let b = candidates[((h >> 32) as usize) % candidates.len()];
+                let a = nth((h as usize) % n);
+                let b = nth(((h >> 32) as usize) % n);
                 // strict less-than: ties go to the first draw, keeping the
                 // choice independent of evaluation order
                 Some(if self.score(b) < self.score(a) { b } else { a })
@@ -329,7 +442,7 @@ impl Router {
     /// fleet).
     pub fn route(&mut self, id: usize, arrival_ms: f64) -> bool {
         self.offered += 1;
-        self.metrics.inc("fleet.offered");
+        self.metrics.lock().inc(self.fleet_metrics.offered);
         self.route_inner(id, arrival_ms, false)
     }
 
@@ -337,7 +450,7 @@ impl Router {
         let mut tried: Vec<usize> = Vec::new();
         loop {
             let Some(i) = self.pick(id, arrival_ms, &tried) else {
-                self.metrics.inc("fleet.shed");
+                self.metrics.lock().inc(self.fleet_metrics.shed);
                 self.fleet_shed.push(id);
                 return false;
             };
@@ -349,30 +462,25 @@ impl Router {
                 breaker_open_until_ms: self.slots[i].health.breaker_open_until_ms,
                 rerouted,
             });
-            match self.slots[i].link.submit(id, arrival_ms) {
+            let slot = &mut self.slots[i];
+            match slot.link.submit(id, arrival_ms) {
                 Ok((admitted, health)) => {
-                    self.slots[i].health = health;
-                    self.publish_gauges(i);
+                    slot.health = health;
+                    let mut metrics = self.metrics.lock();
+                    metrics.set_gauge(slot.metrics.queue_depth, health.queue_depth as f64);
+                    metrics.set_gauge(slot.metrics.inflight, health.inflight as f64);
+                    metrics.set_gauge(slot.metrics.breaker_state, health.breaker);
+                    metrics.set_gauge(slot.metrics.burn_rate, health.burn_rate);
                     if admitted {
-                        self.slots[i].assigned.push((id, arrival_ms));
-                        self.metrics.inc(&format!("fleet.routed.{i}"));
-                        self.spans.record(SpanRecord {
-                            name: format!("req {id}"),
-                            category: "fleet.route".into(),
-                            start_us: arrival_ms * 1000.0,
-                            dur_us: 0.0,
-                            lane: LANE_FLEET_REPLICA_BASE + i as u32,
-                            attrs: vec![
-                                ("replica".into(), self.slots[i].name.clone()),
-                                ("rerouted".into(), rerouted.to_string()),
-                            ],
-                            trace: None,
-                        });
+                        metrics.inc(slot.metrics.routed);
+                        slot.assigned.push((id, arrival_ms));
+                        drop(metrics);
+                        self.trace(FleetEvent::Routed { id, replica: i, arrival_ms, rerouted });
                         return true;
                     }
                     // replica-side shed: not terminal — try the next-best
                     // candidate
-                    self.metrics.inc(&format!("fleet.replica_shed.{i}"));
+                    metrics.inc(slot.metrics.replica_shed);
                     tried.push(i);
                 }
                 Err(err) => {
@@ -395,8 +503,11 @@ impl Router {
         }
         self.slots[i].dead = true;
         self.deaths += 1;
-        self.metrics.inc("fleet.replica_deaths");
-        self.metrics.set_gauge(&format!("fleet.up.{i}"), 0.0);
+        {
+            let mut metrics = self.metrics.lock();
+            metrics.inc(self.fleet_metrics.replica_deaths);
+            metrics.set_gauge(self.slots[i].metrics.up, 0.0);
+        }
         let (orphans, report) = self.slots[i].link.orphans();
         let assigned = std::mem::take(&mut self.slots[i].assigned);
         let recovered_report = report.is_some();
@@ -405,38 +516,20 @@ impl Router {
             Some(evicted) if recovered_report => evicted,
             _ => assigned,
         };
-        self.spans.record(SpanRecord {
-            name: format!("replica {} died", self.slots[i].name),
-            category: "fleet.death".into(),
-            start_us: arrival_ms * 1000.0,
-            dur_us: 0.0,
-            lane: LANE_FLEET_CONTROL,
-            attrs: vec![
-                ("error".into(), err.to_string()),
-                ("failover".into(), backlog.len().to_string()),
-                ("report_recovered".into(), recovered_report.to_string()),
-            ],
-            trace: None,
+        self.trace(FleetEvent::Died {
+            replica: i,
+            arrival_ms,
+            error: err.to_string(),
+            failover: backlog.len(),
+            report_recovered: recovered_report,
         });
         for (id, orig_arrival) in backlog {
             self.rerouted += 1;
-            self.metrics.inc("fleet.rerouted");
+            self.metrics.lock().inc(self.fleet_metrics.rerouted);
             // failover preserves the fleet clock: re-offers happen *now*,
             // not back at the original arrival instant
             self.route_inner(id, orig_arrival.max(arrival_ms), true);
         }
-    }
-
-    fn publish_gauges(&self, i: usize) {
-        let h = &self.slots[i].health;
-        self.metrics
-            .set_gauge(&format!("fleet.queue_depth.{i}"), h.queue_depth as f64);
-        self.metrics
-            .set_gauge(&format!("fleet.inflight.{i}"), h.inflight as f64);
-        self.metrics
-            .set_gauge(&format!("fleet.breaker_state.{i}"), h.breaker);
-        self.metrics
-            .set_gauge(&format!("fleet.burn_rate.{i}"), h.burn_rate);
     }
 
     /// Drain every replica and fold the fleet report. Replicas finish in
@@ -465,6 +558,8 @@ impl Router {
                 }
             }
         }
+
+        self.flush_events();
 
         let mut completed: Vec<(usize, f64)> = Vec::new();
         let mut expired: Vec<usize> = Vec::new();
@@ -1081,6 +1176,46 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.lost(), 0);
+    }
+
+    #[test]
+    fn spans_reach_the_recorder_on_read_and_at_finish_in_routing_order() {
+        let handle = SpanRecorder::new();
+        let mut doomed = FakeReplica::new("doomed", 1.0);
+        doomed.die_on_submit = Some(2);
+        let mut router = Router::with_telemetry(
+            RouterConfig::default(),
+            pool(vec![FakeReplica::new("steady", 1.0), doomed]),
+            handle.clone(),
+            MetricsRegistry::new(),
+        );
+        for id in 0..8 {
+            assert!(router.route(id, id as f64));
+        }
+        assert!(handle.is_empty(), "nothing is formatted while routing");
+        let read = router.spans().expect("the recorder handed in").len();
+        assert!(read >= 8, "a read formats everything routed so far");
+        assert_eq!(handle.len(), read, "into the recorder the caller holds");
+        for id in 8..12 {
+            assert!(router.route(id, id as f64));
+        }
+        let report = router.finish();
+        assert_eq!(report.replica_deaths, 1);
+        let spans = handle.spans();
+        let routed: Vec<&str> = spans
+            .iter()
+            .filter(|s| s.category == "fleet.route" && s.attrs[1].1 == "false")
+            .map(|s| s.name.as_str())
+            .collect();
+        let want: Vec<String> = (0..12).map(|id| format!("req {id}")).collect();
+        assert_eq!(routed, want, "one span per admission, in offer order");
+        let deaths = spans.iter().filter(|s| s.category == "fleet.death").count();
+        assert_eq!(deaths, 1);
+        assert_eq!(spans.len(), 12 + report.rerouted + deaths);
+
+        let mut untraced = Router::new(RouterConfig::default(), pool(vec![FakeReplica::new("a", 1.0)]));
+        untraced.route(0, 0.0);
+        assert!(untraced.spans().is_none(), "nobody holds a recorder: nothing is traced");
     }
 
     #[test]

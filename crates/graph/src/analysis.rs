@@ -98,7 +98,7 @@ mod tests {
         let w = ConvWorkload::square(1, 3, 4, 6, 3, 1, 1);
         let mut g = Graph::new("dead");
         let x = g.add(OpKind::Input { shape: Shape::from(w.input_shape()) }, vec![], "x");
-        let k = g.add(OpKind::Constant(Tensor::zeros(w.weight_shape())), vec![], "k");
+        let k = g.add(OpKind::constant(Tensor::zeros(w.weight_shape())), vec![], "k");
         let live = g.add(
             OpKind::Conv2d { w, bias: false, act: Activation::Relu },
             vec![x, k],
@@ -106,7 +106,7 @@ mod tests {
         );
         // dead: an activation nobody consumes + an orphan constant
         g.add(OpKind::Act(Activation::Sigmoid), vec![live], "dead_act");
-        g.add(OpKind::Constant(Tensor::zeros([128])), vec![], "orphan");
+        g.add(OpKind::constant(Tensor::zeros([128])), vec![], "orphan");
         g.mark_output(live);
         g
     }

@@ -261,7 +261,7 @@ mod tests {
         let w = ConvWorkload::square(1, 3, 4, 6, 3, 1, 1);
         let mut g = Graph::new("toy");
         let x = g.add(OpKind::Input { shape: Shape::from(w.input_shape()) }, vec![], "x");
-        let wt = g.add(OpKind::Constant(random_uniform(w.weight_shape(), 1)), vec![], "w");
+        let wt = g.add(OpKind::constant(random_uniform(w.weight_shape(), 1)), vec![], "w");
         let c = g.add(OpKind::Conv2d { w, bias: false, act: Activation::Relu }, vec![x, wt], "c");
         g.mark_output(c);
         let data = {
@@ -283,7 +283,7 @@ mod tests {
         let build = |fused: bool| {
             let mut g = Graph::new("t");
             let x = g.add(OpKind::Input { shape: Shape::from(w.input_shape()) }, vec![], "x");
-            let k = g.add(OpKind::Constant(wt.clone()), vec![], "w");
+            let k = g.add(OpKind::constant(wt.clone()), vec![], "w");
             if fused {
                 let c = g.add(
                     OpKind::Conv2d { w, bias: false, act: Activation::Relu },
@@ -327,8 +327,8 @@ mod tests {
         ] {
             let mut g = Graph::new("t");
             let x = g.add(OpKind::Input { shape: Shape::from(w.input_shape()) }, vec![], "x");
-            let k = g.add(OpKind::Constant(wt.clone()), vec![], "w");
-            let b = g.add(OpKind::Constant(bias.clone()), vec![], "b");
+            let k = g.add(OpKind::constant(wt.clone()), vec![], "w");
+            let b = g.add(OpKind::constant(bias.clone()), vec![], "b");
             let c = g.add(OpKind::Conv2d { w, bias: true, act }, vec![x, k, b], "c");
             g.mark_output(c);
             let want = match act {
@@ -346,7 +346,7 @@ mod tests {
         let mut g = Graph::new("copies");
         let sh = Shape::from([1, 1, 2, 2]);
         let x = g.add(OpKind::Input { shape: sh.clone() }, vec![], "x");
-        let k = g.add(OpKind::Constant(Tensor::full(sh, 10.0)), vec![], "k");
+        let k = g.add(OpKind::constant(Tensor::full(sh, 10.0)), vec![], "k");
         let x_gpu = g.add(OpKind::DeviceCopy, vec![x], "x.gpu");
         let sum = g.add(OpKind::Add, vec![x_gpu, k], "sum");
         let sum_cpu = g.add(OpKind::DeviceCopy, vec![sum], "sum.cpu");
@@ -403,7 +403,7 @@ mod tests {
         let w = ConvWorkload::square(1, 3, 4, 6, 3, 1, 1);
         let mut g = Graph::new("traced");
         let x = g.add(OpKind::Input { shape: Shape::from(w.input_shape()) }, vec![], "x");
-        let wt = g.add(OpKind::Constant(random_uniform(w.weight_shape(), 1)), vec![], "w");
+        let wt = g.add(OpKind::constant(random_uniform(w.weight_shape(), 1)), vec![], "w");
         let c = g.add(OpKind::Conv2d { w, bias: false, act: Activation::Relu }, vec![x, wt], "c");
         let p = g.add(OpKind::GlobalAvgPool, vec![c], "gap");
         g.mark_output(p);

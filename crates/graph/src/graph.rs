@@ -218,7 +218,7 @@ mod tests {
         let w = ConvWorkload::square(1, 3, 8, 8, 3, 1, 1);
         let x = g.add(OpKind::Input { shape: Shape::from(w.input_shape()) }, vec![], "x");
         let wt = g.add(
-            OpKind::Constant(Tensor::zeros(w.weight_shape())),
+            OpKind::constant(Tensor::zeros(w.weight_shape())),
             vec![],
             "w",
         );

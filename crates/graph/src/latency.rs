@@ -368,7 +368,7 @@ mod tests {
         let mut x = g.add(OpKind::Input { shape: Shape::from(w.input_shape()) }, vec![], "x");
         for i in 0..n_convs {
             let k = g.add(
-                OpKind::Constant(Tensor::zeros(w.weight_shape())),
+                OpKind::constant(Tensor::zeros(w.weight_shape())),
                 vec![],
                 format!("w{i}"),
             );

@@ -1,5 +1,6 @@
 //! Graph node and operator definitions.
 
+use std::sync::Arc;
 use unigpu_ops::vision::multibox::MultiboxConfig;
 use unigpu_ops::vision::nms::NmsConfig;
 use unigpu_ops::ConvWorkload;
@@ -19,8 +20,10 @@ pub enum Activation {
 pub enum OpKind {
     /// Graph input placeholder.
     Input { shape: Shape },
-    /// Baked-in parameter (weights, BN statistics, anchors).
-    Constant(Tensor),
+    /// Baked-in parameter (weights, BN statistics, anchors). Shared: cloning
+    /// a graph, or rewriting it in a pass, copies the pointer, never the
+    /// weights, so every graph derived from one model holds the same tensors.
+    Constant(Arc<Tensor>),
     /// 2-d convolution; inputs `(data, weight[, bias])`. `act` is the fused
     /// activation produced by the fusion pass (§3.2.3).
     Conv2d { w: ConvWorkload, bias: bool, act: Activation },
@@ -67,6 +70,11 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// A `Constant` node owning `t`.
+    pub fn constant(t: Tensor) -> OpKind {
+        OpKind::Constant(Arc::new(t))
+    }
+
     /// Short name for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -135,7 +143,7 @@ mod tests {
     #[test]
     fn free_ops() {
         assert!(OpKind::Input { shape: Shape::from([1, 3, 4, 4]) }.is_free());
-        assert!(OpKind::Constant(Tensor::zeros([1])).is_free());
+        assert!(OpKind::constant(Tensor::zeros([1])).is_free());
         assert!(!OpKind::Softmax.is_free());
     }
 

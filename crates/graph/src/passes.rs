@@ -56,8 +56,8 @@ pub fn fold_batch_norms(g: &Graph) -> Graph {
             );
             let (w2, b2) = fold_batch_norm(weight, bias_t, gamma, beta, mean, var, *eps);
             let data_new = map[conv.inputs[0]].expect("producer mapped");
-            let w_new = out.add(OpKind::Constant(w2), vec![], format!("{}.folded_w", conv.name));
-            let b_new = out.add(OpKind::Constant(b2), vec![], format!("{}.folded_b", conv.name));
+            let w_new = out.add(OpKind::constant(w2), vec![], format!("{}.folded_w", conv.name));
+            let b_new = out.add(OpKind::constant(b2), vec![], format!("{}.folded_b", conv.name));
             let new_id = out.add(
                 OpKind::Conv2d { w: *w, bias: true, act: *act },
                 vec![data_new, w_new, b_new],
@@ -263,6 +263,7 @@ pub fn place(g: &Graph, policy: PlacementPolicy) -> Placement {
 mod tests {
     use super::*;
     use crate::exec::Executor;
+    use std::sync::Arc;
     use unigpu_ops::vision::multibox::MultiboxConfig;
     use unigpu_ops::ConvWorkload;
     use unigpu_tensor::init::random_uniform;
@@ -272,19 +273,19 @@ mod tests {
         let w = ConvWorkload::square(1, 3, 8, 6, 3, 1, 1);
         let mut g = Graph::new("cbr");
         let x = g.add(OpKind::Input { shape: Shape::from(w.input_shape()) }, vec![], "x");
-        let wt = g.add(OpKind::Constant(random_uniform(w.weight_shape(), 1)), vec![], "w");
+        let wt = g.add(OpKind::constant(random_uniform(w.weight_shape(), 1)), vec![], "w");
         let c = g.add(
             OpKind::Conv2d { w, bias: false, act: Activation::None },
             vec![x, wt],
             "conv",
         );
-        let gamma = g.add(OpKind::Constant(random_uniform([8], 2)), vec![], "g");
-        let beta = g.add(OpKind::Constant(random_uniform([8], 3)), vec![], "b");
-        let mean = g.add(OpKind::Constant(random_uniform([8], 4)), vec![], "m");
+        let gamma = g.add(OpKind::constant(random_uniform([8], 2)), vec![], "g");
+        let beta = g.add(OpKind::constant(random_uniform([8], 3)), vec![], "b");
+        let mean = g.add(OpKind::constant(random_uniform([8], 4)), vec![], "m");
         let var = {
             let mut v = random_uniform([8], 5);
             v.map_inplace(|x| x + 0.5);
-            g.add(OpKind::Constant(v), vec![], "v")
+            g.add(OpKind::constant(v), vec![], "v")
         };
         let bn = g.add(OpKind::BatchNorm { eps: 1e-5 }, vec![c, gamma, beta, mean, var], "bn");
         let r = g.add(OpKind::Act(Activation::Relu), vec![bn], "relu");
@@ -334,8 +335,8 @@ mod tests {
         let wc = ConvWorkload::square(1, 4, 8, 4, 3, 1, 1); // 2 anchors * (3+1) classes
         let wl = ConvWorkload::square(1, 4, 8, 4, 3, 1, 1); // 2 anchors * 4
         let x = g.add(OpKind::Input { shape: Shape::from(wc.input_shape()) }, vec![], "x");
-        let k1 = g.add(OpKind::Constant(random_uniform(wc.weight_shape(), 11)), vec![], "k1");
-        let k2 = g.add(OpKind::Constant(random_uniform(wl.weight_shape(), 12)), vec![], "k2");
+        let k1 = g.add(OpKind::constant(random_uniform(wc.weight_shape(), 11)), vec![], "k1");
+        let k2 = g.add(OpKind::constant(random_uniform(wl.weight_shape(), 12)), vec![], "k2");
         let cc = g.add(OpKind::Conv2d { w: wc, bias: false, act: Activation::None }, vec![x, k1], "cls");
         let lc = g.add(OpKind::Conv2d { w: wl, bias: false, act: Activation::None }, vec![x, k2], "loc");
         let cf = g.add(OpKind::FlattenHead, vec![cc], "cls_flat");
@@ -413,6 +414,67 @@ mod tests {
         }
         // rebatch(1) is the identity
         assert_eq!(rebatch(&g, 1), g);
+    }
+
+    /// Each constant's tensor, by node name.
+    fn constants(g: &Graph) -> Vec<(&str, &Arc<Tensor>)> {
+        g.nodes
+            .iter()
+            .filter_map(|n| match &n.op {
+                OpKind::Constant(t) => Some((n.name.as_str(), t)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `conv_bn_relu_graph` plus a second convolution no pass rewrites.
+    fn conv_bn_relu_conv_graph() -> Graph {
+        let mut g = conv_bn_relu_graph();
+        let relu = g.outputs[0];
+        let w = ConvWorkload::square(1, 8, 4, 6, 1, 1, 0);
+        let k = g.add(OpKind::constant(random_uniform(w.weight_shape(), 6)), vec![], "head.w");
+        let head =
+            g.add(OpKind::Conv2d { w, bias: false, act: Activation::None }, vec![relu, k], "head");
+        g.outputs = vec![head];
+        g
+    }
+
+    #[test]
+    fn rewrites_share_every_surviving_constant_with_their_source() {
+        let g = conv_bn_relu_conv_graph();
+        let source = constants(&g);
+        let derived = [
+            ("clone", g.clone()),
+            ("rebatch", rebatch(&g, 4)),
+            ("place", place(&g, PlacementPolicy::FallbackVision).graph),
+            ("place cpu", place(&g, PlacementPolicy::AllCpu).graph),
+            ("fuse", fuse_ops(&g)),
+        ];
+        for (pass, out) in &derived {
+            let got = constants(out);
+            assert_eq!(got.len(), source.len(), "{pass} keeps every constant");
+            for ((name, t), (src_name, src)) in got.iter().zip(&source) {
+                assert_eq!(name, src_name);
+                assert!(Arc::ptr_eq(t, src), "{pass} copied constant `{name}`");
+            }
+        }
+    }
+
+    #[test]
+    fn bn_folding_allocates_only_the_folded_weight_and_bias() {
+        let g = conv_bn_relu_conv_graph();
+        let source = constants(&g);
+        let folded = optimize(&g);
+        let fresh: Vec<&str> = constants(&folded)
+            .into_iter()
+            .filter(|(_, t)| !source.iter().any(|(_, src)| Arc::ptr_eq(t, src)))
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(fresh, ["conv.folded_w", "conv.folded_b"]);
+        assert!(
+            constants(&folded).iter().any(|(name, _)| *name == "head.w"),
+            "the unfolded convolution keeps its (shared) weight"
+        );
     }
 
     #[test]

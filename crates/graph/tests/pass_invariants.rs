@@ -33,7 +33,7 @@ fn build_chain(recipe: &[(u8, bool, bool)], base_ch: usize) -> Graph {
         };
         seed += 1;
         let k = g.add(
-            OpKind::Constant(random_uniform(w.weight_shape(), seed)),
+            OpKind::constant(random_uniform(w.weight_shape(), seed)),
             vec![],
             format!("w{i}"),
         );
@@ -51,7 +51,7 @@ fn build_chain(recipe: &[(u8, bool, bool)], base_ch: usize) -> Graph {
                 if p == 3 {
                     t.map_inplace(|v| v + 0.5);
                 }
-                params.push(g.add(OpKind::Constant(t), vec![], format!("bn{i}.{p}")));
+                params.push(g.add(OpKind::constant(t), vec![], format!("bn{i}.{p}")));
             }
             x = g.add(
                 OpKind::BatchNorm { eps: 1e-5 },

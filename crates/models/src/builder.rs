@@ -45,7 +45,7 @@ impl ModelBuilder {
     pub fn param(&mut self, shape: impl Into<Shape>, name: &str) -> NodeId {
         let seed = self.next_seed();
         let t = Initializer::Xavier.init(shape, seed);
-        self.push(OpKind::Constant(t), vec![], name.into())
+        self.push(OpKind::constant(t), vec![], name.into())
     }
 
     /// Positive constant (BN variance etc.).
@@ -53,7 +53,7 @@ impl ModelBuilder {
         let seed = self.next_seed();
         let mut t = Initializer::Uniform { lo: 0.5, hi: 1.5 }.init([len], seed);
         t.map_inplace(|v| v.max(1e-3));
-        self.push(OpKind::Constant(t), vec![], name.into())
+        self.push(OpKind::constant(t), vec![], name.into())
     }
 
     /// Raw convolution (no BN/act), inferring the workload from `x`.

@@ -265,7 +265,7 @@ mod tests {
         ];
         let mut x = g.add(OpKind::Input { shape: Shape::from(wls[0].input_shape()) }, vec![], "x");
         for (i, w) in wls.iter().enumerate() {
-            let k = g.add(OpKind::Constant(Tensor::zeros(w.weight_shape())), vec![], format!("w{i}"));
+            let k = g.add(OpKind::constant(Tensor::zeros(w.weight_shape())), vec![], format!("w{i}"));
             x = g.add(
                 OpKind::Conv2d { w: *w, bias: false, act: Activation::Relu },
                 vec![x, k],
@@ -320,7 +320,7 @@ mod tests {
         let mut g = Graph::new("convergence");
         let w = ConvWorkload::square(1, 48, 56, 14, 3, 1, 1);
         let x = g.add(OpKind::Input { shape: Shape::from(w.input_shape()) }, vec![], "x");
-        let k = g.add(OpKind::Constant(Tensor::zeros(w.weight_shape())), vec![], "w");
+        let k = g.add(OpKind::constant(Tensor::zeros(w.weight_shape())), vec![], "w");
         let c = g.add(OpKind::Conv2d { w, bias: false, act: Activation::Relu }, vec![x, k], "c");
         g.mark_output(c);
 

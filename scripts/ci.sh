@@ -498,18 +498,20 @@ echo "fleet net-chaos gate: '$nq' held under wire faults, exactly-once preserved
 cleanup_net
 trap - EXIT
 
-echo "==> serve hot-path allocation gate"
+echo "==> hot-path allocation gates"
 # `allocs_per_op` is a count the benchmark process makes of itself, so it
-# repeats exactly and the gate is exact, not a timing band. The budget is
-# DESIGN.md's ("Host hot path"); crates/engine/tests/alloc_budget.rs holds
-# the same line per submit.
-alloc_budget=4
-allocs=$(bash benchmark/run.sh --workload serve_steady --seconds 3 --trace 0 \
-  | sed -n 's/^allocs_per_op = \([0-9.eE+-]*\) count$/\1/p')
-if [ -z "$allocs" ] || ! awk -v a="$allocs" -v b="$alloc_budget" 'BEGIN { exit !(a <= b) }'; then
-  echo "error: serve_steady makes '${allocs:-?}' heap allocations per request; the budget is $alloc_budget"
-  exit 1
-fi
-echo "serve_steady: $allocs allocations per request (budget $alloc_budget)"
+# repeats exactly and the gates are exact, not timing bands. The budgets are
+# DESIGN.md's ("Host hot path"); crates/{engine,fleet}/tests/alloc_budget.rs
+# hold the same lines per submit, per route and per frame.
+for gate in serve_steady:4 fleet_wire:3; do
+  workload=${gate%:*} alloc_budget=${gate#*:}
+  allocs=$(bash benchmark/run.sh --workload "$workload" --seconds 3 --trace 0 \
+    | sed -n 's/^allocs_per_op = \([0-9.eE+-]*\) count$/\1/p')
+  if [ -z "$allocs" ] || ! awk -v a="$allocs" -v b="$alloc_budget" 'BEGIN { exit !(a <= b) }'; then
+    echo "error: $workload makes '${allocs:-?}' heap allocations per request; the budget is $alloc_budget"
+    exit 1
+  fi
+  echo "$workload: $allocs allocations per request (budget $alloc_budget)"
+done
 
 echo "ci: all gates passed"
