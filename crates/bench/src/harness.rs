@@ -71,7 +71,7 @@ pub fn tuned_provider_for(platform: &Platform, budget: &TuningBudget) -> TunedSc
         for g in missing {
             let compiled = engine.compile(g);
             for rec in compiled.schedule_records() {
-                db.insert(rec);
+                db.insert(rec.clone());
             }
         }
         db.save(&path).ok();

@@ -115,27 +115,12 @@ impl CostModel {
         (overhead_ms + compute_ms.max(mem_ms)) * spec.calibration
     }
 
-    /// Modelled wall-clock of several profiles executed back-to-back.
-    pub fn sequence_time_ms(&self, profiles: &[KernelProfile]) -> f64 {
-        profiles.iter().map(|p| self.kernel_time_ms(p)).sum()
-    }
-
     /// CPU↔GPU boundary crossing (§3.1.2). Integrated GPUs share DRAM with
     /// the CPU, so this is a map/unmap handshake plus a remap-bandwidth copy.
     pub fn transfer_time_ms(&self, t: &TransferProfile) -> f64 {
         (self.spec.transfer_overhead_us * 1e-3
             + t.bytes as f64 / (self.spec.transfer_bw_gbps * 1e9) * 1e3)
             * self.spec.calibration
-    }
-
-    /// Effective GFLOP/s implied by a profile — handy for reports.
-    pub fn effective_gflops(&self, p: &KernelProfile) -> f64 {
-        let ms = self.kernel_time_ms(p);
-        if ms <= 0.0 {
-            0.0
-        } else {
-            p.total_flops() / (ms * 1e-3) / 1e9
-        }
     }
 }
 
@@ -284,7 +269,8 @@ mod tests {
         for p in Platform::all() {
             let m = CostModel::new(p.gpu.clone());
             let prof = dense_profile(1 << 18).reads(4.0);
-            assert!(m.effective_gflops(&prof) <= m.spec().peak_gflops);
+            let gflops = prof.total_flops() / (m.kernel_time_ms(&prof) * 1e-3) / 1e9;
+            assert!(gflops <= m.spec().peak_gflops);
         }
     }
 
@@ -295,15 +281,6 @@ mod tests {
         let big = m.transfer_time_ms(&TransferProfile { bytes: 64 << 20 });
         assert!(small >= 0.03 - 1e-9); // >= map overhead
         assert!(big > small * 10.0);
-    }
-
-    #[test]
-    fn sequence_is_sum() {
-        let m = CostModel::new(DeviceSpec::maxwell_nano());
-        let a = dense_profile(1 << 12);
-        let b = dense_profile(1 << 13);
-        let s = m.sequence_time_ms(&[a.clone(), b.clone()]);
-        assert!((s - (m.kernel_time_ms(&a) + m.kernel_time_ms(&b))).abs() < 1e-12);
     }
 
     #[test]

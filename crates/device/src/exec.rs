@@ -7,10 +7,11 @@
 //! * work-groups → chunks, run in group order on the calling thread. Each
 //!   group owns a disjoint chunk of every output buffer, which is how
 //!   well-formed GPU kernels are written, so no group order changes a result;
-//! * work-items inside a group → a sequential loop per *phase*, where a phase
-//!   boundary is a `barrier(CLK_LOCAL_MEM_FENCE)`. Running every item's phase
-//!   `k` before any item's phase `k+1` is exactly the guarantee a barrier
-//!   provides, so algorithms validated here are valid under lockstep SIMT too.
+//! * work-items inside a group → a sequential loop per *phase* inside the
+//!   kernel, where a phase boundary is a `barrier(CLK_LOCAL_MEM_FENCE)`.
+//!   Running every item's phase `k` before any item's phase `k+1` is exactly
+//!   the guarantee a barrier provides, so algorithms validated here are valid
+//!   under lockstep SIMT too.
 //!
 //! Timing is *not* measured here — [`crate::CostModel`] owns latency. This
 //! module owns functional correctness.
@@ -39,22 +40,6 @@ where
     F: Fn(usize) -> T + Sync + Send,
 {
     (0..groups).map(kernel).collect()
-}
-
-/// Emulate the work-items of ONE work-group across `phases` barrier-separated
-/// phases: every item executes phase `k` before any item executes `k+1`.
-///
-/// The closure receives `(phase, local_id)` and typically mutates a shared
-/// scratch captured by the caller (the work-group's "shared local memory").
-pub fn group_barrier_loop<F>(group_size: usize, phases: usize, mut body: F)
-where
-    F: FnMut(usize, usize),
-{
-    for phase in 0..phases {
-        for local in 0..group_size {
-            body(phase, local);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -90,24 +75,6 @@ mod tests {
         let v = dispatch_map(100, |g| g * g);
         assert_eq!(v[7], 49);
         assert_eq!(v.len(), 100);
-    }
-
-    #[test]
-    fn group_barrier_loop_orders_phases() {
-        // Phase 0 writes, phase 1 reads what EVERY item wrote in phase 0 —
-        // only correct if the barrier semantics hold.
-        let n = 16;
-        let mut scratch = vec![0usize; n];
-        let mut sums = vec![0usize; n];
-        group_barrier_loop(n, 2, |phase, local| {
-            if phase == 0 {
-                scratch[local] = local + 1;
-            } else {
-                sums[local] = scratch.iter().sum();
-            }
-        });
-        let expect = n * (n + 1) / 2;
-        assert!(sums.iter().all(|&s| s == expect));
     }
 
     #[test]

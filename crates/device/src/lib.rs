@@ -34,8 +34,8 @@ pub mod spec;
 pub mod timeline;
 
 pub use cost::{CostModel, CostTable};
-pub use exec::{dispatch_chunks, dispatch_map, group_barrier_loop};
+pub use exec::{dispatch_chunks, dispatch_map};
 pub use fault::{DeviceFault, DeviceFaultPlan, DeviceFaultState, LaunchOutcome};
 pub use profile::{KernelProfile, TransferProfile};
 pub use spec::{Api, DeviceKind, DeviceSpec, Platform, Vendor};
-pub use timeline::{MultiTimeline, StreamEvent, StreamLabel, Timeline, TraceEntry};
+pub use timeline::{MultiTimeline, StreamEvent, StreamLabel};

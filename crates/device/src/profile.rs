@@ -139,16 +139,6 @@ impl KernelProfile {
             * self.work_items as f64
             * self.launches as f64
     }
-
-    /// Arithmetic intensity in FLOPs/byte — roofline x-coordinate.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let b = self.total_bytes();
-        if b == 0.0 {
-            f64::INFINITY
-        } else {
-            self.total_flops() / b
-        }
-    }
 }
 
 /// Profile of a CPU↔GPU data movement (fallback boundary crossing, §3.1.2).
@@ -194,8 +184,6 @@ mod tests {
     #[test]
     fn arithmetic_intensity() {
         let p = KernelProfile::new("k", 10).flops(100.0).reads(10.0).writes(0.0);
-        assert!((p.arithmetic_intensity() - 10.0).abs() < 1e-12);
-        let z = KernelProfile::new("z", 10).flops(5.0).reads(0.0).writes(0.0);
-        assert!(z.arithmetic_intensity().is_infinite());
+        assert!((p.total_flops() / p.total_bytes() - 10.0).abs() < 1e-12);
     }
 }

@@ -1,138 +1,7 @@
-//! Execution timeline: a kernel-launch trace recorder for the simulated
-//! device, mirroring the profiling view a real driver (VTune / Streamline /
-//! nvprof) would give — per-kernel timing, launch counts, and a breakdown
-//! report the examples and CLI print.
+//! Execution timeline: the simulated device's streams, one lane per serving
+//! worker, with every launched batch placed on the simulated clock.
 
-use crate::{CostModel, DeviceFault, KernelProfile};
-
-/// One recorded launch.
-#[derive(Debug, Clone)]
-pub struct TraceEntry {
-    pub name: String,
-    pub start_ms: f64,
-    pub duration_ms: f64,
-    pub work_items: usize,
-    pub launches: usize,
-}
-
-/// An append-only trace of kernel launches against one device, with the
-/// simulated clock advanced per launch.
-#[derive(Debug)]
-pub struct Timeline {
-    model: CostModel,
-    clock_ms: f64,
-    entries: Vec<TraceEntry>,
-}
-
-impl Timeline {
-    pub fn new(model: CostModel) -> Self {
-        Timeline { model, clock_ms: 0.0, entries: Vec::new() }
-    }
-
-    /// Record a launch: prices the profile, advances the clock, returns the
-    /// launch duration.
-    pub fn launch(&mut self, p: &KernelProfile) -> f64 {
-        let d = self.model.kernel_time_ms(p);
-        self.entries.push(TraceEntry {
-            name: p.name.clone(),
-            start_ms: self.clock_ms,
-            duration_ms: d,
-            work_items: p.work_items,
-            launches: p.launches,
-        });
-        self.clock_ms += d;
-        d
-    }
-
-    /// Total simulated time elapsed.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.clock_ms
-    }
-
-    /// Number of recorded launches.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Recorded entries, in launch order.
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
-    }
-
-    /// The `k` most expensive launches, sorted by descending duration.
-    pub fn hotspots(&self, k: usize) -> Vec<&TraceEntry> {
-        let mut v: Vec<&TraceEntry> = self.entries.iter().collect();
-        v.sort_by(|a, b| b.duration_ms.total_cmp(&a.duration_ms));
-        v.truncate(k);
-        v
-    }
-
-    /// Aggregate time per kernel-name prefix (text before `[`), as a sorted
-    /// `(prefix, total_ms, count)` list — the profiler's summary view.
-    pub fn summary(&self) -> Vec<(String, f64, usize)> {
-        use std::collections::HashMap;
-        let mut agg: HashMap<String, (f64, usize)> = HashMap::new();
-        for e in &self.entries {
-            let key = e.name.split('[').next().unwrap_or(&e.name).to_string();
-            let slot = agg.entry(key).or_insert((0.0, 0));
-            slot.0 += e.duration_ms;
-            slot.1 += 1;
-        }
-        let mut v: Vec<(String, f64, usize)> =
-            agg.into_iter().map(|(k, (t, c))| (k, t, c)).collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1));
-        v
-    }
-
-    /// Export every recorded launch into a Chrome trace as duration events
-    /// on `lane`, converting the simulated millisecond clock to trace
-    /// microseconds. The lane is named after the device.
-    pub fn add_to_trace(&self, trace: &mut unigpu_telemetry::ChromeTrace, lane: u32) {
-        use unigpu_telemetry::ArgValue;
-        trace.name_lane(lane, self.model.spec().name.clone());
-        for e in &self.entries {
-            trace.duration(
-                e.name.clone(),
-                "kernel",
-                e.start_ms * 1000.0,
-                e.duration_ms * 1000.0,
-                lane,
-                vec![
-                    ("work_items".to_string(), ArgValue::Num(e.work_items as f64)),
-                    ("launches".to_string(), ArgValue::Num(e.launches as f64)),
-                ],
-            );
-        }
-    }
-
-    /// Render a compact text report.
-    pub fn report(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "timeline: {} launches, {:.3} ms total on {}",
-            self.len(),
-            self.elapsed_ms(),
-            self.model.spec().name
-        );
-        for (name, ms, count) in self.summary() {
-            let _ = writeln!(
-                s,
-                "  {:<28} {:>10.3} ms  ({:>3} launches, {:>4.1}%)",
-                name,
-                ms,
-                count,
-                ms / self.elapsed_ms().max(1e-12) * 100.0
-            );
-        }
-        s
-    }
-}
+use crate::DeviceFault;
 
 /// What a [`StreamEvent`] is called. The serving scheduler schedules one
 /// event per launch, so its two labels are stored as their parts (no text is
@@ -183,10 +52,10 @@ pub struct StreamEvent {
 /// A set of independent execution streams over one simulated device — the
 /// multi-queue view a serving engine sees (one lane per worker/stream).
 ///
-/// Unlike [`Timeline`], events are priced by the caller (e.g. a whole-graph
-/// latency estimate) and placed with explicit readiness constraints: an
-/// event starts no earlier than both its `ready_ms` (request arrival /
-/// dependency) and the stream's previous completion.
+/// Events are priced by the caller (e.g. a whole-graph latency estimate)
+/// and placed with explicit readiness constraints: an event starts no
+/// earlier than both its `ready_ms` (request arrival / dependency) and the
+/// stream's previous completion.
 #[derive(Debug, Clone)]
 pub struct MultiTimeline {
     free_at: Vec<f64>,
@@ -314,86 +183,6 @@ impl MultiTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeviceSpec;
-
-    fn profile(name: &str, items: usize) -> KernelProfile {
-        KernelProfile::new(name, items).flops(64.0).reads(8.0).writes(4.0)
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let mut t = Timeline::new(CostModel::new(DeviceSpec::intel_hd505()));
-        let d1 = t.launch(&profile("conv2d[a]", 1 << 14));
-        let d2 = t.launch(&profile("relu[a]", 1 << 14));
-        assert!(d1 > 0.0 && d2 > 0.0);
-        assert_eq!(t.len(), 2);
-        assert!((t.elapsed_ms() - (d1 + d2)).abs() < 1e-12);
-        assert_eq!(t.entries()[1].start_ms, d1);
-    }
-
-    #[test]
-    fn hotspots_are_sorted_desc() {
-        let mut t = Timeline::new(CostModel::new(DeviceSpec::mali_t860()));
-        t.launch(&profile("small", 128));
-        t.launch(&profile("big", 1 << 18));
-        t.launch(&profile("medium", 1 << 12));
-        let h = t.hotspots(2);
-        assert_eq!(h[0].name, "big");
-        assert_eq!(h.len(), 2);
-        assert!(h[0].duration_ms >= h[1].duration_ms);
-    }
-
-    #[test]
-    fn summary_groups_by_prefix() {
-        let mut t = Timeline::new(CostModel::new(DeviceSpec::maxwell_nano()));
-        t.launch(&profile("conv2d[layer1]", 1 << 12));
-        t.launch(&profile("conv2d[layer2]", 1 << 12));
-        t.launch(&profile("pool[p1]", 1 << 10));
-        let s = t.summary();
-        assert_eq!(s[0].0, "conv2d");
-        assert_eq!(s[0].2, 2);
-        let report = t.report();
-        assert!(report.contains("conv2d"));
-        assert!(report.contains("2 launches"), "conv2d line aggregates both launches");
-    }
-
-    #[test]
-    fn hotspots_tolerate_nan_durations() {
-        // A NaN cost (e.g. a degenerate profile) must not panic the sort.
-        let mut t = Timeline::new(CostModel::new(DeviceSpec::intel_hd505()));
-        t.launch(&profile("ok", 1 << 10));
-        t.entries.push(TraceEntry {
-            name: "nan[x]".into(),
-            start_ms: t.clock_ms,
-            duration_ms: f64::NAN,
-            work_items: 1,
-            launches: 1,
-        });
-        assert_eq!(t.hotspots(2).len(), 2);
-        assert!(!t.summary().is_empty());
-    }
-
-    #[test]
-    fn trace_export_matches_entries() {
-        let mut t = Timeline::new(CostModel::new(DeviceSpec::mali_t860()));
-        t.launch(&profile("conv2d[a]", 1 << 12));
-        t.launch(&profile("pool[b]", 1 << 10));
-        let mut trace = unigpu_telemetry::ChromeTrace::new();
-        t.add_to_trace(&mut trace, 7);
-        assert_eq!(trace.events().len(), 2);
-        let json = trace.to_json();
-        assert!(json.contains("\"tid\":7"));
-        assert!(json.contains("conv2d[a]"));
-        assert!(json.contains("Mali"), "lane named after the device: {json}");
-    }
-
-    #[test]
-    fn empty_timeline() {
-        let t = Timeline::new(CostModel::new(DeviceSpec::intel_hd505()));
-        assert!(t.is_empty());
-        assert_eq!(t.elapsed_ms(), 0.0);
-        assert!(t.hotspots(3).is_empty());
-    }
 
     #[test]
     fn multi_timeline_respects_readiness_and_stream_order() {

@@ -9,6 +9,7 @@
 use crate::artifact::{Artifact, ArtifactKey};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use unigpu_telemetry::{tel_debug, tel_warn};
 
 /// Default artifact directory: `$UNIGPU_DB_DIR/artifacts` (the tuning
@@ -38,7 +39,7 @@ pub struct CacheStats {
 pub struct ArtifactCache {
     capacity: usize,
     dir: Option<PathBuf>,
-    entries: HashMap<ArtifactKey, Artifact>,
+    entries: HashMap<ArtifactKey, Arc<Artifact>>,
     /// Recency order, most recently used last.
     order: Vec<ArtifactKey>,
     stats: CacheStats,
@@ -94,9 +95,9 @@ impl ArtifactCache {
     /// Look up an artifact: memory first, then disk. A disk artifact is
     /// validated against the key it claims to be; corrupt or mismatched
     /// files are deleted and counted, never propagated.
-    pub fn get(&mut self, key: &ArtifactKey) -> Option<Artifact> {
+    pub fn get(&mut self, key: &ArtifactKey) -> Option<Arc<Artifact>> {
         if let Some(a) = self.entries.get(key) {
-            let a = a.clone();
+            let a = Arc::clone(a);
             self.stats.hits += 1;
             self.touch(key);
             return Some(a);
@@ -112,7 +113,8 @@ impl ArtifactCache {
                             key.tuning.tag()
                         );
                         self.stats.disk_hits += 1;
-                        self.insert_mem(key.clone(), a.clone());
+                        let a = Arc::new(a);
+                        self.insert_mem(key.clone(), Arc::clone(&a));
                         return Some(a);
                     }
                     Ok(_) => {
@@ -142,7 +144,8 @@ impl ArtifactCache {
 
     /// Insert an artifact, persisting it when a directory is configured.
     /// Persistence failures degrade to memory-only caching with a warning.
-    pub fn put(&mut self, key: ArtifactKey, artifact: Artifact) {
+    pub fn put(&mut self, key: ArtifactKey, artifact: impl Into<Arc<Artifact>>) {
+        let artifact = artifact.into();
         if let Some(path) = self.path_for(&key) {
             if let Some(parent) = path.parent() {
                 std::fs::create_dir_all(parent).ok();
@@ -158,7 +161,7 @@ impl ArtifactCache {
         self.insert_mem(key, artifact);
     }
 
-    fn insert_mem(&mut self, key: ArtifactKey, artifact: Artifact) {
+    fn insert_mem(&mut self, key: ArtifactKey, artifact: Arc<Artifact>) {
         self.entries.insert(key.clone(), artifact);
         self.touch(&key);
         while self.entries.len() > self.capacity {

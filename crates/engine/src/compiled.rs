@@ -5,9 +5,8 @@
 //! through the cache or runs the full pipeline — graph optimization (§3.2.3
 //! fusion + BN folding), device placement (§3.1.2), optional schedule search
 //! (§3.2) — and returns a [`CompiledModel`] ready to estimate, execute, and
-//! serve. [`Engine::compile_deferred`] degrades gracefully: the model serves
-//! on fallback schedules immediately while tuning proceeds on a background
-//! thread, then hot-swaps the tuned schedules in.
+//! serve. A compiled model is immutable: it keeps the [`Artifact`] it was
+//! built or loaded from, and its schedules never change after compile.
 
 use crate::artifact::{
     fingerprint, records_digest, Artifact, ArtifactKey, ArtifactMeta, TuningState, ARTIFACT_KIND,
@@ -16,9 +15,7 @@ use crate::artifact::{
 use crate::cache::{default_artifact_dir, ArtifactCache, CacheStats};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use unigpu_device::{CostTable, DeviceSpec, Platform};
 use unigpu_graph::latency::FallbackSchedules;
 use unigpu_graph::passes::optimize;
@@ -181,20 +178,20 @@ impl EngineBuilder {
             opts: self.opts,
             tuning: self.tuning,
             budget: self.budget,
-            cache: Arc::new(Mutex::new(cache)),
+            cache: Mutex::new(cache),
         }
     }
 }
 
-/// The serving engine. Cheap to clone conceptually (hold it once, compile
-/// many models); the artifact cache is shared behind a mutex.
+/// The serving engine: hold it once, compile many models; the artifact
+/// cache sits behind a mutex.
 pub struct Engine {
     platform: Platform,
     policy: PlacementPolicy,
     opts: LatencyOptions,
     tuning: TuningConfig,
     budget: TuningBudget,
-    cache: Arc<Mutex<ArtifactCache>>,
+    cache: Mutex<ArtifactCache>,
 }
 
 impl Engine {
@@ -225,7 +222,7 @@ impl Engine {
 
     /// Compile a model, resolving through the artifact cache. Blocks for
     /// the full schedule search when the engine is tuned and the cache
-    /// misses; see [`Engine::compile_deferred`] for the non-blocking path.
+    /// misses.
     pub fn compile(&self, model: &Graph) -> CompiledModel {
         let key = self.key_for(model);
         let cached = self.cached(&key);
@@ -237,69 +234,17 @@ impl Engine {
                 key.model,
                 key.device
             );
-            return self.instantiate(key, g, placed, &artifact, true);
+            return self.instantiate(key, g, placed, artifact, true);
         }
-        self.compile_now(key, g, placed)
-    }
-
-    /// Compile with graceful degradation. Cache hits behave like
-    /// [`Engine::compile`]; on a miss with a tuned engine, the model is
-    /// returned immediately on fallback schedules while the search runs on
-    /// a background thread, which then swaps the tuned schedules in and
-    /// persists the artifact. [`CompiledModel::wait_ready`] joins the
-    /// search; estimates taken before it finishes simply price the fallback
-    /// schedules.
-    pub fn compile_deferred(&self, model: &Graph) -> CompiledModel {
-        let key = self.key_for(model);
-        let cached = self.cached(&key);
-        let (g, placed) = self.lower(model);
-        if let Some(artifact) = cached {
-            return self.instantiate(key, g, placed, &artifact, true);
-        }
-        if !matches!(self.tuning, TuningConfig::Tuned) {
-            // fallback/pinned compiles are cheap: nothing to defer
-            return self.compile_now(key, g, placed);
-        }
-
-        // serve on fallback schedules now, search in the background
-        let fallback = self.build_artifact(&key, &g, &placed, &TuningConfig::Fallback);
-        let compiled = self.instantiate(key, g, placed, &fallback, false);
-
-        let inner = Arc::clone(&compiled.inner);
-        let cache = Arc::clone(&self.cache);
-        let budget = self.budget;
-        let handle = std::thread::spawn(move || {
-            tel_info!(
-                "engine",
-                "background tuning {} ({} trials/workload)",
-                inner.key.model,
-                budget.trials_per_workload
-            );
-            let tuned =
-                TunedSchedules::new(search_database(&inner.graph, &inner.platform.gpu, &budget));
-            let records = tuned.to_records();
-            let report = estimate_latency(&inner.placement, &inner.platform, &tuned, &inner.opts);
-            let meta = artifact_meta(&inner.key, &inner.placement, &report);
-            inner.swap_schedules(Arc::new(tuned), records.clone());
-            cache
-                .lock()
-                .expect("artifact cache poisoned")
-                .put(inner.key.clone(), Artifact { meta, records });
-            tel_info!(
-                "engine",
-                "tuned schedules swapped in for {}",
-                inner.key.model
-            );
-        });
-        *compiled
-            .inner
-            .pending
+        let artifact = Arc::new(self.build_artifact(&key, &g, &placed));
+        self.cache
             .lock()
-            .expect("pending handle poisoned") = Some(handle);
-        compiled
+            .expect("artifact cache poisoned")
+            .put(key.clone(), Arc::clone(&artifact));
+        self.instantiate(key, g, placed, artifact, false)
     }
 
-    fn cached(&self, key: &ArtifactKey) -> Option<Artifact> {
+    fn cached(&self, key: &ArtifactKey) -> Option<Arc<Artifact>> {
         self.cache.lock().expect("artifact cache poisoned").get(key)
     }
 
@@ -311,26 +256,9 @@ impl Engine {
         (g, placed)
     }
 
-    /// Build the artifact, cache it and instantiate the compiled model.
-    fn compile_now(&self, key: ArtifactKey, g: Graph, placed: Placement) -> CompiledModel {
-        let artifact = self.build_artifact(&key, &g, &placed, &self.tuning);
-        let compiled = self.instantiate(key.clone(), g, placed, &artifact, false);
-        self.cache
-            .lock()
-            .expect("artifact cache poisoned")
-            .put(key, artifact);
-        compiled
-    }
-
     /// Obtain the schedules and price the placed graph on them.
-    fn build_artifact(
-        &self,
-        key: &ArtifactKey,
-        g: &Graph,
-        placed: &Placement,
-        tuning: &TuningConfig,
-    ) -> Artifact {
-        let (provider, records): (SharedProvider, Vec<TuneRecord>) = match tuning {
+    fn build_artifact(&self, key: &ArtifactKey, g: &Graph, placed: &Placement) -> Artifact {
+        let (provider, records): (SharedProvider, Vec<TuneRecord>) = match &self.tuning {
             TuningConfig::Fallback => (Arc::new(FallbackSchedules), Vec::new()),
             TuningConfig::Tuned => {
                 tel_info!(
@@ -365,18 +293,17 @@ impl Engine {
         key: ArtifactKey,
         g: Graph,
         placed: Placement,
-        artifact: &Artifact,
+        artifact: Arc<Artifact>,
         from_cache: bool,
     ) -> CompiledModel {
         let has_vision = g.nodes.iter().any(|n| n.op.is_vision_control());
-        let tuned = !artifact.records.is_empty();
-        let provider: SharedProvider = if tuned {
+        let provider: SharedProvider = if artifact.records.is_empty() {
+            // an empty record set always resolves to fallback schedules
+            Arc::new(FallbackSchedules)
+        } else {
             Arc::new(TunedSchedules::from_records(
                 artifact.records.iter().cloned(),
             ))
-        } else {
-            // an empty record set always resolves to fallback schedules
-            Arc::new(FallbackSchedules)
         };
         CompiledModel {
             inner: Arc::new(CompiledInner {
@@ -386,18 +313,12 @@ impl Engine {
                 platform: self.platform.clone(),
                 policy: self.policy,
                 opts: self.opts,
-                schedules: Arc::new(RwLock::new(ScheduleState {
-                    provider,
-                    records: artifact.records.clone(),
-                    tuned,
-                })),
-                generation: Arc::new(AtomicU64::new(0)),
+                artifact,
+                provider,
                 from_cache,
                 has_vision,
-                cost_table: artifact.meta.cost_table.clone(),
-                batch_cost: Mutex::new(BatchCosts::default()),
+                batch_cost: Mutex::default(),
                 degraded: OnceLock::new(),
-                pending: Mutex::new(None),
             }),
         }
     }
@@ -422,20 +343,6 @@ fn artifact_meta(key: &ArtifactKey, placed: &Placement, report: &LatencyReport) 
     }
 }
 
-struct ScheduleState {
-    provider: SharedProvider,
-    records: Vec<TuneRecord>,
-    tuned: bool,
-}
-
-/// Memoized batched-latency estimates, keyed by batch size, priced on the
-/// schedules of one generation.
-#[derive(Default)]
-struct BatchCosts {
-    generation: u64,
-    ms: HashMap<usize, f64>,
-}
-
 struct CompiledInner {
     key: ArtifactKey,
     /// Optimized (fused, BN-folded) graph at the model's authored batch;
@@ -445,36 +352,17 @@ struct CompiledInner {
     platform: Platform,
     policy: PlacementPolicy,
     opts: LatencyOptions,
-    /// Shared with the degraded variant, so both follow a schedule swap.
-    schedules: Arc<RwLock<ScheduleState>>,
-    /// Counts schedule swaps (shared like `schedules`). Every price derived
-    /// from the schedules — `batch_cost`, a server's launch plans — is
-    /// stamped with the value it was derived under and dropped once this
-    /// has moved.
-    generation: Arc<AtomicU64>,
+    /// What this model was built or loaded from: the compile-time cost table
+    /// and the schedule records. Shared with the degraded variant.
+    artifact: Arc<Artifact>,
+    /// The schedules `artifact.records` resolve to (shared likewise).
+    provider: SharedProvider,
     from_cache: bool,
     has_vision: bool,
-    /// Per-node cost table from compile time, (node name, ms).
-    cost_table: Vec<(String, f64)>,
-    batch_cost: Mutex<BatchCosts>,
+    /// Memoized batched-latency estimates, keyed by batch size.
+    batch_cost: Mutex<HashMap<usize, f64>>,
     /// The all-CPU variant, derived once for every server of this model.
     degraded: OnceLock<CompiledModel>,
-    /// Background tuning thread, when compiled via `compile_deferred`.
-    pending: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl CompiledInner {
-    /// Install new schedules, then move the generation: whoever sees the
-    /// new generation also sees the new schedules.
-    fn swap_schedules(&self, provider: SharedProvider, records: Vec<TuneRecord>) {
-        {
-            let mut st = self.schedules.write().expect("schedule state poisoned");
-            st.provider = provider;
-            st.records = records;
-            st.tuned = true;
-        }
-        self.generation.fetch_add(1, Ordering::SeqCst);
-    }
 }
 
 /// A model compiled by [`Engine::compile`]: optimized graph, device
@@ -500,27 +388,16 @@ impl CompiledModel {
         self.inner.from_cache
     }
 
-    /// True once tuned schedules are active (immediately for a blocking
-    /// tuned compile; after the background search for a deferred one).
+    /// True when the model runs on searched or pinned schedules, i.e. its
+    /// artifact carries schedule records.
     pub fn is_tuned(&self) -> bool {
-        self.inner
-            .schedules
-            .read()
-            .expect("schedule state poisoned")
-            .tuned
+        !self.inner.artifact.records.is_empty()
     }
 
-    /// Join the background tuning search, if one is running.
-    pub fn wait_ready(&self) {
-        let handle = self
-            .inner
-            .pending
-            .lock()
-            .expect("pending handle poisoned")
-            .take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
+    /// The artifact this model was built or loaded from — exactly what the
+    /// engine persisted under its cache key.
+    pub fn artifact(&self) -> &Artifact {
+        &self.inner.artifact
     }
 
     pub fn graph(&self) -> &Graph {
@@ -533,14 +410,14 @@ impl CompiledModel {
 
     /// Compile-time per-node cost table, (node name, ms).
     pub fn cost_table(&self) -> &[(String, f64)] {
-        &self.inner.cost_table
+        &self.inner.artifact.meta.cost_table
     }
 
     /// The compile-time predictions as a [`CostTable`] — the per-node
     /// predicted-latency view the drift monitor compares observations
     /// against.
     pub fn predicted_costs(&self) -> CostTable {
-        CostTable::new(self.inner.cost_table.clone())
+        CostTable::new(self.cost_table().to_vec())
     }
 
     /// The model's (first) input shape.
@@ -556,33 +433,18 @@ impl CompiledModel {
             .expect("compiled model has an input node")
     }
 
-    /// Snapshot of the active schedule records (what a tuned artifact
-    /// persists; empty on fallback schedules).
-    pub fn schedule_records(&self) -> Vec<TuneRecord> {
-        self.inner
-            .schedules
-            .read()
-            .expect("schedule state poisoned")
-            .records
-            .clone()
-    }
-
-    fn provider(&self) -> SharedProvider {
-        self.inner
-            .schedules
-            .read()
-            .expect("schedule state poisoned")
-            .provider
-            .clone()
+    /// The schedule records (what a tuned artifact persists; empty on
+    /// fallback schedules).
+    pub fn schedule_records(&self) -> &[TuneRecord] {
+        &self.inner.artifact.records
     }
 
     /// Single-sample latency estimate on the compiled placement.
     pub fn estimate(&self) -> LatencyReport {
-        let p = self.provider();
         estimate_latency(
             &self.inner.placement,
             &self.inner.platform,
-            p.as_ref(),
+            self.inner.provider.as_ref(),
             &self.inner.opts,
         )
     }
@@ -595,34 +457,16 @@ impl CompiledModel {
     /// batches classification models but not detectors.
     pub fn estimate_batch_ms(&self, batch: usize) -> f64 {
         let batch = batch.max(1);
-        let generation = self.generation();
-        if let Some(&ms) = self.batch_costs(generation).ms.get(&batch) {
+        if let Some(&ms) = self.batch_costs().get(&batch) {
             return ms;
         }
         let ms = self.compute_batch_ms(batch);
-        // a swap while pricing may have left `ms` on the old schedules:
-        // keep it only in a memo still stamped with the generation read above
-        let mut costs = self.batch_costs(generation);
-        if costs.generation == generation {
-            costs.ms.insert(batch, ms);
-        }
+        self.batch_costs().insert(batch, ms);
         ms
     }
 
-    /// How many schedule swaps this model has seen; prices derived under an
-    /// older value are stale.
-    pub(crate) fn generation(&self) -> u64 {
-        self.inner.generation.load(Ordering::SeqCst)
-    }
-
-    /// The memo, emptied first if it was priced under an older generation.
-    fn batch_costs(&self, generation: u64) -> MutexGuard<'_, BatchCosts> {
-        let mut costs = self.inner.batch_cost.lock().expect("batch cost poisoned");
-        if costs.generation < generation {
-            costs.ms.clear();
-            costs.generation = generation;
-        }
-        costs
+    fn batch_costs(&self) -> MutexGuard<'_, HashMap<usize, f64>> {
+        self.inner.batch_cost.lock().expect("batch cost poisoned")
     }
 
     fn compute_batch_ms(&self, batch: usize) -> f64 {
@@ -634,8 +478,7 @@ impl CompiledModel {
         }
         let g = rebatch(&self.inner.graph, batch);
         let placed = place(&g, self.inner.policy);
-        let p = self.provider();
-        let batched = BatchAgnostic(p.as_ref());
+        let batched = BatchAgnostic(self.inner.provider.as_ref());
         estimate_latency(&placed, &self.inner.platform, &batched, &self.inner.opts).total_ms
     }
 
@@ -646,7 +489,7 @@ impl CompiledModel {
     /// out-of-memory) — slower, but it keeps answering. Derived on first
     /// use, so fault-free serving never pays for it, and once per model:
     /// every server and replica shares the one variant, which shares this
-    /// model's graph and live schedules.
+    /// model's graph, artifact and schedules.
     pub fn degraded(&self) -> CompiledModel {
         let inner = &self.inner;
         inner
@@ -659,14 +502,12 @@ impl CompiledModel {
                     platform: inner.platform.clone(),
                     policy: PlacementPolicy::AllCpu,
                     opts: inner.opts,
-                    schedules: Arc::clone(&inner.schedules),
-                    generation: Arc::clone(&inner.generation),
+                    artifact: Arc::clone(&inner.artifact),
+                    provider: Arc::clone(&inner.provider),
                     from_cache: inner.from_cache,
                     has_vision: inner.has_vision,
-                    cost_table: inner.cost_table.clone(),
-                    batch_cost: Mutex::new(BatchCosts::default()),
+                    batch_cost: Mutex::default(),
                     degraded: OnceLock::new(),
-                    pending: Mutex::new(None),
                 }),
             })
             .clone()
@@ -683,11 +524,10 @@ impl CompiledModel {
     /// Traced estimate: one span per node plus `exec.*`/`latency.*`
     /// metrics, for Chrome-trace export.
     pub fn trace(&self, spans: &SpanRecorder, metrics: &MetricsRegistry) -> LatencyReport {
-        let p = self.provider();
         unigpu_graph::estimate_latency_traced(
             &self.inner.placement,
             &self.inner.platform,
-            p.as_ref(),
+            self.inner.provider.as_ref(),
             &self.inner.opts,
             spans,
             metrics,
@@ -790,28 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn deferred_compile_serves_fallback_then_swaps_tuned_in() {
-        let g = conv_chain("deferred", 1);
-        let engine = Engine::builder()
-            .platform(Platform::deeplens())
-            .persist(false)
-            .tuned(8)
-            .build();
-        let compiled = engine.compile_deferred(&g);
-        assert!(!compiled.from_cache());
-        // usable immediately on fallback schedules
-        assert!(compiled.estimate().total_ms > 0.0);
-        compiled.wait_ready();
-        assert!(compiled.is_tuned());
-        assert!(!compiled.schedule_records().is_empty());
-        assert!(compiled.estimate().total_ms > 0.0);
-        // the background thread published the artifact: next compile hits
-        let again = engine.compile(&g);
-        assert!(again.from_cache());
-        assert!(again.is_tuned());
-    }
-
-    #[test]
     fn degraded_variant_is_all_cpu_and_shares_schedules() {
         let g = conv_chain("chain", 2);
         let compiled = memory_engine().compile(&g);
@@ -833,6 +651,30 @@ mod tests {
         assert!(
             degraded.estimate_batch_ms(4) != compiled.estimate_batch_ms(4),
             "CPU pricing differs from the compiled placement"
+        );
+    }
+
+    #[test]
+    fn degraded_variant_of_a_tuned_compile_keeps_its_records() {
+        let g = conv_chain("chain", 2);
+        let engine = Engine::builder()
+            .platform(Platform::deeplens())
+            .persist(false)
+            .tuned(4)
+            .build();
+        let compiled = engine.compile(&g);
+        assert!(!compiled.schedule_records().is_empty());
+        let degraded = compiled.degraded();
+        assert_eq!(
+            degraded.schedule_records(),
+            compiled.schedule_records(),
+            "the all-CPU variant runs the same schedules"
+        );
+        assert!(degraded.is_tuned());
+        assert_ne!(
+            degraded.estimate_batch_ms(4),
+            compiled.estimate_batch_ms(4),
+            "but prices them on the CPU"
         );
     }
 

@@ -86,42 +86,34 @@ struct LaunchPlan {
     node_ms: Vec<f64>,
 }
 
-/// A server's launch plans, indexed `2 * batch_len + degraded`: derived on
-/// first use, dropped when the model's schedules are swapped.
-#[derive(Debug, Default)]
-struct LaunchPlans {
-    /// [`CompiledModel::generation`] the plans were priced under.
-    generation: u64,
-    plans: Vec<Option<LaunchPlan>>,
-}
-
-impl LaunchPlans {
-    fn get(&mut self, compiled: &CompiledModel, len: usize, degraded: bool) -> &LaunchPlan {
-        let generation = compiled.generation();
-        if generation != self.generation {
-            self.plans.clear();
-            self.generation = generation;
-        }
-        let at = 2 * len + usize::from(degraded);
-        if self.plans.len() <= at {
-            self.plans.resize_with(at + 1, || None);
-        }
-        self.plans[at].get_or_insert_with(|| {
-            if degraded {
-                let base_ms = compiled.degraded().estimate_batch_ms(len);
-                return LaunchPlan { base_ms, node_ms: Vec::new() };
-            }
-            let base_ms = compiled.estimate_batch_ms(len);
-            let table = compiled.cost_table();
-            let total: f64 = table.iter().map(|(_, ms)| ms).sum();
-            let mut node_ms = Vec::new();
-            if base_ms > 0.0 && total > 0.0 {
-                let scale = base_ms / total;
-                node_ms = table.iter().map(|(_, ms)| ms * scale).collect();
-            }
-            LaunchPlan { base_ms, node_ms }
-        })
+/// The launch plan for a batch of `len` on the compiled placement or its
+/// CPU-degraded variant, derived on first use into `plans` (indexed
+/// `2 * len + degraded`).
+fn launch_plan<'p>(
+    plans: &'p mut Vec<Option<LaunchPlan>>,
+    compiled: &CompiledModel,
+    len: usize,
+    degraded: bool,
+) -> &'p LaunchPlan {
+    let at = 2 * len + usize::from(degraded);
+    if plans.len() <= at {
+        plans.resize_with(at + 1, || None);
     }
+    plans[at].get_or_insert_with(|| {
+        if degraded {
+            let base_ms = compiled.degraded().estimate_batch_ms(len);
+            return LaunchPlan { base_ms, node_ms: Vec::new() };
+        }
+        let base_ms = compiled.estimate_batch_ms(len);
+        let table = compiled.cost_table();
+        let total: f64 = table.iter().map(|(_, ms)| ms).sum();
+        let mut node_ms = Vec::new();
+        if base_ms > 0.0 && total > 0.0 {
+            let scale = base_ms / total;
+            node_ms = table.iter().map(|(_, ms)| ms * scale).collect();
+        }
+        LaunchPlan { base_ms, node_ms }
+    })
 }
 
 /// The metrics the server moves per request, per batch or per device
@@ -258,7 +250,7 @@ pub struct Server {
     continuous_joins: usize,
     faults: DeviceFaultState,
     breaker: Breaker,
-    plans: LaunchPlans,
+    plans: Vec<Option<LaunchPlan>>,
     /// Idle `Retire::kept` buffers (at most one per lane in flight).
     rider_pool: Vec<Vec<Rider>>,
     device_faults: usize,
@@ -325,7 +317,7 @@ impl Server {
             queue,
             slo,
             window_ms,
-            plans: LaunchPlans::default(),
+            plans: Vec::new(),
             rider_pool: Vec::new(),
             compiled,
             cfg,
@@ -899,7 +891,7 @@ impl Server {
         // observation. Batches priced on the CPU-degraded variant say
         // nothing about the GPU cost table and are excluded.
         if !degraded {
-            let plan = self.plans.get(&self.compiled, len, false);
+            let plan = launch_plan(&mut self.plans, &self.compiled, len, false);
             let predicted = plan.base_ms;
             let observed = done - start;
             self.drift.record_graph(predicted, observed);
@@ -986,7 +978,7 @@ impl Server {
     /// What a batch of `len` costs on the compiled placement or the
     /// CPU-degraded variant, from the launch plans.
     pub(crate) fn base_ms(&mut self, len: usize, degraded: bool) -> f64 {
-        self.plans.get(&self.compiled, len, degraded).base_ms
+        launch_plan(&mut self.plans, &self.compiled, len, degraded).base_ms
     }
 
     /// Publish one breaker transition, in a fixed order the recorder dumps

@@ -11,23 +11,19 @@ use unigpu_device::DeviceSpec;
 use unigpu_telemetry::{tel_debug, tel_info, TraceContext};
 use unigpu_tuner::{DispatchError, Dispatcher, TuneJob, TuneOutcome, TuningBudget};
 
+/// How long the client waits between batch-status polls.
+const POLL: Duration = Duration::from_millis(50);
+
 /// Client half of the farm protocol; implements [`Dispatcher`].
 #[derive(Debug, Clone)]
 pub struct FarmClient {
     addr: String,
-    poll: Duration,
     trace: Option<TraceContext>,
 }
 
 impl FarmClient {
     pub fn new(addr: impl Into<String>) -> Self {
-        FarmClient { addr: addr.into(), poll: Duration::from_millis(50), trace: None }
-    }
-
-    /// Override the batch-status poll interval (tests shorten it).
-    pub fn poll_interval(mut self, poll: Duration) -> Self {
-        self.poll = poll;
-        self
+        FarmClient { addr: addr.into(), trace: None }
     }
 
     /// Attach the originating operation's trace context: every submit
@@ -76,7 +72,7 @@ impl Dispatcher for FarmClient {
             self.addr
         );
         loop {
-            std::thread::sleep(self.poll);
+            std::thread::sleep(POLL);
             write_frame(&mut stream, &Frame::Poll { batch_id })?;
             match read_frame(&mut stream)? {
                 Frame::Status { total, done, failed, outcomes, failures, .. } => {

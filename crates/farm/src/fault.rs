@@ -1,13 +1,10 @@
 //! Deterministic fault injection for farm testing.
 //!
 //! `UNIGPU_FARM_FAULTS` is a comma-separated `key=value` list applied on the
-//! *worker* side:
-//!
-//! * `drop_nth=N` — silently drop every Nth outgoing frame (the worker then
-//!   hits its read timeout and reconnects);
-//! * `delay_ms=M` — sleep M ms before every outgoing frame;
-//! * `kill_after_leases=K` — exit the worker process loop the moment its
-//!   Kth lease is granted, i.e. die mid-lease holding work.
+//! *worker* side. Its one knob, `kill_after_leases=K`, exits the worker
+//! process loop the moment its Kth lease is granted, i.e. the worker dies
+//! mid-lease holding work. Wire faults (dropped, delayed or corrupted
+//! frames) are `UNIGPU_NET_FAULTS`'s job; see [`crate::netchaos`].
 //!
 //! Everything is counter-based — no RNG — so a faulty run is exactly
 //! reproducible.
@@ -15,10 +12,6 @@
 /// Parsed fault-injection knobs. Default is no faults.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Drop every Nth outgoing frame (1-based; `None` = never).
-    pub drop_nth: Option<u64>,
-    /// Delay before every outgoing frame, milliseconds.
-    pub delay_ms: Option<u64>,
     /// Die when the Kth lease is granted, before returning its result.
     pub kill_after_leases: Option<u64>,
 }
@@ -33,8 +26,6 @@ impl FaultPlan {
             let key = kv.next().unwrap_or("");
             let value: Option<u64> = kv.next().and_then(|v| v.trim().parse().ok());
             match (key, value) {
-                ("drop_nth", Some(v)) if v > 0 => plan.drop_nth = Some(v),
-                ("delay_ms", Some(v)) => plan.delay_ms = Some(v),
                 ("kill_after_leases", Some(v)) if v > 0 => plan.kill_after_leases = Some(v),
                 _ => {}
             }
@@ -55,42 +46,17 @@ impl FaultPlan {
     }
 }
 
-/// What to do with the outgoing frame the counters landed on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendFault {
-    None,
-    /// Skip the write entirely (simulated packet loss).
-    Drop,
-    /// Sleep this many ms, then send.
-    Delay(u64),
-}
-
 /// Per-worker fault counters. `Copy` so a worker can carry its counters
 /// across reconnects (a kill budget must not reset with the session).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultState {
     plan: FaultPlan,
-    frames_sent: u64,
     leases_started: u64,
 }
 
 impl FaultState {
     pub fn new(plan: FaultPlan) -> Self {
-        FaultState { plan, frames_sent: 0, leases_started: 0 }
-    }
-
-    /// Advance the frame counter and say what to do with this send.
-    pub fn on_send(&mut self) -> SendFault {
-        self.frames_sent += 1;
-        if let Some(n) = self.plan.drop_nth {
-            if self.frames_sent.is_multiple_of(n) {
-                return SendFault::Drop;
-            }
-        }
-        match self.plan.delay_ms {
-            Some(ms) => SendFault::Delay(ms),
-            None => SendFault::None,
-        }
+        FaultState { plan, leases_started: 0 }
     }
 
     /// Advance the lease counter; `true` means the kill budget is spent and
@@ -107,34 +73,17 @@ mod tests {
 
     #[test]
     fn parse_full_spec() {
-        let p = FaultPlan::parse("drop_nth=3, delay_ms=5 ,kill_after_leases=2");
-        assert_eq!(p.drop_nth, Some(3));
-        assert_eq!(p.delay_ms, Some(5));
+        let p = FaultPlan::parse(" kill_after_leases=2 ,");
         assert_eq!(p.kill_after_leases, Some(2));
         assert!(!p.is_noop());
     }
 
     #[test]
     fn junk_is_ignored() {
-        let p = FaultPlan::parse("bogus=1,drop_nth=zero,drop_nth=0,,=,kill_after_leases");
-        assert!(p.is_noop());
-    }
-
-    #[test]
-    fn drop_nth_counts_frames() {
-        let mut s = FaultState::new(FaultPlan::parse("drop_nth=3"));
-        let faults: Vec<SendFault> = (0..6).map(|_| s.on_send()).collect();
-        assert_eq!(
-            faults,
-            vec![
-                SendFault::None,
-                SendFault::None,
-                SendFault::Drop,
-                SendFault::None,
-                SendFault::None,
-                SendFault::Drop,
-            ]
+        let p = FaultPlan::parse(
+            "bogus=1,kill_after_leases=zero,kill_after_leases=0,,=,kill_after_leases",
         );
+        assert!(p.is_noop());
     }
 
     #[test]

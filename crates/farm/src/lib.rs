@@ -17,8 +17,9 @@
 //! * [`proto`] — the frame format shared by all three.
 //! * [`framing`] — the protocol-agnostic length-prefixed JSON codec (also
 //!   used by the fleet serving protocol in `unigpu-fleet`).
-//! * [`fault`] — deterministic, counter-based fault injection
-//!   (`UNIGPU_FARM_FAULTS`) for exercising the re-queue machinery.
+//! * [`fault`] — deterministic, counter-based worker death
+//!   (`UNIGPU_FARM_FAULTS=kill_after_leases=K`) for exercising the re-queue
+//!   machinery.
 //! * [`netchaos`] — deterministic *wire-level* fault injection
 //!   (`UNIGPU_NET_FAULTS`): dropped connections, flipped bytes, truncated
 //!   and duplicated frames, applied by a [`ChaosStream`] wrapper.
@@ -38,7 +39,7 @@ pub mod worker;
 
 pub use backoff::Backoff;
 pub use client::FarmClient;
-pub use fault::{FaultPlan, FaultState, SendFault};
+pub use fault::{FaultPlan, FaultState};
 pub use framing::{crc32, FrameError, Framed, WireFrame, FRAMING_VERSION};
 pub use netchaos::{ChaosStream, NetFaultPlan, NetStats, SharedNetFaults};
 pub use proto::{read_frame, write_frame, Frame, MAX_FRAME_BYTES};

@@ -18,7 +18,7 @@
 //! by a dropped frame.
 
 use crate::backoff::Backoff;
-use crate::fault::{FaultPlan, FaultState, SendFault};
+use crate::fault::{FaultPlan, FaultState};
 use crate::framing::{Framed, FRAMING_VERSION};
 use crate::netchaos::{ChaosStream, NetFaultPlan, SharedNetFaults};
 use crate::proto::Frame;
@@ -85,17 +85,7 @@ impl Conn {
     /// for the whole exchange, so replies cannot interleave between the
     /// main loop and the heartbeat thread.
     fn rpc(&mut self, frame: &Frame) -> io::Result<Frame> {
-        match self.faults.on_send() {
-            SendFault::Drop => {
-                tel_warn!("farm::worker", "fault injection: dropping outgoing frame");
-                // No write: the read below times out and the session ends.
-            }
-            SendFault::Delay(ms) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                self.framed.send(frame).map_err(io::Error::from)?;
-            }
-            SendFault::None => self.framed.send(frame).map_err(io::Error::from)?,
-        }
+        self.framed.send(frame).map_err(io::Error::from)?;
         self.framed.recv().map_err(io::Error::from)
     }
 }

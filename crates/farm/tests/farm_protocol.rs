@@ -60,7 +60,7 @@ fn farm_loopback_matches_serial_dispatch() {
     let _w2 = spawn_worker(addr.clone(), "w2", FaultPlan::default());
 
     let jobs = test_jobs();
-    let client = FarmClient::new(addr).poll_interval(Duration::from_millis(10));
+    let client = FarmClient::new(addr);
     let farm = client.dispatch(&jobs, &spec(), &budget()).expect("farm dispatch succeeds");
     let serial = SerialDispatcher.dispatch(&jobs, &spec(), &budget()).unwrap();
 
@@ -90,9 +90,7 @@ fn lease_spans_stitch_into_the_submitters_trace() {
 
     let jobs = test_jobs();
     let root = TraceContext::from_seed(0xfeed);
-    let client = FarmClient::new(addr)
-        .poll_interval(Duration::from_millis(10))
-        .with_trace(root);
+    let client = FarmClient::new(addr).with_trace(root);
     client.dispatch(&jobs, &spec(), &budget()).expect("traced dispatch succeeds");
 
     let spans = handle.spans().spans();
@@ -181,7 +179,7 @@ fn killed_worker_lease_is_requeued_and_finished_by_a_healthy_worker() {
     let doomed = spawn_worker(
         addr.clone(),
         "doomed",
-        FaultPlan { kill_after_leases: Some(1), ..Default::default() },
+        FaultPlan { kill_after_leases: Some(1) },
     );
 
     let jobs = test_jobs();
@@ -189,9 +187,7 @@ fn killed_worker_lease_is_requeued_and_finished_by_a_healthy_worker() {
         let addr = addr.clone();
         let jobs = jobs.clone();
         std::thread::spawn(move || {
-            FarmClient::new(addr)
-                .poll_interval(Duration::from_millis(10))
-                .dispatch(&jobs, &spec(), &budget())
+            FarmClient::new(addr).dispatch(&jobs, &spec(), &budget())
         })
     };
     assert_eq!(doomed.join().unwrap().unwrap(), WorkerExit::Killed);
@@ -225,11 +221,11 @@ fn exhausted_retry_budget_fails_the_job() {
     let _doomed = spawn_worker(
         addr.clone(),
         "doomed",
-        FaultPlan { kill_after_leases: Some(1), ..Default::default() },
+        FaultPlan { kill_after_leases: Some(1) },
     );
 
     let jobs = vec![test_jobs()[0]];
-    let client = FarmClient::new(addr).poll_interval(Duration::from_millis(10));
+    let client = FarmClient::new(addr);
     let err = client.dispatch(&jobs, &spec(), &budget()).expect_err("the job must fail");
     match err {
         DispatchError::JobsFailed { failed, first_error } => {

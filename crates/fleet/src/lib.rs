@@ -39,7 +39,7 @@ pub mod router;
 
 pub use pool::{build_pool, ReplicaSpec};
 pub use proto::{FleetFrame, ReplicaHealth, ReplicaReport};
-pub use replica::{run_replica, serve_conn, LocalReplica, ReplicaConfig, ReplicaLink};
+pub use replica::{run_replica, LocalReplica, ReplicaConfig, ReplicaLink};
 pub use replication::{artifact_of, warm_remote_pool};
 pub use router::{FleetReport, RemoteReplica, RouteDecision, RoutePolicy, Router, RouterConfig};
 pub use unigpu_farm::netchaos::{NetFaultPlan, NetStats};

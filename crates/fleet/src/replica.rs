@@ -341,18 +341,10 @@ impl ReplicaSession {
     }
 }
 
-/// The replica side of the fleet protocol: a strict request/response
-/// loop over one stream. Compatibility wrapper over one session
-/// connection — returns `Ok(())` on `Finish` or any router hangup;
-/// protocol errors answer [`FleetFrame::Error`] and surface the
-/// underlying error to the caller.
-pub fn serve_conn<S: Read + Write>(stream: &mut S, cfg: &ReplicaConfig) -> io::Result<()> {
-    let mut session = ReplicaSession::default();
-    let mut framed = Framed::new(stream);
-    serve_session(&mut framed, cfg, &mut session).map(|_| ())
-}
-
-/// Serve one connection of a (possibly multi-connection) session.
+/// Serve one connection of a (possibly multi-connection) session: the
+/// replica side of the fleet protocol, a strict request/response loop.
+/// Protocol errors answer [`FleetFrame::Error`] and surface the underlying
+/// error to the caller.
 fn serve_session<S: Read + Write>(
     framed: &mut Framed<S>,
     cfg: &ReplicaConfig,
@@ -451,7 +443,7 @@ fn serve_session<S: Read + Write>(
             FleetFrame::FetchArtifact => {
                 let reply = match &sess.replica {
                     Some(r) => {
-                        let jsonl = replication::artifact_of(r.compiled()).to_jsonl();
+                        let jsonl = r.compiled().artifact().to_jsonl();
                         FleetFrame::ArtifactBlob { jsonl }
                     }
                     None => {
@@ -552,6 +544,7 @@ fn serve_session<S: Read + Write>(
 mod tests {
     use super::*;
     use crate::proto::{read_frame, write_frame};
+    use std::io::Cursor;
     use std::time::Duration;
 
     fn compiled_deeplens() -> CompiledModel {
@@ -628,33 +621,25 @@ mod tests {
         assert_eq!(report.offered + orphans.len(), 3);
     }
 
-    #[test]
-    fn serve_conn_speaks_the_protocol_end_to_end() {
-        use std::io::Cursor;
-
-        let cache_dir = std::env::temp_dir().join(format!(
-            "unigpu-fleet-serve-conn-{}",
-            std::process::id()
-        ));
+    /// A replica config whose artifacts go to a fresh temp dir.
+    fn script_cfg(tag: &str) -> ReplicaConfig {
+        let cache_dir =
+            std::env::temp_dir().join(format!("unigpu-fleet-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&cache_dir);
-        let cfg = ReplicaConfig {
+        ReplicaConfig {
             name: "r0".into(),
             platform: Platform::deeplens(),
             serve: serve_cfg(),
-            cache_dir: Some(cache_dir.clone()),
+            cache_dir: Some(cache_dir),
             die_on_submit: None,
             net_faults: NetFaultPlan::default(),
             max_resumes: 0,
-        };
-        // script the router side of the conversation into a buffer — a v1
-        // router: no framing negotiation, no session token
-        let mut inbox = Vec::new();
-        write_frame(&mut inbox, &FleetFrame::Hello { framing: None, session: None }).unwrap();
-        write_frame(&mut inbox, &FleetFrame::Load { model: "MobileNet1.0".into() }).unwrap();
-        write_frame(&mut inbox, &FleetFrame::Infer { id: 0, arrival_ms: 0.0 }).unwrap();
-        write_frame(&mut inbox, &FleetFrame::Infer { id: 1, arrival_ms: 1.0 }).unwrap();
-        write_frame(&mut inbox, &FleetFrame::Finish).unwrap();
+        }
+    }
 
+    /// Serve one session connection whose router side is the scripted
+    /// `inbox`; returns the replies.
+    fn serve_script(inbox: Vec<u8>, cfg: &ReplicaConfig) -> Cursor<Vec<u8>> {
         struct Duplex {
             rx: Cursor<Vec<u8>>,
             tx: Vec<u8>,
@@ -673,10 +658,27 @@ mod tests {
             }
         }
 
-        let mut wire = Duplex { rx: Cursor::new(inbox), tx: Vec::new() };
-        serve_conn(&mut wire, &cfg).unwrap();
+        let mut framed = Framed::new(Duplex { rx: Cursor::new(inbox), tx: Vec::new() });
+        serve_session(&mut framed, cfg, &mut ReplicaSession::default()).unwrap();
+        if let Some(dir) = &cfg.cache_dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        Cursor::new(std::mem::take(&mut framed.get_mut().tx))
+    }
 
-        let mut replies = Cursor::new(wire.tx);
+    #[test]
+    fn serve_session_speaks_the_protocol_end_to_end() {
+        let cfg = script_cfg("serve-session");
+        // script the router side of the conversation into a buffer — a v1
+        // router: no framing negotiation, no session token
+        let mut inbox = Vec::new();
+        write_frame(&mut inbox, &FleetFrame::Hello { framing: None, session: None }).unwrap();
+        write_frame(&mut inbox, &FleetFrame::Load { model: "MobileNet1.0".into() }).unwrap();
+        write_frame(&mut inbox, &FleetFrame::Infer { id: 0, arrival_ms: 0.0 }).unwrap();
+        write_frame(&mut inbox, &FleetFrame::Infer { id: 1, arrival_ms: 1.0 }).unwrap();
+        write_frame(&mut inbox, &FleetFrame::Finish).unwrap();
+
+        let mut replies = serve_script(inbox, &cfg);
         match read_frame(&mut replies).unwrap() {
             FleetFrame::HelloAck { name, device, framing, resumed } => {
                 assert_eq!(name, "r0");
@@ -703,27 +705,11 @@ mod tests {
             }
             other => panic!("expected Report, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&cache_dir);
     }
 
     #[test]
     fn duplicate_infer_ids_are_answered_from_the_dedup_window() {
-        use std::io::Cursor;
-
-        let cache_dir = std::env::temp_dir().join(format!(
-            "unigpu-fleet-dedup-window-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        let cfg = ReplicaConfig {
-            name: "r0".into(),
-            platform: Platform::deeplens(),
-            serve: serve_cfg(),
-            cache_dir: Some(cache_dir.clone()),
-            die_on_submit: None,
-            net_faults: NetFaultPlan::default(),
-            max_resumes: 0,
-        };
+        let cfg = script_cfg("dedup-window");
         // id 0 is offered three times (a router replay after lost acks);
         // the replica must submit it once and answer the rest from cache
         let mut inbox = Vec::new();
@@ -735,28 +721,7 @@ mod tests {
         write_frame(&mut inbox, &FleetFrame::Infer { id: 1, arrival_ms: 1.0 }).unwrap();
         write_frame(&mut inbox, &FleetFrame::Finish).unwrap();
 
-        struct Duplex {
-            rx: Cursor<Vec<u8>>,
-            tx: Vec<u8>,
-        }
-        impl Read for Duplex {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                self.rx.read(buf)
-            }
-        }
-        impl Write for Duplex {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.tx.write(buf)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let mut wire = Duplex { rx: Cursor::new(inbox), tx: Vec::new() };
-        serve_conn(&mut wire, &cfg).unwrap();
-
-        let mut replies = Cursor::new(wire.tx);
+        let mut replies = serve_script(inbox, &cfg);
         let _hello = read_frame(&mut replies).unwrap();
         let _load = read_frame(&mut replies).unwrap();
         for _ in 0..4 {
@@ -774,6 +739,5 @@ mod tests {
             }
             other => panic!("expected Report, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&cache_dir);
     }
 }

@@ -3,8 +3,8 @@
 //! Compiling (let alone tuning) a model once per replica wastes exactly
 //! the work the artifact cache exists to save: schedules depend on the
 //! *device*, not the replica, so every replica simulating the same GPU can
-//! serve from one compile. This module rebuilds the on-wire [`Artifact`]
-//! from a [`CompiledModel`] and seeds peer caches with it — over a
+//! serve from one compile. This module takes the [`Artifact`] a
+//! [`CompiledModel`] was built from and seeds peer caches with it — over a
 //! directory for in-process pools, or as a JSONL frame payload for remote
 //! replicas (see [`FleetFrame::PushArtifact`]) — so a cold peer's
 //! `Engine::compile` becomes a disk hit (`from_cache() == true`).
@@ -15,29 +15,14 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use unigpu_engine::{Artifact, ArtifactCache, ArtifactMeta, CompiledModel};
+use unigpu_engine::{Artifact, ArtifactCache, CompiledModel};
 
 use crate::replica::ReplicaLink;
 
-/// Reconstruct the artifact `Engine::compile` persisted for `compiled` —
-/// same key, same cost table, same schedule records — without touching
-/// the engine's cache. This is what replication ships to peers.
+/// The artifact `Engine::compile` persisted for `compiled`, without
+/// touching the engine's cache. This is what replication ships to peers.
 pub fn artifact_of(compiled: &CompiledModel) -> Artifact {
-    let key = compiled.key();
-    Artifact {
-        meta: ArtifactMeta {
-            kind: unigpu_engine::ARTIFACT_KIND.into(),
-            version: unigpu_engine::ARTIFACT_VERSION,
-            model: key.model.clone(),
-            fingerprint: key.fingerprint,
-            device: key.device.clone(),
-            tuning: key.tuning.clone(),
-            nodes: compiled.placement().graph.nodes.len(),
-            total_ms: compiled.estimate().total_ms,
-            cost_table: compiled.cost_table().to_vec(),
-        },
-        records: compiled.schedule_records(),
-    }
+    compiled.artifact().clone()
 }
 
 /// Seed a replica's artifact-cache directory with `artifact`, so the
@@ -148,6 +133,34 @@ mod tests {
         let back = Artifact::from_jsonl(&artifact.to_jsonl()).unwrap();
         assert_eq!(back.key(), artifact.key());
         assert_eq!(back.records.len(), artifact.records.len());
+    }
+
+    #[test]
+    fn artifact_of_is_what_the_engine_persisted() {
+        let g = tiny_graph();
+        let dir = temp_dir("persisted");
+        let persisted = |c: &CompiledModel| {
+            std::fs::read_to_string(dir.join(format!("{}.jsonl", c.key().slug())))
+                .expect("the compile persisted its artifact")
+        };
+        let engine = |trials: Option<usize>| {
+            let b = Engine::builder().platform(Platform::deeplens()).cache_dir(&dir);
+            match trials {
+                Some(n) => b.tuned(n),
+                None => b,
+            }
+            .build()
+        };
+        let fallback = engine(None).compile(&g);
+        let tuned = engine(Some(4)).compile(&g);
+        assert!(!fallback.is_tuned() && tuned.is_tuned());
+        // a fresh engine over the same directory: a disk hit
+        let hit = engine(Some(4)).compile(&g);
+        assert!(hit.from_cache());
+        for c in [&fallback, &tuned, &hit] {
+            assert_eq!(artifact_of(c).to_jsonl(), persisted(c), "{:?}", c.key().tuning);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,36 +1,9 @@
-//! Graph analysis utilities: dead-node elimination, operator statistics, and
-//! Graphviz export for debugging model definitions.
+//! Graph analysis utilities: operator statistics and Graphviz export for
+//! debugging model definitions.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use crate::node::OpKind;
 use std::collections::HashMap;
-
-/// Remove nodes that no output transitively depends on (e.g. constants left
-/// behind by BN folding, branches dropped during surgery).
-pub fn eliminate_dead_nodes(g: &Graph) -> Graph {
-    let mut live = vec![false; g.nodes.len()];
-    let mut stack: Vec<NodeId> = g.outputs.clone();
-    while let Some(id) = stack.pop() {
-        if live[id] {
-            continue;
-        }
-        live[id] = true;
-        stack.extend(&g.nodes[id].inputs);
-    }
-    let mut out = Graph::new(g.name.clone());
-    let mut map: Vec<Option<NodeId>> = vec![None; g.nodes.len()];
-    for (id, n) in g.nodes.iter().enumerate() {
-        if !live[id] {
-            continue;
-        }
-        let inputs: Vec<NodeId> = n.inputs.iter().map(|&i| map[i].expect("live input")).collect();
-        map[id] = Some(out.add(n.op.clone(), inputs, n.name.clone()));
-    }
-    for &o in &g.outputs {
-        out.mark_output(map[o].expect("output live"));
-    }
-    out
-}
 
 /// Per-operator-kind counts — the "model coverage" summaries in reports.
 pub fn op_histogram(g: &Graph) -> HashMap<&'static str, usize> {
@@ -109,27 +82,6 @@ mod tests {
         g.add(OpKind::constant(Tensor::zeros([128])), vec![], "orphan");
         g.mark_output(live);
         g
-    }
-
-    #[test]
-    fn dead_nodes_are_removed() {
-        let g = graph_with_dead_branch();
-        let clean = eliminate_dead_nodes(&g);
-        assert_eq!(clean.nodes.len(), g.nodes.len() - 2);
-        assert!(clean.nodes.iter().all(|n| n.name != "dead_act" && n.name != "orphan"));
-        // the live path survives with outputs remapped
-        assert_eq!(clean.outputs.len(), 1);
-        assert_eq!(clean.nodes[clean.outputs[0]].name, "live");
-    }
-
-    #[test]
-    fn elimination_preserves_execution() {
-        use crate::exec::Executor;
-        use unigpu_tensor::init::random_uniform;
-        let g = graph_with_dead_branch();
-        let clean = eliminate_dead_nodes(&g);
-        let x = [random_uniform([1, 3, 6, 6], 81)];
-        assert_eq!(Executor.run(&g, &x), Executor.run(&clean, &x));
     }
 
     #[test]

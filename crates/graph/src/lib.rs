@@ -23,7 +23,7 @@ pub mod latency;
 pub mod node;
 pub mod passes;
 
-pub use analysis::{eliminate_dead_nodes, op_histogram, parameter_count, to_dot};
+pub use analysis::{op_histogram, parameter_count, to_dot};
 pub use exec::Executor;
 pub use graph::{Graph, NodeId};
 pub use latency::{

@@ -5,7 +5,7 @@
 //! failure names the case that replays it.
 
 use unigpu_graph::passes::{fold_batch_norms, fuse_ops, optimize, place, PlacementPolicy};
-use unigpu_graph::{eliminate_dead_nodes, Activation, Executor, Graph, OpKind};
+use unigpu_graph::{Activation, Executor, Graph, OpKind};
 use unigpu_ops::ConvWorkload;
 use unigpu_telemetry::hash::SplitMix64;
 use unigpu_tensor::init::random_uniform;
@@ -134,17 +134,6 @@ fn fold_then_fuse_equals_fuse_of_fold() {
         let x = [random_uniform([1, 3, 16, 16], 79)];
         let base = Executor.run(&g, &x);
         assert!(allclose(&Executor.run(&a, &x)[0], &base[0], 1e-3, 1e-4), "case {case}");
-    });
-}
-
-#[test]
-fn dead_node_elimination_is_safe_after_passes() {
-    for_each_chain(5, |case, g| {
-        let g = optimize(&g);
-        let clean = eliminate_dead_nodes(&g);
-        assert!(clean.nodes.len() <= g.nodes.len(), "case {case}");
-        let x = [random_uniform([1, 3, 16, 16], 80)];
-        assert_eq!(Executor.run(&g, &x), Executor.run(&clean, &x), "case {case}");
     });
 }
 

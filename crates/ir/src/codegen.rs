@@ -376,7 +376,7 @@ mod tests {
         let s = Stmt::store(
             "o",
             Expr::Int(0),
-            Expr::call("sigmoid", vec![Expr::load("x", Expr::Int(0))]),
+            Expr::Call { name: "sigmoid".into(), args: vec![Expr::load("x", Expr::Int(0))] },
         );
         let src = generate("k", &s, Target::OpenCl);
         assert!(src.contains("1.0f / (1.0f + exp("), "{src}");

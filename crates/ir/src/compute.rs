@@ -47,25 +47,7 @@ pub struct Compute {
 }
 
 impl Compute {
-    /// Elementwise/spatial-only compute (no reduction).
-    pub fn spatial(
-        name: impl Into<String>,
-        axes: Vec<Axis>,
-        expr: Expr,
-        out_index: Expr,
-    ) -> Self {
-        Compute {
-            name: name.into(),
-            axes,
-            reduce_axes: vec![],
-            init: Expr::Float(0.0),
-            combine: BinOp::Add,
-            expr,
-            out_index,
-        }
-    }
-
-    /// Sum-reduction compute.
+    /// Sum-reduction compute; with no reduce axes, an elementwise one.
     pub fn reduce_sum(
         name: impl Into<String>,
         axes: Vec<Axis>,
@@ -102,14 +84,6 @@ impl Compute {
         } else {
             2.0 * self.out_numel() as f64 * self.reduce_numel() as f64
         }
-    }
-
-    /// Find an axis (spatial or reduce) by name.
-    pub fn find_axis(&self, name: &str) -> Option<&Axis> {
-        self.axes
-            .iter()
-            .chain(self.reduce_axes.iter())
-            .find(|a| a.name == name)
     }
 }
 
@@ -159,26 +133,14 @@ mod tests {
 
     #[test]
     fn spatial_flops() {
-        let c = Compute::spatial(
+        let c = Compute::reduce_sum(
             "out",
             vec![Axis::new("i", 10)],
+            vec![],
             Expr::Float(0.0),
             Expr::var("i"),
         );
         assert_eq!(c.flops(), 10.0);
         assert_eq!(c.reduce_numel(), 1);
-    }
-
-    #[test]
-    fn find_axis_searches_both_kinds() {
-        let c = Compute::reduce_sum(
-            "o",
-            vec![Axis::new("i", 2)],
-            vec![Axis::new("k", 3)],
-            Expr::Float(0.0),
-            Expr::var("i"),
-        );
-        assert_eq!(c.find_axis("k").unwrap().extent, 3);
-        assert!(c.find_axis("zz").is_none());
     }
 }

@@ -95,10 +95,6 @@ impl Expr {
         Expr::Select { cond: Box::new(cond), t: Box::new(t), f: Box::new(f) }
     }
 
-    pub fn call(name: impl Into<String>, args: Vec<Expr>) -> Expr {
-        Expr::Call { name: name.into(), args }
-    }
-
     /// Substitute every occurrence of variable `name` with `with`.
     ///
     /// This is how schedule transforms rewrite indices: splitting axis `i`

@@ -9,8 +9,8 @@
 //!
 //! 1. [`compute::Compute`] declares *what* to compute: output axes, reduction
 //!    axes, and a scalar [`expr::Expr`] per output point.
-//! 2. [`schedule::Schedule`] declares *how*: `split`, `reorder`, `fuse`,
-//!    `unroll`, `vectorize`, and `bind` to GPU block/thread indices — exactly
+//! 2. [`schedule::Schedule`] declares *how*: `split`, `reorder`, `unroll`,
+//!    `vectorize`, and `bind` to GPU block/thread indices — exactly
 //!    the knobs the paper's convolution template exposes to AutoTVM (§3.2.2).
 //! 3. [`lower::lower`] produces an imperative loop nest ([`stmt::Stmt`]).
 //! 4. From the loop nest: [`eval`] interprets it (functional ground truth for

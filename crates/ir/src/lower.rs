@@ -8,7 +8,7 @@
 
 use crate::compute::{row_major_index, Compute};
 use crate::expr::{BinOp, Expr};
-use crate::schedule::{LoopTag, Schedule};
+use crate::schedule::Schedule;
 use crate::stmt::{LoopKind, MemScope, Stmt};
 
 /// Apply all schedule substitutions (oldest first) to an expression.
@@ -151,33 +151,6 @@ pub fn lower(compute: &Compute, schedule: &Schedule) -> Stmt {
     nest(&outer, kernel_body)
 }
 
-/// Summarized launch geometry of a lowered schedule (for the cost model and
-/// kernel dispatch): grid size, work-group size, vector length, unroll length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaunchGeometry {
-    pub grid: usize,
-    pub workgroup: usize,
-    pub vector_len: usize,
-    pub unroll_len: usize,
-}
-
-/// Extract launch geometry from a schedule.
-pub fn launch_geometry(s: &Schedule) -> LaunchGeometry {
-    LaunchGeometry {
-        grid: s.grid_size().max(1),
-        workgroup: s.workgroup_size().max(1),
-        vector_len: s.vector_len(),
-        unroll_len: s.unroll_len(),
-    }
-}
-
-/// True if any loop is bound to the GPU grid.
-pub fn is_gpu_schedule(s: &Schedule) -> bool {
-    s.loops()
-        .iter()
-        .any(|l| matches!(l.tag, LoopTag::BlockIdx(_) | LoopTag::ThreadIdx(_)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,9 +184,10 @@ mod tests {
 
     #[test]
     fn spatial_only_lowering_has_no_alloc() {
-        let c = Compute::spatial(
+        let c = Compute::reduce_sum(
             "out",
             vec![Axis::new("i", 8)],
+            vec![],
             Expr::load("x", Expr::var("i")) + Expr::Float(1.0),
             Expr::var("i"),
         );
@@ -242,18 +216,5 @@ mod tests {
         });
         // guard in update AND writeback paths
         assert!(ifs >= 2, "expected guards in update and writeback, got {ifs}");
-    }
-
-    #[test]
-    fn geometry_reflects_bindings() {
-        let c = matmul(16, 16, 8);
-        let mut s = Schedule::default_for(&c);
-        s.split_bind("i", 4, 0).unwrap();
-        s.split_bind("j", 8, 1).unwrap();
-        let g = launch_geometry(&s);
-        assert_eq!(g.grid, 4 * 2);
-        assert_eq!(g.workgroup, 32);
-        assert!(is_gpu_schedule(&s));
-        assert!(!is_gpu_schedule(&Schedule::default_for(&c)));
     }
 }

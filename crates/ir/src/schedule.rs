@@ -1,7 +1,7 @@
 //! Schedule primitives (the "how").
 //!
 //! A [`Schedule`] is an ordered list of loops derived from a compute's axes
-//! by `split` / `fuse` / `reorder`, with per-loop execution tags applied by
+//! by `split` / `reorder`, with per-loop execution tags applied by
 //! `unroll` / `vectorize` / `bind`. These are precisely the knobs the paper's
 //! convolution template exposes to AutoTVM (§3.2.2): output-channel blocking,
 //! feature-map height splitting, unrolling, vectorizing, and work-group
@@ -53,7 +53,6 @@ pub enum ScheduleError {
     /// performs via rfactor-free serial reduction per thread.
     BindReduceLoop(String),
     DuplicateName(String),
-    FuseNotAdjacent(String, String),
 }
 
 impl std::fmt::Display for ScheduleError {
@@ -64,9 +63,6 @@ impl std::fmt::Display for ScheduleError {
                 write!(f, "cannot bind reduction loop `{n}` to the GPU grid")
             }
             ScheduleError::DuplicateName(n) => write!(f, "loop name `{n}` already exists"),
-            ScheduleError::FuseNotAdjacent(a, b) => {
-                write!(f, "loops `{a}` and `{b}` are not adjacent; reorder first")
-            }
         }
     }
 }
@@ -77,7 +73,7 @@ impl std::error::Error for ScheduleError {}
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Schedule {
     loops: Vec<LoopDef>,
-    /// Variable substitutions accumulated by split/fuse, applied to the
+    /// Variable substitutions accumulated by split, applied to the
     /// compute body at lowering time, in application order.
     substs: Vec<(String, Expr)>,
     /// Guard predicates for imperfect splits (`i_o*f + i_i < extent`).
@@ -165,33 +161,6 @@ impl Schedule {
         }
         self.substs.push((name.to_string(), recon));
         Ok((outer_name, inner_name))
-    }
-
-    /// Fuse two *adjacent* loops `a` (outer) and `b` (inner) into `{a}.{b}f`.
-    /// Returns the fused loop name.
-    pub fn fuse(&mut self, a: &str, b: &str) -> Result<String, ScheduleError> {
-        let pa = self.position(a)?;
-        let pb = self.position(b)?;
-        if pb != pa + 1 {
-            return Err(ScheduleError::FuseNotAdjacent(a.to_string(), b.to_string()));
-        }
-        let la = self.loops[pa].clone();
-        let lb = self.loops[pb].clone();
-        let fused_name = format!("{a}.{b}f");
-        let fused = LoopDef {
-            var: fused_name.clone(),
-            extent: la.extent * lb.extent,
-            tag: LoopTag::Serial,
-            is_reduce: la.is_reduce || lb.is_reduce,
-        };
-        self.loops.splice(pa..=pb, [fused]);
-        let f = Expr::var(fused_name.clone());
-        let eb = Expr::Int(lb.extent as i64);
-        self.substs
-            .push((a.to_string(), Expr::bin(crate::expr::BinOp::Div, f.clone(), eb.clone())));
-        self.substs
-            .push((b.to_string(), Expr::bin(crate::expr::BinOp::Mod, f, eb)));
-        Ok(fused_name)
     }
 
     /// Reorder the listed loops into the given relative order; loops not
@@ -351,16 +320,6 @@ mod tests {
         s.reorder(&["k", "i"]).unwrap(); // swap i and k, j untouched
         let names: Vec<_> = s.loops().iter().map(|l| l.var.as_str()).collect();
         assert_eq!(names, ["k", "j", "i"]);
-    }
-
-    #[test]
-    fn fuse_requires_adjacency() {
-        let mut s = Schedule::default_for(&simple_compute());
-        assert!(matches!(s.fuse("i", "k"), Err(ScheduleError::FuseNotAdjacent(_, _))));
-        let f = s.fuse("i", "j").unwrap();
-        assert_eq!(f, "i.jf");
-        assert_eq!(s.loops()[0].extent, 16 * 12);
-        assert_eq!(s.substs().len(), 2);
     }
 
     #[test]

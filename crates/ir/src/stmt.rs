@@ -19,13 +19,6 @@ pub enum LoopKind {
     ThreadIdx(usize),
 }
 
-impl LoopKind {
-    /// True for loops that become GPU index bindings (no host loop emitted).
-    pub fn is_gpu_bound(self) -> bool {
-        matches!(self, LoopKind::BlockIdx(_) | LoopKind::ThreadIdx(_))
-    }
-}
-
 /// Memory scope of an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MemScope {
@@ -110,14 +103,6 @@ impl Stmt {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gpu_bound_loops() {
-        assert!(LoopKind::BlockIdx(0).is_gpu_bound());
-        assert!(LoopKind::ThreadIdx(2).is_gpu_bound());
-        assert!(!LoopKind::Serial.is_gpu_bound());
-        assert!(!LoopKind::Vectorized.is_gpu_bound());
-    }
 
     #[test]
     fn visit_reaches_all_nodes() {

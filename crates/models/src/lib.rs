@@ -17,7 +17,6 @@ pub mod mobilenet;
 pub mod resnet;
 pub mod squeezenet;
 pub mod ssd;
-pub mod variants;
 pub mod yolo;
 pub mod zoo;
 
@@ -25,7 +24,6 @@ pub use builder::ModelBuilder;
 pub use mobilenet::mobilenet;
 pub use resnet::resnet50;
 pub use squeezenet::squeezenet;
-pub use variants::{mobilenet_alpha, resnet18, resnet34, squeezenet_v11};
 pub use ssd::{ssd_mobilenet, ssd_resnet50};
 pub use yolo::yolov3;
 pub use zoo::{classification_zoo, detection_zoo, full_zoo, ModelEntry};

@@ -2,8 +2,6 @@
 //! schedule-config → cost-model bridge.
 
 pub mod config;
-pub mod im2col;
-pub mod winograd;
 pub mod profile;
 pub mod reference;
 pub mod spatial_pack;
@@ -11,7 +9,5 @@ pub mod te;
 
 pub use config::{ConfigSpace, ConvConfig, FallbackClass};
 pub use profile::conv_profile;
-pub use reference::{conv2d_ref, depthwise_conv2d_ref};
-pub use im2col::conv2d_im2col;
+pub use reference::conv2d_ref;
 pub use spatial_pack::conv2d_spatial_pack;
-pub use winograd::conv2d_winograd;

@@ -352,7 +352,8 @@ mod tests {
         let dw = ConvWorkload::depthwise(1, 256, 28, 3, 1, 1);
         let cfg = ConvConfig::fallback_for(&dw, &DeviceSpec::maxwell_nano());
         let p = conv_profile(&dw, &cfg, &DeviceSpec::maxwell_nano());
-        assert!(p.arithmetic_intensity() < 5.0, "AI = {}", p.arithmetic_intensity());
+        let intensity = p.total_flops() / p.total_bytes();
+        assert!(intensity < 5.0, "AI = {intensity}");
     }
 
     #[test]

@@ -138,13 +138,6 @@ pub fn conv2d_ref(data: &Tensor, weight: &Tensor, w: &ConvWorkload) -> Tensor {
     out
 }
 
-/// Depthwise convolution (`groups == channels`), a thin wrapper that asserts
-/// the workload really is depthwise.
-pub fn depthwise_conv2d_ref(data: &Tensor, weight: &Tensor, w: &ConvWorkload) -> Tensor {
-    assert!(w.is_depthwise(), "workload {w} is not depthwise");
-    conv2d_ref(data, weight, w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,16 +314,7 @@ mod tests {
         let w = ConvWorkload::depthwise(1, 3, 6, 3, 1, 1);
         let data = random_uniform(w.input_shape(), 7);
         let wt = random_uniform(w.weight_shape(), 8);
-        let out = depthwise_conv2d_ref(&data, &wt, &w);
+        let out = conv2d_ref(&data, &wt, &w);
         assert_eq!(out, conv_scalar(&data, &wt, &w));
-    }
-
-    #[test]
-    #[should_panic(expected = "not depthwise")]
-    fn depthwise_wrapper_rejects_dense() {
-        let w = ConvWorkload::square(1, 4, 4, 4, 3, 1, 1);
-        let data = random_uniform(w.input_shape(), 1);
-        let wt = random_uniform(w.weight_shape(), 2);
-        depthwise_conv2d_ref(&data, &wt, &w);
     }
 }

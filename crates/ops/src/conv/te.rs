@@ -94,12 +94,13 @@ mod tests {
     fn run_ir(w: &ConvWorkload, s: &Schedule, data: &Tensor, weight: &Tensor) -> Vec<f32> {
         let c = conv2d_compute(w);
         let stmt = lower(&c, s);
+        let f64s = |t: &Tensor| t.as_f32().iter().map(|&x| x as f64).collect();
         let mut m = Machine::new()
-            .with_buffer_f32("data", data.as_f32())
-            .with_buffer_f32("weight", weight.as_f32())
+            .with_buffer("data", f64s(data))
+            .with_buffer("weight", f64s(weight))
             .with_buffer("out", vec![0.0; w.out_numel()]);
         m.run(&stmt);
-        m.buffer_f32("out")
+        m.buffer("out").iter().map(|&x| x as f32).collect()
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   [`unigpu_device::KernelProfile`]. The Intel Graphics heuristics of
 //!   §3.2.1 (subgroup weight broadcast, GRF-resident register tiles) live
 //!   here.
-//! * [`nn`] — the remaining dense network operators: GEMM/dense, pooling,
+//! * [`nn`] — the remaining dense network operators: dense, pooling,
 //!   batch norm (+ inference folding), activations, softmax, elementwise,
 //!   concat, upsampling.
 //! * [`vision`] — the vision-specific operators of §3.1 that block object
@@ -25,7 +25,6 @@
 
 pub mod conv;
 pub mod nn;
-pub mod quant;
 pub mod vision;
 pub mod workload;
 

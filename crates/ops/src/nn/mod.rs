@@ -6,14 +6,12 @@
 //! [`profiles`].
 
 pub mod eltwise;
-pub mod gemm;
 pub mod linear;
 pub mod norm;
 pub mod pool;
 pub mod profiles;
 
 pub use eltwise::{add, concat_channels, flatten, leaky_relu, relu, sigmoid, upsample_nearest};
-pub use gemm::{gemm_ref, gemm_tiled, GemmConfig};
 pub use linear::{bias_add, dense};
 pub use norm::{batch_norm, fold_batch_norm, softmax};
 pub use pool::{avg_pool2d, global_avg_pool, max_pool2d};

@@ -2,18 +2,15 @@
 //! keep object-detection models off integrated GPUs, each in an *optimized*
 //! unified-GPU realization and (where Table 4 ablates it) a *naive* one.
 
-pub mod ir_kernels;
 pub mod multibox;
 pub mod nms;
 pub mod roi_align;
 pub mod scan;
 pub mod sort;
-pub mod valid_counts;
 pub mod yolo;
 
 pub use multibox::{multibox_detection, multibox_prior, MultiboxConfig};
 pub use nms::{box_nms, iou, NmsConfig};
 pub use roi_align::roi_align;
-pub use scan::{exclusive_scan, prefix_sum};
+pub use scan::prefix_sum;
 pub use sort::segmented_argsort;
-pub use valid_counts::{get_valid_counts, topk};

@@ -1,7 +1,6 @@
 //! `ROIAlign` — bilinear region-of-interest pooling (§2.2/§3.1.1 lists it
 //! among the vision-specific operators vendor libraries run suboptimally).
 
-use unigpu_device::KernelProfile;
 use unigpu_tensor::Tensor;
 
 /// One bilinear sample of an `h × w` plane: the offsets of its four taps
@@ -125,20 +124,6 @@ pub fn roi_align(
         }
     }
     out
-}
-
-/// Cost-model profile: one work-item per output bin, four bilinear taps per
-/// sample — gather-heavy (poorly coalesced) but balanced.
-pub fn roi_align_profile(rois: usize, channels: usize, pooled: usize, sampling: usize) -> KernelProfile {
-    let items = (rois * channels * pooled * pooled).max(1);
-    let samples = (sampling * sampling) as f64;
-    KernelProfile::new("roi_align", items)
-        .workgroup(64)
-        .flops(samples * 10.0)
-        .reads(samples * 16.0)
-        .writes(4.0)
-        .coalesce(0.35) // scattered bilinear gathers
-        .divergence(0.9)
 }
 
 #[cfg(test)]

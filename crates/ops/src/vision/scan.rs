@@ -59,18 +59,6 @@ pub fn prefix_sum(data: &[f32], processors: usize) -> Vec<f32> {
     out
 }
 
-/// Exclusive scan (`out[0] = 0`, `out[i] = Σ data[..i]`).
-pub fn exclusive_scan(data: &[f32], processors: usize) -> Vec<f32> {
-    if data.is_empty() {
-        return Vec::new();
-    }
-    let inc = prefix_sum(data, processors);
-    let mut out = Vec::with_capacity(data.len());
-    out.push(0.0);
-    out.extend_from_slice(&inc[..inc.len().saturating_sub(1)]);
-    out
-}
-
 /// Classic Hillis–Steele inclusive scan (the paper's baseline, also used on
 /// the short partial-sums array of stage 2). Pass `d` adds element
 /// `i − 2^d` to element `i`; all passes are barrier-separated.
@@ -174,16 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_scan_shifts() {
-        let data = [1.0, 2.0, 3.0];
-        assert_eq!(exclusive_scan(&data, 2), vec![0.0, 1.0, 3.0]);
-    }
-
-    #[test]
     fn empty_and_singleton() {
         assert!(prefix_sum(&[], 4).is_empty());
         assert_eq!(prefix_sum(&[7.0], 4), vec![7.0]);
-        assert_eq!(exclusive_scan(&[], 4), Vec::<f32>::new());
     }
 
     #[test]

@@ -170,11 +170,6 @@ impl AlertEngine {
         &self.rules
     }
 
-    /// Rules currently firing.
-    pub fn active(&self) -> usize {
-        self.states.iter().filter(|s| s.firing).count()
-    }
-
     /// Fire edges across all rules since construction.
     pub fn fired_total(&self) -> u64 {
         self.states.iter().map(|s| s.fired).sum()
@@ -324,7 +319,6 @@ mod tests {
         // still hot: no new edge, no double-count
         assert!(e.evaluate(&m, 2.0).is_empty());
         assert_eq!(e.fired_total(), 1);
-        assert_eq!(e.active(), 1);
         assert_eq!(m.counter("engine.alert.fired"), 1);
         assert_eq!(m.counter("engine.alert.fired.hot"), 1);
         assert_eq!(m.gauge("engine.alert.active.hot"), Some(1.0));
@@ -334,7 +328,6 @@ mod tests {
         assert_eq!(edges.len(), 1);
         assert!(!edges[0].firing);
         assert_eq!(e.resolved_total(), 1);
-        assert_eq!(e.active(), 0);
         assert_eq!(m.counter("engine.alert.resolved"), 1);
         assert_eq!(m.gauge("engine.alert.active.hot"), Some(0.0));
         assert_eq!(e.fired_rules(), vec!["hot"]);

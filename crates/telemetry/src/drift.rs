@@ -5,9 +5,8 @@
 //! prediction against what the (simulated) device actually delivers at
 //! serve time. [`DriftMonitor`] accumulates the relative error between
 //! predicted and observed latency — per node and per graph — as mergeable
-//! Welford statistics plus a log₂-bucket histogram of error magnitudes
-//! (the same bucket layout as [`crate::metrics::Histogram`], so per-worker
-//! monitors merge exactly like metric snapshots do).
+//! Welford statistics, so per-worker monitors merge exactly like metric
+//! snapshots do.
 //!
 //! When the mean |relative error| crosses a configured threshold with
 //! enough samples behind it, the model is *miscalibrated*: the serving
@@ -18,7 +17,7 @@
 //! have gone stale.
 
 use crate::json;
-use crate::metrics::{Histogram, MetricsRegistry, Table};
+use crate::metrics::{MetricsRegistry, Table};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -34,29 +33,13 @@ pub fn rel_err(predicted_ms: f64, observed_ms: f64) -> f64 {
     (observed_ms - predicted_ms) / predicted_ms
 }
 
-/// Mergeable Welford accumulator over relative-error samples, with a
-/// log₂-bucket histogram of |error| magnitudes riding along.
-#[derive(Debug, Clone)]
+/// Mergeable Welford accumulator over relative-error samples.
+#[derive(Debug, Clone, Default)]
 pub struct DriftStat {
     count: u64,
     mean: f64,
-    m2: f64,
     sum_abs: f64,
     max_abs: f64,
-    hist: Histogram,
-}
-
-impl Default for DriftStat {
-    fn default() -> Self {
-        DriftStat {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            sum_abs: 0.0,
-            max_abs: 0.0,
-            hist: Histogram::default(),
-        }
-    }
 }
 
 impl DriftStat {
@@ -68,10 +51,8 @@ impl DriftStat {
         self.count += 1;
         let delta = rel_err - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (rel_err - self.mean);
         self.sum_abs += rel_err.abs();
         self.max_abs = self.max_abs.max(rel_err.abs());
-        self.hist.observe(rel_err.abs());
     }
 
     pub fn count(&self) -> u64 {
@@ -87,15 +68,6 @@ impl DriftStat {
         }
     }
 
-    /// Population variance of the signed relative error.
-    pub fn variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Mean |relative error| — the miscalibration criterion.
     pub fn mean_abs(&self) -> f64 {
         if self.count == 0 {
@@ -107,11 +79,6 @@ impl DriftStat {
 
     pub fn max_abs(&self) -> f64 {
         self.max_abs
-    }
-
-    /// The log₂-bucket histogram of |relative error| magnitudes.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
     }
 
     /// Fold another accumulator into this one (Chan et al. parallel
@@ -131,11 +98,9 @@ impl DriftStat {
         let delta = other.mean - self.mean;
         let total = n1 + n2;
         self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.count += other.count;
         self.sum_abs += other.sum_abs;
         self.max_abs = self.max_abs.max(other.max_abs);
-        self.hist.merge(&other.hist);
     }
 }
 
@@ -383,12 +348,9 @@ mod tests {
         }
         let n = samples.len() as f64;
         let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
         assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.variance() - var).abs() < 1e-12);
         assert!((s.mean_abs() - samples.iter().map(|v| v.abs()).sum::<f64>() / n).abs() < 1e-12);
         assert_eq!(s.max_abs(), 0.4);
-        assert_eq!(s.histogram().count, samples.len() as u64);
     }
 
     #[test]
@@ -409,10 +371,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), both.count());
         assert!((a.mean() - both.mean()).abs() < 1e-12);
-        assert!((a.variance() - both.variance()).abs() < 1e-12);
         assert!((a.mean_abs() - both.mean_abs()).abs() < 1e-12);
         assert_eq!(a.max_abs(), both.max_abs());
-        assert_eq!(a.histogram().buckets, both.histogram().buckets);
 
         // merging into an empty accumulator is a copy
         let mut empty = DriftStat::default();

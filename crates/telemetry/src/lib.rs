@@ -8,7 +8,7 @@
 //! * [`span`] — scoped **spans** with key/value attributes and a thread-safe
 //!   [`span::SpanRecorder`]. Spans carry explicit microsecond timestamps so
 //!   both wall-clock execution (the functional [`Executor`]) and the
-//!   simulated clock (the latency estimator, the device [`Timeline`]) can
+//!   simulated clock (the latency estimator, the device [`MultiTimeline`]) can
 //!   feed the same recorder.
 //! * [`metrics`] — a **metrics registry**: monotonic counters, gauges, and
 //!   histograms with fixed log-scale buckets (log₂, covering nanoseconds to
@@ -47,7 +47,7 @@
 //! below `unigpu-device` in the workspace graph.
 //!
 //! [`Executor`]: https://docs.rs/unigpu-graph
-//! [`Timeline`]: https://docs.rs/unigpu-device
+//! [`MultiTimeline`]: https://docs.rs/unigpu-device
 
 pub mod alert;
 pub mod chrome;

@@ -15,7 +15,7 @@
 use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Severity, ordered from most to least severe.
@@ -171,17 +171,17 @@ impl Filter {
     }
 }
 
-/// A leveled logger: filter + sink list.
+/// A leveled logger: filter + sink list, both fixed at construction.
 pub struct Logger {
     epoch: Instant,
-    filter: RwLock<Filter>,
-    sinks: RwLock<Vec<Arc<dyn LogSink>>>,
+    filter: Filter,
+    sinks: Vec<Arc<dyn LogSink>>,
 }
 
 impl std::fmt::Debug for Logger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Logger")
-            .field("filter", &*self.filter.read().expect("logger poisoned"))
+            .field("filter", &self.filter)
             .finish_non_exhaustive()
     }
 }
@@ -191,8 +191,8 @@ impl Logger {
     pub fn with_spec(spec: &str) -> Logger {
         Logger {
             epoch: Instant::now(),
-            filter: RwLock::new(Filter::parse(spec)),
-            sinks: RwLock::new(vec![Arc::new(StderrSink)]),
+            filter: Filter::parse(spec),
+            sinks: vec![Arc::new(StderrSink)],
         }
     }
 
@@ -201,22 +201,9 @@ impl Logger {
         Logger::with_spec(&std::env::var("UNIGPU_LOG").unwrap_or_default())
     }
 
-    /// Replace the filter (e.g. raise verbosity from a CLI flag).
-    pub fn set_filter_spec(&self, spec: &str) {
-        *self.filter.write().expect("logger poisoned") = Filter::parse(spec);
-    }
-
-    /// Add an extra sink (e.g. a [`JsonlSink`]).
-    pub fn add_sink(&self, sink: Arc<dyn LogSink>) {
-        self.sinks.write().expect("logger poisoned").push(sink);
-    }
-
     /// Would a record at `level` for `target` be emitted?
     pub fn enabled(&self, level: Level, target: &str) -> bool {
-        self.filter
-            .read()
-            .expect("logger poisoned")
-            .enabled(level, target)
+        self.filter.enabled(level, target)
     }
 
     /// Emit a record (after the filter check).
@@ -230,7 +217,7 @@ impl Logger {
             target: target.to_string(),
             message: args.to_string(),
         };
-        for sink in self.sinks.read().expect("logger poisoned").iter() {
+        for sink in &self.sinks {
             sink.log(&record);
         }
     }
@@ -337,10 +324,10 @@ mod tests {
 
     #[test]
     fn logger_routes_to_sinks_after_filtering() {
-        let logger = Logger::with_spec("info");
+        let mut logger = Logger::with_spec("info");
         let cap = Arc::new(Capture::default());
         // replace the stderr sink to keep test output clean
-        *logger.sinks.write().unwrap() = vec![cap.clone()];
+        logger.sinks = vec![cap.clone()];
         logger.log(Level::Info, "t", format_args!("hello {}", 1));
         logger.log(Level::Debug, "t", format_args!("filtered"));
         let records = cap.records.lock().unwrap();
@@ -354,8 +341,8 @@ mod tests {
         let dir = std::env::temp_dir().join("unigpu_telemetry_log_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
-        let logger = Logger::with_spec("trace");
-        *logger.sinks.write().unwrap() = vec![Arc::new(JsonlSink::create(&path).unwrap())];
+        let mut logger = Logger::with_spec("trace");
+        logger.sinks = vec![Arc::new(JsonlSink::create(&path).unwrap())];
         logger.log(Level::Warn, "a\"b", format_args!("line\nbreak"));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"level\":\"WARN\""));

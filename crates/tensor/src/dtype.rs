@@ -19,14 +19,6 @@ pub enum DType {
 }
 
 impl DType {
-    /// Size of one element in bytes, used by the device memory model.
-    pub fn size_of(self) -> usize {
-        match self {
-            DType::F32 | DType::I32 => 4,
-            DType::U8 => 1,
-        }
-    }
-
     /// Short lowercase name matching TVM conventions (`float32`, ...).
     pub fn name(self) -> &'static str {
         match self {
@@ -46,13 +38,6 @@ impl std::fmt::Display for DType {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sizes() {
-        assert_eq!(DType::F32.size_of(), 4);
-        assert_eq!(DType::I32.size_of(), 4);
-        assert_eq!(DType::U8.size_of(), 1);
-    }
 
     #[test]
     fn names_roundtrip_display() {

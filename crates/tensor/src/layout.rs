@@ -11,8 +11,6 @@
 //!   sized to the device SIMD width so a vector load grabs one channel block.
 //! * `NHWC`          — channels-last (used by some vendor libraries).
 //! * weights `OIHW`  — framework default.
-//! * weights `OIHWoi(o,i)` — blocked for spatial-pack convolution: outer
-//!   `O/o × I/i × H × W` with an `i × o` micro-panel innermost.
 
 use crate::{Shape, Tensor};
 use serde::{Deserialize, Serialize};
@@ -50,26 +48,6 @@ impl Layout {
 impl std::fmt::Display for Layout {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.tag())
-    }
-}
-
-/// Convolution weight layouts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum WeightLayout {
-    /// out-channel, in-channel, kernel-h, kernel-w
-    OIHW,
-    /// blocked: O/o, I/i, kh, kw, i, o
-    OIHWoi { oc_block: usize, ic_block: usize },
-}
-
-impl std::fmt::Display for WeightLayout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WeightLayout::OIHW => f.write_str("OIHW"),
-            WeightLayout::OIHWoi { oc_block, ic_block } => {
-                write!(f, "OIHW{ic_block}i{oc_block}o")
-            }
-        }
     }
 }
 
@@ -184,67 +162,6 @@ pub fn convert(t: &Tensor, from: Layout, to: Layout, channels: usize) -> Tensor 
     }
 }
 
-/// Block `OIHW` weights into `OIHWoi` micro-panels (zero-padded).
-pub fn oihw_to_blocked(t: &Tensor, oc_block: usize, ic_block: usize) -> Tensor {
-    let dims = t.shape().dims();
-    assert_eq!(dims.len(), 4, "expected OIHW rank-4");
-    let (o, i, kh, kw) = (dims[0], dims[1], dims[2], dims[3]);
-    let ob = o.div_ceil(oc_block);
-    let ib = i.div_ceil(ic_block);
-    let mut out = Tensor::zeros(Shape::from([ob, ib, kh, kw, ic_block, oc_block]));
-    let src = t.as_f32();
-    let dst = out.as_f32_mut();
-    for oi in 0..o {
-        for ii in 0..i {
-            for hi in 0..kh {
-                for wi in 0..kw {
-                    let d = (((((oi / oc_block) * ib + ii / ic_block) * kh + hi) * kw + wi)
-                        * ic_block
-                        + ii % ic_block)
-                        * oc_block
-                        + oi % oc_block;
-                    dst[d] = src[((oi * i + ii) * kh + hi) * kw + wi];
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Inverse of [`oihw_to_blocked`], dropping padding.
-pub fn blocked_to_oihw(t: &Tensor, o: usize, i: usize) -> Tensor {
-    let dims = t.shape().dims();
-    assert_eq!(dims.len(), 6, "expected OIHWoi rank-6");
-    let (ob, ib, kh, kw, ic_block, oc_block) =
-        (dims[0], dims[1], dims[2], dims[3], dims[4], dims[5]);
-    assert!(o <= ob * oc_block && i <= ib * ic_block);
-    let mut out = Tensor::zeros(Shape::from([o, i, kh, kw]));
-    let src = t.as_f32();
-    let dst = out.as_f32_mut();
-    for oi in 0..o {
-        for ii in 0..i {
-            for hi in 0..kh {
-                for wi in 0..kw {
-                    let s = (((((oi / oc_block) * ib + ii / ic_block) * kh + hi) * kw + wi)
-                        * ic_block
-                        + ii % ic_block)
-                        * oc_block
-                        + oi % oc_block;
-                    dst[((oi * i + ii) * kh + hi) * kw + wi] = src[s];
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Number of f32 elements moved by a layout transform — the cost-model input
-/// the graph tuner charges for a transform edge.
-pub fn transform_elements(shape_nchw: &Shape) -> usize {
-    // Read + write of every logical element.
-    2 * shape_nchw.numel()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,26 +228,8 @@ mod tests {
     }
 
     #[test]
-    fn weight_blocking_round_trip() {
-        let n = 8 * 6 * 3 * 3;
-        let w = Tensor::from_vec([8, 6, 3, 3], (0..n).map(|x| x as f32).collect());
-        let b = oihw_to_blocked(&w, 4, 4);
-        assert_eq!(b.shape().dims(), &[2, 2, 3, 3, 4, 4]);
-        assert_eq!(blocked_to_oihw(&b, 8, 6), w);
-    }
-
-    #[test]
     fn layout_tags() {
         assert_eq!(Layout::NCHWc(8).tag(), "NCHW8c");
         assert_eq!(Layout::NCHW.tag(), "NCHW");
-        assert_eq!(
-            format!("{}", WeightLayout::OIHWoi { oc_block: 8, ic_block: 4 }),
-            "OIHW4i8o"
-        );
-    }
-
-    #[test]
-    fn transform_cost_counts_read_and_write() {
-        assert_eq!(transform_elements(&Shape::from([1, 3, 2, 2])), 24);
     }
 }

@@ -6,7 +6,7 @@
 //! The stack follows the paper's TVM lineage: activations are 4-d `NCHW` tensors
 //! by default, and the graph tuner may rewrite convolution subgraphs into blocked
 //! `NCHW{c}` layouts (a.k.a. `NCHWc`) so that the innermost dimension matches a
-//! device's SIMD width. Weights are `OIHW`, optionally blocked as `OIHW{o}{i}`.
+//! device's SIMD width. Weights are `OIHW`.
 //!
 //! Everything here is plain host memory: the simulated devices in
 //! `unigpu-device` share memory with the CPU (integrated GPUs share DRAM with
@@ -23,6 +23,6 @@ pub mod tensor;
 pub use approx::{allclose, max_abs_diff};
 pub use dtype::DType;
 pub use init::Initializer;
-pub use layout::{Layout, WeightLayout};
+pub use layout::Layout;
 pub use shape::Shape;
 pub use tensor::{Storage, Tensor};

@@ -59,16 +59,6 @@ impl Shape {
         off
     }
 
-    /// Inverse of [`Shape::offset`]: decompose a flat offset into coordinates.
-    pub fn unravel(&self, mut off: usize) -> Vec<usize> {
-        let mut idx = vec![0usize; self.rank()];
-        for i in (0..self.rank()).rev() {
-            idx[i] = off % self.0[i];
-            off /= self.0[i];
-        }
-        idx
-    }
-
     /// Interpret as `NCHW` activation dims. Panics unless rank is 4.
     pub fn nchw(&self) -> (usize, usize, usize, usize) {
         assert_eq!(self.rank(), 4, "expected NCHW shape, got rank {}", self.rank());
@@ -129,15 +119,6 @@ mod tests {
                     assert_eq!(s.offset(&[n, c, h]), by_stride);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn unravel_is_inverse_of_offset() {
-        let s = Shape::from([3, 5, 7]);
-        for off in 0..s.numel() {
-            let idx = s.unravel(off);
-            assert_eq!(s.offset(&idx), off);
         }
     }
 

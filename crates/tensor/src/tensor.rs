@@ -73,13 +73,6 @@ impl Tensor {
         Tensor { shape, data: Storage::F32(vec![0.0; n]) }
     }
 
-    /// All-zero i32 tensor.
-    pub fn zeros_i32(shape: impl Into<Shape>) -> Self {
-        let shape = shape.into();
-        let n = shape.numel();
-        Tensor { shape, data: Storage::I32(vec![0; n]) }
-    }
-
     /// f32 tensor filled with `value`.
     pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
@@ -90,11 +83,6 @@ impl Tensor {
     /// f32 tensor from an existing buffer.
     pub fn from_vec(shape: impl Into<Shape>, data: Vec<f32>) -> Self {
         Tensor::new(shape, Storage::F32(data))
-    }
-
-    /// i32 tensor from an existing buffer.
-    pub fn from_vec_i32(shape: impl Into<Shape>, data: Vec<i32>) -> Self {
-        Tensor::new(shape, Storage::I32(data))
     }
 
     /// Shape accessor.
@@ -112,11 +100,6 @@ impl Tensor {
         self.shape.numel()
     }
 
-    /// Size of the buffer in bytes (device memory model input).
-    pub fn size_bytes(&self) -> usize {
-        self.numel() * self.dtype().size_of()
-    }
-
     /// Borrow as f32 slice. Panics on dtype mismatch.
     pub fn as_f32(&self) -> &[f32] {
         match &self.data {
@@ -128,46 +111,6 @@ impl Tensor {
     /// Mutably borrow as f32 slice. Panics on dtype mismatch.
     pub fn as_f32_mut(&mut self) -> &mut [f32] {
         match &mut self.data {
-            Storage::F32(v) => v,
-            other => panic!("expected f32 tensor, got {}", other.dtype()),
-        }
-    }
-
-    /// Borrow as i32 slice. Panics on dtype mismatch.
-    pub fn as_i32(&self) -> &[i32] {
-        match &self.data {
-            Storage::I32(v) => v,
-            other => panic!("expected i32 tensor, got {}", other.dtype()),
-        }
-    }
-
-    /// Mutably borrow as i32 slice. Panics on dtype mismatch.
-    pub fn as_i32_mut(&mut self) -> &mut [i32] {
-        match &mut self.data {
-            Storage::I32(v) => v,
-            other => panic!("expected i32 tensor, got {}", other.dtype()),
-        }
-    }
-
-    /// Borrow as u8 slice (quantized tensors). Panics on dtype mismatch.
-    pub fn as_u8(&self) -> &[u8] {
-        match &self.data {
-            Storage::U8(v) => v,
-            other => panic!("expected u8 tensor, got {}", other.dtype()),
-        }
-    }
-
-    /// Mutably borrow as u8 slice. Panics on dtype mismatch.
-    pub fn as_u8_mut(&mut self) -> &mut [u8] {
-        match &mut self.data {
-            Storage::U8(v) => v,
-            other => panic!("expected u8 tensor, got {}", other.dtype()),
-        }
-    }
-
-    /// Consume into the f32 buffer. Panics on dtype mismatch.
-    pub fn into_f32(self) -> Vec<f32> {
-        match self.data {
             Storage::F32(v) => v,
             other => panic!("expected f32 tensor, got {}", other.dtype()),
         }
@@ -248,16 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn size_bytes_uses_dtype() {
-        assert_eq!(Tensor::zeros([10]).size_bytes(), 40);
-        assert_eq!(Tensor::zeros_i32([10]).size_bytes(), 40);
-        assert_eq!(Tensor::new([3], Storage::U8(vec![0; 3])).size_bytes(), 3);
-    }
-
-    #[test]
     #[should_panic]
     fn dtype_mismatch_panics() {
-        Tensor::zeros_i32([4]).as_f32();
+        Tensor::new([4], Storage::I32(vec![0; 4])).as_f32();
     }
 
     #[test]

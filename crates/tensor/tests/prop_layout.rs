@@ -5,11 +5,8 @@
 //! failure names the case that replays it.
 
 use unigpu_telemetry::hash::SplitMix64;
-use unigpu_tensor::layout::{
-    blocked_to_oihw, convert, nchw_to_nchwc, nchw_to_nhwc, nchwc_to_nchw, nhwc_to_nchw,
-    oihw_to_blocked,
-};
-use unigpu_tensor::{Layout, Shape, Tensor};
+use unigpu_tensor::layout::{convert, nchw_to_nchwc, nchw_to_nhwc, nchwc_to_nchw, nhwc_to_nchw};
+use unigpu_tensor::{Layout, Tensor};
 
 const CASES: u64 = 256;
 
@@ -67,30 +64,6 @@ fn convert_any_path_preserves_data() {
         let x = convert(&x, Layout::NHWC, Layout::NCHWc(b2), c);
         let x = convert(&x, Layout::NCHWc(b2), Layout::NCHW, c);
         assert_eq!(x, t, "case {case}");
-    });
-}
-
-#[test]
-fn weight_blocking_round_trip() {
-    for_each_case(|case, rng| {
-        let (o, i) = (int(rng, 1, 17), int(rng, 1, 17));
-        let (kh, kw) = (int(rng, 1, 4), int(rng, 1, 4));
-        let (ob, ib) = (int(rng, 1, 9), int(rng, 1, 9));
-        let t = seq([o, i, kh, kw]);
-        let b = oihw_to_blocked(&t, ob, ib);
-        assert_eq!(blocked_to_oihw(&b, o, i), t, "case {case}");
-    });
-}
-
-#[test]
-fn offset_unravel_inverse() {
-    for_each_case(|case, rng| {
-        let rank = int(rng, 1, 5);
-        let dims: Vec<usize> = (0..rank).map(|_| int(rng, 1, 7)).collect();
-        let s = Shape::new(dims);
-        for off in 0..s.numel() {
-            assert_eq!(s.offset(&s.unravel(off)), off, "case {case}");
-        }
     });
 }
 

@@ -64,6 +64,11 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 
+echo "==> pub audit"
+# Every `pub` item needs a caller outside tests (scripts/pub-audit.allow
+# lists the few kept on purpose).
+bash scripts/pub-audit.sh
+
 echo "==> farm loopback smoke test"
 # Tracker + two workers on an ephemeral loopback port; a farm-dispatched
 # tune must complete and write a populated database.

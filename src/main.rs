@@ -85,6 +85,14 @@ fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(|s| s.as_str())
 }
 
+/// The value of a numeric flag, `None` when absent. A value that does not
+/// parse is a [`CliError`], never a silent fall back to the default.
+fn opt_num<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, CliError> {
+    opt(args, name)
+        .map(|s| s.parse().map_err(|_| CliError(format!("invalid value `{s}` for {name}"))))
+        .transpose()
+}
+
 /// Every value of a repeatable flag (`--replica A --replica B`), in order.
 fn opt_all<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
     args.iter()
@@ -113,7 +121,7 @@ fn cmd_models() -> Result<(), CliError> {
 
 /// Build an engine from the shared CLI flags (`--tuned`, `--trials`,
 /// `--fallback` placement).
-fn engine_for(args: &[String], platform: &Platform) -> Engine {
+fn engine_for(args: &[String], platform: &Platform) -> Result<Engine, CliError> {
     let policy = if flag(args, "--fallback") {
         PlacementPolicy::FallbackVision
     } else {
@@ -121,18 +129,18 @@ fn engine_for(args: &[String], platform: &Platform) -> Engine {
     };
     let mut builder = Engine::builder().platform(platform.clone()).policy(policy);
     if flag(args, "--tuned") {
-        let trials = opt(args, "--trials").and_then(|s| s.parse().ok()).unwrap_or(64);
+        let trials = opt_num(args, "--trials")?.unwrap_or(64);
         eprintln!("[tune] searching schedules ({trials} trials/workload)...");
         builder = builder.tuned(trials);
     }
-    builder.build()
+    Ok(builder.build())
 }
 
 fn cmd_estimate(args: &[String]) -> Result<(), CliError> {
     let name = args.first().map(String::as_str).unwrap_or("ResNet50_v1");
     let platform = platform_by_name(opt(args, "--platform").unwrap_or("deeplens"))?;
     let g = model_by_name(name, &platform)?;
-    let compiled = engine_for(args, &platform).compile(&g);
+    let compiled = engine_for(args, &platform)?.compile(&g);
     if compiled.from_cache() {
         eprintln!("[cache] artifact cache hit (compile skipped)");
     }
@@ -188,10 +196,10 @@ fn run_serve(args: &[String]) -> Result<ServeRun, CliError> {
         .map(String::as_str)
         .unwrap_or("ResNet50_v1");
     let platform = platform_by_name(opt(args, "--platform").unwrap_or("deeplens"))?;
-    let n: usize = opt(args, "--requests").and_then(|s| s.parse().ok()).unwrap_or(64);
-    let concurrency: usize = opt(args, "--concurrency").and_then(|s| s.parse().ok()).unwrap_or(2);
-    let batch: usize = opt(args, "--batch").and_then(|s| s.parse().ok()).unwrap_or(8);
-    let window_ms: u64 = opt(args, "--window-ms").and_then(|s| s.parse().ok()).unwrap_or(2);
+    let n: usize = opt_num(args, "--requests")?.unwrap_or(64);
+    let concurrency: usize = opt_num(args, "--concurrency")?.unwrap_or(2);
+    let batch: usize = opt_num(args, "--batch")?.unwrap_or(8);
+    let window_ms: u64 = opt_num(args, "--window-ms")?.unwrap_or(2);
     let g = model_by_name(name, &platform)?;
 
     // The exposition endpoint goes up before compilation so a scraper can
@@ -214,7 +222,7 @@ fn run_serve(args: &[String]) -> Result<ServeRun, CliError> {
         None => None,
     };
 
-    let engine = engine_for(args, &platform);
+    let engine = engine_for(args, &platform)?;
     let t0 = std::time::Instant::now();
     let compiled = engine.compile(&g);
     if compiled.from_cache() {
@@ -232,8 +240,7 @@ fn run_serve(args: &[String]) -> Result<ServeRun, CliError> {
     }
 
     // offered load defaults to ~per-worker capacity so batching has work to do
-    let interval = opt(args, "--interval-ms")
-        .and_then(|s| s.parse().ok())
+    let interval = opt_num(args, "--interval-ms")?
         .unwrap_or_else(|| compiled.estimate_batch_ms(1) / concurrency.max(1) as f64);
     // fault tolerance knobs: --faults overrides the UNIGPU_FAULTS env plan
     let faults = match opt(args, "--faults") {
@@ -248,22 +255,22 @@ fn run_serve(args: &[String]) -> Result<ServeRun, CliError> {
         .max_batch(batch)
         .batch_window(Duration::from_millis(window_ms))
         .faults(faults);
-    if let Some(cap) = opt(args, "--queue-cap").and_then(|s| s.parse().ok()) {
+    if let Some(cap) = opt_num(args, "--queue-cap")? {
         builder = builder.queue_cap(cap);
     }
-    if let Some(d) = opt(args, "--deadline-ms").and_then(|s| s.parse().ok()) {
+    if let Some(d) = opt_num(args, "--deadline-ms")? {
         builder = builder.deadline_ms(d);
     }
-    if let Some(v) = opt(args, "--slo-objective").and_then(|s| s.parse().ok()) {
+    if let Some(v) = opt_num(args, "--slo-objective")? {
         builder = builder.slo_objective(v);
     }
-    if let Some(v) = opt(args, "--slo-window-ms").and_then(|s| s.parse().ok()) {
+    if let Some(v) = opt_num(args, "--slo-window-ms")? {
         builder = builder.slo_window_ms(v);
     }
-    if let Some(v) = opt(args, "--trace-sample").and_then(|s| s.parse().ok()) {
+    if let Some(v) = opt_num(args, "--trace-sample")? {
         builder = builder.trace_sample_every(v);
     }
-    if let Some(v) = opt(args, "--drift-threshold").and_then(|s| s.parse().ok()) {
+    if let Some(v) = opt_num(args, "--drift-threshold")? {
         builder = builder.drift_threshold(v);
     }
     if let Some(dir) = opt(args, "--recorder-dump-dir") {
@@ -357,13 +364,15 @@ fn print_slo_utilization(report: &ServeReport) {
 
 /// Hold the metrics endpoint open for `--hold-ms` after the final report so
 /// an external scraper can read the drained snapshot, then shut it down.
-fn finish_serve(args: &[String], server: Option<MetricsServer>) {
+fn finish_serve(args: &[String], server: Option<MetricsServer>) -> Result<(), CliError> {
+    let hold_ms = opt_num::<u64>(args, "--hold-ms")?;
     if let Some(srv) = server {
-        if let Some(ms) = opt(args, "--hold-ms").and_then(|s| s.parse::<u64>().ok()) {
+        if let Some(ms) = hold_ms {
             std::thread::sleep(Duration::from_millis(ms));
         }
         srv.stop();
     }
+    Ok(())
 }
 
 /// `unigpu serve <model> --requests N --concurrency K --batch B` — compile
@@ -439,8 +448,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError(format!("failed to write trace {}: {e}", path.display())))?;
         println!("trace written to {} ({} events)", path.display(), trace.events().len());
     }
-    finish_serve(args, run.server);
-    Ok(())
+    finish_serve(args, run.server)
 }
 
 /// `unigpu report <model> [serve flags]` — run the same serve pipeline as
@@ -486,8 +494,7 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
             println!("  {name:<36} {v:>14}");
         }
     }
-    finish_serve(args, run.server);
-    Ok(())
+    finish_serve(args, run.server)
 }
 
 /// `unigpu drift <model> [--platform P] [--requests N] [--faults PLAN]
@@ -523,8 +530,7 @@ fn cmd_drift(args: &[String]) -> Result<(), CliError> {
     let drift = &report.drift;
     if drift.samples == 0 {
         println!("no drift samples (no batches completed on the device path)");
-        finish_serve(args, run.server);
-        return Ok(());
+        return finish_serve(args, run.server);
     }
     println!(
         "graph drift: {} sample(s)  mean rel err {:+.2}%  mean |rel err| {:.2}%  max |rel err| {:.2}%",
@@ -551,8 +557,7 @@ fn cmd_drift(args: &[String]) -> Result<(), CliError> {
             drift.threshold * 100.0
         );
     }
-    finish_serve(args, run.server);
-    Ok(())
+    finish_serve(args, run.server)
 }
 
 /// `unigpu profile <model> --device <d> --trace out.json` — run the latency
@@ -565,7 +570,7 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
         .unwrap_or("deeplens");
     let platform = platform_by_name(device)?;
     let g = model_by_name(name, &platform)?;
-    let compiled = engine_for(args, &platform).compile(&g);
+    let compiled = engine_for(args, &platform)?.compile(&g);
 
     let spans = SpanRecorder::new();
     let metrics = MetricsRegistry::new();
@@ -596,8 +601,8 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
         compiled.placement().graph.nodes.len(),
         spans.len()
     );
-    // Hotspot summary aggregated by op kind — same shape as
-    // `Timeline::summary`: total ms descending with a share column.
+    // Hotspot summary aggregated by op kind: total ms descending with a
+    // share column.
     let mut agg: Vec<(&str, f64, usize)> = Vec::new();
     for t in &report.per_op {
         match agg.iter_mut().find(|(op, _, _)| *op == t.op) {
@@ -635,11 +640,11 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
         .map(String::as_str)
         .unwrap_or("SqueezeNet1.0");
     let platform = platform_by_name(opt(args, "--platform").unwrap_or("deeplens"))?;
-    let trials = opt(args, "--trials").and_then(|s| s.parse().ok()).unwrap_or(96);
+    let trials = opt_num(args, "--trials")?.unwrap_or(96);
     let g = model_by_name(name, &platform)?;
     let budget = TuningBudget { trials_per_workload: trials, ..Default::default() };
 
-    let jobs: Option<usize> = opt(args, "--jobs").and_then(|s| s.parse().ok());
+    let jobs: Option<usize> = opt_num(args, "--jobs")?;
     let dispatcher: Box<dyn Dispatcher> = match (opt(args, "--farm"), jobs) {
         (Some(addr), _) => Box::new(FarmClient::new(addr)),
         (None, Some(n)) => Box::new(ThreadPoolDispatcher::new(n)),
@@ -705,10 +710,10 @@ fn cmd_farm(args: &[String]) -> Result<(), CliError> {
         Some("tracker") => {
             let listen = opt(args, "--listen").unwrap_or("127.0.0.1:0");
             let mut cfg = TrackerConfig::default();
-            if let Some(ms) = opt(args, "--lease-ms").and_then(|s| s.parse().ok()) {
+            if let Some(ms) = opt_num(args, "--lease-ms")? {
                 cfg.lease = Duration::from_millis(ms);
             }
-            if let Some(r) = opt(args, "--retries").and_then(|s| s.parse().ok()) {
+            if let Some(r) = opt_num(args, "--retries")? {
                 cfg.max_retries = r;
             }
             cfg.trace_path = opt(args, "--trace").map(PathBuf::from);
@@ -788,19 +793,19 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
             if !faults.is_noop() {
                 tel_warn!("unigpu::cli", "device fault injection active: {faults:?}");
             }
-            let concurrency = opt(args, "--concurrency").and_then(|s| s.parse().ok()).unwrap_or(1);
-            let batch = opt(args, "--batch").and_then(|s| s.parse().ok()).unwrap_or(4);
+            let concurrency = opt_num(args, "--concurrency")?.unwrap_or(1);
+            let batch = opt_num(args, "--batch")?.unwrap_or(4);
             let mut builder = ServeConfig::builder()
                 .concurrency(concurrency)
                 .max_batch(batch)
                 .faults(faults);
-            if let Some(w) = opt(args, "--window-ms").and_then(|s| s.parse().ok()) {
+            if let Some(w) = opt_num(args, "--window-ms")? {
                 builder = builder.batch_window(Duration::from_millis(w));
             }
-            if let Some(cap) = opt(args, "--queue-cap").and_then(|s| s.parse().ok()) {
+            if let Some(cap) = opt_num(args, "--queue-cap")? {
                 builder = builder.queue_cap(cap);
             }
-            if let Some(d) = opt(args, "--deadline-ms").and_then(|s| s.parse().ok()) {
+            if let Some(d) = opt_num(args, "--deadline-ms")? {
                 builder = builder.deadline_ms(d);
             }
             let serve = builder
@@ -820,10 +825,9 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
                 platform,
                 serve,
                 cache_dir: opt(args, "--cache-dir").map(PathBuf::from),
-                die_on_submit: opt(args, "--die-on-submit").and_then(|s| s.parse().ok()),
+                die_on_submit: opt_num(args, "--die-on-submit")?,
                 net_faults,
-                max_resumes: opt(args, "--max-resumes")
-                    .and_then(|s| s.parse().ok())
+                max_resumes: opt_num(args, "--max-resumes")?
                     .unwrap_or(64),
             };
             run_replica(&listener, &cfg)
@@ -839,7 +843,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
                 ));
             }
             let model = opt(args, "--model").unwrap_or("SqueezeNet1.0");
-            let n: usize = opt(args, "--requests").and_then(|s| s.parse().ok()).unwrap_or(64);
+            let n: usize = opt_num(args, "--requests")?.unwrap_or(64);
             let policy = match opt(args, "--policy") {
                 Some("round-robin") => RoutePolicy::RoundRobin,
                 Some("pow2") | None => RoutePolicy::PowerOfTwo,
@@ -853,7 +857,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
                 policy,
                 ..RouterConfig::default()
             };
-            if let Some(seed) = opt(args, "--seed").and_then(|s| s.parse().ok()) {
+            if let Some(seed) = opt_num(args, "--seed")? {
                 cfg.seed = seed;
             }
             let mut replicas = Vec::with_capacity(addrs.len());
@@ -875,8 +879,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
             }
             // offer slightly faster than the fastest replica drains, so the
             // router's queue-depth weighting has contrast to work with
-            let interval = opt(args, "--interval-ms")
-                .and_then(|s| s.parse().ok())
+            let interval = opt_num(args, "--interval-ms")?
                 .unwrap_or_else(|| {
                     replicas
                         .iter()
@@ -1023,7 +1026,7 @@ fn usage() -> CliError {
            fleet replica [--listen ADDR] [--device D] [--name N] [--port-file F]\n\
                     [--cache-dir DIR] [--concurrency K] [--batch B] [--window-ms W]\n\
                     [--queue-cap N] [--deadline-ms D] [--faults PLAN]\n\
-                    [--die-on-submit N]\n\
+                    [--net-faults PLAN] [--max-resumes N] [--die-on-submit N]\n\
            fleet router --replica ADDR [--replica ADDR ...] [--model M]\n\
                     [--requests N] [--interval-ms I] [--policy pow2|round-robin]\n\
                     [--seed S]\n\
