@@ -236,6 +236,21 @@ mod tests {
     }
 
     #[test]
+    fn nan_scores_are_dropped_before_the_sort() {
+        // `score > valid_thresh` is false for either NaN, so neither reaches
+        // the segmented sort, where +NaN would rank first.
+        let t = boxes(&[
+            [0.0, f32::NAN, 0.0, 0.0, 1.0, 1.0],
+            [0.0, 0.6, 5.0, 5.0, 6.0, 6.0],
+            [0.0, -f32::NAN, 9.0, 9.0, 10.0, 10.0],
+        ]);
+        let y = box_nms(&t, &NmsConfig::default());
+        let v = y.as_f32();
+        assert_eq!(&v[..6], &[0.0, 0.6, 5.0, 5.0, 6.0, 6.0]);
+        assert!(v[6..].iter().all(|&x| x == -1.0));
+    }
+
+    #[test]
     fn negative_class_rows_are_ignored() {
         let t = boxes(&[
             [-1.0, 0.9, 0.0, 0.0, 1.0, 1.0],

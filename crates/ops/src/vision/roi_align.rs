@@ -1,12 +1,20 @@
 //! `ROIAlign` — bilinear region-of-interest pooling (§2.2/§3.1.1 lists it
 //! among the vision-specific operators vendor libraries run suboptimally).
+//!
+//! Channels are the innermost loop: the features are transposed to `NHWC`
+//! once per call, so a sample's four taps are four contiguous channel rows
+//! and one bin is accumulated for every channel at once; an ROI's bin sums
+//! are then written out one channel row at a time. Each channel still
+//! receives exactly the per-channel arithmetic — the same bilinear
+//! expression, its samples added in `(sy, sx)` order from `0.0`, one
+//! division — so the output bits do not depend on the loop order.
 
+use unigpu_tensor::layout::nchw_to_nhwc;
 use unigpu_tensor::Tensor;
 
-/// One bilinear sample of an `h × w` plane: the offsets of its four taps
+/// One bilinear sample of an `h × w` map: the pixel offsets of its four taps
 /// `(v00, v01, v10, v11)` and the weights `(1-ly, 1-lx, ly, lx)`. It depends
-/// on the ROI geometry only, so it is built once per ROI and shared by every
-/// channel.
+/// on the ROI geometry only, so every channel shares it.
 struct Sample {
     taps: [usize; 4],
     hy: f32,
@@ -40,9 +48,16 @@ impl Sample {
         })
     }
 
-    fn eval(&self, feat: &[f32]) -> f32 {
-        let [v00, v01, v10, v11] = self.taps.map(|t| feat[t]);
-        v00 * self.hy * self.hx + v01 * self.hy * self.lx + v10 * self.ly * self.hx + v11 * self.ly * self.lx
+    /// Add this sample to every channel's accumulator; `pixels` is one image
+    /// in `HWC` order with `acc.len()` channels.
+    fn accumulate(&self, pixels: &[f32], acc: &mut [f32]) {
+        let c = acc.len();
+        let [r00, r01, r10, r11] = self.taps.map(|t| &pixels[t * c..][..c]);
+        let Sample { hy, hx, ly, lx, .. } = *self;
+        let taps = r00.iter().zip(r01).zip(r10).zip(r11);
+        for (a, (((&v00, &v01), &v10), &v11)) in acc.iter_mut().zip(taps) {
+            *a += v00 * hy * hx + v01 * hy * lx + v10 * ly * hx + v11 * ly * lx;
+        }
     }
 }
 
@@ -70,14 +85,14 @@ pub fn roi_align(
     assert_eq!(rdims[1], 5, "roi rows are (batch, x1, y1, x2, y2)");
     assert!(sampling_ratio >= 1);
     let r = rdims[0];
-    let f = features.as_f32();
+    let nhwc = nchw_to_nhwc(features);
     let rr = rois.as_f32();
     let mut out = Tensor::zeros([r, c, pooled, pooled]);
     let o = out.as_f32_mut();
     let bins = pooled * pooled;
     let per_bin = sampling_ratio * sampling_ratio;
-    // bin-major, `per_bin` samples per bin in (sy, sx) order
-    let mut samples = Vec::with_capacity(bins * per_bin);
+    // one ROI's sums, bin-major: a bin's channels are contiguous
+    let mut sums = vec![0.0f32; bins * c];
 
     for ri in 0..r {
         let batch = rr[ri * 5];
@@ -95,9 +110,11 @@ pub fn roi_align(
         let rh = (y2 - y1).max(1.0);
         let bin_w = rw / pooled as f32;
         let bin_h = rh / pooled as f32;
-        samples.clear();
+        let pixels = &nhwc.as_f32()[b * h * w * c..][..h * w * c];
+        sums.fill(0.0);
         for py in 0..pooled {
             for px in 0..pooled {
+                let acc = &mut sums[(py * pooled + px) * c..][..c];
                 for sy in 0..sampling_ratio {
                     let yy = y1
                         + py as f32 * bin_h
@@ -106,20 +123,23 @@ pub fn roi_align(
                         let xx = x1
                             + px as f32 * bin_w
                             + (sx as f32 + 0.5) * bin_w / sampling_ratio as f32;
-                        samples.push(Sample::at(h, w, yy, xx));
+                        match Sample::at(h, w, yy, xx) {
+                            Some(s) => s.accumulate(pixels, acc),
+                            // Off the map the sample is zero and reads
+                            // nothing; adding it keeps each channel's
+                            // sequence of additions the per-channel one.
+                            None => acc.iter_mut().for_each(|a| *a += 0.0),
+                        }
                     }
                 }
             }
         }
+        // Channel-major out, one contiguous row of bins per channel: the
+        // strided reads stay within `sums`, which fits in cache.
+        let out_roi = &mut o[ri * c * bins..][..c * bins];
         for ci in 0..c {
-            let feat = &f[(b * c + ci) * h * w..][..h * w];
-            let out_bins = &mut o[(ri * c + ci) * bins..][..bins];
-            for (slot, bin) in out_bins.iter_mut().zip(samples.chunks(per_bin)) {
-                let mut acc = 0.0f32;
-                for s in bin {
-                    acc += s.as_ref().map_or(0.0, |s| s.eval(feat));
-                }
-                *slot = acc / per_bin as f32;
+            for (bin, slot) in out_roi[ci * bins..][..bins].iter_mut().enumerate() {
+                *slot = sums[bin * c + ci] / per_bin as f32;
             }
         }
     }

@@ -17,54 +17,54 @@
 //! this key equals concatenating per-segment sorts, which is exactly the
 //! "only the segments that span the active interface between two input lists
 //! are modified" property.
+//!
+//! The composite key is packed into one `u128` and compared as an unsigned
+//! integer: `segment << 64 | desc(value) << 32 | index`, where `desc` maps
+//! `f32::total_cmp` order onto inverted unsigned bits, so a higher score gets
+//! a smaller key. Padding is `u128::MAX`, after every real key. No two
+//! elements share a segment and an index, so keys are unique: every
+//! compare-exchange is a branch-free integer `min`/`max`, and no tie is left
+//! for the network to break.
+//!
+//! Within a segment the order is descending in `total_cmp`: +NaN first, then
+//! +∞ … +0.0, then −0.0 … −∞, then −NaN; equal scores keep their index order.
 
-use std::cmp::Ordering;
 use unigpu_device::{dispatch_chunks, DeviceSpec, KernelProfile};
 
-/// One element of the flattened composite-key array.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Elem {
-    seg: u32,
-    val: f32,
-    idx: u32,
-    /// Padding sentinel (sorts after everything real).
-    pad: bool,
+/// Padding key: sorts after every real element.
+const PAD: u128 = u128::MAX;
+
+/// `f32::total_cmp` order as inverted unsigned bits: the larger the value,
+/// the smaller the key. A negative float (sign set) already orders that way
+/// by its raw bits; a positive one flips its 31 low bits.
+fn desc(v: f32) -> u32 {
+    let bits = v.to_bits();
+    let positive = (bits >> 31) ^ 1;
+    bits ^ (positive * 0x7fff_ffff)
 }
 
-impl Elem {
-    const PAD: Elem = Elem { seg: u32::MAX, val: 0.0, idx: u32::MAX, pad: true };
-}
-
-/// Total order: segment ascending, value descending, index ascending;
-/// padding last. `total_cmp` keeps the order total even for NaN scores
-/// (which sort last among values instead of panicking).
-fn elem_cmp(a: &Elem, b: &Elem) -> Ordering {
-    a.pad
-        .cmp(&b.pad)
-        .then(a.seg.cmp(&b.seg))
-        .then_with(|| b.val.total_cmp(&a.val))
-        .then(a.idx.cmp(&b.idx))
+fn key(seg: usize, val: f32, idx: usize) -> u128 {
+    (seg as u128) << 64 | u128::from(desc(val)) << 32 | idx as u128
 }
 
 /// In-place bitonic sort of a power-of-two block, expressed as the exact
 /// compare-exchange network a work-group executes between barriers.
-fn bitonic_sort_block(block: &mut [Elem]) {
+fn bitonic_sort_block(block: &mut [u128]) {
     let n = block.len();
     debug_assert!(n.is_power_of_two());
     let mut k = 2;
     while k <= n {
         let mut j = k / 2;
         while j > 0 {
-            // One barrier-separated phase: every work-item i does at most one
-            // compare-exchange with partner i^j; pairs are disjoint.
-            for i in 0..n {
-                let partner = i ^ j;
-                if partner > i {
-                    let ascending = i & k == 0;
-                    let out_of_order = elem_cmp(&block[i], &block[partner]) == Ordering::Greater;
-                    if ascending == out_of_order {
-                        block.swap(i, partner);
-                    }
+            // One barrier-separated phase: work-item `base + t` compare-
+            // exchanges with partner `base + t + j`; pairs are disjoint, and
+            // the direction is the same for every pair of a `2j` run.
+            for (r, run) in block.chunks_exact_mut(2 * j).enumerate() {
+                let ascending = (r * 2 * j) & k == 0;
+                let (lo, hi) = run.split_at_mut(j);
+                for (a, b) in lo.iter_mut().zip(hi) {
+                    let (min, max) = ((*a).min(*b), (*a).max(*b));
+                    (*a, *b) = if ascending { (min, max) } else { (max, min) };
                 }
             }
             j /= 2;
@@ -75,13 +75,13 @@ fn bitonic_sort_block(block: &mut [Elem]) {
 
 /// Merge-path diagonal search: how many elements of `a` belong before the
 /// `diag`-th output element when merging sorted runs `a` and `b`.
-fn merge_path(a: &[Elem], b: &[Elem], diag: usize) -> usize {
+fn merge_path(a: &[u128], b: &[u128], diag: usize) -> usize {
     let mut lo = diag.saturating_sub(b.len());
     let mut hi = diag.min(a.len());
     while lo < hi {
         let mid = (lo + hi) / 2;
         // a[mid] vs b[diag-1-mid]: if a[mid] <= b[...], take more from a.
-        if elem_cmp(&a[mid], &b[diag - 1 - mid]) != Ordering::Greater {
+        if a[mid] <= b[diag - 1 - mid] {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -90,33 +90,28 @@ fn merge_path(a: &[Elem], b: &[Elem], diag: usize) -> usize {
     lo
 }
 
-/// Sequentially merge `count` outputs starting at merge-path split
-/// (`ai`, `bi`) into `out`.
-fn merge_chunk(a: &[Elem], b: &[Elem], mut ai: usize, mut bi: usize, out: &mut [Elem]) {
+/// Sequentially merge `out.len()` outputs starting at merge-path split
+/// (`ai`, `bi`) into `out`. An exhausted run reads as [`PAD`], which can
+/// only tie with padding in the other run, and padding keys are all equal.
+fn merge_chunk(a: &[u128], b: &[u128], mut ai: usize, mut bi: usize, out: &mut [u128]) {
     for slot in out.iter_mut() {
-        let take_a = if ai >= a.len() {
-            false
-        } else if bi >= b.len() {
-            true
-        } else {
-            elem_cmp(&a[ai], &b[bi]) != Ordering::Greater
-        };
-        if take_a {
-            *slot = a[ai];
-            ai += 1;
-        } else {
-            *slot = b[bi];
-            bi += 1;
-        }
+        let x = a.get(ai).copied().unwrap_or(PAD);
+        let y = b.get(bi).copied().unwrap_or(PAD);
+        let take_a = x <= y;
+        *slot = if take_a { x } else { y };
+        ai += usize::from(take_a);
+        bi += usize::from(!take_a);
     }
 }
 
-/// Segmented argsort (descending by value, ties by original index).
+/// Segmented argsort (descending by value in `f32::total_cmp` order, ties by
+/// original index).
 ///
 /// `offsets` is CSR-style: segment `s` is `data[offsets[s]..offsets[s+1]]`.
 /// Returns, for each flattened position `offsets[s] + r`, the *local index*
 /// within segment `s` of its rank-`r` element (the `numpy.argsort` contract
-/// applied per segment, descending).
+/// applied per segment, descending). NaN scores do not panic: +NaN ranks
+/// first and −NaN last (the module docs give the whole order).
 ///
 /// `block` is the equal-length block size of Figure 2 (power of two).
 pub fn segmented_argsort(data: &[f32], offsets: &[usize], block: usize) -> Vec<i32> {
@@ -130,21 +125,21 @@ pub fn segmented_argsort(data: &[f32], offsets: &[usize], block: usize) -> Vec<i
 
     // Step 1: flatten with composite keys, padded to a block multiple.
     let padded = n.div_ceil(block) * block;
-    let mut elems = vec![Elem::PAD; padded];
-    for s in 0..offsets.len() - 1 {
-        let (lo, hi) = (offsets[s], offsets[s + 1]);
+    let mut keys = vec![PAD; padded];
+    for (s, seg) in offsets.windows(2).enumerate() {
+        let (lo, hi) = (seg[0], seg[1]);
         debug_assert!(lo <= hi, "offsets must be nondecreasing");
-        for (local, g) in (lo..hi).enumerate() {
-            elems[g] = Elem { seg: s as u32, val: data[g], idx: local as u32, pad: false };
+        for (local, (k, &v)) in keys[lo..hi].iter_mut().zip(&data[lo..hi]).enumerate() {
+            *k = key(s, v, local);
         }
     }
 
     // Step 2+3: equal blocks, bitonic block sort (one work-group per block).
-    dispatch_chunks(&mut elems, block, |_, chunk| bitonic_sort_block(chunk));
+    dispatch_chunks(&mut keys, block, |_, chunk| bitonic_sort_block(chunk));
 
     // Step 4: cooperative merge rounds, doubling the span each round.
-    let mut src = elems;
-    let mut dst = vec![Elem::PAD; padded];
+    let mut src = keys;
+    let mut dst = vec![PAD; padded];
     let mut width = block;
     while width < padded {
         let span = 2 * width;
@@ -164,16 +159,14 @@ pub fn segmented_argsort(data: &[f32], offsets: &[usize], block: usize) -> Vec<i
         width = span;
     }
 
-    // Gather: src[offsets[s] + rank] is the rank-th element of segment s.
-    let mut out = vec![0i32; n];
-    for (g, slot) in out.iter_mut().enumerate() {
-        *slot = src[g].idx as i32;
-    }
-    out
+    // Gather: src[offsets[s] + rank] is the rank-th element of segment s,
+    // and a key's low 32 bits are its local index.
+    src[..n].iter().map(|&k| k as u32 as i32).collect()
 }
 
 /// The naive GPU realization Table 4 ablates against: one thread per
-/// segment, each insertion-sorting its own variable-length list.
+/// segment, each insertion-sorting its own variable-length list into the
+/// same order as [`segmented_argsort`].
 pub fn naive_segment_argsort(data: &[f32], offsets: &[usize]) -> Vec<i32> {
     let n = data.len();
     let mut out = vec![0i32; n];
@@ -187,7 +180,9 @@ pub fn naive_segment_argsort(data: &[f32], offsets: &[usize]) -> Vec<i32> {
             while j > 0 {
                 let a = data[lo + idx[j - 1] as usize];
                 let b = data[lo + key as usize];
-                if a < b || (a == b && idx[j - 1] > key) {
+                // `a` ranks after `b`: lower in `total_cmp`, or equal with a
+                // larger index.
+                if a.total_cmp(&b).then(key.cmp(&idx[j - 1])).is_lt() {
                     idx[j] = idx[j - 1];
                     j -= 1;
                 } else {
@@ -307,6 +302,40 @@ mod tests {
     }
 
     #[test]
+    fn nan_and_signed_zero_follow_total_cmp() {
+        // +NaN first, -NaN last, +0.0 before -0.0 — and the naive sort agrees.
+        let data = [0.5, f32::NAN, 0.9, -f32::NAN, -0.0, 0.0];
+        let offsets = [0, 6];
+        let want = vec![1, 2, 0, 5, 4, 3];
+        assert_eq!(reference_argsort(&data, &offsets), want);
+        assert_eq!(segmented_argsort(&data, &offsets, 2), want);
+        assert_eq!(naive_segment_argsort(&data, &offsets), want);
+    }
+
+    #[test]
+    fn desc_keys_invert_total_cmp() {
+        let vals = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            1e-45,
+            -1e-45,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for a in vals {
+            for b in vals {
+                assert_eq!(desc(a).cmp(&desc(b)), b.total_cmp(&a), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
     fn matches_reference_across_block_sizes() {
         let data: Vec<f32> = (0..97).map(|i| ((i * 37) % 89) as f32 / 10.0).collect();
         let offsets = [0usize, 10, 11, 40, 40, 97];
@@ -332,22 +361,15 @@ mod tests {
 
     #[test]
     fn bitonic_block_is_a_real_sort() {
-        let mut block: Vec<Elem> = (0..16)
-            .map(|i| Elem { seg: 0, val: ((i * 7) % 16) as f32, idx: i as u32, pad: false })
-            .collect();
+        let mut block: Vec<u128> = (0..16).map(|i| key(0, ((i * 7) % 16) as f32, i)).collect();
         bitonic_sort_block(&mut block);
-        for w in block.windows(2) {
-            assert_ne!(elem_cmp(&w[0], &w[1]), Ordering::Greater);
-        }
+        assert!(block.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn merge_path_splits_are_consistent() {
-        let mk = |vals: &[f32]| -> Vec<Elem> {
-            vals.iter()
-                .enumerate()
-                .map(|(i, &v)| Elem { seg: 0, val: v, idx: i as u32, pad: false })
-                .collect()
+        let mk = |vals: &[f32]| -> Vec<u128> {
+            vals.iter().enumerate().map(|(i, &v)| key(0, v, i)).collect()
         };
         // a and b sorted descending (our key order)
         let a = mk(&[9.0, 7.0, 5.0]);

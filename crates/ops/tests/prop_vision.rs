@@ -38,6 +38,49 @@ fn segmented_sort_equals_naive() {
     }
 }
 
+/// Per-segment descending `total_cmp` order, ties by index: the contract
+/// both sorts must meet bit for bit.
+fn total_cmp_argsort(data: &[f32], offsets: &[usize]) -> Vec<i32> {
+    let mut out = Vec::with_capacity(data.len());
+    for seg in offsets.windows(2) {
+        let vals = &data[seg[0]..seg[1]];
+        let mut idx: Vec<usize> = (0..vals.len()).collect();
+        idx.sort_by(|&a, &b| vals[b].total_cmp(&vals[a]).then(a.cmp(&b)));
+        out.extend(idx.iter().map(|&i| i as i32));
+    }
+    out
+}
+
+/// Segments of 0–399 values until there are at least `min_len` values, half
+/// of them drawn from ±NaN, ±0.0, ±∞ and a few repeated finite values.
+fn arb_wide_segments(rng: &mut Rng, min_len: usize) -> (Vec<f32>, Vec<usize>) {
+    const SPECIAL: [f32; 9] =
+        [f32::NAN, -f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 0.5, -0.5, 1e-45];
+    let mut offsets = vec![0usize];
+    while offsets[offsets.len() - 1] < min_len {
+        offsets.push(offsets[offsets.len() - 1] + rng.int(0, 400));
+    }
+    let n = offsets[offsets.len() - 1];
+    let data = (0..n)
+        .map(|_| if rng.int(0, 2) == 0 { rng.pick(&SPECIAL) } else { rng.int(0, 100) as f32 / 10.0 })
+        .collect();
+    (data, offsets)
+}
+
+#[test]
+fn segmented_sort_matches_total_cmp_over_many_merge_rounds() {
+    for case in 0..CASES {
+        let mut rng = Rng::new(case);
+        let block = rng.pick(&[64usize, 256]);
+        // more than 8 blocks, so at least 4 merge rounds
+        let (data, offsets) = arb_wide_segments(&mut rng, 8 * block + 1);
+        let n = data.len();
+        let want = total_cmp_argsort(&data, &offsets);
+        assert_eq!(segmented_argsort(&data, &offsets, block), want, "case {case}: n {n}, block {block}");
+        assert_eq!(naive_segment_argsort(&data, &offsets), want, "case {case}");
+    }
+}
+
 #[test]
 fn segmented_sort_output_is_ranked() {
     for case in 0..CASES {
@@ -214,11 +257,15 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_f32().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Few channels, and counts on both sides of vector widths, so the
+/// channel-inner loop runs its vector body, its tail, or both.
+const ROI_CHANNELS: [usize; 9] = [1, 2, 3, 4, 7, 8, 9, 33, 256];
+
 #[test]
 fn roi_align_is_bit_identical_to_the_per_channel_loop() {
     for case in 0..CASES {
         let mut rng = Rng::new(case);
-        let (n, c) = (rng.int(1, 3), rng.int(1, 5));
+        let (n, c) = (rng.int(1, 3), ROI_CHANNELS[case as usize % ROI_CHANNELS.len()]);
         let (h, w) = (rng.int(1, 12), rng.int(1, 12));
         let features = rng.tensor([n, c, h, w], -1.0, 1.0);
         let r = rng.int(1, 9);

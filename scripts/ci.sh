@@ -14,9 +14,10 @@ cargo test -q --workspace
 echo "==> functional bit-identity gate (release codegen)"
 # `cargo test` above builds at opt-level 2; the kernels' bit-for-bit contracts
 # (conv2d_ref == scalar oracle == spatial pack, roi_align == per-channel loop,
-# end-to-end output digests) must also hold under the optimizer that ships.
-cargo test -q --release -p unigpu-ops --lib -- conv::reference vision::roi_align
-cargo test -q --release -p unigpu-ops --test prop_conv --test prop_vision
+# the packed-key sort == a total_cmp sort, vision and end-to-end output
+# digests) must also hold under the optimizer that ships.
+cargo test -q --release -p unigpu-ops --lib -- conv::reference vision::roi_align vision::sort vision::nms
+cargo test -q --release -p unigpu-ops --test prop_conv --test prop_vision --test vision_golden
 cargo test -q --release -p unigpu-engine --test functional_golden
 
 echo "==> cargo fmt --check"
@@ -513,8 +514,10 @@ echo "==> hot-path allocation gates"
 # operation is a cold and a warm compile of one model on one platform, which
 # read no weight (crates/engine/tests/compile_bytes.rs). One tune_zoo
 # operation is one measured trial of the model-based search, whose surrogate
-# fit reuses one workspace per round.
-for gate in serve_steady:4 fleet_wire:3 compile_zoo:7000 tune_zoo:16; do
+# fit reuses one workspace per round. One exec_functional operation is one
+# SqueezeNet inference (its executor keeps every node's output) plus one pass
+# of the four vision operators; the count repeats exactly.
+for gate in serve_steady:4 fleet_wire:3 compile_zoo:7000 tune_zoo:16 exec_functional:223; do
   workload=${gate%:*} alloc_budget=${gate#*:}
   allocs=$(bash benchmark/run.sh --workload "$workload" --seconds 3 --trace 0 \
     | sed -n 's/^allocs_per_op = \([0-9.eE+-]*\) count$/\1/p')
