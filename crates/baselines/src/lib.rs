@@ -20,8 +20,12 @@
 //! paper's comparison: fixed expert schedules + coverage gaps versus
 //! searched schedules + full coverage.
 //!
+//! [`paper`] holds the paper's reported cells and [`paper::tables`], which
+//! regenerates the whole evaluation against these baselines.
+//!
 //! [`ScheduleProvider`]: unigpu_graph::ScheduleProvider
 
+pub mod paper;
 pub mod vendor;
 
 pub use vendor::{acl, baseline_for, cudnn_mxnet, openvino, Baseline, VendorSchedules};

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use std::path::Path;
 use unigpu_graph::{Graph, OpKind};
 use unigpu_telemetry::hash::Fnv1a;
-use unigpu_tuner::{Database, TuneRecord};
+use unigpu_tuner::TuneRecord;
 
 /// Bump when the artifact layout changes; readers reject other versions.
 pub const ARTIFACT_VERSION: u32 = 1;
@@ -171,11 +171,6 @@ impl Artifact {
             device: self.meta.device.clone(),
             tuning: self.meta.tuning.clone(),
         }
-    }
-
-    /// Rebuild a tuning database from the stored records.
-    pub fn database(&self) -> Database {
-        Database::from_records(self.records.iter().cloned())
     }
 
     /// Serialize: one metadata line, then one line per record.

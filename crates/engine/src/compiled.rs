@@ -131,13 +131,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Full tuning budget (call before [`EngineBuilder::tuned`] if both are
-    /// used — `tuned` overrides the trial count).
-    pub fn budget(mut self, b: TuningBudget) -> Self {
-        self.budget = b;
-        self
-    }
-
     /// Skip search entirely and serve from a caller-supplied database.
     pub fn tuned_database(mut self, db: Database) -> Self {
         self.tuning = TuningConfig::Pinned(db);
@@ -433,12 +426,6 @@ impl CompiledModel {
             .expect("compiled model has an input node")
     }
 
-    /// The schedule records (what a tuned artifact persists; empty on
-    /// fallback schedules).
-    pub fn schedule_records(&self) -> &[TuneRecord] {
-        &self.inner.artifact.records
-    }
-
     /// Single-sample latency estimate on the compiled placement.
     pub fn estimate(&self) -> LatencyReport {
         estimate_latency(
@@ -663,11 +650,11 @@ mod tests {
             .tuned(4)
             .build();
         let compiled = engine.compile(&g);
-        assert!(!compiled.schedule_records().is_empty());
+        assert!(!compiled.artifact().records.is_empty());
         let degraded = compiled.degraded();
         assert_eq!(
-            degraded.schedule_records(),
-            compiled.schedule_records(),
+            degraded.artifact().records,
+            compiled.artifact().records,
             "the all-CPU variant runs the same schedules"
         );
         assert!(degraded.is_tuned());

@@ -237,10 +237,6 @@ impl TunedSchedules {
         TunedSchedules { db }
     }
 
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-
     /// Serialize the tuned state as sorted records — the form a compiled-
     /// model artifact embeds (schedules only; no weights, no graph).
     pub fn to_records(&self) -> Vec<TuneRecord> {

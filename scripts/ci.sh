@@ -36,9 +36,7 @@ echo "==> output hygiene"
 # not raw stdio. Sanctioned call sites:
 #   eprintln! : src/main.rs (CLI usage/errors),
 #               crates/telemetry/src/log.rs (the logger's stderr sink)
-#   println!  : src/main.rs (CLI output),
-#               crates/bench/src/bin/ (table/figure regeneration binaries),
-#               crates/bench/src/harness.rs (the shared table printers)
+#   println!  : src/main.rs (CLI output)
 # examples/ and tests/ are not scanned.
 fail=0
 
@@ -52,8 +50,6 @@ if [ -n "$stray_eprintln" ]; then
 fi
 
 stray_println=$(grep -rnP --include='*.rs' '(?<!e)println!' crates src \
-  | grep -v '^crates/bench/src/bin/' \
-  | grep -v '^crates/bench/src/harness\.rs:' \
   | grep -v '^src/main\.rs:' || true)
 if [ -n "$stray_println" ]; then
   echo "error: raw println! outside sanctioned sinks — use the telemetry logger:"

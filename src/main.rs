@@ -20,11 +20,12 @@
 //! unigpu fleet router --replica 127.0.0.1:9201 --replica 127.0.0.1:9202 --requests 96
 //! unigpu codegen --target cuda
 //! unigpu dot MobileNet1.0 > mobilenet.dot
+//! unigpu paper > PAPER_TABLES.json
 //! ```
 
 use std::path::PathBuf;
 use std::time::Duration;
-use unigpu::baselines::baseline_for;
+use unigpu::baselines::{baseline_for, paper};
 use unigpu::device::{DeviceFaultPlan, Platform};
 use unigpu::engine::{uniform_requests, ServeConfig, ServeReport, LANE_CONTROL, LANE_WORKER_BASE};
 use unigpu::graph::latency::{LANE_CPU, LANE_GPU, LANE_TRANSFER};
@@ -72,6 +73,15 @@ fn model_by_name(name: &str, platform: &Platform) -> Result<Graph, CliError> {
         .find(|e| e.name == name)
         .map(|e| (e.build)(aisage))
         .ok_or_else(|| CliError(format!("unknown model `{name}`; run `unigpu models` for the list")))
+}
+
+/// The command's leading positional argument (the model), or `default`
+/// when the command starts with a flag.
+fn positional<'a>(args: &'a [String], default: &'a str) -> &'a str {
+    args.first()
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--"))
+        .unwrap_or(default)
 }
 
 fn flag(args: &[String], name: &str) -> bool {
@@ -137,7 +147,7 @@ fn engine_for(args: &[String], platform: &Platform) -> Result<Engine, CliError> 
 }
 
 fn cmd_estimate(args: &[String]) -> Result<(), CliError> {
-    let name = args.first().map(String::as_str).unwrap_or("ResNet50_v1");
+    let name = positional(args, "ResNet50_v1");
     let platform = platform_by_name(opt(args, "--platform").unwrap_or("deeplens"))?;
     let g = model_by_name(name, &platform)?;
     let compiled = engine_for(args, &platform)?.compile(&g);
@@ -190,11 +200,7 @@ struct ServeRun {
 /// the optional metrics endpoint, and drive the synthetic request stream
 /// through the event-driven scheduler via the streaming `Server` handle.
 fn run_serve(args: &[String]) -> Result<ServeRun, CliError> {
-    let name = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("ResNet50_v1");
+    let name = positional(args, "ResNet50_v1");
     let platform = platform_by_name(opt(args, "--platform").unwrap_or("deeplens"))?;
     let n: usize = opt_num(args, "--requests")?.unwrap_or(64);
     let concurrency: usize = opt_num(args, "--concurrency")?.unwrap_or(2);
@@ -564,7 +570,7 @@ fn cmd_drift(args: &[String]) -> Result<(), CliError> {
 /// estimator with telemetry enabled, export a Chrome trace (load it in
 /// `chrome://tracing` or Perfetto), and print a hotspot summary.
 fn cmd_profile(args: &[String]) -> Result<(), CliError> {
-    let name = args.first().map(String::as_str).unwrap_or("MobileNet1.0");
+    let name = positional(args, "MobileNet1.0");
     let device = opt(args, "--device")
         .or_else(|| opt(args, "--platform"))
         .unwrap_or("deeplens");
@@ -634,11 +640,7 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
 /// skips workloads already present in the on-disk database under
 /// `UNIGPU_DB_DIR` and folds new results back into it.
 fn cmd_tune(args: &[String]) -> Result<(), CliError> {
-    let name = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("SqueezeNet1.0");
+    let name = positional(args, "SqueezeNet1.0");
     let platform = platform_by_name(opt(args, "--platform").unwrap_or("deeplens"))?;
     let trials = opt_num(args, "--trials")?.unwrap_or(96);
     let g = model_by_name(name, &platform)?;
@@ -968,7 +970,8 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
 fn cmd_codegen(args: &[String]) -> Result<(), CliError> {
     let target = match opt(args, "--target").unwrap_or("opencl") {
         "cuda" => Target::Cuda,
-        _ => Target::OpenCl,
+        "opencl" => Target::OpenCl,
+        t => return Err(CliError(format!("unknown target `{t}` (use opencl|cuda)"))),
     };
     let w = ConvWorkload::square(1, 64, 64, 56, 3, 1, 1);
     let c = conv2d_compute(&w);
@@ -986,8 +989,16 @@ fn cmd_codegen(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `unigpu paper` — regenerate the paper's evaluation (Tables 1–5, the
+/// fallback experiment, Figures 1–3, the ablations) and print it as the
+/// JSON committed at `PAPER_TABLES.json`.
+fn cmd_paper() -> Result<(), CliError> {
+    println!("{}", paper::tables().to_json());
+    Ok(())
+}
+
 fn cmd_dot(args: &[String]) -> Result<(), CliError> {
-    let name = args.first().map(String::as_str).unwrap_or("MobileNet1.0");
+    let name = positional(args, "MobileNet1.0");
     let platform = Platform::deeplens();
     let g = optimize(&model_by_name(name, &platform)?);
     println!("{}", to_dot(&g));
@@ -1031,7 +1042,8 @@ fn usage() -> CliError {
                     [--requests N] [--interval-ms I] [--policy pow2|round-robin]\n\
                     [--seed S]\n\
            codegen [--target opencl|cuda]\n\
-           dot <model>                    emit Graphviz"
+           dot <model>                    emit Graphviz\n\
+           paper                          the paper's tables and figures as JSON"
             .into(),
     )
 }
@@ -1050,6 +1062,7 @@ fn main() {
         Some("fleet") => cmd_fleet(&args[1..]),
         Some("codegen") => cmd_codegen(&args[1..]),
         Some("dot") => cmd_dot(&args[1..]),
+        Some("paper") => cmd_paper(),
         _ => Err(usage()),
     };
     if let Err(e) = result {

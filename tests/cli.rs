@@ -1,21 +1,32 @@
-//! The `unigpu` binary refuses malformed numeric flags: a value that does not
-//! parse exits with code 2 and names the flag, instead of silently running
-//! with the default.
+//! The `unigpu` binary's argument handling: a malformed numeric flag or an
+//! unknown target exits with code 2 and names it, instead of silently
+//! running with the default; a command that starts with a flag runs its
+//! default model.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+/// Run the CLI with `args`, its artifact and tuning files under `db`.
+fn run(db: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_unigpu"))
+        .args(args)
+        .env("UNIGPU_DB_DIR", db)
+        .env_remove("UNIGPU_LOG")
+        .output()
+        .expect("the unigpu binary runs")
+}
+
+fn temp_db(tag: &str) -> PathBuf {
+    let db = std::env::temp_dir().join(format!("unigpu-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&db);
+    db
+}
 
 /// Run the CLI with `args`, its artifact and tuning files under a fresh
 /// temp dir.
 fn unigpu(tag: &str, args: &[&str]) -> Output {
-    let db: PathBuf = std::env::temp_dir().join(format!("unigpu-cli-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&db);
-    let out = Command::new(env!("CARGO_BIN_EXE_unigpu"))
-        .args(args)
-        .env("UNIGPU_DB_DIR", &db)
-        .env_remove("UNIGPU_LOG")
-        .output()
-        .expect("the unigpu binary runs");
+    let db = temp_db(tag);
+    let out = run(&db, args);
     let _ = std::fs::remove_dir_all(&db);
     out
 }
@@ -25,6 +36,12 @@ fn assert_rejected(out: &Output, message: &str) {
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains(message), "expected `{message}` in stderr: {stderr}");
     assert!(out.stdout.is_empty(), "nothing may run: {}", String::from_utf8_lossy(&out.stdout));
+}
+
+fn assert_prints(out: &Output, prefix: &str) {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.starts_with(prefix), "expected stdout to start with `{prefix}`: {stdout}");
 }
 
 #[test]
@@ -37,4 +54,50 @@ fn serve_rejects_a_malformed_request_count() {
 fn fleet_router_rejects_a_malformed_seed_before_connecting() {
     let out = unigpu("router", &["fleet", "router", "--replica", "x", "--seed", "z"]);
     assert_rejected(&out, "invalid value `z` for --seed");
+}
+
+#[test]
+fn estimate_without_a_model_estimates_the_default() {
+    let out = unigpu("estimate", &["estimate", "--platform", "nano"]);
+    assert_prints(&out, "ResNet50_v1 on Nvidia Jetson Nano:");
+}
+
+#[test]
+fn profile_without_a_model_profiles_the_default() {
+    let out = unigpu("profile", &["profile", "--device", "nano"]);
+    assert_prints(&out, "MobileNet1.0 on Nvidia Jetson Nano:");
+}
+
+#[test]
+fn dot_without_a_model_draws_the_default() {
+    let out = unigpu("dot", &["dot", "--x"]);
+    assert_prints(&out, "digraph");
+}
+
+#[test]
+fn codegen_rejects_an_unknown_target() {
+    let out = unigpu("codegen", &["codegen", "--target", "vulkan"]);
+    assert_rejected(&out, "unknown target `vulkan` (use opencl|cuda)");
+}
+
+/// `unigpu paper` reads no on-disk state: with a tuning database and a
+/// tuned artifact already under `UNIGPU_DB_DIR` it still prints the
+/// committed tables byte for byte.
+#[test]
+fn paper_prints_the_committed_tables_over_a_populated_db_dir() {
+    let db = temp_db("paper");
+    for args in [
+        &["tune", "SqueezeNet1.0", "--trials", "4", "--resume"][..],
+        &["estimate", "SqueezeNet1.0", "--tuned", "--trials", "4"],
+    ] {
+        assert!(run(&db, args).status.success(), "{args:?} populates {}", db.display());
+    }
+    let out = run(&db, &["paper"]);
+    let _ = std::fs::remove_dir_all(&db);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.stdout == include_bytes!("../PAPER_TABLES.json"),
+        "`unigpu paper` differs from PAPER_TABLES.json; regenerate it with \
+         `cargo run --release -- paper > PAPER_TABLES.json`"
+    );
 }
