@@ -1,123 +1,224 @@
-//! Deterministic device-fault injection for serving chaos tests.
+//! Deterministic fault injection: one plan, one grammar, four failure domains.
 //!
-//! `UNIGPU_FAULTS` is a comma-separated `key=value` list describing how the
-//! simulated device misbehaves under load, mirroring the counter-based
-//! `UNIGPU_FARM_FAULTS` design in `unigpu-farm`:
+//! A fault plan is a comma-separated list of `key=N` items; two knobs take
+//! an optional second number after `:`. The CLI reads it once, from
+//! `UNIGPU_FAULTS` or `--faults`, and hands each domain its view:
 //!
-//! * `kernel_fail_nth=N` — every Nth kernel launch transiently fails
-//!   (driver reports an error after the launch occupied the lane);
-//! * `kernel_fail_first=N` — the first N launches all fail, then the
-//!   device is healthy (a recovery window for circuit-breaker tests);
-//! * `throttle_after_ms=M[:F]` — thermal throttling: once the device has
-//!   accumulated M ms of simulated busy time, every subsequent launch runs
-//!   F× slower (default factor 2.0);
-//! * `mem_pressure=B` — memory pressure: launches with batch size > B fail
-//!   deterministically with an out-of-memory fault (non-transient — the
-//!   caller must re-place the work, not retry it);
-//! * `worker_panic_nth=N` — every Nth *batch* panics the worker thread
-//!   processing it (an engine-level fault: the serving layer consults this
-//!   to exercise its panic isolation).
+//! | item | domain | effect |
+//! |---|---|---|
+//! | `kernel_fail_nth=N` | device | every Nth kernel launch transiently fails (after occupying its lane) |
+//! | `kernel_fail_first=N` | device | the first N launches all fail, then the device heals |
+//! | `throttle_after_ms=M[:F]` | device | after M ms of busy time every launch runs F× slower (F ≥ 1, default 2) |
+//! | `mem_pressure=B` | device | launches with batch size > B fail with a non-transient out-of-memory fault |
+//! | `worker_panic_nth=N` | device | every Nth *batch* panics the serving worker processing it |
+//! | `kill_after_leases=K` | farm worker | the worker dies the moment its Kth lease is granted |
+//! | `drop_conn_nth=K` | wire | every Kth outgoing frame kills the connection before a byte is sent |
+//! | `corrupt_byte_nth=K` | wire | every Kth outgoing frame has one body byte flipped |
+//! | `truncate_frame_nth=K` | wire | every Kth outgoing frame is cut in half, then the connection dies |
+//! | `dup_frame_nth=K` | wire | every Kth outgoing frame is written twice |
+//! | `delay_frame_nth=K[:MS]` | wire | every Kth outgoing frame is held MS ms (default 0) |
+//! | `die_on_submit=N` | fleet replica | the replica dies on its Nth submit |
 //!
-//! Everything is counter-based — no RNG — so a single-worker faulty run is
-//! exactly reproducible, and an empty plan leaves every launch untouched
-//! (`base × 1.0`, bit-identical to a fault-free build).
+//! [`FaultPlan`]'s `FromStr` is the only parser: it rejects unknown keys and
+//! malformed values, naming the offending item, and its `Display` prints the
+//! canonical form, which parses back to the same plan. Everything is
+//! counter-based — no RNG — so a faulty run is exactly reproducible, and an
+//! empty plan leaves every launch untouched (`base × 1.0`, bit-identical to
+//! a fault-free build).
 
-/// Parsed `UNIGPU_FAULTS` knobs. Default is no faults.
-#[derive(Debug, Clone, Copy, PartialEq)]
+use std::fmt;
+use std::str::FromStr;
+
+/// Every knob of every failure domain. Default is no faults.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FaultPlan {
+    /// The kernel-launch and worker-panic knobs a `Server` consumes.
+    pub device: DeviceFaultPlan,
+    /// The wire knobs every `ChaosStream` of the process consumes.
+    pub net: NetFaultPlan,
+    /// A farm worker dies when its Kth lease is granted.
+    pub kill_after_leases: Option<u64>,
+    /// A fleet replica dies on its Nth submit (1-based).
+    pub die_on_submit: Option<usize>,
+}
+
+/// The device view: what `DeviceFaultState` counts against.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeviceFaultPlan {
     /// Every Nth launch fails transiently (1-based; `None` = never).
     pub kernel_fail_nth: Option<u64>,
     /// The first N launches all fail, then the device heals.
     pub kernel_fail_first: Option<u64>,
-    /// Busy-time threshold (ms) after which throttling engages.
-    pub throttle_after_ms: Option<f64>,
-    /// Slowdown factor once throttled (only meaningful with
-    /// `throttle_after_ms`; default 2.0).
-    pub throttle_factor: f64,
+    /// `(M, F)`: once M ms of busy time accumulate, launches run F× slower.
+    pub throttle: Option<(f64, f64)>,
     /// Launches with batch size above this fail with an OOM fault.
     pub mem_pressure_batch: Option<usize>,
     /// Every Nth batch panics the worker processing it.
     pub worker_panic_nth: Option<u64>,
 }
 
-impl Default for DeviceFaultPlan {
-    fn default() -> Self {
-        DeviceFaultPlan {
-            kernel_fail_nth: None,
-            kernel_fail_first: None,
-            throttle_after_ms: None,
-            throttle_factor: 2.0,
-            mem_pressure_batch: None,
-            worker_panic_nth: None,
+impl DeviceFaultPlan {
+    /// The device knobs of a fault-plan spec. Panics on a malformed spec;
+    /// the CLI parses [`FaultPlan`] instead and reports the error.
+    pub fn parse(spec: &str) -> DeviceFaultPlan {
+        spec.parse::<FaultPlan>()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .device
+    }
+}
+
+/// The wire view: what a `ChaosStream` counts outgoing frames against.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetFaultPlan {
+    /// Kill the connection on every Kth outgoing frame (1-based).
+    pub drop_conn_nth: Option<u64>,
+    /// Flip one byte in every Kth outgoing frame.
+    pub corrupt_byte_nth: Option<u64>,
+    /// Cut every Kth outgoing frame in half and kill the connection.
+    pub truncate_frame_nth: Option<u64>,
+    /// Send every Kth outgoing frame twice.
+    pub dup_frame_nth: Option<u64>,
+    /// `(K, MS)`: hold every Kth outgoing frame MS ms before sending.
+    pub delay_frame_nth: Option<(u64, u64)>,
+}
+
+impl NetFaultPlan {
+    /// The wire knobs of a fault-plan spec. Panics on a malformed spec;
+    /// the CLI parses [`FaultPlan`] instead and reports the error.
+    pub fn parse(spec: &str) -> NetFaultPlan {
+        spec.parse::<FaultPlan>()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .net
+    }
+}
+
+/// Where one knob's value lives, by the shape of that value.
+enum Slot<'a> {
+    /// `N`, a whole number ≥ 1: a counter period or a budget.
+    Count(&'a mut Option<u64>),
+    /// `N`, a whole number ≥ the given minimum.
+    Size(&'a mut Option<usize>, usize),
+    /// `M[:F]`: a finite threshold ≥ 0 and a finite factor ≥ 1 (default 2).
+    Throttle(&'a mut Option<(f64, f64)>),
+    /// `K[:MS]`: a period ≥ 1 and a delay (default 0).
+    Delay(&'a mut Option<(u64, u64)>),
+}
+
+/// The grammar: every knob of `p` by key, in the order `Display` prints.
+fn slots(p: &mut FaultPlan) -> [(&'static str, Slot<'_>); 12] {
+    let (d, n) = (&mut p.device, &mut p.net);
+    [
+        ("kernel_fail_nth", Slot::Count(&mut d.kernel_fail_nth)),
+        ("kernel_fail_first", Slot::Count(&mut d.kernel_fail_first)),
+        ("throttle_after_ms", Slot::Throttle(&mut d.throttle)),
+        ("mem_pressure", Slot::Size(&mut d.mem_pressure_batch, 0)),
+        ("worker_panic_nth", Slot::Count(&mut d.worker_panic_nth)),
+        ("kill_after_leases", Slot::Count(&mut p.kill_after_leases)),
+        ("drop_conn_nth", Slot::Count(&mut n.drop_conn_nth)),
+        ("corrupt_byte_nth", Slot::Count(&mut n.corrupt_byte_nth)),
+        ("truncate_frame_nth", Slot::Count(&mut n.truncate_frame_nth)),
+        ("dup_frame_nth", Slot::Count(&mut n.dup_frame_nth)),
+        ("delay_frame_nth", Slot::Delay(&mut n.delay_frame_nth)),
+        ("die_on_submit", Slot::Size(&mut p.die_on_submit, 1)),
+    ]
+}
+
+fn number<T: FromStr>(v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("`{v}` is not a valid number here"))
+}
+
+fn at_least<T: PartialOrd + fmt::Display>(n: T, min: T) -> Result<T, String> {
+    if n < min {
+        return Err(format!("`{n}` must be at least {min}"));
+    }
+    Ok(n)
+}
+
+fn finite(v: &str) -> Result<f64, String> {
+    number(v).and_then(|x: f64| {
+        x.is_finite()
+            .then_some(x)
+            .ok_or_else(|| format!("`{v}` is not finite"))
+    })
+}
+
+impl Slot<'_> {
+    /// Store `first[:second]`, or say what is wrong with it.
+    fn set(self, first: &str, second: Option<&str>) -> Result<(), String> {
+        let single = || match second {
+            None => Ok(first),
+            Some(_) => Err("takes one number, not `N:M`".to_string()),
+        };
+        match self {
+            Slot::Count(slot) => *slot = Some(at_least(number(single()?)?, 1)?),
+            Slot::Size(slot, min) => *slot = Some(at_least(number(single()?)?, min)?),
+            Slot::Throttle(slot) => {
+                let factor = second.map_or(Ok(2.0), finite)?;
+                *slot = Some((at_least(finite(first)?, 0.0)?, at_least(factor, 1.0)?));
+            }
+            Slot::Delay(slot) => {
+                let ms = second.map_or(Ok(0), number)?;
+                *slot = Some((at_least(number(first)?, 1)?, ms));
+            }
+        }
+        Ok(())
+    }
+
+    /// The value as the grammar prints it, `None` when the knob is off.
+    fn show(&self) -> Option<String> {
+        match self {
+            Slot::Count(slot) => slot.map(|n| n.to_string()),
+            Slot::Size(slot, _) => slot.map(|n| n.to_string()),
+            Slot::Throttle(slot) => slot.map(|(ms, factor)| format!("{ms}:{factor}")),
+            Slot::Delay(slot) => slot.map(|(k, ms)| format!("{k}:{ms}")),
         }
     }
 }
 
-impl DeviceFaultPlan {
-    /// Parse a `UNIGPU_FAULTS` spec. Unknown keys and unparseable values
-    /// are ignored — fault injection must never break a real run.
-    pub fn parse(spec: &str) -> DeviceFaultPlan {
-        let mut plan = DeviceFaultPlan::default();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let mut kv = part.splitn(2, '=');
-            let key = kv.next().unwrap_or("");
-            let value = kv.next().map(str::trim);
-            match key {
-                "kernel_fail_nth" => {
-                    if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                        if v > 0 {
-                            plan.kernel_fail_nth = Some(v);
-                        }
-                    }
-                }
-                "kernel_fail_first" => {
-                    if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                        if v > 0 {
-                            plan.kernel_fail_first = Some(v);
-                        }
-                    }
-                }
-                "throttle_after_ms" => {
-                    // value is `M` or `M:F` (threshold ms, slowdown factor)
-                    let mut mf = value.unwrap_or("").splitn(2, ':');
-                    let ms: Option<f64> = mf.next().and_then(|v| v.parse().ok());
-                    if let Some(ms) = ms.filter(|m| m.is_finite() && *m >= 0.0) {
-                        plan.throttle_after_ms = Some(ms);
-                        if let Some(f) = mf.next().and_then(|v| v.parse::<f64>().ok()) {
-                            if f.is_finite() && f >= 1.0 {
-                                plan.throttle_factor = f;
-                            }
-                        }
-                    }
-                }
-                "mem_pressure" => {
-                    if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                        plan.mem_pressure_batch = Some(v);
-                    }
-                }
-                "worker_panic_nth" => {
-                    if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                        if v > 0 {
-                            plan.worker_panic_nth = Some(v);
-                        }
-                    }
-                }
-                _ => {}
+impl FromStr for FaultPlan {
+    type Err = String;
+
+    /// Parse `key=N[:M],...`. Blank items are skipped and a repeated key
+    /// keeps its last value; anything else unreadable is an error naming
+    /// the item.
+    fn from_str(spec: &str) -> Result<FaultPlan, String> {
+        let mut plan = FaultPlan::default();
+        for item in spec.split(',').map(str::trim).filter(|i| !i.is_empty()) {
+            let bad = |why: String| format!("invalid fault plan item `{item}`: {why}");
+            let (key, value) = item
+                .split_once('=')
+                .ok_or_else(|| bad("expected `key=value`".into()))?;
+            let (key, value) = (key.trim(), value.trim());
+            let (first, second) = match value.split_once(':') {
+                Some((first, second)) => (first, Some(second)),
+                None => (value, None),
+            };
+            let (_, slot) = slots(&mut plan)
+                .into_iter()
+                .find(|(k, _)| *k == key)
+                .ok_or_else(|| {
+                    let known = slots(&mut FaultPlan::default()).map(|(k, _)| k).join(", ");
+                    bad(format!("unknown key `{key}` (known: {known})"))
+                })?;
+            slot.set(first, second).map_err(bad)?;
+        }
+        Ok(plan)
+    }
+}
+
+impl fmt::Display for FaultPlan {
+    /// The canonical spec: every active knob in grammar order.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut plan = *self;
+        let mut sep = "";
+        for (key, slot) in slots(&mut plan) {
+            if let Some(value) = slot.show() {
+                write!(f, "{sep}{key}={value}")?;
+                sep = ",";
             }
         }
-        plan
-    }
-
-    /// Read the plan from `UNIGPU_FAULTS` (empty plan when unset).
-    pub fn from_env() -> DeviceFaultPlan {
-        match std::env::var("UNIGPU_FAULTS") {
-            Ok(s) => DeviceFaultPlan::parse(&s),
-            Err(_) => DeviceFaultPlan::default(),
-        }
-    }
-
-    pub fn is_noop(&self) -> bool {
-        *self == DeviceFaultPlan::default()
+        Ok(())
     }
 }
 
@@ -177,25 +278,14 @@ impl DeviceFaultState {
     pub fn new(plan: DeviceFaultPlan) -> Self {
         DeviceFaultState {
             plan,
-            launches: 0,
-            busy_ms: 0.0,
-            batches: 0,
+            ..Default::default()
         }
-    }
-
-    pub fn plan(&self) -> &DeviceFaultPlan {
-        &self.plan
-    }
-
-    /// Simulated busy time the device has accumulated (successful launches).
-    pub fn busy_ms(&self) -> f64 {
-        self.busy_ms
     }
 
     /// Current thermal slowdown factor (1.0 when cool or no throttle knob).
     pub fn throttle_factor_now(&self) -> f64 {
-        match self.plan.throttle_after_ms {
-            Some(after) if self.busy_ms >= after => self.plan.throttle_factor,
+        match self.plan.throttle {
+            Some((after_ms, factor)) if self.busy_ms >= after_ms => factor,
             _ => 1.0,
         }
     }
@@ -237,34 +327,121 @@ impl DeviceFaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unigpu_telemetry::hash::SplitMix64;
 
-    #[test]
-    fn parse_full_spec() {
-        let p = DeviceFaultPlan::parse(
-            "kernel_fail_nth=4, kernel_fail_first=2 ,throttle_after_ms=50:1.5,mem_pressure=8,worker_panic_nth=3",
-        );
-        assert_eq!(p.kernel_fail_nth, Some(4));
-        assert_eq!(p.kernel_fail_first, Some(2));
-        assert_eq!(p.throttle_after_ms, Some(50.0));
-        assert_eq!(p.throttle_factor, 1.5);
-        assert_eq!(p.mem_pressure_batch, Some(8));
-        assert_eq!(p.worker_panic_nth, Some(3));
-        assert!(!p.is_noop());
+    fn plan(spec: &str) -> FaultPlan {
+        spec.parse().unwrap_or_else(|e| panic!("{e}"))
     }
 
     #[test]
-    fn junk_is_ignored() {
-        let p = DeviceFaultPlan::parse(
-            "bogus=1,kernel_fail_nth=zero,kernel_fail_nth=0,,=,throttle_after_ms=nan,throttle_after_ms",
+    fn parse_full_spec() {
+        let p = plan(
+            "kernel_fail_nth=4, kernel_fail_first=2 ,throttle_after_ms=50:1.5,mem_pressure=8,\
+             worker_panic_nth=3,kill_after_leases=2,drop_conn_nth=13,corrupt_byte_nth=9,\
+             truncate_frame_nth=6,dup_frame_nth=7,delay_frame_nth=5:20,die_on_submit=12,",
         );
-        assert!(p.is_noop());
+        let d = p.device;
+        assert_eq!(d.kernel_fail_nth, Some(4));
+        assert_eq!(d.kernel_fail_first, Some(2));
+        assert_eq!(d.throttle, Some((50.0, 1.5)));
+        assert_eq!(d.mem_pressure_batch, Some(8));
+        assert_eq!(d.worker_panic_nth, Some(3));
+        assert_eq!(p.kill_after_leases, Some(2));
+        assert_eq!(p.net.drop_conn_nth, Some(13));
+        assert_eq!(p.net.corrupt_byte_nth, Some(9));
+        assert_eq!(p.net.truncate_frame_nth, Some(6));
+        assert_eq!(p.net.dup_frame_nth, Some(7));
+        assert_eq!(p.net.delay_frame_nth, Some((5, 20)));
+        assert_eq!(p.die_on_submit, Some(12));
+        assert_eq!(
+            p.to_string(),
+            "kernel_fail_nth=4,kernel_fail_first=2,throttle_after_ms=50:1.5,mem_pressure=8,\
+             worker_panic_nth=3,kill_after_leases=2,drop_conn_nth=13,corrupt_byte_nth=9,\
+             truncate_frame_nth=6,dup_frame_nth=7,delay_frame_nth=5:20,die_on_submit=12"
+        );
+        assert!(p != FaultPlan::default() && p.net != NetFaultPlan::default());
+        assert!(plan(" , ") == FaultPlan::default() && plan("").to_string().is_empty());
+    }
+
+    #[test]
+    fn printed_plans_parse_back_to_themselves() {
+        for case in 0..500 {
+            let mut rng = SplitMix64::new(case);
+            let nth = |rng: &mut SplitMix64| rng.chance(0.5).then(|| 1 + rng.next_u64() % 1000);
+            let mut p = FaultPlan::default();
+            p.device.kernel_fail_nth = nth(&mut rng);
+            p.device.kernel_fail_first = nth(&mut rng);
+            if rng.chance(0.5) {
+                p.device.throttle = Some((rng.f64_in(0.0, 1e7), rng.f64_in(1.0, 8.0)));
+            }
+            p.device.mem_pressure_batch = rng.chance(0.5).then(|| rng.below(64));
+            p.device.worker_panic_nth = nth(&mut rng);
+            p.kill_after_leases = nth(&mut rng);
+            p.net.drop_conn_nth = nth(&mut rng);
+            p.net.corrupt_byte_nth = nth(&mut rng);
+            p.net.truncate_frame_nth = nth(&mut rng);
+            p.net.dup_frame_nth = nth(&mut rng);
+            p.net.delay_frame_nth = nth(&mut rng).map(|k| (k, rng.next_u64() % 100));
+            p.die_on_submit = nth(&mut rng).map(|n| n as usize);
+            assert_eq!(
+                p.to_string().parse::<FaultPlan>(),
+                Ok(p),
+                "case {case}: {p}"
+            );
+        }
+        // extremes print in full and survive the trip too
+        let p = plan("kernel_fail_nth=18446744073709551615,throttle_after_ms=0.000001:1");
+        assert_eq!(p.to_string().parse::<FaultPlan>(), Ok(p));
+    }
+
+    #[test]
+    fn malformed_items_are_rejected_by_name() {
+        // the bad item is the last one of each spec
+        for spec in [
+            "kernal_fail_nth=2",
+            "bogus=1",
+            "kernel_fail_nth=4,kill_after_leases",
+            "corrupt_byte_nth:9/truncate_frame_nth:13",
+            "=3",
+            "kernel_fail_nth=zero",
+            "kernel_fail_nth=-1",
+            "kernel_fail_nth=",
+            "kernel_fail_nth=3:4",
+            "mem_pressure=1.5",
+            "delay_frame_nth=5:x",
+            "kernel_fail_nth=0",
+            "kill_after_leases=0",
+            "die_on_submit=0",
+            "delay_frame_nth=0:20",
+            "throttle_after_ms=10:0.5",
+            "throttle_after_ms=10:inf",
+            "throttle_after_ms=10:NaN",
+            "throttle_after_ms=nan",
+            "throttle_after_ms=-1",
+        ] {
+            let item = spec.rsplit(',').next().unwrap();
+            let err = spec.parse::<FaultPlan>().expect_err(spec);
+            assert!(err.contains(&format!("item `{item}`")), "{spec}: {err}");
+        }
+        let err = "kernal_fail_nth=2".parse::<FaultPlan>().unwrap_err();
+        assert!(err.contains("unknown key `kernal_fail_nth`"), "{err}");
+    }
+
+    #[test]
+    fn views_project_the_one_parser() {
+        let spec = "kernel_fail_nth=7,throttle_after_ms=5000000:1.5,mem_pressure=6,dup_frame_nth=3";
+        let p = plan(spec);
+        assert_eq!(DeviceFaultPlan::parse(spec), p.device);
+        assert_eq!(NetFaultPlan::parse(spec), p.net);
+        assert_eq!(NetFaultPlan::parse(""), NetFaultPlan::default());
     }
 
     #[test]
     fn throttle_factor_defaults_to_two() {
-        let p = DeviceFaultPlan::parse("throttle_after_ms=10");
-        assert_eq!(p.throttle_after_ms, Some(10.0));
-        assert_eq!(p.throttle_factor, 2.0);
+        assert_eq!(
+            DeviceFaultPlan::parse("throttle_after_ms=10").throttle,
+            Some((10.0, 2.0))
+        );
     }
 
     #[test]

@@ -35,7 +35,9 @@ pub mod timeline;
 
 pub use cost::{CostModel, CostTable};
 pub use exec::{dispatch_chunks, dispatch_map};
-pub use fault::{DeviceFault, DeviceFaultPlan, DeviceFaultState, LaunchOutcome};
+pub use fault::{
+    DeviceFault, DeviceFaultPlan, DeviceFaultState, FaultPlan, LaunchOutcome, NetFaultPlan,
+};
 pub use profile::{KernelProfile, TransferProfile};
 pub use spec::{Api, DeviceKind, DeviceSpec, Platform, Vendor};
 pub use timeline::{MultiTimeline, StreamEvent, StreamLabel};

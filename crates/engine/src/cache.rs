@@ -12,11 +12,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use unigpu_telemetry::{tel_debug, tel_warn};
 
-/// Default artifact directory: `$UNIGPU_DB_DIR/artifacts` (the tuning
-/// database lives alongside, under the same root).
+/// Default artifact directory: `artifacts/` under [`unigpu_tuner::db_dir`]
+/// (the tuning database lives alongside, under the same root).
 pub fn default_artifact_dir() -> PathBuf {
-    let base = std::env::var("UNIGPU_DB_DIR").unwrap_or_else(|_| "target/tuning".into());
-    PathBuf::from(base).join("artifacts")
+    unigpu_tuner::db_dir().join("artifacts")
 }
 
 /// Cache traffic counters, readable via [`ArtifactCache::stats`].

@@ -9,8 +9,7 @@
 //! built or loaded from, and its schedules never change after compile.
 
 use crate::artifact::{
-    fingerprint, records_digest, Artifact, ArtifactKey, ArtifactMeta, TuningState, ARTIFACT_KIND,
-    ARTIFACT_VERSION,
+    records_digest, Artifact, ArtifactKey, ArtifactMeta, TuningState, ARTIFACT_KIND, ARTIFACT_VERSION,
 };
 use crate::cache::{default_artifact_dir, ArtifactCache, CacheStats};
 use std::collections::HashMap;
@@ -25,37 +24,11 @@ use unigpu_graph::{
 };
 use unigpu_ops::conv::ConvConfig;
 use unigpu_ops::ConvWorkload;
-use unigpu_farm::FarmClient;
-use unigpu_telemetry::{tel_debug, tel_info, tel_warn, MetricsRegistry, SpanRecorder};
+use unigpu_telemetry::{tel_debug, tel_info, MetricsRegistry, SpanRecorder};
 use unigpu_tensor::{Shape, Tensor};
-use unigpu_tuner::{tune_graph, tune_graph_with, Database, TuneRecord, TunedSchedules, TuningBudget};
+use unigpu_tuner::{tune_graph, Database, TuneRecord, TunedSchedules, TuningBudget};
 
 type SharedProvider = Arc<dyn ScheduleProvider + Send + Sync>;
-
-/// Run tensor-level search for `graph`, honouring `UNIGPU_FARM_ADDR`: when
-/// set (and non-empty) the search is dispatched to that farm tracker's
-/// worker pool — same per-workload seeds, so the database is bit-identical
-/// to the in-process one at zero noise. Any farm failure logs a warning and
-/// falls back to in-process serial search rather than failing compilation.
-fn search_database(graph: &Graph, spec: &DeviceSpec, budget: &TuningBudget) -> Database {
-    let addr = std::env::var("UNIGPU_FARM_ADDR").unwrap_or_default();
-    if !addr.is_empty() {
-        tel_info!("engine", "dispatching schedule search to farm at {addr}");
-        // Root the farm batch's trace in the graph fingerprint: the
-        // tracker's per-lease spans become children of this context, so a
-        // remote tune stitches into the originating compile's trace — and
-        // re-compiling the same graph reproduces the same ids.
-        let trace = unigpu_telemetry::TraceContext::from_seed(fingerprint(graph));
-        let client = FarmClient::new(addr.clone()).with_trace(trace);
-        match tune_graph_with(graph, spec, budget, &client, None) {
-            Ok(db) => return db,
-            Err(e) => {
-                tel_warn!("engine", "farm at {addr} failed ({e}); falling back to in-process search");
-            }
-        }
-    }
-    tune_graph(graph, spec, budget)
-}
 
 /// Normalizes workload batch to 1 before lookup, so schedules tuned on the
 /// single-sample graph serve rebatched graphs (`ConvWorkload::key` embeds
@@ -262,7 +235,7 @@ impl Engine {
                     self.budget.trials_per_workload
                 );
                 let tuned =
-                    TunedSchedules::new(search_database(g, &self.platform.gpu, &self.budget));
+                    TunedSchedules::new(tune_graph(g, &self.platform.gpu, &self.budget));
                 let records = tuned.to_records();
                 (Arc::new(tuned), records)
             }

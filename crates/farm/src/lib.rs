@@ -17,20 +17,20 @@
 //! * [`proto`] — the frame format shared by all three.
 //! * [`framing`] — the protocol-agnostic length-prefixed JSON codec (also
 //!   used by the fleet serving protocol in `unigpu-fleet`).
-//! * [`fault`] — deterministic, counter-based worker death
-//!   (`UNIGPU_FARM_FAULTS=kill_after_leases=K`) for exercising the re-queue
-//!   machinery.
-//! * [`netchaos`] — deterministic *wire-level* fault injection
-//!   (`UNIGPU_NET_FAULTS`): dropped connections, flipped bytes, truncated
-//!   and duplicated frames, applied by a [`ChaosStream`] wrapper.
+//! * [`netchaos`] — deterministic *wire-level* fault injection: dropped
+//!   connections, flipped bytes, truncated and duplicated frames, applied
+//!   by a [`ChaosStream`] wrapper.
 //! * [`backoff`] — the deterministic bounded reconnect schedule shared by
 //!   the worker and the fleet router's resume path.
+//!
+//! Both fault domains a farm process has, worker death
+//! (`kill_after_leases=K`) and the wire, are knobs of the one fault plan,
+//! [`unigpu_device::FaultPlan`], which [`WorkerConfig::faults`] carries.
 //!
 //! [`DeviceSpec`]: unigpu_device::DeviceSpec
 
 pub mod backoff;
 pub mod client;
-pub mod fault;
 pub mod framing;
 pub mod netchaos;
 pub mod proto;
@@ -39,9 +39,9 @@ pub mod worker;
 
 pub use backoff::Backoff;
 pub use client::FarmClient;
-pub use fault::{FaultPlan, FaultState};
 pub use framing::{crc32, FrameError, Framed, WireFrame, FRAMING_VERSION};
-pub use netchaos::{ChaosStream, NetFaultPlan, NetStats, SharedNetFaults};
+pub use netchaos::{ChaosStream, NetStats, SharedNetFaults};
+pub use unigpu_device::NetFaultPlan;
 pub use proto::{read_frame, write_frame, Frame, MAX_FRAME_BYTES};
 pub use tracker::{Tracker, TrackerConfig, TrackerHandle, LANE_FARM_WORKER_BASE};
 pub use worker::{run_worker, WorkerConfig, WorkerExit};

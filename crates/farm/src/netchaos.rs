@@ -1,19 +1,20 @@
 //! Deterministic *wire-level* fault injection: the network itself as a
 //! failure domain.
 //!
-//! `UNIGPU_NET_FAULTS` is a `/`-separated list of `key:value` knobs applied
-//! to a [`ChaosStream`] wrapped around any `Read + Write` transport:
+//! A [`ChaosStream`] wrapped around any `Read + Write` transport applies the
+//! wire knobs of the fault plan ([`NetFaultPlan`], grammar in
+//! `unigpu_device::fault`) to its outgoing frames:
 //!
-//! * `drop_conn_nth:K` — every Kth outgoing frame kills the connection
+//! * `drop_conn_nth=K` — every Kth outgoing frame kills the connection
 //!   before a byte hits the wire (the peer sees EOF);
-//! * `corrupt_byte_nth:K` — every Kth outgoing frame has one body byte
+//! * `corrupt_byte_nth=K` — every Kth outgoing frame has one body byte
 //!   flipped (a v2 peer answers `ChecksumMismatch`, a v1 peer a JSON parse
 //!   error);
-//! * `truncate_frame_nth:K` — every Kth outgoing frame is cut in half
+//! * `truncate_frame_nth=K` — every Kth outgoing frame is cut in half
 //!   mid-write and the connection dies (the peer sees a short body + EOF);
-//! * `dup_frame_nth:K` — every Kth outgoing frame is written twice
+//! * `dup_frame_nth=K` — every Kth outgoing frame is written twice
 //!   (a v2 peer drops the replay by sequence number);
-//! * `delay_frame_nth:K:MS` — every Kth outgoing frame is held MS
+//! * `delay_frame_nth=K:MS` — every Kth outgoing frame is held MS
 //!   milliseconds before sending.
 //!
 //! Everything is counter-based — no RNG, no wall-clock reads — so a faulty
@@ -24,60 +25,7 @@
 
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};
-
-/// Parsed `UNIGPU_NET_FAULTS` knobs. Default is no faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetFaultPlan {
-    /// Kill the connection on every Kth outgoing frame (1-based).
-    pub drop_conn_nth: Option<u64>,
-    /// Flip one byte in every Kth outgoing frame.
-    pub corrupt_byte_nth: Option<u64>,
-    /// Cut every Kth outgoing frame in half and kill the connection.
-    pub truncate_frame_nth: Option<u64>,
-    /// Send every Kth outgoing frame twice.
-    pub dup_frame_nth: Option<u64>,
-    /// `(K, MS)`: hold every Kth outgoing frame MS ms before sending.
-    pub delay_frame_nth: Option<(u64, u64)>,
-}
-
-impl NetFaultPlan {
-    /// Parse a `UNIGPU_NET_FAULTS` spec such as
-    /// `drop_conn_nth:13/corrupt_byte_nth:9/delay_frame_nth:5:20`.
-    /// Unknown keys and unparseable values are ignored — fault injection
-    /// must never break a real run.
-    pub fn parse(spec: &str) -> NetFaultPlan {
-        let mut plan = NetFaultPlan::default();
-        for part in spec.split('/').map(str::trim).filter(|p| !p.is_empty()) {
-            let mut kv = part.splitn(3, ':');
-            let key = kv.next().unwrap_or("");
-            let first: Option<u64> = kv.next().and_then(|v| v.trim().parse().ok());
-            let second: Option<u64> = kv.next().and_then(|v| v.trim().parse().ok());
-            match (key, first) {
-                ("drop_conn_nth", Some(k)) if k > 0 => plan.drop_conn_nth = Some(k),
-                ("corrupt_byte_nth", Some(k)) if k > 0 => plan.corrupt_byte_nth = Some(k),
-                ("truncate_frame_nth", Some(k)) if k > 0 => plan.truncate_frame_nth = Some(k),
-                ("dup_frame_nth", Some(k)) if k > 0 => plan.dup_frame_nth = Some(k),
-                ("delay_frame_nth", Some(k)) if k > 0 => {
-                    plan.delay_frame_nth = Some((k, second.unwrap_or(0)))
-                }
-                _ => {}
-            }
-        }
-        plan
-    }
-
-    /// Read the plan from `UNIGPU_NET_FAULTS` (empty plan when unset).
-    pub fn from_env() -> NetFaultPlan {
-        match std::env::var("UNIGPU_NET_FAULTS") {
-            Ok(s) => NetFaultPlan::parse(&s),
-            Err(_) => NetFaultPlan::default(),
-        }
-    }
-
-    pub fn is_noop(&self) -> bool {
-        *self == NetFaultPlan::default()
-    }
-}
+use unigpu_device::NetFaultPlan;
 
 /// What the counters decided to do with one outgoing frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,10 +142,6 @@ impl SharedNetFaults {
         })))
     }
 
-    pub fn from_env() -> SharedNetFaults {
-        SharedNetFaults::new(NetFaultPlan::from_env())
-    }
-
     pub fn plan(&self) -> NetFaultPlan {
         self.0.lock().expect("net fault state poisoned").plan
     }
@@ -242,7 +186,7 @@ pub struct ChaosStream<S> {
 
 impl<S: Read + Write> ChaosStream<S> {
     pub fn new(inner: S, faults: SharedNetFaults) -> ChaosStream<S> {
-        let noop = faults.plan().is_noop();
+        let noop = faults.plan() == NetFaultPlan::default();
         ChaosStream { inner, faults, noop, buf: Vec::new(), dead: false }
     }
 
@@ -323,25 +267,6 @@ impl<S: Read + Write> Write for ChaosStream<S> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parse_full_spec() {
-        let p = NetFaultPlan::parse(
-            "drop_conn_nth:13/ corrupt_byte_nth:9 /truncate_frame_nth:6/dup_frame_nth:7/delay_frame_nth:5:20",
-        );
-        assert_eq!(p.drop_conn_nth, Some(13));
-        assert_eq!(p.corrupt_byte_nth, Some(9));
-        assert_eq!(p.truncate_frame_nth, Some(6));
-        assert_eq!(p.dup_frame_nth, Some(7));
-        assert_eq!(p.delay_frame_nth, Some((5, 20)));
-        assert!(!p.is_noop());
-    }
-
-    #[test]
-    fn junk_is_ignored() {
-        let p = NetFaultPlan::parse("bogus:1/drop_conn_nth:zero/drop_conn_nth:0//:/:3/dup_frame_nth");
-        assert!(p.is_noop());
-    }
-
     /// One "frame" through a chaos stream: write then flush, like the codec.
     fn send(cs: &mut ChaosStream<std::io::Cursor<Vec<u8>>>, bytes: &[u8]) -> io::Result<()> {
         cs.write_all(bytes)?;
@@ -362,7 +287,7 @@ mod tests {
 
     #[test]
     fn drop_conn_kills_the_nth_frame_and_everything_after() {
-        let faults = SharedNetFaults::new(NetFaultPlan::parse("drop_conn_nth:2"));
+        let faults = SharedNetFaults::new(NetFaultPlan::parse("drop_conn_nth=2"));
         let mut cs = ChaosStream::new(std::io::Cursor::new(Vec::new()), faults.clone());
         send(&mut cs, b"frame-1-ok").unwrap();
         let err = send(&mut cs, b"frame-2-dropped").unwrap_err();
@@ -382,7 +307,7 @@ mod tests {
 
     #[test]
     fn corrupt_flips_exactly_one_byte_in_the_nth_frame() {
-        let faults = SharedNetFaults::new(NetFaultPlan::parse("corrupt_byte_nth:2"));
+        let faults = SharedNetFaults::new(NetFaultPlan::parse("corrupt_byte_nth=2"));
         let mut cs = ChaosStream::new(std::io::Cursor::new(Vec::new()), faults.clone());
         let frame = b"0123456789abcdef";
         send(&mut cs, frame).unwrap();
@@ -399,7 +324,7 @@ mod tests {
 
     #[test]
     fn truncate_writes_half_then_dies() {
-        let faults = SharedNetFaults::new(NetFaultPlan::parse("truncate_frame_nth:1"));
+        let faults = SharedNetFaults::new(NetFaultPlan::parse("truncate_frame_nth=1"));
         let mut cs = ChaosStream::new(std::io::Cursor::new(Vec::new()), faults.clone());
         let err = send(&mut cs, b"0123456789").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
@@ -409,7 +334,7 @@ mod tests {
 
     #[test]
     fn dup_writes_the_nth_frame_twice() {
-        let faults = SharedNetFaults::new(NetFaultPlan::parse("dup_frame_nth:2"));
+        let faults = SharedNetFaults::new(NetFaultPlan::parse("dup_frame_nth=2"));
         let mut cs = ChaosStream::new(std::io::Cursor::new(Vec::new()), faults.clone());
         send(&mut cs, b"aa").unwrap();
         send(&mut cs, b"bb").unwrap();
@@ -422,7 +347,7 @@ mod tests {
     fn fault_precedence_is_deterministic() {
         // every counter lands on frame 6: drop wins
         let faults = SharedNetFaults::new(NetFaultPlan::parse(
-            "drop_conn_nth:6/truncate_frame_nth:3/corrupt_byte_nth:2/dup_frame_nth:6",
+            "drop_conn_nth=6,truncate_frame_nth=3,corrupt_byte_nth=2,dup_frame_nth=6",
         ));
         let mut cs = ChaosStream::new(std::io::Cursor::new(Vec::new()), faults.clone());
         let mut outcomes = Vec::new();

@@ -12,22 +12,21 @@
 //! tracker still knows it, and replays an unacked `Result` frame so a
 //! connection dropped mid-ack cannot lose finished work (the tracker's
 //! duplicate-result dedup absorbs the replay if the ack merely got lost).
-//! Fault injection ([`FaultState`] for device faults, [`SharedNetFaults`]
-//! for wire faults) lives worker-side and survives reconnects, so neither
-//! a `kill_after_leases` budget nor a `drop_conn_nth` counter can be reset
-//! by a dropped frame.
+//! Fault injection (the lease count in the worker's session state, wire
+//! faults in [`SharedNetFaults`]) lives worker-side and survives
+//! reconnects, so neither a `kill_after_leases` budget nor a
+//! `drop_conn_nth` counter can be reset by a dropped frame.
 
 use crate::backoff::Backoff;
-use crate::fault::{FaultPlan, FaultState};
 use crate::framing::{Framed, FRAMING_VERSION};
-use crate::netchaos::{ChaosStream, NetFaultPlan, SharedNetFaults};
+use crate::netchaos::{ChaosStream, SharedNetFaults};
 use crate::proto::Frame;
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
-use unigpu_device::DeviceSpec;
+use unigpu_device::{DeviceSpec, FaultPlan};
 use unigpu_telemetry::{tel_debug, tel_info, tel_warn};
 use unigpu_tuner::{tune_one_measured, MeasuredDrift, TuneJob, TuneOutcome, TuningBudget};
 
@@ -47,10 +46,9 @@ pub struct WorkerConfig {
     /// Reconnect attempts after transport failures before giving up (a
     /// lifetime budget, spent on the deterministic [`Backoff`] schedule).
     pub reconnects: usize,
-    /// Deterministic fault injection (`UNIGPU_FARM_FAULTS`).
+    /// Deterministic fault injection: the worker reads `kill_after_leases`
+    /// and the wire knobs.
     pub faults: FaultPlan,
-    /// Deterministic wire-fault injection (`UNIGPU_NET_FAULTS`).
-    pub net_faults: NetFaultPlan,
 }
 
 impl Default for WorkerConfig {
@@ -61,7 +59,6 @@ impl Default for WorkerConfig {
             max_idle_polls: None,
             reconnects: 5,
             faults: FaultPlan::default(),
-            net_faults: NetFaultPlan::default(),
         }
     }
 }
@@ -75,43 +72,48 @@ pub enum WorkerExit {
     Killed,
 }
 
-struct Conn {
-    framed: Framed<ChaosStream<TcpStream>>,
-    faults: FaultState,
-}
+type Conn = Framed<ChaosStream<TcpStream>>;
 
-impl Conn {
-    /// One request/response exchange. The caller holds the connection lock
-    /// for the whole exchange, so replies cannot interleave between the
-    /// main loop and the heartbeat thread.
-    fn rpc(&mut self, frame: &Frame) -> io::Result<Frame> {
-        self.framed.send(frame).map_err(io::Error::from)?;
-        self.framed.recv().map_err(io::Error::from)
-    }
+/// One request/response exchange. The caller holds the connection lock
+/// for the whole exchange, so replies cannot interleave between the main
+/// loop and the heartbeat thread.
+fn rpc(conn: &mut Conn, frame: &Frame) -> io::Result<Frame> {
+    conn.send(frame).map_err(io::Error::from)?;
+    conn.recv().map_err(io::Error::from)
 }
 
 fn lock(conn: &Mutex<Conn>) -> MutexGuard<'_, Conn> {
     conn.lock().expect("worker connection poisoned")
 }
 
-/// Cross-session worker state: identity to resume, and a finished result
-/// whose ack never arrived, to replay on the next connection.
+/// Cross-session worker state: identity to resume, a finished result whose
+/// ack never arrived (replayed on the next connection), and the leases
+/// granted so far.
 #[derive(Default)]
 struct SessionState {
     resume: Option<u64>,
     pending: Option<Frame>,
+    leases: u64,
+}
+
+impl SessionState {
+    /// Count a granted lease; `true` means the `kill_after_leases` budget
+    /// is spent and the worker must die now, mid-lease.
+    fn lease_started(&mut self, faults: &FaultPlan) -> bool {
+        self.leases += 1;
+        faults.kill_after_leases.is_some_and(|k| self.leases >= k)
+    }
 }
 
 /// Serve `tracker` with one simulated device until told to die (fault
 /// injection), idled out (`max_idle_polls`), or out of reconnect attempts.
 pub fn run_worker(tracker: &str, spec: DeviceSpec, cfg: WorkerConfig) -> io::Result<WorkerExit> {
-    let mut faults = FaultState::new(cfg.faults);
-    let net = SharedNetFaults::new(cfg.net_faults);
+    let net = SharedNetFaults::new(cfg.faults.net);
     let poll_ms = (cfg.poll.as_millis() as u64).max(1);
     let mut backoff = Backoff::new(poll_ms, poll_ms * 8, cfg.reconnects as u32);
     let mut state = SessionState::default();
     loop {
-        match run_session(tracker, &spec, &cfg, &mut faults, &net, &mut state) {
+        match run_session(tracker, &spec, &cfg, &net, &mut state) {
             Ok(exit) => return Ok(exit),
             Err(e) => match backoff.next_delay_ms() {
                 None => {
@@ -138,31 +140,28 @@ pub fn run_worker(tracker: &str, spec: DeviceSpec, cfg: WorkerConfig) -> io::Res
 }
 
 /// One connection's lifetime: register (resuming a previous identity when
-/// possible), replay any unacked result, serve, and on any error copy the
-/// fault counters back out so the next session continues where it left off.
+/// possible), replay any unacked result, serve.
 fn run_session(
     tracker: &str,
     spec: &DeviceSpec,
     cfg: &WorkerConfig,
-    faults: &mut FaultState,
     net: &SharedNetFaults,
     state: &mut SessionState,
 ) -> io::Result<WorkerExit> {
     let stream = TcpStream::connect(tracker)?;
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut conn0 =
-        Conn { framed: Framed::new(ChaosStream::new(stream, net.clone())), faults: *faults };
+    let mut conn0 = Framed::new(ChaosStream::new(stream, net.clone()));
     let register = Frame::Register {
         name: cfg.name.clone(),
         device: spec.name.clone(),
         framing: Some(FRAMING_VERSION),
         resume: state.resume,
     };
-    let (worker_id, lease_ms) = match conn0.rpc(&register) {
-        Ok(Frame::RegisterAck { worker_id, lease_ms, framing, resumed }) => {
+    let (worker_id, lease_ms) = match rpc(&mut conn0, &register)? {
+        Frame::RegisterAck { worker_id, lease_ms, framing, resumed } => {
             if framing == Some(FRAMING_VERSION) {
-                conn0.framed.upgrade();
+                conn0.upgrade();
             }
             if resumed {
                 tel_info!(
@@ -173,14 +172,7 @@ fn run_session(
             }
             (worker_id, lease_ms)
         }
-        Ok(other) => {
-            *faults = conn0.faults;
-            return Err(protocol_error(&other));
-        }
-        Err(e) => {
-            *faults = conn0.faults;
-            return Err(e);
-        }
+        other => return Err(protocol_error(&other)),
     };
     state.resume = Some(worker_id);
     tel_info!(
@@ -188,13 +180,11 @@ fn run_session(
         "{}: registered as worker {worker_id} for {} at {tracker} (framing v{})",
         cfg.name,
         spec.name,
-        if conn0.framed.is_v2() { 2 } else { 1 }
+        if conn0.is_v2() { 2 } else { 1 }
     );
     let conn = Mutex::new(conn0);
-    let result = replay_pending(&conn, cfg, state)
-        .and_then(|()| session_loop(&conn, worker_id, lease_ms, spec, cfg, &mut state.pending));
-    *faults = conn.into_inner().expect("worker connection poisoned").faults;
-    result
+    replay_pending(&conn, cfg, state)?;
+    session_loop(&conn, worker_id, lease_ms, spec, cfg, state)
 }
 
 /// Re-send a result whose ack was lost to a dropped connection. The
@@ -203,7 +193,7 @@ fn run_session(
 fn replay_pending(conn: &Mutex<Conn>, cfg: &WorkerConfig, state: &mut SessionState) -> io::Result<()> {
     let Some(frame) = state.pending.clone() else { return Ok(()) };
     tel_info!("farm::worker", "{}: replaying unacked result after reconnect", cfg.name);
-    match lock(conn).rpc(&frame)? {
+    match rpc(&mut lock(conn), &frame)? {
         Frame::ResultAck { duplicate } => {
             if duplicate {
                 tel_debug!(
@@ -225,15 +215,15 @@ fn session_loop(
     lease_ms: u64,
     spec: &DeviceSpec,
     cfg: &WorkerConfig,
-    pending: &mut Option<Frame>,
+    state: &mut SessionState,
 ) -> io::Result<WorkerExit> {
     let mut idle = 0usize;
     loop {
-        let reply = lock(conn).rpc(&Frame::RequestJob { worker_id })?;
+        let reply = rpc(&mut lock(conn), &Frame::RequestJob { worker_id })?;
         match reply {
             Frame::Lease { lease_id, batch_id, budget, job, .. } => {
                 idle = 0;
-                if lock(conn).faults.lease_started() {
+                if state.lease_started(&cfg.faults) {
                     tel_warn!(
                         "farm::worker",
                         "{}: fault injection: dying mid-lease {lease_id}",
@@ -257,7 +247,7 @@ fn session_loop(
                     outcome: Box::new(outcome),
                     drift: Some(drift),
                 };
-                match lock(conn).rpc(&result) {
+                match rpc(&mut lock(conn), &result) {
                     Ok(Frame::ResultAck { duplicate }) => {
                         if duplicate {
                             tel_debug!(
@@ -271,7 +261,7 @@ fn session_loop(
                     Err(e) => {
                         // The tuned outcome is real work: stash the frame so
                         // the next session replays it instead of losing it.
-                        *pending = Some(result);
+                        state.pending = Some(result);
                         return Err(e);
                     }
                 }
@@ -320,7 +310,7 @@ fn tune_leased(
                 std::thread::sleep(HEARTBEAT_TICK);
                 waited += HEARTBEAT_TICK;
             }
-            let _ = lock(conn).rpc(&Frame::Heartbeat { worker_id, lease_id });
+            let _ = rpc(&mut lock(conn), &Frame::Heartbeat { worker_id, lease_id });
         });
         let out = tune_one_measured(job, spec, budget);
         stop.store(true, Ordering::Relaxed);
@@ -330,4 +320,19 @@ fn tune_leased(
 
 fn protocol_error(frame: &Frame) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("unexpected reply: {frame:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kill_budget_fires_once_reached() {
+        let faults: FaultPlan = "kill_after_leases=2".parse().unwrap();
+        let mut s = SessionState::default();
+        assert!(!s.lease_started(&faults));
+        assert!(s.lease_started(&faults));
+        assert!(s.lease_started(&faults), "stays dead past the threshold");
+        assert!(!SessionState::default().lease_started(&FaultPlan::default()));
+    }
 }

@@ -5,10 +5,10 @@
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
-use unigpu_device::DeviceSpec;
+use unigpu_device::{DeviceSpec, FaultPlan};
 use unigpu_farm::{
-    read_frame, run_worker, write_frame, FarmClient, FaultPlan, Frame, Tracker, TrackerConfig,
-    TrackerHandle, WorkerConfig, WorkerExit,
+    read_frame, run_worker, write_frame, FarmClient, Frame, Tracker, TrackerConfig, TrackerHandle,
+    WorkerConfig, WorkerExit,
 };
 use unigpu_ops::ConvWorkload;
 use unigpu_tuner::{tune_one, DispatchError, Dispatcher, SerialDispatcher, TuneJob, TuningBudget};
@@ -47,7 +47,6 @@ fn spawn_worker(
         max_idle_polls: Some(2000),
         reconnects: 0,
         faults,
-        net_faults: Default::default(),
     };
     std::thread::spawn(move || run_worker(&addr, spec(), cfg))
 }
@@ -179,7 +178,7 @@ fn killed_worker_lease_is_requeued_and_finished_by_a_healthy_worker() {
     let doomed = spawn_worker(
         addr.clone(),
         "doomed",
-        FaultPlan { kill_after_leases: Some(1) },
+        "kill_after_leases=1".parse().unwrap(),
     );
 
     let jobs = test_jobs();
@@ -221,7 +220,7 @@ fn exhausted_retry_budget_fails_the_job() {
     let _doomed = spawn_worker(
         addr.clone(),
         "doomed",
-        FaultPlan { kill_after_leases: Some(1) },
+        "kill_after_leases=1".parse().unwrap(),
     );
 
     let jobs = vec![test_jobs()[0]];

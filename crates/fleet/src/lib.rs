@@ -22,8 +22,10 @@
 //! * [`pool`] — in-process heterogeneous pools for tests and benches.
 //!
 //! Everything runs on the simulated clock with counter-based fault
-//! injection — device-level (`UNIGPU_FAULTS`) *and* wire-level
-//! (`UNIGPU_NET_FAULTS`, [`unigpu_farm::netchaos`]); a zero-noise fleet
+//! injection from one fault plan ([`unigpu_device::FaultPlan`]): device
+//! knobs in each replica's server, wire knobs in every
+//! [`unigpu_farm::netchaos`] stream, and `die_on_submit` replica kills; a
+//! zero-noise fleet
 //! run replays bit for bit ([`FleetReport::digest`]), and under any
 //! fault composition the accounting balances with zero duplicate
 //! completions ([`FleetReport::duplicate_completions`]).
@@ -42,7 +44,6 @@ pub use proto::{FleetFrame, ReplicaHealth, ReplicaReport};
 pub use replica::{run_replica, LocalReplica, ReplicaConfig, ReplicaLink};
 pub use replication::{artifact_of, warm_remote_pool};
 pub use router::{FleetReport, RemoteReplica, RouteDecision, RoutePolicy, Router, RouterConfig};
-pub use unigpu_farm::netchaos::{NetFaultPlan, NetStats};
 
 /// Chrome-trace lane for fleet control events (replica deaths, failover).
 /// Sits above the farm's worker lanes (64+) so a merged trace never

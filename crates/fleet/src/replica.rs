@@ -16,12 +16,12 @@ use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 
-use unigpu_device::{Platform, Vendor};
+use unigpu_device::{NetFaultPlan, Platform, Vendor};
 use unigpu_engine::{
     Admission, CompiledModel, Engine, InferenceRequest, ServeConfig, ServeReport, Server,
 };
 use unigpu_farm::framing::{FrameError, Framed, FRAMING_VERSION};
-use unigpu_farm::netchaos::{ChaosStream, NetFaultPlan, NetStats, SharedNetFaults};
+use unigpu_farm::netchaos::{ChaosStream, NetStats, SharedNetFaults};
 use unigpu_models::full_zoo;
 use unigpu_tensor::Shape;
 use unigpu_telemetry::{tel_info, tel_warn};
@@ -232,8 +232,8 @@ pub struct ReplicaConfig {
     /// The CI fleet gate uses this so the mid-traffic kill lands on the
     /// same request every run.
     pub die_on_submit: Option<usize>,
-    /// Deterministic wire-fault injection (`UNIGPU_NET_FAULTS`) on this
-    /// replica's side of every router connection.
+    /// Deterministic wire-fault injection on this replica's side of every
+    /// router connection.
     pub net_faults: NetFaultPlan,
     /// How many reconnects (session resumes) the replica accepts after
     /// its first connection before giving up on the router.

@@ -35,7 +35,8 @@ use std::net::TcpStream;
 
 use unigpu_farm::backoff::Backoff;
 use unigpu_farm::framing::{FrameError, Framed, FRAMING_VERSION};
-use unigpu_farm::netchaos::{ChaosStream, NetFaultPlan, NetStats, SharedNetFaults};
+use unigpu_device::NetFaultPlan;
+use unigpu_farm::netchaos::{ChaosStream, NetStats, SharedNetFaults};
 use unigpu_telemetry::hash::{splitmix64, Fnv1a};
 use unigpu_telemetry::{CounterSlot, GaugeSlot, MetricsRegistry, SpanRecord, SpanRecorder};
 
@@ -680,14 +681,8 @@ const RECONNECT_MAX_MS: u64 = 160;
 const RECONNECT_ATTEMPTS: u32 = 6;
 
 impl RemoteReplica {
-    /// Connect and handshake, injecting the `UNIGPU_NET_FAULTS` plan (if
-    /// any) on this link's outgoing frames.
-    pub fn connect(addr: &str) -> io::Result<RemoteReplica> {
-        RemoteReplica::connect_with(addr, NetFaultPlan::from_env())
-    }
-
-    /// Connect and handshake with an explicit fault plan for this link's
-    /// outgoing frames (the replica injects its own side via its config).
+    /// Connect and handshake, injecting `plan` on this link's outgoing
+    /// frames (the replica injects its own side via its config).
     pub fn connect_with(addr: &str, plan: NetFaultPlan) -> io::Result<RemoteReplica> {
         let mut link = RemoteReplica {
             addr: addr.to_string(),

@@ -13,7 +13,7 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::thread;
 
-use unigpu_device::{DeviceFaultPlan, Platform};
+use unigpu_device::{DeviceFaultPlan, NetFaultPlan, Platform};
 use unigpu_engine::ServeConfig;
 use unigpu_fleet::{
     build_pool, warm_remote_pool, FleetReport, ReplicaConfig, ReplicaLink, ReplicaSpec,
@@ -229,7 +229,7 @@ fn tcp_loopback_fleet_serves_and_replicates_warm() {
 
     let mut replicas: Vec<RemoteReplica> = addrs
         .iter()
-        .map(|a| RemoteReplica::connect(a).expect("connect"))
+        .map(|a| RemoteReplica::connect_with(a, NetFaultPlan::default()).expect("connect"))
         .collect();
     assert_eq!(replicas[0].device(), "Intel HD Graphics 505");
     let warm = warm_remote_pool(&mut replicas, "SqueezeNet1.0").expect("warm pool");

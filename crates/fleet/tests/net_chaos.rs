@@ -16,12 +16,12 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::thread;
 
-use unigpu_device::{DeviceFaultPlan, Platform, Vendor};
+use unigpu_device::{DeviceFaultPlan, NetFaultPlan, Platform, Vendor};
 use unigpu_engine::{Engine, ServeConfig};
 use unigpu_farm::{Framed, FRAMING_VERSION};
 use unigpu_fleet::proto::{read_frame, write_frame};
 use unigpu_fleet::{
-    run_replica, FleetFrame, FleetReport, NetFaultPlan, RemoteReplica, ReplicaConfig,
+    run_replica, FleetFrame, FleetReport, RemoteReplica, ReplicaConfig,
     ReplicaLink, RoutePolicy, Router, RouterConfig,
 };
 use unigpu_models::full_zoo;
@@ -184,8 +184,8 @@ fn composed_wire_and_device_chaos_changes_nothing_but_the_transport_counters() {
 
     // content-independent faults on the router side, address-free frames
     // corrupted/truncated on the replica side (see module docs)
-    let replica_net = NetFaultPlan::parse("corrupt_byte_nth:9/truncate_frame_nth:13");
-    let router_net = NetFaultPlan::parse("drop_conn_nth:11/dup_frame_nth:7");
+    let replica_net = NetFaultPlan::parse("corrupt_byte_nth=9,truncate_frame_nth=13");
+    let router_net = NetFaultPlan::parse("drop_conn_nth=11,dup_frame_nth=7");
 
     let quiet = fleet_run(&caches, NetFaultPlan::default(), NetFaultPlan::default());
     let chaos_a = fleet_run(&caches, replica_net, router_net);
@@ -234,7 +234,7 @@ fn a_truncated_final_report_is_redelivered_on_resume() {
         serve: base_serve(),
         cache_dir: Some(cache.clone()),
         die_on_submit: None,
-        net_faults: NetFaultPlan::parse("truncate_frame_nth:7"),
+        net_faults: NetFaultPlan::parse("truncate_frame_nth=7"),
         max_resumes: 4,
     });
     let mut link = RemoteReplica::connect_with(&proc.addr, NetFaultPlan::default()).unwrap();

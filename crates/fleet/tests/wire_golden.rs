@@ -1,7 +1,7 @@
 //! Byte-for-byte safety net under the fleet's wire path: the raw bytes of a
 //! pinned router⇄replica exchange through `Framed`, `FleetReport::digest` of
 //! an in-process and a TCP fleet run (quiet wire and under a
-//! `UNIGPU_NET_FAULTS` plan), and everything a `Router::with_telemetry` run
+//! wire-fault plan), and everything a `Router::with_telemetry` run
 //! with one replica death leaves in its span recorder and metrics registry
 //! must equal the files under `tests/golden/`, captured before the codec got
 //! typed frame writers and the router stopped formatting per request.
@@ -15,11 +15,11 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::thread;
 
-use unigpu_device::{Platform, Vendor};
+use unigpu_device::{NetFaultPlan, Platform, Vendor};
 use unigpu_engine::{Engine, ServeConfig};
 use unigpu_farm::Framed;
 use unigpu_fleet::{
-    build_pool, run_replica, FleetFrame, FleetReport, NetFaultPlan, RemoteReplica, ReplicaConfig,
+    build_pool, run_replica, FleetFrame, FleetReport, RemoteReplica, ReplicaConfig,
     ReplicaHealth, ReplicaLink, ReplicaReport, ReplicaSpec, RoutePolicy, Router, RouterConfig,
 };
 use unigpu_models::full_zoo;
@@ -292,8 +292,8 @@ fn tcp_digests_quiet_and_under_net_faults_match_the_goldens() {
     let quiet = tcp_run(&caches, NetFaultPlan::default(), NetFaultPlan::default());
     let chaos = tcp_run(
         &caches,
-        NetFaultPlan::parse("corrupt_byte_nth:9/truncate_frame_nth:13"),
-        NetFaultPlan::parse("drop_conn_nth:11/dup_frame_nth:7"),
+        NetFaultPlan::parse("corrupt_byte_nth=9,truncate_frame_nth=13"),
+        NetFaultPlan::parse("drop_conn_nth=11,dup_frame_nth=7"),
     );
     for report in [&quiet, &chaos] {
         assert_eq!(report.offered, 40);

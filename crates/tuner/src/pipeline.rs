@@ -46,8 +46,7 @@ pub fn conv_workloads(g: &Graph) -> Vec<ConvWorkload> {
 }
 
 /// Directory for per-workload tuning convergence logs: a `convergence/`
-/// folder inside the tuning cache dir (`UNIGPU_DB_DIR`, defaulting to
-/// `target/tuning` like the bench harness's database cache).
+/// folder inside the tuning cache dir ([`db_dir`]).
 pub fn convergence_log_dir() -> PathBuf {
     db_dir().join("convergence")
 }

@@ -13,8 +13,9 @@ use unigpu_ops::conv::ConvConfig;
 use unigpu_ops::ConvWorkload;
 
 /// The tuning cache directory: `UNIGPU_DB_DIR`, defaulting to
-/// `target/tuning`. Shared by the bench harness's database cache, the
-/// convergence logs, and `unigpu tune --resume`.
+/// `target/tuning`, and the only reader of that variable. Shared by the
+/// engine's artifact cache, the convergence logs, re-tune records and
+/// `unigpu tune --resume`.
 pub fn db_dir() -> PathBuf {
     let dir = std::env::var("UNIGPU_DB_DIR").unwrap_or_else(|_| "target/tuning".into());
     PathBuf::from(dir)
@@ -29,7 +30,7 @@ pub fn device_slug(name: &str) -> String {
 }
 
 /// Canonical on-disk database path for a device, under [`db_dir`] — the
-/// file `unigpu tune --resume` consults and the bench harness caches to.
+/// file `unigpu tune --resume` consults and folds its results into.
 pub fn device_db_path(device: &str) -> PathBuf {
     db_dir().join(format!("{}.jsonl", device_slug(device)))
 }

@@ -312,8 +312,8 @@ trap - EXIT
 echo "==> fleet loopback smoke test"
 # Router + three heterogeneous replica processes on ephemeral loopback
 # ports. The fast replica is killed mid-traffic on a deterministic submit
-# counter while another replica runs under a UNIGPU_FAULTS plan that trips
-# its breaker; the router must fail the dead replica's backlog over and
+# counter (the plan key die_on_submit) while another replica runs under a
+# UNIGPU_FAULTS plan that trips its breaker; the router must fail the dead replica's backlog over and
 # print a balanced fleet accounting line — zero lost.
 fleet_tmp=$(mktemp -d)
 fleet_pids=()
@@ -326,7 +326,7 @@ cleanup_fleet() {
   rm -rf "$fleet_tmp"
 }
 trap cleanup_fleet EXIT
-start_replica() { # $1=file-tag $2=replica-name $3=device $4=extra-env $5... extra flags
+start_replica() { # $1=file-tag $2=replica-name $3=device $4=fault-plan $5... extra flags
   # tag names the per-process files; name is the replica's protocol name
   # (kept identical across determinism runs — it feeds the fleet digest)
   local tag=$1 name=$2 device=$3 env_plan=$4
@@ -349,7 +349,7 @@ start_replica() { # $1=file-tag $2=replica-name $3=device $4=extra-env $5... ext
 }
 # victim: the fastest device, so its kill counter is reached early and the
 # death lands mid-traffic with a populated backlog to fail over
-start_replica chaos-r0 r0 deeplens "" --die-on-submit 12
+start_replica chaos-r0 r0 deeplens "die_on_submit=12"
 start_replica chaos-r1 r1 aisage "kernel_fail_first=4" --queue-cap 16 --deadline-ms 2000
 start_replica chaos-r2 r2 nano "" --queue-cap 16 --deadline-ms 2000
 if ! ./target/release/unigpu fleet router \
@@ -412,7 +412,7 @@ trap - EXIT
 
 echo "==> fleet net-chaos gate"
 # The wire itself as the failure domain: replicas run under a
-# UNIGPU_NET_FAULTS plan that corrupts and truncates their frames, the
+# UNIGPU_FAULTS plan that corrupts and truncates their frames, the
 # router under one that drops connections and duplicates frames. Fault
 # placement is deliberate — router-side frames carry the session token
 # (which embeds an ephemeral port), so only content-independent faults go
@@ -434,7 +434,7 @@ cleanup_net() {
 trap cleanup_net EXIT
 start_net_replica() { # $1=file-tag $2=replica-name $3=device $4=net-plan
   local tag=$1 name=$2 device=$3 net_plan=$4
-  env ${net_plan:+UNIGPU_NET_FAULTS="$net_plan"} UNIGPU_DB_DIR="$net_tmp/db-$tag" \
+  env ${net_plan:+UNIGPU_FAULTS="$net_plan"} UNIGPU_DB_DIR="$net_tmp/db-$tag" \
     ./target/release/unigpu fleet replica --listen 127.0.0.1:0 \
     --device "$device" --name "$name" --port-file "$net_tmp/$tag.port" \
     --cache-dir "$net_tmp/cache-$tag" --queue-cap 16 --deadline-ms 2000 \
@@ -450,14 +450,14 @@ start_net_replica() { # $1=file-tag $2=replica-name $3=device $4=net-plan
     exit 1
   fi
 }
-replica_plan="corrupt_byte_nth:9/truncate_frame_nth:13"
-router_plan="drop_conn_nth:11/dup_frame_nth:7"
+replica_plan="corrupt_byte_nth=9,truncate_frame_nth=13"
+router_plan="drop_conn_nth=11,dup_frame_nth=7"
 for run in quiet chaos1 chaos2; do
   net_pids=()
   if [ "$run" = quiet ]; then rp=""; rtp=""; else rp=$replica_plan; rtp=$router_plan; fi
   start_net_replica "$run-r0" r0 deeplens "$rp"
   start_net_replica "$run-r1" r1 deeplens "$rp"
-  if ! env ${rtp:+UNIGPU_NET_FAULTS="$rtp"} ./target/release/unigpu fleet router \
+  if ! env ${rtp:+UNIGPU_FAULTS="$rtp"} ./target/release/unigpu fleet router \
       --replica "$(cat "$net_tmp/$run-r0.port")" \
       --replica "$(cat "$net_tmp/$run-r1.port")" \
       --model SqueezeNet1.0 --requests 64 > "$net_tmp/$run.log" 2>&1; then

@@ -26,8 +26,10 @@
 use std::path::PathBuf;
 use std::time::Duration;
 use unigpu::baselines::{baseline_for, paper};
-use unigpu::device::{DeviceFaultPlan, Platform};
-use unigpu::engine::{uniform_requests, ServeConfig, ServeReport, LANE_CONTROL, LANE_WORKER_BASE};
+use unigpu::device::{FaultPlan, Platform};
+use unigpu::engine::{
+    fingerprint, uniform_requests, ServeConfig, ServeReport, LANE_CONTROL, LANE_WORKER_BASE,
+};
 use unigpu::graph::latency::{LANE_CPU, LANE_GPU, LANE_TRANSFER};
 use unigpu::graph::passes::optimize;
 use unigpu::graph::{parameter_count, to_dot, Graph, PlacementPolicy};
@@ -36,13 +38,14 @@ use unigpu::ir::{lower, LoopTag, Schedule};
 use unigpu::models::full_zoo;
 use unigpu::ops::conv::te::conv2d_compute;
 use unigpu::ops::ConvWorkload;
-use unigpu::farm::{run_worker, FarmClient, FaultPlan, Tracker, TrackerConfig, WorkerConfig};
+use unigpu::farm::{run_worker, FarmClient, Tracker, TrackerConfig, WorkerConfig};
 use unigpu::fleet::{
-    run_replica, warm_remote_pool, NetFaultPlan, RemoteReplica, ReplicaConfig, ReplicaLink,
-    RoutePolicy, Router, RouterConfig,
+    run_replica, warm_remote_pool, RemoteReplica, ReplicaConfig, ReplicaLink, RoutePolicy, Router,
+    RouterConfig,
 };
 use unigpu::telemetry::{
     tel_error, tel_warn, AlertRule, ChromeTrace, MetricsRegistry, MetricsServer, SpanRecorder,
+    TraceContext,
 };
 use unigpu::tuner::{
     db_dir, device_db_path, tune_graph_with, Database, Dispatcher, SerialDispatcher,
@@ -88,29 +91,47 @@ fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+/// Every value of a repeatable flag (`--replica A --replica B`), in order.
+/// A flag with no value after it is a [`CliError`], never a silent fall
+/// back to the default.
+fn opt_all<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a str>, CliError> {
     args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
+        .enumerate()
+        .filter(|(_, a)| *a == name)
+        .map(|(i, _)| match args.get(i + 1) {
+            Some(v) if !v.starts_with("--") => Ok(v.as_str()),
+            _ => Err(CliError(format!("missing value for {name}"))),
+        })
+        .collect()
+}
+
+/// The value of a flag, `None` when absent.
+fn opt<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, CliError> {
+    Ok(opt_all(args, name)?.first().copied())
 }
 
 /// The value of a numeric flag, `None` when absent. A value that does not
 /// parse is a [`CliError`], never a silent fall back to the default.
 fn opt_num<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, CliError> {
-    opt(args, name)
+    opt(args, name)?
         .map(|s| s.parse().map_err(|_| CliError(format!("invalid value `{s}` for {name}"))))
         .transpose()
 }
 
-/// Every value of a repeatable flag (`--replica A --replica B`), in order.
-fn opt_all<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == name)
-        .filter_map(|(i, _)| args.get(i + 1))
-        .map(|s| s.as_str())
-        .collect()
+/// The run's fault plan, the one place the CLI reads one: the `--faults`
+/// value when the command takes that flag and it is given, else
+/// `UNIGPU_FAULTS`, else no faults. A plan that does not parse is a
+/// [`CliError`] naming the bad item.
+fn fault_plan(faults_flag: Option<&str>) -> Result<FaultPlan, CliError> {
+    let (source, spec) = match faults_flag {
+        Some(spec) => ("--faults", spec.to_string()),
+        None => ("UNIGPU_FAULTS", std::env::var("UNIGPU_FAULTS").unwrap_or_default()),
+    };
+    let plan: FaultPlan = spec.parse().map_err(|e| CliError(format!("{source}: {e}")))?;
+    if plan != FaultPlan::default() {
+        tel_warn!("unigpu::cli", "fault injection active: {plan}");
+    }
+    Ok(plan)
 }
 
 fn cmd_models() -> Result<(), CliError> {
@@ -148,7 +169,7 @@ fn engine_for(args: &[String], platform: &Platform) -> Result<Engine, CliError> 
 
 fn cmd_estimate(args: &[String]) -> Result<(), CliError> {
     let name = positional(args, "ResNet50_v1");
-    let platform = platform_by_name(opt(args, "--platform").unwrap_or("deeplens"))?;
+    let platform = platform_by_name(opt(args, "--platform")?.unwrap_or("deeplens"))?;
     let g = model_by_name(name, &platform)?;
     let compiled = engine_for(args, &platform)?.compile(&g);
     if compiled.from_cache() {
@@ -201,17 +222,18 @@ struct ServeRun {
 /// through the event-driven scheduler via the streaming `Server` handle.
 fn run_serve(args: &[String]) -> Result<ServeRun, CliError> {
     let name = positional(args, "ResNet50_v1");
-    let platform = platform_by_name(opt(args, "--platform").unwrap_or("deeplens"))?;
+    let platform = platform_by_name(opt(args, "--platform")?.unwrap_or("deeplens"))?;
     let n: usize = opt_num(args, "--requests")?.unwrap_or(64);
     let concurrency: usize = opt_num(args, "--concurrency")?.unwrap_or(2);
     let batch: usize = opt_num(args, "--batch")?.unwrap_or(8);
     let window_ms: u64 = opt_num(args, "--window-ms")?.unwrap_or(2);
+    let faults = fault_plan(opt(args, "--faults")?)?;
     let g = model_by_name(name, &platform)?;
 
     // The exposition endpoint goes up before compilation so a scraper can
     // connect for the whole lifetime of the run.
     let metrics = MetricsRegistry::new();
-    let server = match opt(args, "--metrics-addr") {
+    let server = match opt(args, "--metrics-addr")? {
         Some(addr) => {
             let srv = MetricsServer::spawn(addr, metrics.clone())
                 .map_err(|e| CliError(format!("failed to bind metrics endpoint {addr}: {e}")))?;
@@ -219,7 +241,7 @@ fn run_serve(args: &[String]) -> Result<ServeRun, CliError> {
                 "metrics endpoint listening on {} (GET /metrics, /metrics.json)",
                 srv.addr()
             );
-            if let Some(path) = opt(args, "--port-file") {
+            if let Some(path) = opt(args, "--port-file")? {
                 std::fs::write(path, srv.addr().to_string())
                     .map_err(|e| CliError(format!("failed to write port file {path}: {e}")))?;
             }
@@ -248,19 +270,11 @@ fn run_serve(args: &[String]) -> Result<ServeRun, CliError> {
     // offered load defaults to ~per-worker capacity so batching has work to do
     let interval = opt_num(args, "--interval-ms")?
         .unwrap_or_else(|| compiled.estimate_batch_ms(1) / concurrency.max(1) as f64);
-    // fault tolerance knobs: --faults overrides the UNIGPU_FAULTS env plan
-    let faults = match opt(args, "--faults") {
-        Some(spec) => DeviceFaultPlan::parse(spec),
-        None => DeviceFaultPlan::from_env(),
-    };
-    if !faults.is_noop() {
-        tel_warn!("unigpu::cli", "device fault injection active: {faults:?}");
-    }
     let mut builder = ServeConfig::builder()
         .concurrency(concurrency)
         .max_batch(batch)
         .batch_window(Duration::from_millis(window_ms))
-        .faults(faults);
+        .faults(faults.device);
     if let Some(cap) = opt_num(args, "--queue-cap")? {
         builder = builder.queue_cap(cap);
     }
@@ -279,10 +293,10 @@ fn run_serve(args: &[String]) -> Result<ServeRun, CliError> {
     if let Some(v) = opt_num(args, "--drift-threshold")? {
         builder = builder.drift_threshold(v);
     }
-    if let Some(dir) = opt(args, "--recorder-dump-dir") {
+    if let Some(dir) = opt(args, "--recorder-dump-dir")? {
         builder = builder.recorder_dump_dir(dir);
     }
-    if let Some(spec) = opt(args, "--alert-rules") {
+    if let Some(spec) = opt(args, "--alert-rules")? {
         let rules = AlertRule::parse_rules(spec)
             .map_err(|e| CliError(format!("invalid --alert-rules: {e}")))?;
         builder = builder.alert_rules(rules);
@@ -440,7 +454,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     print_slo_utilization(report);
 
-    if let Some(path) = opt(args, "--trace") {
+    if let Some(path) = opt(args, "--trace")? {
         let mut trace = ChromeTrace::new();
         trace.name_lane(LANE_CONTROL, "control (retries / breaker)");
         for w in 0..concurrency.max(1) {
@@ -571,8 +585,8 @@ fn cmd_drift(args: &[String]) -> Result<(), CliError> {
 /// `chrome://tracing` or Perfetto), and print a hotspot summary.
 fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     let name = positional(args, "MobileNet1.0");
-    let device = opt(args, "--device")
-        .or_else(|| opt(args, "--platform"))
+    let device = opt(args, "--device")?
+        .or(opt(args, "--platform")?)
         .unwrap_or("deeplens");
     let platform = platform_by_name(device)?;
     let g = model_by_name(name, &platform)?;
@@ -588,7 +602,7 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     trace.name_lane(LANE_TRANSFER, "CPU\u{2194}GPU transfer");
     trace.add_spans(&spans.spans());
     trace.add_metrics(&metrics.snapshot(), report.total_ms * 1000.0);
-    if let Some(path) = opt(args, "--trace") {
+    if let Some(path) = opt(args, "--trace")? {
         let path = std::path::Path::new(path);
         trace
             .write(path)
@@ -641,14 +655,19 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
 /// `UNIGPU_DB_DIR` and folds new results back into it.
 fn cmd_tune(args: &[String]) -> Result<(), CliError> {
     let name = positional(args, "SqueezeNet1.0");
-    let platform = platform_by_name(opt(args, "--platform").unwrap_or("deeplens"))?;
+    let platform = platform_by_name(opt(args, "--platform")?.unwrap_or("deeplens"))?;
     let trials = opt_num(args, "--trials")?.unwrap_or(96);
     let g = model_by_name(name, &platform)?;
     let budget = TuningBudget { trials_per_workload: trials, ..Default::default() };
 
     let jobs: Option<usize> = opt_num(args, "--jobs")?;
-    let dispatcher: Box<dyn Dispatcher> = match (opt(args, "--farm"), jobs) {
-        (Some(addr), _) => Box::new(FarmClient::new(addr)),
+    let dispatcher: Box<dyn Dispatcher> = match (opt(args, "--farm")?, jobs) {
+        // root the farm batch's trace in the graph fingerprint: the tracker's
+        // per-lease spans stitch under it, and re-tuning the same graph
+        // reproduces the same ids
+        (Some(addr), _) => Box::new(
+            FarmClient::new(addr).with_trace(TraceContext::from_seed(fingerprint(&g))),
+        ),
         (None, Some(n)) => Box::new(ThreadPoolDispatcher::new(n)),
         (None, None) => Box::new(SerialDispatcher),
     };
@@ -693,7 +712,7 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
         eprintln!("[resume] database updated: {}", resume_path.display());
     }
 
-    if let Some(path) = opt(args, "--out") {
+    if let Some(path) = opt(args, "--out")? {
         db.save(std::path::Path::new(path))
             .map_err(|e| CliError(format!("failed to write tuning db {path}: {e}")))?;
         println!("records written to {path}");
@@ -706,11 +725,12 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
 /// `unigpu farm tracker|worker` — run one half of the distributed tuning
 /// farm. The tracker prints (and optionally writes to `--port-file`) its
 /// bound address and serves until killed; a worker serves one simulated
-/// device, with fault injection read from `UNIGPU_FARM_FAULTS`.
+/// device under the `UNIGPU_FAULTS` plan's `kill_after_leases` and wire
+/// knobs.
 fn cmd_farm(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("tracker") => {
-            let listen = opt(args, "--listen").unwrap_or("127.0.0.1:0");
+            let listen = opt(args, "--listen")?.unwrap_or("127.0.0.1:0");
             let mut cfg = TrackerConfig::default();
             if let Some(ms) = opt_num(args, "--lease-ms")? {
                 cfg.lease = Duration::from_millis(ms);
@@ -718,11 +738,11 @@ fn cmd_farm(args: &[String]) -> Result<(), CliError> {
             if let Some(r) = opt_num(args, "--retries")? {
                 cfg.max_retries = r;
             }
-            cfg.trace_path = opt(args, "--trace").map(PathBuf::from);
+            cfg.trace_path = opt(args, "--trace")?.map(PathBuf::from);
             let handle = Tracker::spawn(listen, cfg)
                 .map_err(|e| CliError(format!("failed to bind tracker on {listen}: {e}")))?;
             println!("tracker listening on {}", handle.addr());
-            if let Some(path) = opt(args, "--port-file") {
+            if let Some(path) = opt(args, "--port-file")? {
                 std::fs::write(path, handle.addr().to_string())
                     .map_err(|e| CliError(format!("failed to write port file {path}: {e}")))?;
             }
@@ -730,22 +750,15 @@ fn cmd_farm(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         Some("worker") => {
-            let tracker = opt(args, "--tracker")
+            let tracker = opt(args, "--tracker")?
                 .ok_or_else(|| CliError("farm worker needs --tracker HOST:PORT".into()))?;
-            let device = opt(args, "--device").unwrap_or("deeplens");
+            let device = opt(args, "--device")?.unwrap_or("deeplens");
             let platform = platform_by_name(device)?;
             let cfg = WorkerConfig {
-                name: opt(args, "--name").unwrap_or("worker").to_string(),
-                faults: FaultPlan::from_env(),
-                net_faults: NetFaultPlan::from_env(),
+                name: opt(args, "--name")?.unwrap_or("worker").to_string(),
+                faults: fault_plan(None)?,
                 ..Default::default()
             };
-            if !cfg.faults.is_noop() {
-                tel_warn!("unigpu::cli", "farm fault injection active: {:?}", cfg.faults);
-            }
-            if !cfg.net_faults.is_noop() {
-                tel_warn!("unigpu::cli", "network fault injection active: {:?}", cfg.net_faults);
-            }
             println!("worker `{}` serving {} via {tracker}", cfg.name, platform.gpu.name);
             match run_worker(tracker, platform.gpu.clone(), cfg) {
                 Ok(exit) => {
@@ -755,12 +768,7 @@ fn cmd_farm(args: &[String]) -> Result<(), CliError> {
                 Err(e) => Err(CliError(format!("worker transport failure: {e}"))),
             }
         }
-        _ => Err(CliError(
-            "usage: unigpu farm tracker [--listen ADDR] [--lease-ms N] [--retries N] \
-             [--port-file F] [--trace out.json]\n       unigpu farm worker --tracker ADDR \
-             [--device deeplens|aisage|nano] [--name N]"
-                .into(),
-        )),
+        _ => Err(usage()),
     }
 }
 
@@ -773,34 +781,29 @@ fn cmd_farm(args: &[String]) -> Result<(), CliError> {
 fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("replica") => {
-            let device = opt(args, "--device").unwrap_or("deeplens");
+            let device = opt(args, "--device")?.unwrap_or("deeplens");
             let platform = platform_by_name(device)?;
-            let name = opt(args, "--name").unwrap_or("replica").to_string();
-            let listen = opt(args, "--listen").unwrap_or("127.0.0.1:0");
+            let name = opt(args, "--name")?.unwrap_or("replica").to_string();
+            let listen = opt(args, "--listen")?.unwrap_or("127.0.0.1:0");
+            // the plan's device knobs go to the server, its wire knobs to
+            // every router connection, `die_on_submit` to the replica
+            let faults = fault_plan(opt(args, "--faults")?)?;
             let listener = std::net::TcpListener::bind(listen)
                 .map_err(|e| CliError(format!("failed to bind replica on {listen}: {e}")))?;
             let addr = listener
                 .local_addr()
                 .map_err(|e| CliError(format!("no local addr: {e}")))?;
             println!("replica `{name}` serving {} on {addr}", platform.gpu.name);
-            if let Some(path) = opt(args, "--port-file") {
+            if let Some(path) = opt(args, "--port-file")? {
                 std::fs::write(path, addr.to_string())
                     .map_err(|e| CliError(format!("failed to write port file {path}: {e}")))?;
-            }
-            // fault injection reads the same UNIGPU_FAULTS plan as `serve`
-            let faults = match opt(args, "--faults") {
-                Some(spec) => DeviceFaultPlan::parse(spec),
-                None => DeviceFaultPlan::from_env(),
-            };
-            if !faults.is_noop() {
-                tel_warn!("unigpu::cli", "device fault injection active: {faults:?}");
             }
             let concurrency = opt_num(args, "--concurrency")?.unwrap_or(1);
             let batch = opt_num(args, "--batch")?.unwrap_or(4);
             let mut builder = ServeConfig::builder()
                 .concurrency(concurrency)
                 .max_batch(batch)
-                .faults(faults);
+                .faults(faults.device);
             if let Some(w) = opt_num(args, "--window-ms")? {
                 builder = builder.batch_window(Duration::from_millis(w));
             }
@@ -813,22 +816,13 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
             let serve = builder
                 .build()
                 .map_err(|e| CliError(format!("invalid serve config: {e}")))?;
-            // wire faults follow the same flag-over-env convention as the
-            // device plan, reading UNIGPU_NET_FAULTS when the flag is absent
-            let net_faults = match opt(args, "--net-faults") {
-                Some(spec) => NetFaultPlan::parse(spec),
-                None => NetFaultPlan::from_env(),
-            };
-            if !net_faults.is_noop() {
-                tel_warn!("unigpu::cli", "network fault injection active: {net_faults:?}");
-            }
             let cfg = ReplicaConfig {
                 name: name.clone(),
                 platform,
                 serve,
-                cache_dir: opt(args, "--cache-dir").map(PathBuf::from),
-                die_on_submit: opt_num(args, "--die-on-submit")?,
-                net_faults,
+                cache_dir: opt(args, "--cache-dir")?.map(PathBuf::from),
+                die_on_submit: faults.die_on_submit,
+                net_faults: faults.net,
                 max_resumes: opt_num(args, "--max-resumes")?
                     .unwrap_or(64),
             };
@@ -838,15 +832,15 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         Some("router") => {
-            let addrs = opt_all(args, "--replica");
+            let addrs = opt_all(args, "--replica")?;
             if addrs.is_empty() {
                 return Err(CliError(
                     "fleet router needs at least one --replica HOST:PORT".into(),
                 ));
             }
-            let model = opt(args, "--model").unwrap_or("SqueezeNet1.0");
+            let model = opt(args, "--model")?.unwrap_or("SqueezeNet1.0");
             let n: usize = opt_num(args, "--requests")?.unwrap_or(64);
-            let policy = match opt(args, "--policy") {
+            let policy = match opt(args, "--policy")? {
                 Some("round-robin") => RoutePolicy::RoundRobin,
                 Some("pow2") | None => RoutePolicy::PowerOfTwo,
                 Some(p) => {
@@ -862,9 +856,10 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
             if let Some(seed) = opt_num(args, "--seed")? {
                 cfg.seed = seed;
             }
+            let net_faults = fault_plan(None)?.net;
             let mut replicas = Vec::with_capacity(addrs.len());
             for a in &addrs {
-                let r = RemoteReplica::connect(a)
+                let r = RemoteReplica::connect_with(a, net_faults)
                     .map_err(|e| CliError(format!("failed to connect replica {a}: {e}")))?;
                 println!("connected replica `{}` ({}) at {a}", r.name(), r.device());
                 replicas.push(r);
@@ -952,23 +947,12 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
             }
             Ok(())
         }
-        _ => Err(CliError(
-            "usage: unigpu fleet replica [--listen ADDR] [--device deeplens|aisage|nano] \
-             [--name N] [--port-file F] [--cache-dir DIR] [--concurrency K] [--batch B] \
-             [--window-ms W] [--queue-cap N] [--deadline-ms D] [--faults PLAN] \
-             [--net-faults PLAN] [--max-resumes N] [--die-on-submit N]\n       \
-             unigpu fleet router --replica ADDR [--replica ADDR ...] [--model M] \
-             [--requests N] [--interval-ms I] [--policy pow2|round-robin] [--seed S]\n       \
-             PLAN for --net-faults / UNIGPU_NET_FAULTS: \
-             drop_conn_nth:K/corrupt_byte_nth:K/truncate_frame_nth:K/dup_frame_nth:K/\
-             delay_frame_nth:K:MS (the router side reads the env var)"
-                .into(),
-        )),
+        _ => Err(usage()),
     }
 }
 
 fn cmd_codegen(args: &[String]) -> Result<(), CliError> {
-    let target = match opt(args, "--target").unwrap_or("opencl") {
+    let target = match opt(args, "--target")?.unwrap_or("opencl") {
         "cuda" => Target::Cuda,
         "opencl" => Target::OpenCl,
         t => return Err(CliError(format!("unknown target `{t}` (use opencl|cuda)"))),
@@ -1036,14 +1020,17 @@ fn usage() -> CliError {
            farm worker --tracker ADDR [--device deeplens|aisage|nano] [--name N]\n\
            fleet replica [--listen ADDR] [--device D] [--name N] [--port-file F]\n\
                     [--cache-dir DIR] [--concurrency K] [--batch B] [--window-ms W]\n\
-                    [--queue-cap N] [--deadline-ms D] [--faults PLAN]\n\
-                    [--net-faults PLAN] [--max-resumes N] [--die-on-submit N]\n\
+                    [--queue-cap N] [--deadline-ms D] [--faults PLAN] [--max-resumes N]\n\
            fleet router --replica ADDR [--replica ADDR ...] [--model M]\n\
                     [--requests N] [--interval-ms I] [--policy pow2|round-robin]\n\
                     [--seed S]\n\
            codegen [--target opencl|cuda]\n\
            dot <model>                    emit Graphviz\n\
-           paper                          the paper's tables and figures as JSON"
+           paper                          the paper's tables and figures as JSON\n\
+         \n\
+         PLAN (--faults, else UNIGPU_FAULTS; the farm worker and fleet router read\n\
+         only UNIGPU_FAULTS): comma-separated key=N[:M] items, e.g.\n\
+           kernel_fail_nth=9,throttle_after_ms=2:1.5,drop_conn_nth=11,die_on_submit=12"
             .into(),
     )
 }

@@ -1,16 +1,19 @@
-//! The `unigpu` binary's argument handling: a malformed numeric flag or an
-//! unknown target exits with code 2 and names it, instead of silently
+//! The `unigpu` binary's argument handling: a malformed numeric flag, a
+//! value flag given without its value, a fault plan item it cannot read or
+//! an unknown target exits with code 2 and names it, instead of silently
 //! running with the default; a command that starts with a flag runs its
 //! default model.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// Run the CLI with `args`, its artifact and tuning files under `db`.
-fn run(db: &Path, args: &[&str]) -> Output {
+/// Run the CLI with `args` under the fault plan `faults`, its artifact and
+/// tuning files under `db`.
+fn run(db: &Path, faults: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_unigpu"))
         .args(args)
         .env("UNIGPU_DB_DIR", db)
+        .env("UNIGPU_FAULTS", faults)
         .env_remove("UNIGPU_LOG")
         .output()
         .expect("the unigpu binary runs")
@@ -22,13 +25,17 @@ fn temp_db(tag: &str) -> PathBuf {
     db
 }
 
-/// Run the CLI with `args`, its artifact and tuning files under a fresh
-/// temp dir.
-fn unigpu(tag: &str, args: &[&str]) -> Output {
+/// Run the CLI with `args` under `UNIGPU_FAULTS=faults`, its artifact and
+/// tuning files under a fresh temp dir.
+fn unigpu_under(faults: &str, tag: &str, args: &[&str]) -> Output {
     let db = temp_db(tag);
-    let out = run(&db, args);
+    let out = run(&db, faults, args);
     let _ = std::fs::remove_dir_all(&db);
     out
+}
+
+fn unigpu(tag: &str, args: &[&str]) -> Output {
+    unigpu_under("", tag, args)
 }
 
 fn assert_rejected(out: &Output, message: &str) {
@@ -48,6 +55,31 @@ fn assert_prints(out: &Output, prefix: &str) {
 fn serve_rejects_a_malformed_request_count() {
     let out = unigpu("serve", &["serve", "MobileNet1.0", "--requests", "abc"]);
     assert_rejected(&out, "invalid value `abc` for --requests");
+}
+
+#[test]
+fn serve_rejects_a_value_flag_given_without_its_value() {
+    let out = unigpu("no-value", &["serve", "MobileNet1.0", "--requests"]);
+    assert_rejected(&out, "missing value for --requests");
+}
+
+#[test]
+fn serve_rejects_a_misspelled_fault_plan_key() {
+    let out = unigpu("typo", &["serve", "MobileNet1.0", "--faults", "kernal_fail_nth=2"]);
+    assert_rejected(&out, "--faults: invalid fault plan item `kernal_fail_nth=2`: unknown key");
+}
+
+#[test]
+fn serve_rejects_an_unknown_key_in_unigpu_faults() {
+    let out = unigpu_under("bogus=1", "bogus", &["serve"]);
+    assert_rejected(&out, "UNIGPU_FAULTS: invalid fault plan item `bogus=1`");
+}
+
+#[test]
+fn serve_rejects_the_retired_slash_separated_plan_syntax() {
+    let plan = "drop_conn_nth:11/dup_frame_nth:7";
+    let out = unigpu_under(plan, "slash", &["serve", "MobileNet1.0", "--requests", "4"]);
+    assert_rejected(&out, &format!("invalid fault plan item `{plan}`: expected `key=value`"));
 }
 
 #[test]
@@ -90,9 +122,9 @@ fn paper_prints_the_committed_tables_over_a_populated_db_dir() {
         &["tune", "SqueezeNet1.0", "--trials", "4", "--resume"][..],
         &["estimate", "SqueezeNet1.0", "--tuned", "--trials", "4"],
     ] {
-        assert!(run(&db, args).status.success(), "{args:?} populates {}", db.display());
+        assert!(run(&db, "", args).status.success(), "{args:?} populates {}", db.display());
     }
-    let out = run(&db, &["paper"]);
+    let out = run(&db, "", &["paper"]);
     let _ = std::fs::remove_dir_all(&db);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(
