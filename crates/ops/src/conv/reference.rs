@@ -1,27 +1,227 @@
 //! Direct convolution — the functional ground truth every schedule variant
 //! must reproduce exactly.
 //!
-//! Loop order: per `(n, oc)` output plane, the taps `(ic, kh, kw)` run
-//! *outside* and the output positions `(oh, ow)` inside. The output range a
-//! kernel row or column can reach is computed once per call, not tested per
-//! element, so the inner loop is a branch-free, contiguous
-//! `out_row[ow] += x_row[ow] * k` that LLVM vectorizes. For `stride_w > 1`
-//! the input rows are first regrouped by column phase, which makes every
-//! tap's reads contiguous again.
-//!
-//! What is preserved is the order *per output element*: each one starts at
-//! `0.0` and receives its in-bounds products in `(ic_in_group, kh, kw)` order,
-//! exactly as a loop with one accumulator per element would produce them.
+//! What is fixed is the order *per output element*: each one starts at
+//! `+0.0` and receives its products in `(ic_in_group, kh, kw)` order, exactly
+//! as a loop with one accumulator per element would produce them.
 //! Floating-point addition is not associative, so this fixed order — which
 //! the spatial-pack template shares — is the only way "schedules never change
 //! results" can hold bit-for-bit rather than approximately. The oracle is
 //! `conv_scalar` in this file's tests (one accumulator, bounds tested per tap,
 //! no loop tricks); the tests sweep kernel × stride × pad × groups × batch
 //! against it with `assert_eq!` on whole tensors.
+//!
+//! Two loop orders keep that order.
+//!
+//! * **Register tiles**, for ungrouped convolutions with finite weights. The
+//!   input is copied once into zero-padded planes, split by stride phase, so
+//!   that every tap of every output is in bounds. Output `(oh, ow)` sits at
+//!   flat position `oh * pitch + ow` of a plane, and tap `(kh, kw)` reads the
+//!   padded input at that position plus a fixed offset: a tap's reads for a
+//!   run of outputs are one contiguous run, across row ends. An `OB × V`
+//!   block of accumulators (output channels × flat positions) stays in
+//!   registers for the whole `(ic, kh, kw)` reduction and is stored once;
+//!   the `pitch - ow` junk columns of each row are computed and dropped.
+//! * **Plane taps**, for everything else. Per `(n, oc)` output plane the taps
+//!   `(ic, kh, kw)` run outside and the output positions inside, over the
+//!   output range each kernel row and column can reach, so the inner loop is
+//!   a branch-free `out_row[ow] += x_row[ow] * k` that LLVM vectorizes. For
+//!   `stride_w > 1` the input rows are first regrouped by column phase, which
+//!   makes every tap's reads contiguous again.
 
 use crate::workload::ConvWorkload;
 use std::borrow::Cow;
 use unigpu_tensor::Tensor;
+
+/// Output channels per register tile.
+const OB: usize = 2;
+/// Flat output positions per register tile (four 128-bit vectors).
+const V: usize = 16;
+/// Output channels whose weights are regrouped into the scratch buffer at a
+/// time (a multiple of `OB`), so the copy stays small however wide the conv.
+const OC_CHUNK: usize = 32;
+/// Most taps (`kernel_h * kernel_w`) a register tile takes: their offsets
+/// live in a stack array.
+const MAX_TAPS: usize = 128;
+
+/// 2-d convolution over `NCHW` data with `OIHW` weights, zero padding,
+/// arbitrary stride and channel groups.
+///
+/// # Panics
+/// Panics if tensor shapes disagree with the workload.
+pub fn conv2d_ref(data: &Tensor, weight: &Tensor, w: &ConvWorkload) -> Tensor {
+    assert_eq!(data.shape().dims(), w.input_shape(), "input shape mismatch");
+    assert_eq!(weight.shape().dims(), w.weight_shape(), "weight shape mismatch");
+    let mut out = Tensor::zeros(w.output_shape());
+    let (x, k) = (data.as_f32(), weight.as_f32());
+    if takes_register_tiles(w, k) {
+        register_tiles(x, k, w, out.as_f32_mut());
+    } else {
+        plane_taps(x, k, w, out.as_f32_mut());
+    }
+    out
+}
+
+/// Whether the register tiles compute `w` with weights `k`.
+///
+/// A register tile adds a product for every tap, also where the tap lands in
+/// the zero padding and the plane taps (and the scalar oracle) add nothing.
+/// Those extra terms are `0 · k`, which is `±0` for every finite `k`. Under
+/// round-to-nearest an accumulator that starts at `+0.0` never becomes
+/// `−0.0`: a sum is `−0` only when both terms are (`+0 + −0 = +0`, and an
+/// exact cancellation `x + (−x)` gives `+0`). Adding `±0` to it therefore
+/// leaves it unchanged bit for bit: `+0` stays `+0`, and any other non-NaN
+/// value, infinities included, is its own sum with zero. A NaN stays a NaN,
+/// though its sign and payload are unspecified in Rust either way. An
+/// infinite or NaN weight would make an extra term `0 · ∞ = NaN`, so such
+/// weights take the plane taps.
+fn takes_register_tiles(w: &ConvWorkload, k: &[f32]) -> bool {
+    w.groups == 1 && w.kernel_h * w.kernel_w <= MAX_TAPS && k.iter().all(|v| v.is_finite())
+}
+
+/// The register tiles' input layout: per image and input channel,
+/// `stride_h * stride_w` phase planes of `rows × pitch`, back to back. Phase
+/// `(a, b)` holds the zero-padded input's rows `a, a + stride_h, …` and
+/// columns `b, b + stride_w, …`, so the padded position of output
+/// `(oh, ow)`'s tap `(kh, kw)` is the tap's offset plus `oh * pitch + ow`.
+struct Padded {
+    rows: usize,
+    pitch: usize,
+    /// Floats per input channel.
+    channel: usize,
+}
+
+impl Padded {
+    fn new(w: &ConvWorkload) -> Self {
+        let rows = (w.height + 2 * w.pad_h).div_ceil(w.stride_h);
+        let pitch = (w.width + 2 * w.pad_w).div_ceil(w.stride_w);
+        Padded { rows, pitch, channel: w.stride_h * w.stride_w * rows * pitch }
+    }
+
+    /// Offset within a channel of the padded input's row `r`, column `c`.
+    fn at(&self, r: usize, c: usize, w: &ConvWorkload) -> usize {
+        let phase = (r % w.stride_h) * w.stride_w + c % w.stride_w;
+        phase * self.rows * self.pitch + r / w.stride_h * self.pitch + c / w.stride_w
+    }
+
+    /// Copies `x` (`NCHW`) into `dst`, whose padding is already zero.
+    fn fill(&self, x: &[f32], w: &ConvWorkload, dst: &mut [f32]) {
+        let planes = x.chunks_exact(w.height * w.width);
+        for (src, dst) in planes.zip(dst.chunks_exact_mut(self.channel)) {
+            for (r, row) in src.chunks_exact(w.width).enumerate() {
+                // Columns `c0, c0 + stride_w, …` land side by side in one phase.
+                for c0 in 0..w.stride_w.min(w.width) {
+                    let to = &mut dst[self.at(r + w.pad_h, c0 + w.pad_w, w)..];
+                    for (d, &v) in to.iter_mut().zip(row[c0..].iter().step_by(w.stride_w)) {
+                        *d = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Register-tiled convolution of an ungrouped workload into `out`.
+fn register_tiles(x: &[f32], k: &[f32], w: &ConvWorkload, out: &mut [f32]) {
+    let pd = Padded::new(w);
+    let (oh, ow) = (w.out_h(), w.out_w());
+    let plane = oh * ow;
+    let taps = w.kernel_h * w.kernel_w;
+    let per_oc = w.in_channels * taps;
+    // Flat positions `0..len` of a plane cover every output.
+    let len = (oh - 1) * pd.pitch + ow;
+    // Unit stride and no padding: the input is its own padded plane.
+    let borrowed = (w.stride_h, w.stride_w, w.pad_h, w.pad_w) == (1, 1, 0, 0) && len >= V;
+
+    // The one scratch buffer: the weights of up to `OC_CHUNK` output channels
+    // regrouped per tile as `[oc / OB][ic][kh][kw][oc % OB]`, then the padded
+    // input plus `V` zeros, which a plane shorter than one tile reads past
+    // its end. Tile channels past `out_channels` get zero weights; they are
+    // computed and dropped.
+    let chunk_len = OC_CHUNK.min(w.out_channels.next_multiple_of(OB)) * per_oc;
+    let padded_len = if borrowed { 0 } else { w.batch * w.in_channels * pd.channel + V };
+    let mut scratch = vec![0.0f32; chunk_len + padded_len];
+    let (packed, padded) = scratch.split_at_mut(chunk_len);
+    let x = if borrowed {
+        x
+    } else {
+        pd.fill(x, w, padded);
+        &*padded
+    };
+
+    let mut offsets = [0; MAX_TAPS];
+    for (t, off) in offsets[..taps].iter_mut().enumerate() {
+        *off = pd.at(t / w.kernel_w, t % w.kernel_w, w);
+    }
+    let offsets = &offsets[..taps];
+
+    for (chunk, k_chunk) in k.chunks(OC_CHUNK * per_oc).enumerate() {
+        packed.fill(0.0);
+        for (src, dst) in k_chunk.chunks(OB * per_oc).zip(packed.chunks_exact_mut(OB * per_oc)) {
+            for (ob, src) in src.chunks_exact(per_oc).enumerate() {
+                for (d, &v) in dst[ob..].iter_mut().step_by(OB).zip(src) {
+                    *d = v;
+                }
+            }
+        }
+        let channels = k_chunk.len() / per_oc;
+        for n in 0..w.batch {
+            let x_n = &x[n * w.in_channels * pd.channel..];
+            let out_n = &mut out[(n * w.out_channels + chunk * OC_CHUNK) * plane..][..channels * plane];
+            for start in (0..len).step_by(V) {
+                // A plane's last tile ends at `len`, recomputing part of the
+                // one before (to the same bits); a plane shorter than a tile
+                // keeps `len` of its `V` positions.
+                let p0 = start.min(len.saturating_sub(V));
+                let (row, col) = (p0 / pd.pitch, p0 % pd.pitch);
+                let count = V.min(len - p0);
+                let tiles = packed.chunks_exact(OB * per_oc).zip(out_n.chunks_mut(OB * plane));
+                for (k_tile, out_tile) in tiles {
+                    let acc = tile(x_n, k_tile, offsets, pd.channel, p0);
+                    for (acc, o) in acc.iter().zip(out_tile.chunks_exact_mut(plane)) {
+                        store(&acc[..count], o, row, col, pd.pitch, ow);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One register tile: the `OB` output channels whose packed weights are
+/// `k_tile`, at flat positions `p0..p0 + V`, summed over `(ic, kh, kw)`.
+fn tile(x: &[f32], k_tile: &[f32], offsets: &[usize], channel: usize, p0: usize) -> [[f32; V]; OB] {
+    let mut acc = [[0.0f32; V]; OB];
+    for (ic, k_ic) in k_tile.chunks_exact(offsets.len() * OB).enumerate() {
+        let x_ic = &x[ic * channel + p0..];
+        for (&off, kv) in offsets.iter().zip(k_ic.chunks_exact(OB)) {
+            let xs = &x_ic[off..][..V];
+            for (a, &kv) in acc.iter_mut().zip(kv) {
+                // A splat keeps each weight in one broadcast register.
+                let kv = [kv; V];
+                for v in 0..V {
+                    a[v] += xs[v] * kv[v];
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// Stores `acc`, flat positions from `(row, col)` on at `pitch`, into an
+/// output plane `ow` wide, dropping the junk columns `ow..pitch`.
+fn store(acc: &[f32], o: &mut [f32], mut row: usize, mut col: usize, pitch: usize, ow: usize) {
+    let mut i = 0;
+    while i < acc.len() {
+        let run = (pitch - col).min(acc.len() - i);
+        if col < ow {
+            let keep = run.min(ow - col);
+            o[row * ow + col..][..keep].copy_from_slice(&acc[i..i + keep]);
+        }
+        i += run;
+        row += 1;
+        col = 0;
+    }
+}
 
 /// One kernel row (or column) against one axis of the image.
 struct Tap {
@@ -34,30 +234,16 @@ struct Tap {
     src: usize,
 }
 
-fn taps(kernel: usize, out: usize, len: usize, stride: usize, pad: usize) -> Vec<Tap> {
-    (0..kernel)
-        .map(|k| {
-            let lo = pad.saturating_sub(k).div_ceil(stride);
-            let hi = (len + pad).saturating_sub(k).div_ceil(stride).min(out).max(lo);
-            Tap { lo, hi, src: lo * stride + k - pad }
-        })
-        .collect()
+impl Tap {
+    fn new(k: usize, out: usize, len: usize, stride: usize, pad: usize) -> Tap {
+        let lo = pad.saturating_sub(k).div_ceil(stride);
+        let hi = (len + pad).saturating_sub(k).div_ceil(stride).min(out).max(lo);
+        Tap { lo, hi, src: lo * stride + k - pad }
+    }
 }
 
-/// Start of each column phase within a de-interleaved row: phase `p` holds
-/// columns `p, p + stride, …`, phases laid out back to back.
-fn phase_starts(width: usize, stride: usize) -> Vec<usize> {
-    let mut start = 0;
-    (0..stride)
-        .map(|p| {
-            let s = start;
-            start += width.saturating_sub(p).div_ceil(stride);
-            s
-        })
-        .collect()
-}
-
-/// Every row of `x` (rows of `width`) regrouped by column phase.
+/// Every row of `x` (rows of `width`) regrouped by column phase: phase `p`
+/// holds columns `p, p + stride, …`, phases laid out back to back.
 fn split_phases(x: &[f32], width: usize, stride: usize) -> Vec<f32> {
     let mut out = Vec::with_capacity(x.len());
     for row in x.chunks(width) {
@@ -68,79 +254,67 @@ fn split_phases(x: &[f32], width: usize, stride: usize) -> Vec<f32> {
     out
 }
 
-/// 2-d convolution over `NCHW` data with `OIHW` weights, zero padding,
-/// arbitrary stride and channel groups.
-///
-/// # Panics
-/// Panics if tensor shapes disagree with the workload.
-pub fn conv2d_ref(data: &Tensor, weight: &Tensor, w: &ConvWorkload) -> Tensor {
-    assert_eq!(data.shape().dims(), w.input_shape(), "input shape mismatch");
-    assert_eq!(weight.shape().dims(), w.weight_shape(), "weight shape mismatch");
+/// Plane-tap convolution of any workload into `out`.
+fn plane_taps(x: &[f32], k: &[f32], w: &ConvWorkload, out: &mut [f32]) {
     let (oh, ow) = (w.out_h(), w.out_w());
     let (ih, iw) = (w.height, w.width);
     let icg = w.in_ch_per_group();
     let ocg = w.out_ch_per_group();
-    let k = weight.as_f32();
+    let sw = w.stride_w;
     let taps_per_ic = w.kernel_h * w.kernel_w;
-    let row_taps = taps(w.kernel_h, oh, ih, w.stride_h, w.pad_h);
-    let mut col_taps = taps(w.kernel_w, ow, iw, w.stride_w, w.pad_w);
     // For `stride_w > 1` every input row is regrouped by column phase, so a
-    // tap's reads are contiguous whatever the stride: column `q` moves to
-    // `phase[q % stride_w] + q / stride_w`.
-    let phase = phase_starts(iw, w.stride_w);
-    for t in &mut col_taps {
-        t.src = phase[t.src % w.stride_w] + t.src / w.stride_w;
-    }
-    let x: Cow<[f32]> = if w.stride_w == 1 {
-        Cow::Borrowed(data.as_f32())
-    } else {
-        Cow::Owned(split_phases(data.as_f32(), iw, w.stride_w))
-    };
+    // tap's reads are contiguous whatever the stride. Phase `p` holds
+    // `ceil((iw - p) / sw)` columns, so column `q` moves to
+    // `p * (iw / sw) + min(p, iw % sw) + q / sw` with `p = q % sw`.
+    let x: Cow<[f32]> = if sw == 1 { Cow::Borrowed(x) } else { Cow::Owned(split_phases(x, iw, sw)) };
 
-    let mut out = Tensor::zeros(w.output_shape());
     // One (n, oc) output plane at a time: planes are disjoint.
-    out.as_f32_mut()
-        .chunks_mut(oh * ow)
-        .enumerate()
-        .for_each(|(plane, o)| {
-            let n = plane / w.out_channels;
-            let oc = plane % w.out_channels;
-            let g = oc / ocg;
-            for ic in 0..icg {
-                let x_plane = &x[(n * w.in_channels + g * icg + ic) * ih * iw..][..ih * iw];
-                let k_ic = &k[(oc * icg + ic) * taps_per_ic..][..taps_per_ic];
-                for (rt, k_row) in row_taps.iter().zip(k_ic.chunks(w.kernel_w)) {
-                    for (ct, &kv) in col_taps.iter().zip(k_row) {
-                        if rt.lo == rt.hi || ct.lo == ct.hi {
-                            continue;
-                        }
-                        // A tap valid on every column of equally wide planes
-                        // (a 1x1 kernel, a padded kernel's centre column; only
-                        // unit `stride_w` fits) is one contiguous run over all
-                        // its rows when those are adjacent too.
-                        let whole_rows = ct.hi - ct.lo == ow && ow == iw && w.stride_h == 1;
-                        let (rows, run) = if whole_rows {
-                            (1, (rt.hi - rt.lo) * ow)
-                        } else {
-                            (rt.hi - rt.lo, ct.hi - ct.lo)
-                        };
-                        for r in 0..rows {
-                            let x_row = &x_plane[(rt.src + r * w.stride_h) * iw + ct.src..][..run];
-                            let out_row = &mut o[(rt.lo + r) * ow + ct.lo..][..run];
-                            for (acc, xv) in out_row.iter_mut().zip(x_row) {
-                                *acc += xv * kv;
-                            }
+    out.chunks_mut(oh * ow).enumerate().for_each(|(plane, o)| {
+        let n = plane / w.out_channels;
+        let oc = plane % w.out_channels;
+        let g = oc / ocg;
+        for ic in 0..icg {
+            let x_plane = &x[(n * w.in_channels + g * icg + ic) * ih * iw..][..ih * iw];
+            let k_ic = &k[(oc * icg + ic) * taps_per_ic..][..taps_per_ic];
+            for (kh, k_row) in k_ic.chunks(w.kernel_w).enumerate() {
+                let rt = Tap::new(kh, oh, ih, w.stride_h, w.pad_h);
+                if rt.lo == rt.hi {
+                    continue;
+                }
+                for (kw, &kv) in k_row.iter().enumerate() {
+                    let ct = Tap::new(kw, ow, iw, sw, w.pad_w);
+                    if ct.lo == ct.hi {
+                        continue;
+                    }
+                    let phase = ct.src % sw;
+                    let src = phase * (iw / sw) + phase.min(iw % sw) + ct.src / sw;
+                    // A tap valid on every column of equally wide planes
+                    // (a 1x1 kernel, a padded kernel's centre column; only
+                    // unit `stride_w` fits) is one contiguous run over all
+                    // its rows when those are adjacent too.
+                    let whole_rows = ct.hi - ct.lo == ow && ow == iw && w.stride_h == 1;
+                    let (rows, run) = if whole_rows {
+                        (1, (rt.hi - rt.lo) * ow)
+                    } else {
+                        (rt.hi - rt.lo, ct.hi - ct.lo)
+                    };
+                    for r in 0..rows {
+                        let x_row = &x_plane[(rt.src + r * w.stride_h) * iw + src..][..run];
+                        let out_row = &mut o[(rt.lo + r) * ow + ct.lo..][..run];
+                        for (acc, xv) in out_row.iter_mut().zip(x_row) {
+                            *acc += xv * kv;
                         }
                     }
                 }
             }
-        });
-    out
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unigpu_telemetry::hash::SplitMix64;
     use unigpu_tensor::init::random_uniform;
     use unigpu_tensor::Initializer;
 
@@ -269,6 +443,100 @@ mod tests {
         let (got, want) = (conv2d_ref(&data, &wt, &w), conv_scalar(&data, &wt, &w));
         let bits = |t: &Tensor| t.as_f32().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// A value drawn mostly from `[-1, 1)`, else from the specials: for data
+    /// also NaN, ±∞ and ±f32::MAX-scale, for weights only finite ones.
+    fn special(rng: &mut SplitMix64, finite: bool) -> f32 {
+        let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+        match rng.below(100) {
+            0..=5 => sign * 0.0,
+            6..=10 => sign * f32::from_bits(1 + rng.below(0x7f_ffff) as u32), // subnormal
+            11..=12 => sign * f32::MAX * rng.f32_in(0.5, 1.0),
+            13 if !finite => sign * f32::INFINITY,
+            14 if !finite => f32::NAN,
+            _ => rng.f32_in(-1.0, 1.0),
+        }
+    }
+
+    /// Equal bits wherever the oracle is not NaN, NaN wherever it is. A NaN's
+    /// sign and payload depend on operand order, which Rust leaves open.
+    fn assert_same_bits_and_nans(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        for (i, (g, v)) in got.as_f32().iter().zip(want.as_f32()).enumerate() {
+            if v.is_nan() {
+                assert!(g.is_nan(), "{what}: element {i} is {g}, scalar NaN");
+            } else {
+                assert_eq!(g.to_bits(), v.to_bits(), "{what}: element {i} is {g}, scalar {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn register_tiles_match_scalar_on_special_values() {
+        // (batch, ic, oc, h, w, kh, kw, stride, pad) kept on purpose; the
+        // seeded shapes below add breadth.
+        let fixed = [
+            (1, 3, 5, 31, 31, 3, 3, 1, 1),   // 31 rows at pitch 33: 1021 = 63 tiles + 13
+            (2, 4, 3, 9, 8, 3, 3, 1, 1),     // odd out_channels: one dropped tile channel
+            (1, 2, 2, 5, 5, 1, 1, 1, 3),     // pad >= kernel: border outputs see no tap
+            (1, 3, 2, 4, 6, 3, 3, 2, 3),     // pad >= kernel, strided
+            (1, 2, 3, 1, 1, 7, 7, 1, 3),     // one output pixel, 6 of 7 rows in the padding
+            (2, 3, 2, 1, 3, 3, 5, 2, 1),     // one output pixel, strided
+            (1, 3, 4, 16, 16, 7, 7, 2, 3),   // conv1's shape class
+            (1, 5, 4, 7, 7, 1, 1, 1, 0),     // 1x1 on a 49-position plane: borrowed input
+            (2, 4, 2, 4, 4, 1, 1, 1, 0),     // 1x1 shorter than one tile: copied input
+            (1, 2, 2, 10, 10, 1, 1, 2, 0),   // 1x1, stride 2
+            (2, 2, 37, 6, 6, 3, 3, 1, 1),    // two weight chunks, the last one odd
+        ];
+        let mut rng = SplitMix64::new(0x5eed);
+        let mut shapes: Vec<_> = fixed.to_vec();
+        while shapes.len() < 200 {
+            let (kh, kw) = (1 + rng.below(5), 1 + rng.below(5));
+            let (s, p) = (1 + rng.below(3), rng.below(5));
+            let (h, wd) = (1 + rng.below(12), 1 + rng.below(12));
+            if h + 2 * p >= kh && wd + 2 * p >= kw {
+                shapes.push((1 + rng.below(2), 1 + rng.below(5), 1 + rng.below(5), h, wd, kh, kw, s, p));
+            }
+        }
+        for (case, &(n, ic, oc, h, wd, kh, kw, s, p)) in shapes.iter().enumerate() {
+            let w = ConvWorkload {
+                height: h,
+                width: wd,
+                kernel_h: kh,
+                kernel_w: kw,
+                stride_h: s,
+                stride_w: s,
+                pad_h: p,
+                pad_w: p,
+                ..ConvWorkload::square(n, ic, oc, 0, 0, 0, 0)
+            };
+            let numel = |shape: [usize; 4]| shape.iter().product::<usize>();
+            let data: Vec<f32> = (0..numel(w.input_shape())).map(|_| special(&mut rng, false)).collect();
+            let wt: Vec<f32> = (0..numel(w.weight_shape())).map(|_| special(&mut rng, true)).collect();
+            assert!(takes_register_tiles(&w, &wt), "case {case}: {w}");
+            let (data, wt) = (Tensor::from_vec(w.input_shape(), data), Tensor::from_vec(w.weight_shape(), wt));
+            let what = format!("case {case}: {w}");
+            assert_same_bits_and_nans(&conv2d_ref(&data, &wt, &w), &conv_scalar(&data, &wt, &w), &what);
+        }
+    }
+
+    #[test]
+    fn non_finite_weights_take_the_plane_taps() {
+        // The infinite weight is the top-left tap, which the top row and left
+        // column of outputs place in the padding: a register tile would add
+        // `0 · ∞ = NaN` there. Positive data keeps every NaN the weight's own,
+        // so the bits are fixed.
+        let w = ConvWorkload::square(1, 2, 3, 6, 3, 1, 1);
+        let data = Initializer::Uniform { lo: 0.5, hi: 1.5 }.init(w.input_shape(), 21);
+        let mut wt = Initializer::Uniform { lo: -1.0, hi: 1.0 }.init(w.weight_shape(), 22);
+        wt.set(&[0, 0, 0, 0], f32::INFINITY);
+        wt.set(&[1, 1, 2, 1], f32::NAN);
+        assert!(!takes_register_tiles(&w, wt.as_f32()));
+        let (got, want) = (conv2d_ref(&data, &wt, &w), conv_scalar(&data, &wt, &w));
+        let bits = |t: &Tensor| t.as_f32().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        assert!(want.at(&[0, 0, 0, 0]).is_finite() && want.at(&[0, 0, 1, 1]) == f32::INFINITY);
     }
 
     #[test]

@@ -80,9 +80,11 @@ pub fn box_nms(boxes: &Tensor, cfg: &NmsConfig) -> Tensor {
 
     // Gather valid candidates per batch and sort them all with ONE segmented
     // sort launch (scores flattened, one segment per image).
-    let mut flat_scores = Vec::new();
-    let mut flat_ids: Vec<usize> = Vec::new();
-    let mut offsets = vec![0usize];
+    // Reserved for every box, so the gather never reallocates.
+    let mut flat_scores = Vec::with_capacity(batch * n);
+    let mut flat_ids: Vec<usize> = Vec::with_capacity(batch * n);
+    let mut offsets = Vec::with_capacity(batch + 1);
+    offsets.push(0);
     for b in 0..batch {
         for i in 0..n {
             let (cls, score, _) = row(&src[b * n * 6..], i);

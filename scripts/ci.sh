@@ -511,9 +511,10 @@ echo "==> hot-path allocation gates"
 # read no weight (crates/engine/tests/compile_bytes.rs). One tune_zoo
 # operation is one measured trial of the model-based search, whose surrogate
 # fit reuses one workspace per round. One exec_functional operation is one
-# SqueezeNet inference (its executor keeps every node's output) plus one pass
-# of the four vision operators; the count repeats exactly.
-for gate in serve_steady:4 fleet_wire:3 compile_zoo:7000 tune_zoo:16 exec_functional:223; do
+# SqueezeNet inference (its executor keeps every node's output; a conv
+# allocates its output and one scratch buffer) plus one pass of the four
+# vision operators; the count repeats exactly.
+for gate in serve_steady:4 fleet_wire:3 compile_zoo:7000 tune_zoo:16 exec_functional:145; do
   workload=${gate%:*} alloc_budget=${gate#*:}
   allocs=$(bash benchmark/run.sh --workload "$workload" --seconds 3 --trace 0 \
     | sed -n 's/^allocs_per_op = \([0-9.eE+-]*\) count$/\1/p')
