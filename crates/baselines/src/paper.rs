@@ -22,7 +22,7 @@ use unigpu_models::{full_zoo, mobilenet, resnet50, squeezenet};
 use unigpu_ops::conv::te::conv2d_compute;
 use unigpu_ops::conv::{conv_profile, ConfigSpace, ConvConfig};
 use unigpu_ops::vision::scan::{naive_scan_profile, scan_profiles};
-use unigpu_ops::vision::sort::{naive_sort_profile, segmented_sort_profiles};
+use unigpu_ops::vision::sort::{naive_sort_profile, segmented_sort_profiles, SORT_BLOCK};
 use unigpu_ops::ConvWorkload;
 use unigpu_telemetry::{MetricsRegistry, SpanRecorder};
 use unigpu_tuner::graph_tuner::{greedy_chain, optimize_chain, ChainLayer, LayerCandidate};
@@ -383,7 +383,7 @@ pub fn tables() -> PaperTables {
             lens.push(n - lens.iter().sum::<usize>());
             (
                 vec![naive_sort_profile(&lens)],
-                segmented_sort_profiles(n, 256, spec),
+                segmented_sort_profiles(n, SORT_BLOCK, spec),
             )
         }),
         figure3: series(&[1 << 12, 1 << 16, 1 << 20], |n, spec| {

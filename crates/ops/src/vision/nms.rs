@@ -15,7 +15,7 @@
 //!   candidate and checks it against the newly accepted box), one step upper
 //!   with blocks, batch level unrolled.
 
-use super::sort::segmented_argsort;
+use super::sort::{segmented_argsort, SORT_BLOCK};
 use unigpu_device::{DeviceSpec, KernelProfile};
 use unigpu_tensor::Tensor;
 
@@ -98,7 +98,7 @@ pub fn box_nms(boxes: &Tensor, cfg: &NmsConfig) -> Tensor {
     let ranks = if flat_scores.is_empty() {
         Vec::new()
     } else {
-        segmented_argsort(&flat_scores, &offsets, 64)
+        segmented_argsort(&flat_scores, &offsets, SORT_BLOCK)
     };
 
     for b in 0..batch {
@@ -140,7 +140,7 @@ pub fn box_nms(boxes: &Tensor, cfg: &NmsConfig) -> Tensor {
 /// Profiles for the optimized `box_nms`: segmented-sort launches plus one
 /// thread-aligned suppression kernel.
 pub fn nms_profiles(n_boxes: usize, spec: &DeviceSpec) -> Vec<KernelProfile> {
-    let mut v = super::sort::segmented_sort_profiles(n_boxes, 256, spec);
+    let mut v = super::sort::segmented_sort_profiles(n_boxes, SORT_BLOCK, spec);
     // Suppression: each surviving round sweeps candidates in parallel; model
     // as n·√n pair checks (typical survivor counts are ~√n for detection).
     let sweeps = (n_boxes as f64).sqrt().ceil().max(1.0);

@@ -16,23 +16,32 @@
 //! `(segment, -value, index)`: globally sorting the flattened array under
 //! this key equals concatenating per-segment sorts, which is exactly the
 //! "only the segments that span the active interface between two input lists
-//! are modified" property.
+//! are modified" property. The merge makes that property literal: a chunk
+//! whose merge-path split shows its whole output comes from one run is
+//! copied, so once the runs outgrow the segments only the chunks that
+//! straddle a segment boundary still merge.
 //!
-//! The composite key is packed into one `u128` and compared as an unsigned
-//! integer: `segment << 64 | desc(value) << 32 | index`, where `desc` maps
+//! The composite key is packed into one unsigned integer and compared as
+//! one: `(segment << 32 | desc(value)) << ib | index`, where `desc` maps
 //! `f32::total_cmp` order onto inverted unsigned bits, so a higher score gets
-//! a smaller key. Padding is `u128::MAX`, after every real key. No two
-//! elements share a segment and an index, so keys are unique: every
-//! compare-exchange is a branch-free integer `min`/`max`, and no tie is left
-//! for the network to break.
+//! a smaller key, and `ib` is the bit width of the longest segment's last
+//! index. The key is a `u64` when `bits(segments) + ib <= 32` and a `u128`
+//! otherwise, decided from `offsets` alone; both widths run the same code.
+//! Padding is all ones, after every real key: the segment field holds at
+//! most `2^bits(segments) - 2`, so it is never all ones, and no real key —
+//! not even a −NaN's, whose `desc` is `0xffff_ffff` — equals the padding.
+//! No two elements share a segment and an index, so keys are unique: every
+//! compare-exchange is a branch-free integer `min`/`max`, no tie is left for
+//! the network to break, and the ranks are the same at either width.
 //!
 //! Within a segment the order is descending in `total_cmp`: +NaN first, then
 //! +∞ … +0.0, then −0.0 … −∞, then −NaN; equal scores keep their index order.
 
 use unigpu_device::{dispatch_chunks, DeviceSpec, KernelProfile};
 
-/// Padding key: sorts after every real element.
-const PAD: u128 = u128::MAX;
+/// The block size of Figure 2: the sort `box_nms` runs and the one every
+/// price of it (Figure 2, Table 4) assumes.
+pub const SORT_BLOCK: usize = 256;
 
 /// `f32::total_cmp` order as inverted unsigned bits: the larger the value,
 /// the smaller the key. A negative float (sign set) already orders that way
@@ -43,29 +52,82 @@ fn desc(v: f32) -> u32 {
     bits ^ (positive * 0x7fff_ffff)
 }
 
-fn key(seg: usize, val: f32, idx: usize) -> u128 {
-    (seg as u128) << 64 | u128::from(desc(val)) << 32 | idx as u128
+/// Bits needed to write `x`: `bits(0) == 0`, `bits(20) == 5`.
+fn bits(x: usize) -> u32 {
+    usize::BITS - x.leading_zeros()
+}
+
+/// The packed key's local-index field width, `ib = bits(max_len - 1)`, and
+/// whether the whole key fits a `u64`: `bits(segments) + ib <= 32`.
+fn key_layout(offsets: &[usize]) -> (u32, bool) {
+    let max_len = offsets
+        .windows(2)
+        .map(|seg| {
+            debug_assert!(seg[0] <= seg[1], "offsets must be nondecreasing");
+            seg[1] - seg[0]
+        })
+        .max()
+        .unwrap_or(0);
+    let ib = bits(max_len.saturating_sub(1));
+    (ib, bits(offsets.len() - 1) + ib <= 32)
+}
+
+/// An unsigned integer holding one packed sort key.
+trait SortKey: Copy + Ord + Send + Sync {
+    /// All ones: sorts after every real key.
+    const PAD: Self;
+    /// `(seg << 32 | desc) << ib | local`.
+    fn pack(seg: usize, desc: u32, local: usize, ib: u32) -> Self;
+    /// The low 32 bits, where the local index lives.
+    fn low(self) -> u32;
+}
+
+impl SortKey for u64 {
+    const PAD: u64 = u64::MAX;
+    fn pack(seg: usize, desc: u32, local: usize, ib: u32) -> u64 {
+        ((seg as u64) << 32 | u64::from(desc)) << ib | local as u64
+    }
+    fn low(self) -> u32 {
+        self as u32
+    }
+}
+
+impl SortKey for u128 {
+    const PAD: u128 = u128::MAX;
+    fn pack(seg: usize, desc: u32, local: usize, ib: u32) -> u128 {
+        ((seg as u128) << 32 | u128::from(desc)) << ib | local as u128
+    }
+    fn low(self) -> u32 {
+        self as u32
+    }
 }
 
 /// In-place bitonic sort of a power-of-two block, expressed as the exact
-/// compare-exchange network a work-group executes between barriers.
-fn bitonic_sort_block(block: &mut [u128]) {
+/// compare-exchange network a work-group executes between barriers. Each
+/// stage `k` opens with a mirror phase (element `t` of every `k`-run against
+/// element `k - 1 - t`) and closes with half-cleaner phases, so every
+/// compare-exchange puts the smaller key first and no pair needs a direction.
+fn bitonic_sort_block<K: SortKey>(block: &mut [K]) {
     let n = block.len();
     debug_assert!(n.is_power_of_two());
     let mut k = 2;
     while k <= n {
-        let mut j = k / 2;
+        for run in block.chunks_exact_mut(k) {
+            let (lo, hi) = run.split_at_mut(k / 2);
+            lo.iter_mut()
+                .zip(hi.iter_mut().rev())
+                .for_each(compare_exchange);
+        }
+        let mut j = k / 4;
         while j > 0 {
-            // One barrier-separated phase: work-item `base + t` compare-
-            // exchanges with partner `base + t + j`; pairs are disjoint, and
-            // the direction is the same for every pair of a `2j` run.
-            for (r, run) in block.chunks_exact_mut(2 * j).enumerate() {
-                let ascending = (r * 2 * j) & k == 0;
-                let (lo, hi) = run.split_at_mut(j);
-                for (a, b) in lo.iter_mut().zip(hi) {
-                    let (min, max) = ((*a).min(*b), (*a).max(*b));
-                    (*a, *b) = if ascending { (min, max) } else { (max, min) };
-                }
+            // Short runs get a copy with their length known at compile time,
+            // where the loop would otherwise cost more than the exchanges.
+            match j {
+                1 => half_clean(block, 1),
+                2 => half_clean(block, 2),
+                4 => half_clean(block, 4),
+                8 => half_clean(block, 8),
+                _ => half_clean(block, j),
             }
             j /= 2;
         }
@@ -73,9 +135,23 @@ fn bitonic_sort_block(block: &mut [u128]) {
     }
 }
 
+fn compare_exchange<K: SortKey>((a, b): (&mut K, &mut K)) {
+    (*a, *b) = ((*a).min(*b), (*a).max(*b));
+}
+
+/// One barrier-separated phase: element `t` of every `2j`-run against
+/// element `t + j`; the pairs are disjoint.
+#[inline(always)]
+fn half_clean<K: SortKey>(block: &mut [K], j: usize) {
+    for run in block.chunks_exact_mut(2 * j) {
+        let (lo, hi) = run.split_at_mut(j);
+        lo.iter_mut().zip(hi).for_each(compare_exchange);
+    }
+}
+
 /// Merge-path diagonal search: how many elements of `a` belong before the
 /// `diag`-th output element when merging sorted runs `a` and `b`.
-fn merge_path(a: &[u128], b: &[u128], diag: usize) -> usize {
+fn merge_path<K: SortKey>(a: &[K], b: &[K], diag: usize) -> usize {
     let mut lo = diag.saturating_sub(b.len());
     let mut hi = diag.min(a.len());
     while lo < hi {
@@ -90,15 +166,36 @@ fn merge_path(a: &[u128], b: &[u128], diag: usize) -> usize {
     lo
 }
 
-/// Sequentially merge `out.len()` outputs starting at merge-path split
-/// (`ai`, `bi`) into `out`. An exhausted run reads as [`PAD`], which can
-/// only tie with padding in the other run, and padding keys are all equal.
-fn merge_chunk(a: &[u128], b: &[u128], mut ai: usize, mut bi: usize, out: &mut [u128]) {
+/// Merge `out.len()` outputs starting at merge-path split (`ai`, `bi`) into
+/// `out`. A chunk that lies on one side of the active interface — its last
+/// `a` element precedes `b`'s next, or the other way round — is a copy of
+/// one run. Otherwise it merges sequentially: an exhausted run reads as
+/// padding, which can only tie with padding in the other run, and padding
+/// keys are all equal.
+fn merge_chunk<K: SortKey>(a: &[K], b: &[K], mut ai: usize, mut bi: usize, out: &mut [K]) {
+    let len = out.len();
+    if let Some(&last) = a.get(ai + len - 1) {
+        if b.get(bi).is_none_or(|&y| last <= y) {
+            out.copy_from_slice(&a[ai..ai + len]);
+            return;
+        }
+    }
+    if let Some(&last) = b.get(bi + len - 1) {
+        if a.get(ai).is_none_or(|&x| last < x) {
+            out.copy_from_slice(&b[bi..bi + len]);
+            return;
+        }
+    }
+    let at = |i: usize| a.get(i).copied().unwrap_or(K::PAD);
+    let bt = |j: usize| b.get(j).copied().unwrap_or(K::PAD);
+    let (mut x, mut y) = (at(ai), bt(bi));
     for slot in out.iter_mut() {
-        let x = a.get(ai).copied().unwrap_or(PAD);
-        let y = b.get(bi).copied().unwrap_or(PAD);
+        // Both runs' next keys load before the compare that picks one, which
+        // keeps the loads off the chain from one output to the next.
+        let (next_x, next_y) = (at(ai + 1), bt(bi + 1));
         let take_a = x <= y;
         *slot = if take_a { x } else { y };
+        (x, y) = if take_a { (next_x, y) } else { (x, next_y) };
         ai += usize::from(take_a);
         bi += usize::from(!take_a);
     }
@@ -118,19 +215,29 @@ pub fn segmented_argsort(data: &[f32], offsets: &[usize], block: usize) -> Vec<i
     assert!(block.is_power_of_two() && block >= 2, "block must be a power of two >= 2");
     assert!(!offsets.is_empty() && *offsets.last().unwrap() == data.len(),
         "offsets must start at 0 and end at data.len()");
-    let n = data.len();
-    if n == 0 {
+    if data.is_empty() {
         return Vec::new();
     }
+    let (ib, narrow) = key_layout(offsets);
+    if narrow {
+        sort_packed::<u64>(data, offsets, block, ib)
+    } else {
+        sort_packed::<u128>(data, offsets, block, ib)
+    }
+}
+
+/// [`segmented_argsort`] at one key width; `ib` is the local index's field
+/// width from [`key_layout`].
+fn sort_packed<K: SortKey>(data: &[f32], offsets: &[usize], block: usize, ib: u32) -> Vec<i32> {
+    let n = data.len();
 
     // Step 1: flatten with composite keys, padded to a block multiple.
     let padded = n.div_ceil(block) * block;
-    let mut keys = vec![PAD; padded];
+    let mut keys = vec![K::PAD; padded];
     for (s, seg) in offsets.windows(2).enumerate() {
         let (lo, hi) = (seg[0], seg[1]);
-        debug_assert!(lo <= hi, "offsets must be nondecreasing");
         for (local, (k, &v)) in keys[lo..hi].iter_mut().zip(&data[lo..hi]).enumerate() {
-            *k = key(s, v, local);
+            *k = K::pack(s, desc(v), local, ib);
         }
     }
 
@@ -139,7 +246,7 @@ pub fn segmented_argsort(data: &[f32], offsets: &[usize], block: usize) -> Vec<i
 
     // Step 4: cooperative merge rounds, doubling the span each round.
     let mut src = keys;
-    let mut dst = vec![PAD; padded];
+    let mut dst = vec![K::PAD; padded];
     let mut width = block;
     while width < padded {
         let span = 2 * width;
@@ -160,8 +267,9 @@ pub fn segmented_argsort(data: &[f32], offsets: &[usize], block: usize) -> Vec<i
     }
 
     // Gather: src[offsets[s] + rank] is the rank-th element of segment s,
-    // and a key's low 32 bits are its local index.
-    src[..n].iter().map(|&k| k as u32 as i32).collect()
+    // and a key's low `ib` bits are its local index.
+    let mask = ((1u64 << ib.min(32)) - 1) as u32;
+    src[..n].iter().map(|&k| (k.low() & mask) as i32).collect()
 }
 
 /// The naive GPU realization Table 4 ablates against: one thread per
@@ -256,6 +364,7 @@ pub fn naive_sort_profile(seg_lens: &[usize]) -> KernelProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unigpu_telemetry::hash::SplitMix64;
 
     fn reference_argsort(data: &[f32], offsets: &[usize]) -> Vec<i32> {
         let mut out = vec![0i32; data.len()];
@@ -268,6 +377,162 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Scores drawn from a pool of special values, so every total-order
+    /// edge meets ties, mixed with uniform ones.
+    fn special_score(rng: &mut SplitMix64) -> f32 {
+        const POOL: [f32; 10] = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            0.5,
+            -1e-45,
+            f32::MAX,
+            f32::MIN,
+        ];
+        if rng.chance(0.5) {
+            POOL[rng.below(POOL.len())]
+        } else {
+            rng.f32_in(-1.0, 1.0)
+        }
+    }
+
+    /// Ragged segments: empty, one-element and longer ones.
+    fn ragged(rng: &mut SplitMix64, segments: usize, max_len: usize) -> (Vec<f32>, Vec<usize>) {
+        let mut offsets = vec![0];
+        let mut data = Vec::new();
+        for _ in 0..segments {
+            let len = match rng.below(4) {
+                0 => 0,
+                1 => 1,
+                _ => rng.below(max_len + 1),
+            };
+            data.extend((0..len).map(|_| special_score(rng)));
+            offsets.push(data.len());
+        }
+        (data, offsets)
+    }
+
+    /// Both key widths through the same generic sort.
+    fn both_widths(data: &[f32], offsets: &[usize], block: usize) -> (Vec<i32>, Vec<i32>) {
+        let (ib, _) = key_layout(offsets);
+        (
+            sort_packed::<u64>(data, offsets, block, ib),
+            sort_packed::<u128>(data, offsets, block, ib),
+        )
+    }
+
+    #[test]
+    fn both_key_widths_give_the_same_ranks() {
+        let mut rng = SplitMix64::new(0x5ee9);
+        for case in 0..60 {
+            let segments = 1 + rng.below(12);
+            let (data, offsets) = ragged(&mut rng, segments, 300);
+            if data.is_empty() {
+                continue;
+            }
+            let want = reference_argsort(&data, &offsets);
+            for block in [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024] {
+                let (narrow, wide) = both_widths(&data, &offsets, block);
+                assert_eq!(narrow, want, "case {case} block {block}: u64");
+                assert_eq!(wide, want, "case {case} block {block}: u128");
+                assert_eq!(segmented_argsort(&data, &offsets, block), want);
+            }
+        }
+    }
+
+    /// One long segment after `segments - 1` empty ones, the long one at
+    /// the end so its segment field is the largest.
+    fn boundary_case(segments: usize, longest: usize) -> (Vec<f32>, Vec<usize>) {
+        let mut rng = SplitMix64::new(segments as u64);
+        let data: Vec<f32> = (0..longest).map(|_| special_score(&mut rng)).collect();
+        let mut offsets = vec![0; segments];
+        offsets.push(longest);
+        (data, offsets)
+    }
+
+    #[test]
+    fn width_boundary_takes_u64_at_32_bits() {
+        let (data, offsets) = boundary_case(65_535, 65_536);
+        // bits(65_535) + bits(65_535) = 16 + 16
+        assert_eq!(key_layout(&offsets), (16, true));
+        let want = reference_argsort(&data, &offsets);
+        assert_eq!(segmented_argsort(&data, &offsets, 256), want);
+        // The widest real key still sorts before the padding.
+        let widest = u64::pack(65_534, u32::MAX, 65_535, 16);
+        assert!(widest < u64::PAD);
+    }
+
+    #[test]
+    fn width_boundary_takes_u128_at_33_bits() {
+        let (data, offsets) = boundary_case(65_536, 32_769);
+        // bits(65_536) + bits(32_768) = 17 + 16
+        assert_eq!(key_layout(&offsets), (16, false));
+        let want = reference_argsort(&data, &offsets);
+        assert_eq!(segmented_argsort(&data, &offsets, 256), want);
+    }
+
+    #[test]
+    fn presorted_reversed_and_equal_segments_take_the_copy_path() {
+        let shapes: [fn(usize) -> f32; 3] = [
+            |i| 1e4 - i as f32, // already in rank order
+            |i| i as f32,       // reverse rank order
+            |_| 0.25,           // all equal: index order decides
+        ];
+        for (s, score) in shapes.iter().enumerate() {
+            for lens in [&[1000][..], &[300, 0, 1, 700, 129, 513], &[2; 64]] {
+                let mut offsets = vec![0];
+                let mut data = Vec::new();
+                for &len in lens {
+                    data.extend((0..len).map(score));
+                    offsets.push(data.len());
+                }
+                let want = reference_argsort(&data, &offsets);
+                for block in [2, 4, 16, 64, 256] {
+                    let (narrow, wide) = both_widths(&data, &offsets, block);
+                    assert_eq!(narrow, want, "shape {s} lens {lens:?} block {block}");
+                    assert_eq!(wide, want, "shape {s} lens {lens:?} block {block}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_merge_chunk_equals_the_sequential_merge() {
+        // Runs with padding tails and disjoint, interleaved or nested ranges,
+        // cut into chunks at every merge-path split.
+        fn run(rng: &mut SplitMix64) -> Vec<u64> {
+            let (base, step) = (rng.below(64) as u64, 1 + rng.below(3) as u64);
+            let mut v: Vec<u64> = (0..rng.below(40) as u64)
+                .map(|i| (base + i * step) * 2 + u64::from(rng.chance(0.5)))
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v.extend(std::iter::repeat_n(u64::PAD, rng.below(3)));
+            v
+        }
+        let mut rng = SplitMix64::new(7);
+        for case in 0..400 {
+            let (a, b) = (run(&mut rng), run(&mut rng));
+            let mut want: Vec<u64> = a.iter().chain(&b).copied().collect();
+            want.sort_unstable();
+            let total = want.len();
+            let chunk = 1 + rng.below(8);
+            for start in (0..total).step_by(chunk) {
+                let mut out = vec![0; chunk.min(total - start)];
+                let ai = merge_path(&a, &b, start);
+                merge_chunk(&a, &b, ai, start - ai, &mut out);
+                assert_eq!(
+                    out,
+                    want[start..start + out.len()],
+                    "case {case} start {start}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -361,15 +626,20 @@ mod tests {
 
     #[test]
     fn bitonic_block_is_a_real_sort() {
-        let mut block: Vec<u128> = (0..16).map(|i| key(0, ((i * 7) % 16) as f32, i)).collect();
+        let mut block: Vec<u64> = (0..16)
+            .map(|i| u64::pack(0, desc(((i * 7) % 16) as f32), i, 4))
+            .collect();
         bitonic_sort_block(&mut block);
         assert!(block.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn merge_path_splits_are_consistent() {
-        let mk = |vals: &[f32]| -> Vec<u128> {
-            vals.iter().enumerate().map(|(i, &v)| key(0, v, i)).collect()
+        let mk = |vals: &[f32]| -> Vec<u64> {
+            vals.iter()
+                .enumerate()
+                .map(|(i, &v)| u64::pack(0, desc(v), i, 2))
+                .collect()
         };
         // a and b sorted descending (our key order)
         let a = mk(&[9.0, 7.0, 5.0]);

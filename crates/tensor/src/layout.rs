@@ -106,16 +106,28 @@ pub fn nchwc_to_nchw(t: &Tensor, channels: usize) -> Tensor {
 }
 
 /// Convert `NCHW` → `NHWC`.
+///
+/// Each image is a `c × hw` to `hw × c` transpose, done in square tiles so
+/// that both the rows read and the rows written stay in cache.
 pub fn nchw_to_nhwc(t: &Tensor) -> Tensor {
+    const TILE: usize = 16;
     let (n, c, h, w) = t.shape().nchw();
+    let hw = h * w;
     let mut out = Tensor::zeros(Shape::from([n, h, w, c]));
+    if out.numel() == 0 {
+        return out;
+    }
     let src = t.as_f32();
     let dst = out.as_f32_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            for hi in 0..h {
-                for wi in 0..w {
-                    dst[((ni * h + hi) * w + wi) * c + ci] = src[((ni * c + ci) * h + hi) * w + wi];
+    for (image, pixels) in src.chunks_exact(c * hw).zip(dst.chunks_exact_mut(hw * c)) {
+        for p0 in (0..hw).step_by(TILE) {
+            for c0 in (0..c).step_by(TILE) {
+                let channels = c0..(c0 + TILE).min(c);
+                for p in p0..(p0 + TILE).min(hw) {
+                    let row = &mut pixels[p * c..][channels.clone()];
+                    for (d, ci) in row.iter_mut().zip(channels.clone()) {
+                        *d = image[ci * hw + p];
+                    }
                 }
             }
         }
