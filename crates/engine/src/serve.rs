@@ -132,10 +132,6 @@ pub struct ServeConfig {
     /// (the default) keeps the recorder in-memory only — no disk I/O on
     /// the serving path.
     pub recorder_dump_dir: Option<PathBuf>,
-    /// Directory a re-tune recommendation is appended to (as
-    /// `retune.jsonl`) when the run ends miscalibrated. The CLI wires
-    /// `$UNIGPU_DB_DIR/retune` here; `None` disables the record.
-    pub retune_dir: Option<PathBuf>,
     /// Declarative alert rules evaluated on the simulated clock at each
     /// batch retirement (see [`AlertRule::parse_rules`]). Empty = no
     /// alerting overhead.
@@ -161,7 +157,6 @@ impl Default for ServeConfig {
             drift_min_samples: 8,
             recorder_capacity: 256,
             recorder_dump_dir: None,
-            retune_dir: None,
             alert_rules: Vec::new(),
         }
     }
@@ -330,11 +325,6 @@ impl ServeConfigBuilder {
 
     pub fn recorder_dump_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cfg.recorder_dump_dir = Some(dir.into());
-        self
-    }
-
-    pub fn retune_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cfg.retune_dir = Some(dir.into());
         self
     }
 
@@ -939,7 +929,6 @@ mod tests {
             .drift_min_samples(3)
             .recorder_capacity(64)
             .recorder_dump_dir("target/dumps")
-            .retune_dir("target/retune")
             .alert_rules(vec![AlertRule::parse("burn:engine.slo.burn_rate>2").unwrap()])
             .build()
             .expect("valid config");
@@ -954,7 +943,6 @@ mod tests {
         assert_eq!(cfg.drift_min_samples, 3);
         assert_eq!(cfg.recorder_capacity, 64);
         assert_eq!(cfg.recorder_dump_dir, Some(PathBuf::from("target/dumps")));
-        assert_eq!(cfg.retune_dir, Some(PathBuf::from("target/retune")));
         assert_eq!(cfg.alert_rules.len(), 1);
         assert!(ServeConfig::builder().build().is_ok(), "defaults validate");
     }

@@ -40,9 +40,8 @@ use std::path::PathBuf;
 use unigpu_device::{DeviceFaultState, LaunchOutcome, MultiTimeline, StreamLabel};
 use unigpu_telemetry::AttrValue::{Static, Text, F64, U64};
 use unigpu_telemetry::{
-    append_retune_recommendation, tel_warn, AlertEngine, CounterSlot, DriftConfig, DriftMonitor,
-    FlightRecorder, GaugeSlot, HistogramSlot, MetricsRegistry, RetuneRecommendation, SloConfig,
-    SloTracker, SpanRecord, SpanRecorder, TraceContext,
+    tel_warn, AlertEngine, CounterSlot, DriftConfig, DriftMonitor, FlightRecorder, GaugeSlot,
+    HistogramSlot, MetricsRegistry, SloConfig, SloTracker, SpanRecord, SpanRecorder, TraceContext,
 };
 
 /// Deadline expiries within [`DEADLINE_BURST_WINDOW_MS`] that trip a
@@ -1057,28 +1056,6 @@ impl Server {
         }
         self.drift.publish(&self.metrics, "engine.drift");
         let drift_summary = self.drift.summary();
-        if drift_summary.miscalibrated {
-            if let Some(dir) = self.cfg.retune_dir.clone() {
-                let key = self.compiled.key();
-                let rec = RetuneRecommendation {
-                    model: key.model.clone(),
-                    device: key.device.clone(),
-                    fingerprint: key.fingerprint,
-                    samples: drift_summary.samples,
-                    mean_abs_rel_err: drift_summary.mean_abs_rel_err,
-                    max_abs_rel_err: drift_summary.max_abs_rel_err,
-                    threshold: drift_summary.threshold,
-                    worst_node: drift_summary.worst_node.clone(),
-                    sim_time_ms: makespan_ms,
-                };
-                match append_retune_recommendation(&dir, &rec) {
-                    Ok(_) => self.metrics.inc("engine.drift.retune_recommendations"),
-                    Err(e) => {
-                        tel_warn!("engine::serve", "re-tune recommendation write failed: {e}");
-                    }
-                }
-            }
-        }
         // final alert sweep over the end-of-run gauges, then the
         // unconditional shutdown dump: every configured run leaves at
         // least one dump, so determinism can be checked even on clean runs

@@ -1,7 +1,7 @@
 //! Observability-layer guarantees through the public serving API: the
 //! cost-model drift monitor flags miscalibration under throttle chaos and
-//! writes a re-tune recommendation, stays quiet on a calibrated zero-noise
-//! run, the flight recorder's dumps are byte-identical across two
+//! fires the drift alert, stays quiet on a calibrated zero-noise run, the
+//! flight recorder's dumps are byte-identical across two
 //! zero-noise runs, and the chaos accounting invariant survives with the
 //! whole observability stack switched on.
 
@@ -74,10 +74,9 @@ fn serve(
 }
 
 #[test]
-fn throttle_chaos_flags_miscalibration_and_writes_a_retune_record() {
+fn throttle_chaos_flags_miscalibration_and_fires_the_drift_alert() {
     let compiled = compile("drift-chaos");
     let dir = scratch("chaos");
-    let retune_dir = dir.join("retune");
     let n = 32;
     // a sustained 3× thermal throttle: every batch observes ~3× its
     // predicted cost, a +200% relative error — far past the 25% threshold
@@ -87,7 +86,6 @@ fn throttle_chaos_flags_miscalibration_and_writes_a_retune_record() {
         batch_window: Duration::from_millis(1),
         faults: DeviceFaultPlan::parse("throttle_after_ms=1:3.0"),
         recorder_dump_dir: Some(dir.join("dumps")),
-        retune_dir: Some(retune_dir.clone()),
         alert_rules: AlertRule::parse_rules("drift:engine.drift.max_abs_rel_err>0.25")
             .expect("valid rule"),
         ..Default::default()
@@ -114,19 +112,6 @@ fn throttle_chaos_flags_miscalibration_and_writes_a_retune_record() {
     assert!(report.alerts_fired >= 1, "drift alert fired");
     assert!(report.fired_alerts.iter().any(|a| a == "drift"));
     assert_eq!(metrics.counter("engine.alert.fired"), report.alerts_fired);
-
-    // a re-tune recommendation landed in the tuning database
-    let jsonl = retune_dir.join("retune.jsonl");
-    let body = std::fs::read_to_string(&jsonl).expect("retune.jsonl written");
-    let line = body.lines().next().expect("at least one record");
-    let rec: serde_json::Value = serde_json::from_str(line).expect("valid JSONL record");
-    assert_eq!(rec["model"].as_str(), Some("drift-chaos"));
-    assert!(rec["max_abs_rel_err"].as_f64().unwrap() > 0.25);
-    assert_eq!(
-        metrics.counter("engine.drift.retune_recommendations"),
-        1,
-        "exactly one recommendation per run"
-    );
 
     // every dump on disk is valid JSON carrying the event window
     assert!(!report.recorder_dumps.is_empty(), "chaos run left dumps");
@@ -226,7 +211,6 @@ fn accounting_invariant_survives_with_the_observability_stack_on() {
         breaker_threshold: 3,
         breaker_cooldown_ms: 1.0,
         recorder_dump_dir: Some(dir.join("dumps")),
-        retune_dir: Some(dir.join("retune")),
         alert_rules: AlertRule::parse_rules(
             "drift:engine.drift.max_abs_rel_err>0.25,burn:engine.slo.burn_rate>1",
         )

@@ -82,9 +82,9 @@ pub enum Frame {
         lease_id: u64,
         batch_id: u64,
         outcome: Box<TuneOutcome>,
-        /// Measured-vs-predicted cost sample for the leased job, so the
-        /// tracker can watch cost-model calibration fleet-wide
-        /// (`farm.drift.*`). Optional so old peers interoperate.
+        /// Unused: workers send `None` and the tracker ignores it. The
+        /// field stays only until ROADMAP item 15 drops it from the
+        /// benchmark's wire round-trip test.
         #[serde(default, skip_serializing_if = "Option::is_none")]
         drift: Option<MeasuredDrift>,
     },

@@ -36,7 +36,7 @@ use unigpu_telemetry::{
     tel_debug, tel_info, tel_warn, ChromeTrace, MetricsRegistry, SpanRecord, SpanRecorder,
     TraceContext,
 };
-use unigpu_tuner::{MeasuredDrift, TuneJob, TuneOutcome, TuningBudget};
+use unigpu_tuner::{TuneJob, TuneOutcome, TuningBudget};
 
 /// Chrome-trace lane of the first farm worker; worker `i` draws on lane
 /// `LANE_FARM_WORKER_BASE + i`, well clear of the engine's executor lanes.
@@ -314,8 +314,8 @@ impl Shared {
             }
             Frame::RequestJob { worker_id } => self.on_request_job(worker_id),
             Frame::Heartbeat { worker_id, lease_id } => self.on_heartbeat(worker_id, lease_id),
-            Frame::Result { worker_id, lease_id, batch_id, outcome, drift } => {
-                self.on_result(worker_id, lease_id, batch_id, *outcome, drift)
+            Frame::Result { worker_id, lease_id, batch_id, outcome, .. } => {
+                self.on_result(worker_id, lease_id, batch_id, *outcome)
             }
             Frame::Submit { device, budget, jobs, trace } => {
                 self.on_submit(device, budget, jobs, trace)
@@ -441,7 +441,6 @@ impl Shared {
         lease_id: u64,
         batch_id: u64,
         outcome: TuneOutcome,
-        drift: Option<MeasuredDrift>,
     ) -> Frame {
         let mut guard = self.state.lock().expect("tracker state poisoned");
         let st = &mut *guard;
@@ -477,16 +476,6 @@ impl Shared {
             );
         } else {
             self.metrics.inc("farm.results");
-            // Fleet-wide cost-model calibration: every first result carries
-            // its measured-vs-predicted sample (absent from old workers).
-            if let Some(d) = drift {
-                let abs = d.rel_err().abs();
-                self.metrics.inc("farm.drift.samples");
-                self.metrics.observe("farm.drift.abs_rel_err", abs);
-                if self.metrics.gauge("farm.drift.max_abs_rel_err").is_none_or(|m| abs > m) {
-                    self.metrics.set_gauge("farm.drift.max_abs_rel_err", abs);
-                }
-            }
         }
         if let Some(lease) = lease {
             let now = self.spans.now_us();

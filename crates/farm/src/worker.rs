@@ -1,7 +1,7 @@
 //! A farm worker: owns one simulated device and runs leased tuning jobs.
 //!
 //! The loop is deliberately simple — request a job, tune it with
-//! [`tune_one_measured`] (the exact serial-pipeline body, so results are
+//! [`tune_one`] (the exact serial-pipeline body, so results are
 //! bit-identical), send the result, repeat. While a job is tuning, a scoped
 //! heartbeat thread keeps the lease alive; heartbeat failures are tolerated
 //! because the tracker's re-queue path covers a lapsed lease anyway.
@@ -28,7 +28,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 use unigpu_device::{DeviceSpec, FaultPlan};
 use unigpu_telemetry::{tel_debug, tel_info, tel_warn};
-use unigpu_tuner::{tune_one_measured, MeasuredDrift, TuneJob, TuneOutcome, TuningBudget};
+use unigpu_tuner::{tune_one, TuneJob, TuneOutcome, TuningBudget};
 
 /// How often the heartbeat thread checks whether tuning has finished.
 const HEARTBEAT_TICK: Duration = Duration::from_millis(20);
@@ -238,14 +238,13 @@ fn session_loop(
                     job.index,
                     job.workload.key()
                 );
-                let (outcome, drift) =
-                    tune_leased(conn, worker_id, lease_id, &job, spec, &budget, lease_ms);
+                let outcome = tune_leased(conn, worker_id, lease_id, &job, spec, &budget, lease_ms);
                 let result = Frame::Result {
                     worker_id,
                     lease_id,
                     batch_id,
                     outcome: Box::new(outcome),
-                    drift: Some(drift),
+                    drift: None,
                 };
                 match rpc(&mut lock(conn), &result) {
                     Ok(Frame::ResultAck { duplicate }) => {
@@ -284,11 +283,10 @@ fn session_loop(
     }
 }
 
-/// Run [`tune_one_measured`] while a scoped sibling thread heartbeats the
-/// lease at a third of its duration. Heartbeat send errors are swallowed:
-/// the worst case is a lease expiry, which the tracker's re-queue path
-/// already covers. Returns the outcome plus the measured-vs-predicted drift
-/// sample shipped back with the result frame.
+/// Run [`tune_one`] while a scoped sibling thread heartbeats the lease at a
+/// third of its duration. Heartbeat send errors are swallowed: the worst
+/// case is a lease expiry, which the tracker's re-queue path already
+/// covers.
 fn tune_leased(
     conn: &Mutex<Conn>,
     worker_id: u64,
@@ -297,7 +295,7 @@ fn tune_leased(
     spec: &DeviceSpec,
     budget: &TuningBudget,
     lease_ms: u64,
-) -> (TuneOutcome, MeasuredDrift) {
+) -> TuneOutcome {
     let stop = AtomicBool::new(false);
     let interval = Duration::from_millis((lease_ms / 3).max(20));
     std::thread::scope(|s| {
@@ -312,7 +310,7 @@ fn tune_leased(
             }
             let _ = rpc(&mut lock(conn), &Frame::Heartbeat { worker_id, lease_id });
         });
-        let out = tune_one_measured(job, spec, budget);
+        let out = tune_one(job, spec, budget);
         stop.store(true, Ordering::Relaxed);
         out
     })

@@ -72,10 +72,6 @@ fn farm_loopback_matches_serial_dispatch() {
     let m = handle.metrics();
     assert_eq!(m.counter("farm.results"), jobs.len() as u64);
     assert_eq!(m.counter("farm.jobs_failed"), 0);
-    // every result ships a measured-vs-predicted sample, and at zero noise
-    // the measurement agrees with the cost model exactly
-    assert_eq!(m.counter("farm.drift.samples"), jobs.len() as u64);
-    assert_eq!(m.gauge("farm.drift.max_abs_rel_err"), Some(0.0));
     assert!(!handle.spans().is_empty(), "each lease records a span");
     handle.stop();
 }

@@ -70,24 +70,25 @@ pub struct LatencyReport {
 }
 
 impl LatencyReport {
-    /// Sum of conv/dense kernel time (the "computationally-intensive" part).
+    /// Sum of conv/dense kernel time (the "computationally-intensive" part),
+    /// started from `+0.0`: `f64`'s `Sum` starts from `-0.0`, which an empty
+    /// sum would print as `-0.00`.
     pub fn conv_ms(&self) -> f64 {
         self.per_op
             .iter()
             .filter(|t| t.op == "conv2d" || t.op == "dense")
-            .map(|t| t.ms)
-            .sum()
+            .fold(0.0, |ms, t| ms + t.ms)
     }
 
-    /// Sum over vision-specific operators.
+    /// Sum over vision-specific operators, started from `+0.0` like
+    /// [`Self::conv_ms`].
     pub fn vision_ms(&self) -> f64 {
         self.per_op
             .iter()
             .filter(|t| {
                 matches!(t.op, "multibox_detection" | "yolo_detect" | "multibox_prior" | "cls_probs")
             })
-            .map(|t| t.ms)
-            .sum()
+            .fold(0.0, |ms, t| ms + t.ms)
     }
 }
 

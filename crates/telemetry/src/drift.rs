@@ -10,23 +10,17 @@
 //!
 //! When the mean |relative error| crosses a configured threshold with
 //! enough samples behind it, the model is *miscalibrated*: the serving
-//! layer publishes `engine.drift.*` gauges and appends a
-//! [`RetuneRecommendation`] JSONL record under the tuning database
-//! (`$UNIGPU_DB_DIR/retune.jsonl` by convention) — the hook the
-//! cost-model-transfer work consumes to decide when transferred configs
-//! have gone stale.
+//! layer publishes the verdict in its `engine.drift.*` gauges, which alert
+//! rules read, and in `ServeReport::drift`, which `unigpu drift` prints.
 
-use crate::json;
 use crate::metrics::{MetricsRegistry, Table};
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::{Path, PathBuf};
 
 /// Relative error of an observation against its prediction:
 /// `(observed − predicted) / predicted`. Non-finite inputs or a
 /// non-positive prediction yield `0.0` (no signal rather than a poisoned
 /// accumulator).
-pub fn rel_err(predicted_ms: f64, observed_ms: f64) -> f64 {
+fn rel_err(predicted_ms: f64, observed_ms: f64) -> f64 {
     if !predicted_ms.is_finite() || !observed_ms.is_finite() || predicted_ms <= 0.0 {
         return 0.0;
     }
@@ -250,81 +244,6 @@ impl DriftMonitor {
     }
 }
 
-/// One re-tune recommendation: "this model's cost table no longer matches
-/// the device it serves on". Appended as a JSONL record so downstream
-/// tuning (warm-start, transfer) can prioritize stale entries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetuneRecommendation {
-    pub model: String,
-    pub device: String,
-    /// Structural fingerprint of the source graph.
-    pub fingerprint: u64,
-    pub samples: u64,
-    pub mean_abs_rel_err: f64,
-    pub max_abs_rel_err: f64,
-    pub threshold: f64,
-    pub worst_node: Option<String>,
-    /// Simulated time at which the verdict was reached, ms.
-    pub sim_time_ms: f64,
-}
-
-impl RetuneRecommendation {
-    /// One JSON line (no trailing newline). Content is a pure function of
-    /// the fields — no wall clock, no pid — so zero-noise replays emit
-    /// byte-identical records.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        json::write_key(&mut out, "model");
-        json::write_str(&mut out, &self.model);
-        out.push(',');
-        json::write_key(&mut out, "device");
-        json::write_str(&mut out, &self.device);
-        out.push(',');
-        json::write_key(&mut out, "fingerprint");
-        out.push_str(&self.fingerprint.to_string());
-        out.push(',');
-        json::write_key(&mut out, "samples");
-        out.push_str(&self.samples.to_string());
-        out.push(',');
-        json::write_key(&mut out, "mean_abs_rel_err");
-        json::write_f64(&mut out, self.mean_abs_rel_err);
-        out.push(',');
-        json::write_key(&mut out, "max_abs_rel_err");
-        json::write_f64(&mut out, self.max_abs_rel_err);
-        out.push(',');
-        json::write_key(&mut out, "threshold");
-        json::write_f64(&mut out, self.threshold);
-        out.push(',');
-        json::write_key(&mut out, "worst_node");
-        match &self.worst_node {
-            Some(n) => json::write_str(&mut out, n),
-            None => out.push_str("null"),
-        }
-        out.push(',');
-        json::write_key(&mut out, "sim_time_ms");
-        json::write_f64(&mut out, self.sim_time_ms);
-        out.push('}');
-        out
-    }
-}
-
-/// Append a recommendation to `dir/retune.jsonl`, creating `dir` as
-/// needed, and return the file path.
-pub fn append_retune_recommendation(
-    dir: &Path,
-    rec: &RetuneRecommendation,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("retune.jsonl");
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)?;
-    writeln!(f, "{}", rec.to_json())?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,61 +393,5 @@ mod tests {
         assert_eq!(m.gauge("engine.drift.mean_abs_rel_err"), Some(0.5));
         assert_eq!(m.gauge("engine.drift.miscalibrated"), Some(1.0));
         assert_eq!(m.gauge("engine.drift.threshold"), Some(0.1));
-    }
-
-    #[test]
-    fn retune_recommendation_roundtrips_as_json() {
-        let rec = RetuneRecommendation {
-            model: "resnet-18".into(),
-            device: "Intel HD Graphics 505".into(),
-            fingerprint: 0xdead_beef,
-            samples: 12,
-            mean_abs_rel_err: 0.5,
-            max_abs_rel_err: 0.75,
-            threshold: 0.25,
-            worst_node: Some("conv0".into()),
-            sim_time_ms: 123.5,
-        };
-        let line = rec.to_json();
-        json::validate(&line).expect("valid JSON");
-        assert!(line.contains("\"model\":\"resnet-18\""));
-        assert!(line.contains("\"samples\":12"));
-
-        let none = RetuneRecommendation {
-            worst_node: None,
-            ..rec
-        };
-        json::validate(&none.to_json()).expect("valid JSON with null worst_node");
-        assert!(none.to_json().contains("\"worst_node\":null"));
-    }
-
-    #[test]
-    fn append_retune_recommendation_writes_jsonl() {
-        let dir = std::env::temp_dir().join(format!(
-            "unigpu-drift-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let rec = RetuneRecommendation {
-            model: "m".into(),
-            device: "d".into(),
-            fingerprint: 1,
-            samples: 9,
-            mean_abs_rel_err: 0.9,
-            max_abs_rel_err: 1.0,
-            threshold: 0.25,
-            worst_node: None,
-            sim_time_ms: 1.0,
-        };
-        let p1 = append_retune_recommendation(&dir, &rec).expect("write");
-        let p2 = append_retune_recommendation(&dir, &rec).expect("append");
-        assert_eq!(p1, p2);
-        let text = std::fs::read_to_string(&p1).expect("read back");
-        assert_eq!(text.lines().count(), 2, "append, not truncate");
-        for line in text.lines() {
-            json::validate(line).expect("each line is valid JSON");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

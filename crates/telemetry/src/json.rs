@@ -49,9 +49,9 @@ pub fn write_key(out: &mut String, key: &str) {
 /// Validate that `s` is exactly one well-formed JSON document (RFC 8259).
 ///
 /// A minimal recursive-descent checker — no value tree is built — so the
-/// flight recorder and the retune log can assert their own emissions are
-/// parseable without pulling a JSON dependency into this crate. The error
-/// carries the byte offset of the first violation.
+/// flight recorder can assert its own dumps are parseable without pulling a
+/// JSON dependency into this crate. The error carries the byte offset of the
+/// first violation.
 pub fn validate(s: &str) -> Result<(), String> {
     let mut p = Validator {
         bytes: s.as_bytes(),

@@ -29,8 +29,8 @@
 //! * [`export`] — **metrics exposition**: Prometheus text format, a JSON
 //!   variant, and a std-only TCP scrape endpoint ([`export::MetricsServer`]).
 //! * [`drift`] — **cost-model drift monitoring**: mergeable Welford +
-//!   log₂-bucket stats of predicted-vs-observed latency error, a
-//!   miscalibration verdict, and re-tune recommendation records.
+//!   log₂-bucket stats of predicted-vs-observed latency error and a
+//!   miscalibration verdict.
 //! * [`recorder`] — a **flight recorder**: an always-on bounded ring of
 //!   recent serve events on the simulated clock, dumped as validated JSON
 //!   when an anomaly trips a trigger.
@@ -65,10 +65,7 @@ pub mod trace;
 
 pub use alert::{AlertEngine, AlertRule, AlertTransition, Cmp};
 pub use chrome::{ArgValue, ChromeTrace, TraceEvent};
-pub use drift::{
-    append_retune_recommendation, DriftConfig, DriftMonitor, DriftStat, DriftSummary,
-    RetuneRecommendation,
-};
+pub use drift::{DriftConfig, DriftMonitor, DriftStat, DriftSummary};
 pub use export::{to_json, to_prometheus, MetricsServer};
 pub use log::{JsonlSink, Level, LogRecord, LogSink, Logger, StderrSink};
 pub use metrics::{

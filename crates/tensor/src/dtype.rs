@@ -1,9 +1,7 @@
 //! Element data types supported by the stack.
 //!
 //! The paper's inference path is fp32 end-to-end (quantization is explicitly
-//! listed as out of scope / future work in §5), so `F32` is the workhorse.
-//! `I32` carries index-like payloads (argsort results, NMS valid counts) and
-//! `U8` is provided for raw image input buffers.
+//! listed as out of scope / future work in §5), so `F32` is the only type.
 
 use serde::{Deserialize, Serialize};
 
@@ -12,10 +10,6 @@ use serde::{Deserialize, Serialize};
 pub enum DType {
     /// 32-bit IEEE-754 float — the inference compute type.
     F32,
-    /// 32-bit signed integer — indices, counts.
-    I32,
-    /// 8-bit unsigned integer — raw image bytes.
-    U8,
 }
 
 impl DType {
@@ -23,8 +17,6 @@ impl DType {
     pub fn name(self) -> &'static str {
         match self {
             DType::F32 => "float32",
-            DType::I32 => "int32",
-            DType::U8 => "uint8",
         }
     }
 }
@@ -41,13 +33,11 @@ mod tests {
 
     #[test]
     fn names_roundtrip_display() {
-        for d in [DType::F32, DType::I32, DType::U8] {
-            assert_eq!(format!("{d}"), d.name());
-        }
+        assert_eq!(format!("{}", DType::F32), DType::F32.name());
     }
 
     #[test]
     fn debug_format() {
-        assert_eq!(format!("{:?}", DType::I32), "I32");
+        assert_eq!(format!("{:?}", DType::F32), "F32");
     }
 }

@@ -10,8 +10,6 @@ use crate::{DType, Shape};
 #[derive(Debug, Clone, PartialEq)]
 pub enum Storage {
     F32(Vec<f32>),
-    I32(Vec<i32>),
-    U8(Vec<u8>),
 }
 
 impl Storage {
@@ -19,8 +17,6 @@ impl Storage {
     pub fn len(&self) -> usize {
         match self {
             Storage::F32(v) => v.len(),
-            Storage::I32(v) => v.len(),
-            Storage::U8(v) => v.len(),
         }
     }
 
@@ -33,8 +29,6 @@ impl Storage {
     pub fn dtype(&self) -> DType {
         match self {
             Storage::F32(_) => DType::F32,
-            Storage::I32(_) => DType::I32,
-            Storage::U8(_) => DType::U8,
         }
     }
 }
@@ -100,19 +94,17 @@ impl Tensor {
         self.shape.numel()
     }
 
-    /// Borrow as f32 slice. Panics on dtype mismatch.
+    /// Borrow as f32 slice.
     pub fn as_f32(&self) -> &[f32] {
         match &self.data {
             Storage::F32(v) => v,
-            other => panic!("expected f32 tensor, got {}", other.dtype()),
         }
     }
 
-    /// Mutably borrow as f32 slice. Panics on dtype mismatch.
+    /// Mutably borrow as f32 slice.
     pub fn as_f32_mut(&mut self) -> &mut [f32] {
         match &mut self.data {
             Storage::F32(v) => v,
-            other => panic!("expected f32 tensor, got {}", other.dtype()),
         }
     }
 
@@ -188,12 +180,6 @@ mod tests {
     #[should_panic]
     fn reshape_bad_count_panics() {
         Tensor::zeros([2, 3]).reshape([4, 2]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn dtype_mismatch_panics() {
-        Tensor::new([4], Storage::I32(vec![0; 4])).as_f32();
     }
 
     #[test]

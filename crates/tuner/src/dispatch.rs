@@ -16,7 +16,6 @@
 //! * `FarmClient` (in `unigpu-farm`) — the remote tracker/worker service.
 
 use crate::measure::SimMeasurer;
-use crate::pipeline::write_convergence_log;
 use crate::records::TuneRecord;
 use crate::tuners::{ModelBasedTuner, Tuner};
 use crate::TuningBudget;
@@ -25,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use unigpu_device::DeviceSpec;
 use unigpu_ops::conv::{ConfigSpace, ConvConfig};
 use unigpu_ops::ConvWorkload;
-use unigpu_telemetry::{tel_debug, tel_warn};
+use unigpu_telemetry::tel_debug;
 
 /// One unit of tensor-level search: a distinct convolution workload.
 ///
@@ -108,11 +107,9 @@ pub trait Dispatcher: Send + Sync {
     ) -> Result<Vec<TuneOutcome>, DispatchError>;
 }
 
-/// Measured-vs-predicted drift for one tuned workload: the noisy measured
-/// best cost against the analytic model's noise-free prediction for the same
-/// config. Workers ship this alongside each lease result so the tracker can
-/// watch calibration fleet-wide (`farm.drift.*`). At noise 0 the two agree
-/// exactly and the relative error is 0.
+/// Measured-vs-predicted cost of one tuned workload. Unused: it stays only
+/// because the farm's `Result` frame keeps an optional field of this type
+/// until ROADMAP item 15 drops it from the benchmark's wire round-trip test.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MeasuredDrift {
     pub workload: String,
@@ -123,27 +120,10 @@ pub struct MeasuredDrift {
     pub measured_ms: f64,
 }
 
-impl MeasuredDrift {
-    /// Relative error of the measurement against the prediction.
-    pub fn rel_err(&self) -> f64 {
-        unigpu_telemetry::drift::rel_err(self.predicted_ms, self.measured_ms)
-    }
-}
-
 /// Tune a single job exactly as the serial pipeline always has: build the
-/// config space, run the model-based tuner with index-derived seeds, write
-/// the convergence log, and pick the top-k candidates by true cost.
+/// config space, run the model-based tuner with index-derived seeds, and
+/// pick the top-k candidates by true cost.
 pub fn tune_one(job: &TuneJob, spec: &DeviceSpec, budget: &TuningBudget) -> TuneOutcome {
-    tune_one_measured(job, spec, budget).0
-}
-
-/// [`tune_one`] plus the [`MeasuredDrift`] sample the farm's workers report
-/// with each lease result.
-pub fn tune_one_measured(
-    job: &TuneJob,
-    spec: &DeviceSpec,
-    budget: &TuningBudget,
-) -> (TuneOutcome, MeasuredDrift) {
     let w = &job.workload;
     let i = job.index;
     let space = ConfigSpace::build(w, spec);
@@ -158,15 +138,9 @@ pub fn tune_one_measured(
         result.best_cost_ms,
         result.trials
     );
-    match write_convergence_log(&spec.name, &w.key(), &result.history) {
-        Ok(path) => {
-            tel_debug!("tuner::dispatch", "convergence log: {}", path.display());
-        }
-        Err(e) => tel_warn!("tuner::dispatch", "failed to write convergence log: {e}"),
-    }
 
     // top-k distinct configs by true (noise-free) cost
-    let mut hist = result.history.clone();
+    let mut hist = result.history;
     hist.sort_by(|a, b| a.1.total_cmp(&b.1));
     hist.dedup_by_key(|h| h.0);
     let candidates: Vec<Candidate> = hist
@@ -178,25 +152,17 @@ pub fn tune_one_measured(
         })
         .collect();
 
-    let predicted_ms = measurer.true_cost(w, &result.best_config);
-    let drift = MeasuredDrift {
-        workload: w.key(),
-        device: spec.name.clone(),
-        predicted_ms,
-        measured_ms: result.best_cost_ms,
-    };
-    let outcome = TuneOutcome {
+    TuneOutcome {
         index: i,
         record: TuneRecord {
             device: spec.name.clone(),
             workload: w.key(),
             config: result.best_config,
-            cost_ms: predicted_ms,
+            cost_ms: measurer.true_cost(w, &result.best_config),
             trials: result.trials,
         },
         candidates,
-    };
-    (outcome, drift)
+    }
 }
 
 /// The original in-process serial loop.

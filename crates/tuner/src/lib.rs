@@ -38,14 +38,11 @@ pub mod records;
 pub mod tuners;
 
 pub use dispatch::{
-    tune_one, tune_one_measured, Candidate, DispatchError, Dispatcher, MeasuredDrift,
-    SerialDispatcher, ThreadPoolDispatcher, TuneJob, TuneOutcome,
+    tune_one, Candidate, DispatchError, Dispatcher, MeasuredDrift, SerialDispatcher,
+    ThreadPoolDispatcher, TuneJob, TuneOutcome,
 };
 pub use measure::{Measurer, SimMeasurer};
-pub use pipeline::{
-    convergence_log_dir, tune_graph, tune_graph_with, write_convergence_log, TunedSchedules,
-    TuningBudget,
-};
-pub use records::{db_dir, device_db_path, device_slug, Database, LoadRecovery, TuneRecord};
+pub use pipeline::{tune_graph, tune_graph_with, TunedSchedules, TuningBudget};
+pub use records::{db_dir, device_db_path, Database, LoadRecovery, TuneRecord};
 pub use ga::GaTuner;
 pub use tuners::{GridTuner, ModelBasedTuner, RandomTuner, SaTuner, TuneResult, Tuner};

@@ -4,10 +4,9 @@
 
 use crate::dispatch::{DispatchError, Dispatcher, SerialDispatcher, TuneJob};
 use crate::graph_tuner::{optimize_chain, ChainLayer, LayerCandidate};
-use crate::records::{db_dir, Database, TuneRecord};
+use crate::records::{Database, TuneRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
 use unigpu_device::DeviceSpec;
 use unigpu_graph::{Graph, OpKind, ScheduleProvider};
 use unigpu_ops::conv::ConvConfig;
@@ -43,62 +42,6 @@ pub fn conv_workloads(g: &Graph) -> Vec<ConvWorkload> {
             _ => None,
         })
         .collect()
-}
-
-/// Directory for per-workload tuning convergence logs: a `convergence/`
-/// folder inside the tuning cache dir ([`db_dir`]).
-pub fn convergence_log_dir() -> PathBuf {
-    db_dir().join("convergence")
-}
-
-fn slug(s: &str) -> String {
-    crate::records::device_slug(s)
-}
-
-/// Write a per-trial convergence log (JSONL, mirroring AutoTVM's tuning
-/// records): one line per measurement with the trial index, the measured
-/// cost, and the best cost seen so far. Returns the file path.
-pub fn write_convergence_log(
-    device: &str,
-    workload: &str,
-    history: &[(usize, f64)],
-) -> std::io::Result<PathBuf> {
-    let dir = convergence_log_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{}__{}.jsonl", slug(device), slug(workload)));
-    std::fs::write(&path, convergence_jsonl(device, workload, history))?;
-    Ok(path)
-}
-
-/// The convergence log's text, every line written straight into one buffer.
-/// Keys come in the sorted order `serde_json::json!` prints them; the two
-/// strings are escaped once, by serde_json itself.
-fn convergence_jsonl(device: &str, workload: &str, history: &[(usize, f64)]) -> String {
-    use std::fmt::Write;
-    /// A JSON number the way serde_json prints a finite `f64` (shortest
-    /// round-trip digits), or `null` for NaN and infinities.
-    fn number(out: &mut String, x: f64) {
-        if x.is_finite() {
-            let _ = write!(out, "{x:?}");
-        } else {
-            out.push_str("null");
-        }
-    }
-    let device = serde_json::to_string(device).expect("a string serializes");
-    let workload = serde_json::to_string(workload).expect("a string serializes");
-    let mut out = String::with_capacity(history.len() * (device.len() + workload.len() + 96));
-    let mut best = f64::INFINITY;
-    for (trial, &(config, ms)) in history.iter().enumerate() {
-        if ms < best {
-            best = ms;
-        }
-        out.push_str("{\"best_ms\":");
-        number(&mut out, best);
-        let _ = write!(out, ",\"config\":{config},\"device\":{device},\"ms\":");
-        number(&mut out, ms);
-        let _ = writeln!(out, ",\"trial\":{trial},\"workload\":{workload}}}");
-    }
-    out
 }
 
 /// Tune every convolution workload of `graph` for `spec`, serially and
@@ -316,77 +259,6 @@ mod tests {
                 before.total_ms
             );
         }
-    }
-
-    #[test]
-    fn convergence_log_written_under_db_dir() {
-        let dir = std::env::temp_dir().join(format!("unigpu_convergence_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::env::set_var("UNIGPU_DB_DIR", &dir);
-
-        // Workload shapes unique to this test, so no concurrently running
-        // tune_graph test can touch the same log files.
-        let mut g = Graph::new("convergence");
-        let w = ConvWorkload::square(1, 48, 56, 14, 3, 1, 1);
-        let x = g.add(OpKind::Input { shape: Shape::from(w.input_shape()) }, vec![], "x");
-        let k = g.add(OpKind::constant(Tensor::zeros(w.weight_shape())), vec![], "w");
-        let c = g.add(OpKind::Conv2d { w, bias: false, act: Activation::Relu }, vec![x, k], "c");
-        g.mark_output(c);
-
-        let spec = unigpu_device::DeviceSpec::intel_hd505();
-        let budget = TuningBudget { trials_per_workload: 24, ..Default::default() };
-        let db = tune_graph(&g, &spec, &budget);
-        std::env::remove_var("UNIGPU_DB_DIR");
-        assert_eq!(db.len(), 1);
-
-        let path = dir
-            .join("convergence")
-            .join(format!("{}__{}.jsonl", slug(&spec.name), slug(&w.key())));
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("convergence log {} missing: {e}", path.display()));
-        let mut best = f64::INFINITY;
-        let mut history = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            let v: serde_json::Value = serde_json::from_str(line).expect("valid JSONL");
-            assert_eq!(v["trial"].as_u64().unwrap() as usize, i, "trial index in order");
-            let ms = v["ms"].as_f64().unwrap();
-            let best_ms = v["best_ms"].as_f64().unwrap();
-            best = best.min(ms);
-            assert_eq!(best_ms, best, "best-so-far is the running minimum");
-            assert_eq!(v["workload"].as_str().unwrap(), w.key());
-            assert_eq!(v["device"].as_str().unwrap(), spec.name);
-            history.push((v["config"].as_u64().unwrap() as usize, ms));
-        }
-        assert_eq!(history.len(), budget.trials_per_workload, "one line per trial");
-        assert_eq!(text, json_value_log(&spec.name, &w.key(), &history), "the file is the json! form");
-        std::fs::remove_dir_all(&dir).ok();
-
-        // Escapes, signed zero, and the non-finite costs JSON spells `null`.
-        let history = [(3, 0.5), (17, f64::INFINITY), (0, -0.0), (9, 1e-3), (4, f64::NAN), (2, 12.25)];
-        let (device, workload) = ("dev \"q\"\t\\", "w\u{1}/é");
-        assert_eq!(convergence_jsonl(device, workload, &history), json_value_log(device, workload, &history));
-    }
-
-    /// The convergence log as a `serde_json::json!` value per line.
-    fn json_value_log(device: &str, workload: &str, history: &[(usize, f64)]) -> String {
-        let mut out = String::new();
-        let mut best = f64::INFINITY;
-        for (trial, &(config, ms)) in history.iter().enumerate() {
-            if ms < best {
-                best = ms;
-            }
-            let line = serde_json::json!({
-                "device": device,
-                "workload": workload,
-                "trial": trial,
-                "config": config,
-                "ms": ms,
-                "best_ms": best,
-            });
-            out.push_str(&line.to_string());
-            out.push('\n');
-        }
-        out
     }
 
     #[test]

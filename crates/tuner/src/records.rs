@@ -13,9 +13,9 @@ use unigpu_ops::conv::ConvConfig;
 use unigpu_ops::ConvWorkload;
 
 /// The tuning cache directory: `UNIGPU_DB_DIR`, defaulting to
-/// `target/tuning`, and the only reader of that variable. Shared by the
-/// engine's artifact cache, the convergence logs, re-tune records and
-/// `unigpu tune --resume`.
+/// `target/tuning`, and the only reader of that variable. Holds the
+/// engine's artifact cache (`artifacts/`) and the per-device databases
+/// ([`device_db_path`]) that `unigpu tune --resume` reads back.
 pub fn db_dir() -> PathBuf {
     let dir = std::env::var("UNIGPU_DB_DIR").unwrap_or_else(|_| "target/tuning".into());
     PathBuf::from(dir)
@@ -23,7 +23,7 @@ pub fn db_dir() -> PathBuf {
 
 /// Filesystem-safe slug of a device name (`Intel HD Graphics 505` →
 /// `intel_hd_graphics_505`).
-pub fn device_slug(name: &str) -> String {
+fn device_slug(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
         .collect()

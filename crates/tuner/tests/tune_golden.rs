@@ -1,16 +1,21 @@
 //! Same schedules, bit for bit: `tune_graph` on MobileNet1.0 and
 //! SqueezeNet1.0 for the three GPUs at 32 trials per workload must find the
-//! databases, graph-tuner candidates and convergence logs whose digests are
-//! in `tests/golden/tune.digest`, captured with the sort-per-node GBT builder
-//! and the re-featurizing search loop that the level-wise fit replaced.
+//! databases, graph-tuner candidates and per-trial search histories whose
+//! digests are in `tests/golden/tune.digest`, captured with the sort-per-node
+//! GBT builder and the re-featurizing search loop that the level-wise fit
+//! replaced.
 //!
 //! An intended change of the schedules is re-captured by pasting the `left`
 //! side of the failed assertion over the golden.
 
-use unigpu_device::Platform;
+use unigpu_device::{DeviceSpec, Platform};
+use unigpu_ops::conv::ConfigSpace;
 use unigpu_telemetry::hash::splitmix64;
 use unigpu_tuner::pipeline::conv_workloads;
-use unigpu_tuner::{convergence_log_dir, tune_graph, Dispatcher, SerialDispatcher, TuneJob, TuningBudget};
+use unigpu_tuner::{
+    tune_graph, Dispatcher, ModelBasedTuner, SerialDispatcher, SimMeasurer, TuneJob, Tuner,
+    TuningBudget,
+};
 
 /// SplitMix64 chained over the bytes, eight at a time, seeded with the length.
 fn digest(bytes: &[u8]) -> u64 {
@@ -32,12 +37,30 @@ fn jobs(model: &unigpu_graph::Graph) -> Vec<TuneJob> {
     distinct.into_iter().enumerate().map(|(index, workload)| TuneJob { index, workload }).collect()
 }
 
+/// Every job's per-trial `(config index, cost bits)` sequence, searched with
+/// the seeds `tune_one` derives from the job index.
+fn histories(jobs: &[TuneJob], spec: &DeviceSpec, budget: &TuningBudget) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for job in jobs {
+        let i = job.index as u64;
+        let space = ConfigSpace::build(&job.workload, spec);
+        let mut measurer = SimMeasurer::new(spec.clone(), budget.noise, budget.seed ^ i);
+        let result = ModelBasedTuner::new(budget.seed.wrapping_add(i)).tune(
+            &job.workload,
+            &space,
+            &mut measurer,
+            budget.trials_per_workload,
+        );
+        for (config, cost) in result.history {
+            bytes.extend((config as u64).to_le_bytes());
+            bytes.extend(cost.to_bits().to_le_bytes());
+        }
+    }
+    bytes
+}
+
 #[test]
 fn tuned_schedules_match_the_golden() {
-    let dir = std::env::temp_dir().join(format!("unigpu-tune-golden-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::env::set_var("UNIGPU_DB_DIR", &dir);
-
     let budget = TuningBudget { trials_per_workload: 32, ..Default::default() };
     let models = [
         ("MobileNet1.0", unigpu_models::mobilenet(1, 224, 1000)),
@@ -45,33 +68,25 @@ fn tuned_schedules_match_the_golden() {
     ];
     let mut actual = String::new();
     for (name, model) in &models {
+        let jobs = jobs(model);
         for platform in Platform::all() {
             let spec = &platform.gpu;
             let db = tune_graph(model, spec, &budget);
-            let outcomes = SerialDispatcher.dispatch(&jobs(model), spec, &budget).unwrap();
+            let outcomes = SerialDispatcher.dispatch(&jobs, spec, &budget).unwrap();
             let mut candidates = String::new();
-            let mut logs = Vec::new();
             for outcome in &outcomes {
                 for c in &outcome.candidates {
                     candidates += &format!("{:?} {:016x}\n", c.config, c.kernel_ms.to_bits());
                 }
-                let log = convergence_log_dir().join(format!(
-                    "{}__{}.jsonl",
-                    unigpu_tuner::device_slug(&spec.name),
-                    unigpu_tuner::device_slug(&outcome.record.workload)
-                ));
-                logs.extend(std::fs::read(&log).unwrap());
             }
             actual += &format!(
-                "{name} {}: db {:016x} candidates {:016x} logs {:016x}\n",
+                "{name} {}: db {:016x} candidates {:016x} history {:016x}\n",
                 platform.name,
                 digest(db.to_json_lines().as_bytes()),
                 digest(candidates.as_bytes()),
-                digest(&logs)
+                digest(&histories(&jobs, spec, &budget))
             );
         }
     }
-    std::env::remove_var("UNIGPU_DB_DIR");
-    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(actual, include_str!("golden/tune.digest"));
 }

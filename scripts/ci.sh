@@ -66,6 +66,28 @@ echo "==> pub audit"
 # lists the few kept on purpose).
 bash scripts/pub-audit.sh
 
+# Every output left in $UNIGPU_DB_DIR must have a reader. The allowed
+# top-level entries are `artifacts/` (the engine's artifact cache, read back
+# by every compile) and `<device>.jsonl` files (the per-device tuning
+# database `unigpu tune --resume` reads back). Anything else is written and
+# never read: fail.
+check_db_dirs() {
+  local dir entry name
+  for dir in "$@"; do
+    [ -d "$dir" ] || continue
+    for entry in "$dir"/* "$dir"/.[!.]*; do
+      [ -e "$entry" ] || continue
+      name=$(basename "$entry")
+      if { [ "$name" = artifacts ] && [ -d "$entry" ]; } ||
+        { [[ "$name" == *.jsonl ]] && [ -f "$entry" ]; }; then
+        continue
+      fi
+      echo "error: $dir holds '$name', which nothing reads back"
+      exit 1
+    done
+  done
+}
+
 echo "==> farm loopback smoke test"
 # Tracker + two workers on an ephemeral loopback port; a farm-dispatched
 # tune must complete and write a populated database.
@@ -95,11 +117,11 @@ if [ ! -s "$farm_tmp/addr" ]; then
   exit 1
 fi
 addr=$(cat "$farm_tmp/addr")
-./target/release/unigpu farm worker --tracker "$addr" --device deeplens --name ci-w1 \
-  > "$farm_tmp/w1.log" 2>&1 &
+UNIGPU_DB_DIR="$farm_tmp/w1db" ./target/release/unigpu farm worker --tracker "$addr" \
+  --device deeplens --name ci-w1 > "$farm_tmp/w1.log" 2>&1 &
 worker1_pid=$!
-./target/release/unigpu farm worker --tracker "$addr" --device deeplens --name ci-w2 \
-  > "$farm_tmp/w2.log" 2>&1 &
+UNIGPU_DB_DIR="$farm_tmp/w2db" ./target/release/unigpu farm worker --tracker "$addr" \
+  --device deeplens --name ci-w2 > "$farm_tmp/w2.log" 2>&1 &
 worker2_pid=$!
 UNIGPU_DB_DIR="$farm_tmp/db" ./target/release/unigpu tune SqueezeNet1.0 \
   --platform deeplens --trials 8 --farm "$addr" --out "$farm_tmp/farm.jsonl"
@@ -112,6 +134,7 @@ if ! grep -q '"workload"' "$farm_tmp/farm.jsonl"; then
   exit 1
 fi
 echo "farm smoke test: $(wc -l < "$farm_tmp/farm.jsonl") record line(s) tuned via $addr"
+check_db_dirs "$farm_tmp/db" "$farm_tmp/w1db" "$farm_tmp/w2db"
 cleanup_farm
 trap - EXIT
 
@@ -141,6 +164,7 @@ if ! grep -q '^accounting: 48 offered' "$chaos_tmp/serve.log"; then
   exit 1
 fi
 grep '^accounting:' "$chaos_tmp/serve.log"
+check_db_dirs "$chaos_tmp/db"
 rm -rf "$chaos_tmp"
 trap - EXIT
 
@@ -248,6 +272,8 @@ if [ -z "$completed" ] || [ "$scraped" != "$completed" ] || [ "$scraped_requests
   exit 1
 fi
 echo "metrics smoke test: scraped $scraped completions from $maddr, accounting balanced"
+# this chaos serve completes requests, so its drift verdict is miscalibrated
+check_db_dirs "$metrics_tmp/db"
 cleanup_metrics
 trap - EXIT
 

@@ -48,8 +48,8 @@ use unigpu::telemetry::{
     TraceContext,
 };
 use unigpu::tuner::{
-    db_dir, device_db_path, tune_graph_with, Database, Dispatcher, SerialDispatcher,
-    ThreadPoolDispatcher, TuningBudget,
+    device_db_path, tune_graph_with, Database, Dispatcher, SerialDispatcher, ThreadPoolDispatcher,
+    TuningBudget,
 };
 use unigpu::Engine;
 
@@ -301,9 +301,6 @@ fn run_serve(args: &[String]) -> Result<ServeRun, CliError> {
             .map_err(|e| CliError(format!("invalid --alert-rules: {e}")))?;
         builder = builder.alert_rules(rules);
     }
-    // miscalibration verdicts land next to the tuning database so the
-    // re-tune workflow (ROADMAP item 5) can consume them
-    builder = builder.retune_dir(db_dir().join("retune"));
     let cfg = builder.build().map_err(|e| CliError(format!("invalid serve config: {e}")))?;
     let spans = SpanRecorder::new();
     // stream the synthetic arrivals through the event-driven scheduler;
@@ -520,8 +517,7 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
 /// `unigpu drift <model> [--platform P] [--requests N] [--faults PLAN]
 /// [--drift-threshold T]` — serve a short synthetic stream and report
 /// cost-model calibration: the per-node predicted cost table, the
-/// predicted-vs-observed drift digest, and the miscalibration verdict
-/// (plus where the re-tune recommendation record was appended).
+/// predicted-vs-observed drift digest, and the miscalibration verdict.
 fn cmd_drift(args: &[String]) -> Result<(), CliError> {
     let run = run_serve(args)?;
     let report = &run.report;
@@ -564,11 +560,9 @@ fn cmd_drift(args: &[String]) -> Result<(), CliError> {
     }
     if drift.miscalibrated {
         println!(
-            "verdict: MISCALIBRATED — mean |rel err| {:.2}% >= threshold {:.0}%; \
-             re-tune recommendation appended to {}",
+            "verdict: MISCALIBRATED — mean |rel err| {:.2}% >= threshold {:.0}%",
             drift.mean_abs_rel_err * 100.0,
-            drift.threshold * 100.0,
-            db_dir().join("retune").join("retune.jsonl").display()
+            drift.threshold * 100.0
         );
     } else {
         println!(

@@ -2,7 +2,7 @@
 //! value flag given without its value, a fault plan item it cannot read or
 //! an unknown target exits with code 2 and names it, instead of silently
 //! running with the default; a command that starts with a flag runs its
-//! default model.
+//! default model; `estimate` prints an empty vision sum as `0.00`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -92,6 +92,17 @@ fn fleet_router_rejects_a_malformed_seed_before_connecting() {
 fn estimate_without_a_model_estimates_the_default() {
     let out = unigpu("estimate", &["estimate", "--platform", "nano"]);
     assert_prints(&out, "ResNet50_v1 on Nvidia Jetson Nano:");
+}
+
+#[test]
+fn estimate_of_a_classifier_prints_a_positive_zero_vision_time() {
+    let out = unigpu(
+        "estimate-vision",
+        &["estimate", "SqueezeNet1.0", "--platform", "nano"],
+    );
+    assert_prints(&out, "SqueezeNet1.0 on Nvidia Jetson Nano:");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(", vision 0.00 ms,"), "{stdout}");
 }
 
 #[test]
