@@ -3,7 +3,10 @@
 //! `CompiledModel::run` on the optimized, placed graph must equal
 //! `tests/golden/functional.digest`, captured before `conv2d_ref`'s loop nest
 //! and the executor's copies were rewritten. SqueezeNet covers dense 1×1/3×3
-//! and the 7×7/2 stem, MobileNet covers depthwise and (compiled) folded BN.
+//! and the 7×7/2 stem, MobileNet covers depthwise and (compiled) folded BN,
+//! ResNet50_v1 covers the padded 3/2/1 max-pool, residual `Add` and strided
+//! 1×1 convs (its lines were captured before the conv weights were read in
+//! place and max-pool was vectorized).
 //!
 //! An intended change of the bits is re-captured by pasting the `left` side
 //! of the failed assertion over the golden.
@@ -61,6 +64,7 @@ fn digests(name: &str, model: &Graph) -> String {
 #[test]
 fn functional_outputs_match_the_golden() {
     let actual = digests("SqueezeNet1.0", &unigpu_models::squeezenet(1, EDGE, 1000))
-        + &digests("MobileNet1.0", &unigpu_models::mobilenet(1, EDGE, 1000));
+        + &digests("MobileNet1.0", &unigpu_models::mobilenet(1, EDGE, 1000))
+        + &digests("ResNet50_v1", &unigpu_models::resnet50(1, EDGE, 1000));
     assert_eq!(actual, include_str!("golden/functional.digest"));
 }

@@ -1,8 +1,8 @@
 //! Functional graph executor — computes real tensors for every node.
 
 use crate::graph::Graph;
-use crate::node::{Activation, Node, OpKind};
-use unigpu_ops::conv::conv2d_ref;
+use crate::node::{Activation, Const, Node, OpKind};
+use unigpu_ops::conv::{all_finite, conv2d_prechecked};
 use unigpu_ops::nn;
 use unigpu_ops::vision;
 use unigpu_telemetry::SpanRecorder;
@@ -18,6 +18,7 @@ pub struct Executor;
 enum Value<'a> {
     Owned(Tensor),
     Borrowed(&'a Tensor),
+    Constant(&'a Const),
     SameAs(usize),
 }
 
@@ -25,7 +26,17 @@ fn tensor<'v>(values: &'v [Value<'_>], id: usize) -> &'v Tensor {
     match values.get(id).unwrap_or_else(|| panic!("node {id} read before it was computed")) {
         Value::Owned(t) => t,
         Value::Borrowed(t) => t,
+        Value::Constant(c) => c.value(),
         Value::SameAs(producer) => tensor(values, *producer),
+    }
+}
+
+/// The constant node `id` holds or names, if it is one.
+fn constant<'v>(values: &'v [Value<'_>], id: usize) -> Option<&'v Const> {
+    match &values[id] {
+        Value::Constant(c) => Some(c),
+        Value::SameAs(producer) => constant(values, *producer),
+        Value::Owned(_) | Value::Borrowed(_) => None,
     }
 }
 
@@ -114,9 +125,9 @@ impl Executor {
                     next_input += 1;
                     Value::Borrowed(t)
                 }
-                OpKind::Constant(c) => Value::Borrowed(c.value()),
+                OpKind::Constant(c) => Value::Constant(c),
                 OpKind::DeviceCopy => Value::SameAs(node.inputs[0]),
-                _ => Value::Owned(compute(node, |i| tensor(&values, node.inputs[i]))),
+                _ => Value::Owned(compute(node, &values)),
             };
             values.push(out);
             if let (Some(r), Some((start_us, started))) = (recorder, span_clock) {
@@ -139,16 +150,21 @@ impl Executor {
     }
 }
 
-/// The tensor a computing node produces from its inputs (`get(i)` is the
-/// value of `node.inputs[i]`).
-fn compute<'v>(node: &Node, get: impl Fn(usize) -> &'v Tensor) -> Tensor {
-    let all_inputs = || (0..node.inputs.len()).map(&get).collect::<Vec<&Tensor>>();
+/// The tensor a computing node produces from its inputs' `values`.
+fn compute(node: &Node, values: &[Value<'_>]) -> Tensor {
+    let get = |i: usize| tensor(values, node.inputs[i]);
+    let all_inputs = || (0..node.inputs.len()).map(get).collect::<Vec<&Tensor>>();
     match &node.op {
         OpKind::Input { .. } | OpKind::Constant(_) | OpKind::DeviceCopy => {
             unreachable!("`{}` holds no tensor of its own", node.op.name())
         }
         OpKind::Conv2d { w, bias, act } => {
-            let mut y = conv2d_ref(get(0), get(1), w);
+            // A constant weight, every model's, is checked once and not per run.
+            let finite = match constant(values, node.inputs[1]) {
+                Some(c) => c.all_finite(),
+                None => all_finite(get(1).as_f32()),
+            };
+            let mut y = conv2d_prechecked(get(0), get(1), finite, w);
             conv_epilogue(&mut y, bias.then(|| get(2)), *act);
             y
         }
@@ -252,6 +268,7 @@ fn cls_probs(x: &Tensor, classes: usize) -> Tensor {
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use unigpu_ops::conv::conv2d_ref;
     use unigpu_ops::ConvWorkload;
     use unigpu_tensor::init::random_uniform;
     use unigpu_tensor::Shape;
@@ -339,6 +356,28 @@ mod tests {
                 Activation::Sigmoid => nn::sigmoid(&biased),
             };
             assert_eq!(Executor.run(&g, std::slice::from_ref(&data)), [want], "{act:?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_constant_weights_get_conv2d_refs_bits() {
+        // An infinite weight in the padding's reach: the register tiles would
+        // make NaNs the plane taps do not, so the constant's flag must be right.
+        let w = ConvWorkload::square(1, 2, 3, 6, 3, 1, 1);
+        let data = random_uniform(w.input_shape(), 11);
+        let mut wt = random_uniform(w.weight_shape(), 12);
+        wt.set(&[0, 0, 0, 0], f32::INFINITY);
+        let mut g = Graph::new("inf");
+        let x = g.add(OpKind::Input { shape: Shape::from(w.input_shape()) }, vec![], "x");
+        let k = g.add(OpKind::constant(wt.clone()), vec![], "w");
+        let k_gpu = g.add(OpKind::DeviceCopy, vec![k], "w.gpu");
+        let c = g.add(OpKind::Conv2d { w, bias: false, act: Activation::None }, vec![x, k_gpu], "c");
+        g.mark_output(c);
+        let bits = |t: &Tensor| t.as_f32().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want = bits(&conv2d_ref(&data, &wt, &w));
+        for run in 0..2 {
+            let got = Executor.run(&g, std::slice::from_ref(&data));
+            assert_eq!(bits(&got[0]), want, "run {run}");
         }
     }
 

@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
+use unigpu_ops::conv::all_finite;
 use unigpu_ops::nn::fold_batch_norm;
 use unigpu_ops::vision::multibox::MultiboxConfig;
 use unigpu_ops::vision::nms::NmsConfig;
@@ -12,9 +13,17 @@ use unigpu_tensor::{Shape, Tensor};
 /// derived from the one that introduced a constant shares it. A constant is
 /// either held or derived: a batch-norm fold computes its weight and bias the
 /// first time either is read, so passes, placement and pricing, which read
-/// [`Const::shape`] only, never touch the weights.
+/// [`Const::shape`] only, never touch the weights. What a kernel would
+/// otherwise re-derive from the value on every call ([`Const::all_finite`])
+/// is likewise computed on first use and kept.
 #[derive(Clone)]
-pub struct Const(Arc<Repr>);
+pub struct Const(Arc<Inner>);
+
+struct Inner {
+    repr: Repr,
+    /// `all_finite(value)`, once asked.
+    finite: OnceLock<bool>,
+}
 
 enum Repr {
     Value(Tensor),
@@ -34,7 +43,11 @@ struct BnFold {
 
 impl Const {
     pub(crate) fn new(t: Tensor) -> Const {
-        Const(Arc::new(Repr::Value(t)))
+        Const::from_repr(Repr::Value(t))
+    }
+
+    fn from_repr(repr: Repr) -> Const {
+        Const(Arc::new(Inner { repr, finite: OnceLock::new() }))
     }
 
     /// The `(weight, bias)` of a convolution with an inference batch norm
@@ -54,12 +67,12 @@ impl Const {
             out: OnceLock::new(),
         });
         let output =
-            |bias, shape| Const(Arc::new(Repr::Folded { fold: Arc::clone(&fold), bias, shape }));
+            |bias, shape| Const::from_repr(Repr::Folded { fold: Arc::clone(&fold), bias, shape });
         (output(false, weight.shape().clone()), output(true, Shape::from([oc])))
     }
 
     pub fn shape(&self) -> &Shape {
-        match &*self.0 {
+        match &self.0.repr {
             Repr::Value(t) => t.shape(),
             Repr::Folded { shape, .. } => shape,
         }
@@ -67,7 +80,7 @@ impl Const {
 
     /// The tensor, computed on the first read of a derived constant.
     pub fn value(&self) -> &Tensor {
-        match &*self.0 {
+        match &self.0.repr {
             Repr::Value(t) => t,
             Repr::Folded { fold, bias, .. } => {
                 let (w, b) = fold.out.get_or_init(|| {
@@ -89,6 +102,13 @@ impl Const {
                 }
             }
         }
+    }
+
+    /// Whether no element of the value is infinite or NaN: a convolution
+    /// with such weights cannot take the register tiles. Scanned on the first
+    /// ask, which reads (and for a fold computes) the value.
+    pub(crate) fn all_finite(&self) -> bool {
+        *self.0.finite.get_or_init(|| all_finite(self.value().as_f32()))
     }
 
     /// True when `a` and `b` are clones of one constant.
@@ -258,10 +278,30 @@ mod tests {
     }
 
     fn fold_cell(c: &Const) -> &OnceLock<(Tensor, Tensor)> {
-        match &*c.0 {
+        match &c.0.repr {
             Repr::Folded { fold, .. } => &fold.out,
             Repr::Value(_) => panic!("not a folded constant"),
         }
+    }
+
+    #[test]
+    fn finiteness_is_scanned_on_the_first_ask_and_kept() {
+        let held = Const::new(Tensor::from_vec([3], vec![1.0, f32::INFINITY, 2.0]));
+        let clone = held.clone();
+        assert!(held.0.finite.get().is_none(), "nothing asked yet");
+        assert!(!held.all_finite());
+        assert_eq!(clone.0.finite.get(), Some(&false), "clones share the answer");
+
+        // a folded weight is computed by the first ask, and is finite
+        let (w, _) = Const::fold_batch_norm(
+            &Const::new(Tensor::full([2, 1, 1, 1], 0.5)),
+            None,
+            [1.0, 0.0, 0.0, 1.0].map(|v| Const::new(Tensor::full([2], v))).each_ref(),
+            1e-3,
+        );
+        assert!(fold_cell(&w).get().is_none());
+        assert!(w.all_finite());
+        assert!(fold_cell(&w).get().is_some(), "the ask read the fold");
     }
 
     #[test]

@@ -15,13 +15,17 @@
 //!
 //! * **Register tiles**, for ungrouped convolutions with finite weights. The
 //!   input is copied once into zero-padded planes, split by stride phase, so
-//!   that every tap of every output is in bounds. Output `(oh, ow)` sits at
+//!   that every tap of every output is in bounds (a unit-stride unpadded
+//!   input, every 1×1 conv's, is read in place). Output `(oh, ow)` sits at
 //!   flat position `oh * pitch + ow` of a plane, and tap `(kh, kw)` reads the
 //!   padded input at that position plus a fixed offset: a tap's reads for a
 //!   run of outputs are one contiguous run, across row ends. An `OB × V`
 //!   block of accumulators (output channels × flat positions) stays in
 //!   registers for the whole `(ic, kh, kw)` reduction and is stored once;
 //!   the `pitch - ow` junk columns of each row are computed and dropped.
+//!   Each of the `OB` output channels reads its `OIHW` weight row in place,
+//!   so nothing about the weights is copied or re-derived per call except
+//!   their finiteness, and [`conv2d_prechecked`] takes that as known.
 //! * **Plane taps**, for everything else. Per `(n, oc)` output plane the taps
 //!   `(ic, kh, kw)` run outside and the output positions inside, over the
 //!   output range each kernel row and column can reach, so the inner loop is
@@ -37,8 +41,8 @@ use unigpu_tensor::Tensor;
 const OB: usize = 2;
 /// Flat output positions per register tile (four 128-bit vectors).
 const V: usize = 16;
-/// Output channels whose weights are regrouped into the scratch buffer at a
-/// time (a multiple of `OB`), so the copy stays small however wide the conv.
+/// Output channels whose tiles sweep a plane together (a multiple of `OB`),
+/// so their weights stay in cache however wide the conv.
 const OC_CHUNK: usize = 32;
 /// Most taps (`kernel_h * kernel_w`) a register tile takes: their offsets
 /// live in a stack array.
@@ -50,11 +54,22 @@ const MAX_TAPS: usize = 128;
 /// # Panics
 /// Panics if tensor shapes disagree with the workload.
 pub fn conv2d_ref(data: &Tensor, weight: &Tensor, w: &ConvWorkload) -> Tensor {
+    conv2d_prechecked(data, weight, all_finite(weight.as_f32()), w)
+}
+
+/// [`conv2d_ref`] for a caller that keeps its weights and so knows
+/// `finite == all_finite(weight)` already: a compiled model checks each
+/// constant once, not on every call. Same bits as `conv2d_ref`.
+///
+/// # Panics
+/// Panics if tensor shapes disagree with the workload.
+pub fn conv2d_prechecked(data: &Tensor, weight: &Tensor, finite: bool, w: &ConvWorkload) -> Tensor {
     assert_eq!(data.shape().dims(), w.input_shape(), "input shape mismatch");
     assert_eq!(weight.shape().dims(), w.weight_shape(), "weight shape mismatch");
+    debug_assert_eq!(finite, all_finite(weight.as_f32()), "wrong finiteness for the weights");
     let mut out = Tensor::zeros(w.output_shape());
     let (x, k) = (data.as_f32(), weight.as_f32());
-    if takes_register_tiles(w, k) {
+    if takes_register_tiles(w, finite) {
         register_tiles(x, k, w, out.as_f32_mut());
     } else {
         plane_taps(x, k, w, out.as_f32_mut());
@@ -62,7 +77,14 @@ pub fn conv2d_ref(data: &Tensor, weight: &Tensor, w: &ConvWorkload) -> Tensor {
     out
 }
 
-/// Whether the register tiles compute `w` with weights `k`.
+/// Whether no value is infinite or NaN. A fold without an early exit, so it
+/// runs at vector speed.
+pub fn all_finite(values: &[f32]) -> bool {
+    values.iter().fold(true, |all, v| all & v.is_finite())
+}
+
+/// Whether the register tiles compute `w`, with weights that are all finite
+/// or not.
 ///
 /// A register tile adds a product for every tap, also where the tap lands in
 /// the zero padding and the plane taps (and the scalar oracle) add nothing.
@@ -75,8 +97,8 @@ pub fn conv2d_ref(data: &Tensor, weight: &Tensor, w: &ConvWorkload) -> Tensor {
 /// though its sign and payload are unspecified in Rust either way. An
 /// infinite or NaN weight would make an extra term `0 · ∞ = NaN`, so such
 /// weights take the plane taps.
-fn takes_register_tiles(w: &ConvWorkload, k: &[f32]) -> bool {
-    w.groups == 1 && w.kernel_h * w.kernel_w <= MAX_TAPS && k.iter().all(|v| v.is_finite())
+fn takes_register_tiles(w: &ConvWorkload, finite: bool) -> bool {
+    w.groups == 1 && w.kernel_h * w.kernel_w <= MAX_TAPS && finite
 }
 
 /// The register tiles' input layout: per image and input channel,
@@ -84,6 +106,10 @@ fn takes_register_tiles(w: &ConvWorkload, k: &[f32]) -> bool {
 /// `(a, b)` holds the zero-padded input's rows `a, a + stride_h, …` and
 /// columns `b, b + stride_w, …`, so the padded position of output
 /// `(oh, ow)`'s tap `(kh, kw)` is the tap's offset plus `oh * pitch + ow`.
+/// At unit `stride_w` a row's right padding is the next row's left padding:
+/// each row holds `pad_w` zeros and then the image row, and a tap past the
+/// row's end reads the zeros that start the next row (or, after the last
+/// row, `pad_w` more). A row has `pad_w` fewer junk columns that way.
 struct Padded {
     rows: usize,
     pitch: usize,
@@ -94,7 +120,11 @@ struct Padded {
 impl Padded {
     fn new(w: &ConvWorkload) -> Self {
         let rows = (w.height + 2 * w.pad_h).div_ceil(w.stride_h);
-        let pitch = (w.width + 2 * w.pad_w).div_ceil(w.stride_w);
+        let pitch = match w.stride_w {
+            // no narrower than an output row, which `pad_w >= kernel_w` makes wider
+            1 => (w.width + w.pad_w).max(w.out_w()),
+            s => (w.width + 2 * w.pad_w).div_ceil(s),
+        };
         Padded { rows, pitch, channel: w.stride_h * w.stride_w * rows * pitch }
     }
 
@@ -130,23 +160,16 @@ fn register_tiles(x: &[f32], k: &[f32], w: &ConvWorkload, out: &mut [f32]) {
     let per_oc = w.in_channels * taps;
     // Flat positions `0..len` of a plane cover every output.
     let len = (oh - 1) * pd.pitch + ow;
-    // Unit stride and no padding: the input is its own padded plane.
-    let borrowed = (w.stride_h, w.stride_w, w.pad_h, w.pad_w) == (1, 1, 0, 0) && len >= V;
-
-    // The one scratch buffer: the weights of up to `OC_CHUNK` output channels
-    // regrouped per tile as `[oc / OB][ic][kh][kw][oc % OB]`, then the padded
-    // input plus `V` zeros, which a plane shorter than one tile reads past
-    // its end. Tile channels past `out_channels` get zero weights; they are
-    // computed and dropped.
-    let chunk_len = OC_CHUNK.min(w.out_channels.next_multiple_of(OB)) * per_oc;
-    let padded_len = if borrowed { 0 } else { w.batch * w.in_channels * pd.channel + V };
-    let mut scratch = vec![0.0f32; chunk_len + padded_len];
-    let (packed, padded) = scratch.split_at_mut(chunk_len);
-    let x = if borrowed {
-        x
+    // Unit stride and no padding: the input is its own padded plane, and the
+    // call allocates nothing but its output.
+    let x: Cow<[f32]> = if (w.stride_h, w.stride_w, w.pad_h, w.pad_w) == (1, 1, 0, 0) && len >= V {
+        Cow::Borrowed(x)
     } else {
-        pd.fill(x, w, padded);
-        &*padded
+        // The padded input plus `V + pad_w` zeros: a plane shorter than one
+        // tile reads past its end, and so does the last row's right padding.
+        let mut padded = vec![0.0f32; w.batch * w.in_channels * pd.channel + V + w.pad_w];
+        pd.fill(x, w, &mut padded);
+        Cow::Owned(padded)
     };
 
     let mut offsets = [0; MAX_TAPS];
@@ -156,14 +179,6 @@ fn register_tiles(x: &[f32], k: &[f32], w: &ConvWorkload, out: &mut [f32]) {
     let offsets = &offsets[..taps];
 
     for (chunk, k_chunk) in k.chunks(OC_CHUNK * per_oc).enumerate() {
-        packed.fill(0.0);
-        for (src, dst) in k_chunk.chunks(OB * per_oc).zip(packed.chunks_exact_mut(OB * per_oc)) {
-            for (ob, src) in src.chunks_exact(per_oc).enumerate() {
-                for (d, &v) in dst[ob..].iter_mut().step_by(OB).zip(src) {
-                    *d = v;
-                }
-            }
-        }
         let channels = k_chunk.len() / per_oc;
         for n in 0..w.batch {
             let x_n = &x[n * w.in_channels * pd.channel..];
@@ -175,9 +190,14 @@ fn register_tiles(x: &[f32], k: &[f32], w: &ConvWorkload, out: &mut [f32]) {
                 let p0 = start.min(len.saturating_sub(V));
                 let (row, col) = (p0 / pd.pitch, p0 % pd.pitch);
                 let count = V.min(len - p0);
-                let tiles = packed.chunks_exact(OB * per_oc).zip(out_n.chunks_mut(OB * plane));
+                let tiles = k_chunk.chunks(OB * per_oc).zip(out_n.chunks_mut(OB * plane));
                 for (k_tile, out_tile) in tiles {
-                    let acc = tile(x_n, k_tile, offsets, pd.channel, p0);
+                    // An odd last channel is computed twice; its copy is dropped.
+                    let ks = std::array::from_fn(|ob| {
+                        let ob = ob.min(k_tile.len() / per_oc - 1);
+                        &k_tile[ob * per_oc..][..per_oc]
+                    });
+                    let acc = tile(x_n, ks, offsets, pd.channel, p0);
                     for (acc, o) in acc.iter().zip(out_tile.chunks_exact_mut(plane)) {
                         store(&acc[..count], o, row, col, pd.pitch, ow);
                     }
@@ -187,15 +207,17 @@ fn register_tiles(x: &[f32], k: &[f32], w: &ConvWorkload, out: &mut [f32]) {
     }
 }
 
-/// One register tile: the `OB` output channels whose packed weights are
-/// `k_tile`, at flat positions `p0..p0 + V`, summed over `(ic, kh, kw)`.
-fn tile(x: &[f32], k_tile: &[f32], offsets: &[usize], channel: usize, p0: usize) -> [[f32; V]; OB] {
+/// One register tile: the `OB` output channels whose `[ic][kh][kw]` weights
+/// are `ks`, at flat positions `p0..p0 + V`, summed over `(ic, kh, kw)`.
+fn tile(x: &[f32], ks: [&[f32]; OB], offsets: &[usize], channel: usize, p0: usize) -> [[f32; V]; OB] {
     let mut acc = [[0.0f32; V]; OB];
-    for (ic, k_ic) in k_tile.chunks_exact(offsets.len() * OB).enumerate() {
+    let taps = offsets.len();
+    let [k0, k1] = ks;
+    for (ic, (k0, k1)) in k0.chunks_exact(taps).zip(k1.chunks_exact(taps)).enumerate() {
         let x_ic = &x[ic * channel + p0..];
-        for (&off, kv) in offsets.iter().zip(k_ic.chunks_exact(OB)) {
+        for ((&off, &k0), &k1) in offsets.iter().zip(k0).zip(k1) {
             let xs = &x_ic[off..][..V];
-            for (a, &kv) in acc.iter_mut().zip(kv) {
+            for (a, kv) in acc.iter_mut().zip([k0, k1]) {
                 // A splat keeps each weight in one broadcast register.
                 let kv = [kv; V];
                 for v in 0..V {
@@ -364,11 +386,14 @@ mod tests {
     }
 
     /// Signed data and weights, so sums cancel and the reduction order shows.
+    /// Both entry points: the per-call check and the caller's known flag.
     fn assert_matches_scalar(w: &ConvWorkload, seed: u64) {
         let signed = Initializer::Uniform { lo: -1.0, hi: 1.0 };
         let data = signed.init(w.input_shape(), seed);
         let wt = signed.init(w.weight_shape(), seed + 1);
-        assert_eq!(conv2d_ref(&data, &wt, w), conv_scalar(&data, &wt, w), "{w}");
+        let want = conv_scalar(&data, &wt, w);
+        assert_eq!(conv2d_ref(&data, &wt, w), want, "{w}");
+        assert_eq!(conv2d_prechecked(&data, &wt, true, w), want, "{w}, prechecked");
     }
 
     #[test]
@@ -514,10 +539,13 @@ mod tests {
             let numel = |shape: [usize; 4]| shape.iter().product::<usize>();
             let data: Vec<f32> = (0..numel(w.input_shape())).map(|_| special(&mut rng, false)).collect();
             let wt: Vec<f32> = (0..numel(w.weight_shape())).map(|_| special(&mut rng, true)).collect();
-            assert!(takes_register_tiles(&w, &wt), "case {case}: {w}");
+            assert!(takes_register_tiles(&w, all_finite(&wt)), "case {case}: {w}");
             let (data, wt) = (Tensor::from_vec(w.input_shape(), data), Tensor::from_vec(w.weight_shape(), wt));
             let what = format!("case {case}: {w}");
-            assert_same_bits_and_nans(&conv2d_ref(&data, &wt, &w), &conv_scalar(&data, &wt, &w), &what);
+            let want = conv_scalar(&data, &wt, &w);
+            assert_same_bits_and_nans(&conv2d_ref(&data, &wt, &w), &want, &what);
+            let prechecked = conv2d_prechecked(&data, &wt, true, &w);
+            assert_same_bits_and_nans(&prechecked, &want, &format!("{what}, prechecked"));
         }
     }
 
@@ -532,11 +560,25 @@ mod tests {
         let mut wt = Initializer::Uniform { lo: -1.0, hi: 1.0 }.init(w.weight_shape(), 22);
         wt.set(&[0, 0, 0, 0], f32::INFINITY);
         wt.set(&[1, 1, 2, 1], f32::NAN);
-        assert!(!takes_register_tiles(&w, wt.as_f32()));
+        assert!(!takes_register_tiles(&w, all_finite(wt.as_f32())));
         let (got, want) = (conv2d_ref(&data, &wt, &w), conv_scalar(&data, &wt, &w));
         let bits = |t: &Tensor| t.as_f32().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
+        assert_eq!(bits(&conv2d_prechecked(&data, &wt, false, &w)), bits(&want));
         assert!(want.at(&[0, 0, 0, 0]).is_finite() && want.at(&[0, 0, 1, 1]) == f32::INFINITY);
+    }
+
+    #[test]
+    fn all_finite_sees_every_non_finite_value() {
+        assert!(all_finite(&[]));
+        assert!(all_finite(&[0.0, -0.0, f32::MAX, f32::MIN, f32::from_bits(1)]));
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN] {
+            for at in [0, 17, 36] {
+                let mut v = vec![1.0f32; 37];
+                v[at] = bad;
+                assert!(!all_finite(&v), "{bad} at {at}");
+            }
+        }
     }
 
     #[test]

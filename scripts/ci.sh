@@ -14,9 +14,10 @@ cargo test -q --workspace
 echo "==> functional bit-identity gate (release codegen)"
 # `cargo test` above builds at opt-level 2; the kernels' bit-for-bit contracts
 # (conv2d_ref == scalar oracle == spatial pack, roi_align == per-channel loop,
-# the packed-key sort == a total_cmp sort, vision and end-to-end output
-# digests) must also hold under the optimizer that ships.
-cargo test -q --release -p unigpu-ops --lib -- conv::reference vision::roi_align vision::sort vision::nms
+# max_pool2d == its scalar loop, the packed-key sort == a total_cmp sort,
+# vision and end-to-end output digests) must also hold under the optimizer
+# that ships.
+cargo test -q --release -p unigpu-ops --lib -- conv::reference nn::pool vision::roi_align vision::sort vision::nms
 cargo test -q --release -p unigpu-ops --test prop_conv --test prop_vision --test vision_golden
 cargo test -q --release -p unigpu-engine --test functional_golden
 
@@ -538,9 +539,11 @@ echo "==> hot-path allocation gates"
 # operation is one measured trial of the model-based search, whose surrogate
 # fit reuses one workspace per round. One exec_functional operation is one
 # SqueezeNet inference (its executor keeps every node's output; a conv
-# allocates its output and one scratch buffer) plus one pass of the four
-# vision operators; the count repeats exactly.
-for gate in serve_steady:4 fleet_wire:3 compile_zoo:7000 tune_zoo:16 exec_functional:145; do
+# allocates its output, plus a padded input copy when it strides or pads, and
+# a 1x1 conv reads its input and weights in place) plus one pass of the four
+# vision operators; the count repeats exactly, and
+# crates/engine/tests/run_allocs.rs pins the inference's share.
+for gate in serve_steady:4 fleet_wire:3 compile_zoo:7000 tune_zoo:16 exec_functional:128; do
   workload=${gate%:*} alloc_budget=${gate#*:}
   allocs=$(bash benchmark/run.sh --workload "$workload" --seconds 3 --trace 0 \
     | sed -n 's/^allocs_per_op = \([0-9.eE+-]*\) count$/\1/p')
