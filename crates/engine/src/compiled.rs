@@ -19,8 +19,8 @@ use unigpu_device::{CostTable, DeviceSpec, Platform};
 use unigpu_graph::latency::FallbackSchedules;
 use unigpu_graph::passes::optimize;
 use unigpu_graph::{
-    estimate_latency, place, rebatch, Executor, Graph, LatencyOptions, LatencyReport, OpKind,
-    Placement, PlacementPolicy, ScheduleProvider,
+    estimate_latency, place, rebatch, Executor, Graph, LatencyOptions, LatencyReport, MemoryPlan,
+    OpKind, Placement, PlacementPolicy, ScheduleProvider, Workspace,
 };
 use unigpu_ops::conv::ConvConfig;
 use unigpu_ops::ConvWorkload;
@@ -285,6 +285,8 @@ impl Engine {
                 has_vision,
                 batch_cost: Mutex::default(),
                 degraded: OnceLock::new(),
+                plan: OnceLock::new(),
+                workspace: Mutex::default(),
             }),
         }
     }
@@ -329,6 +331,11 @@ struct CompiledInner {
     batch_cost: Mutex<HashMap<usize, f64>>,
     /// The all-CPU variant, derived once for every server of this model.
     degraded: OnceLock<CompiledModel>,
+    /// The placed graph's memory plan, made by the first run.
+    plan: OnceLock<MemoryPlan>,
+    /// The workspace runs reuse: a run takes it and puts it back, and a run
+    /// that finds it taken by a concurrent one makes its own.
+    workspace: Mutex<Option<Workspace>>,
 }
 
 /// A model compiled by [`Engine::compile`]: optimized graph, device
@@ -468,6 +475,8 @@ impl CompiledModel {
                     has_vision: inner.has_vision,
                     batch_cost: Mutex::default(),
                     degraded: OnceLock::new(),
+                    plan: OnceLock::new(),
+                    workspace: Mutex::default(),
                 }),
             })
             .clone()
@@ -476,9 +485,31 @@ impl CompiledModel {
     /// Execute the model functionally on real tensors (placement-aware
     /// graph, so `DeviceCopy` boundaries are exercised). Compiling reads no
     /// weight: the first run folds the batch norms, once for this model, its
-    /// clones and its degraded variant.
+    /// clones and its degraded variant, and plans the graph's memory. Later
+    /// runs reuse that plan and one workspace, and allocate only the tensors
+    /// they return.
     pub fn run(&self, inputs: &[Tensor]) -> Vec<Tensor> {
-        Executor.run(&self.inner.placement.graph, inputs)
+        let graph = &self.inner.placement.graph;
+        let plan = self.inner.plan.get_or_init(|| {
+            let plan = MemoryPlan::new(graph);
+            tel_debug!(
+                "engine",
+                "memory plan of {}: {} arena floats, liveness bound {}",
+                self.model(),
+                plan.arena_len(),
+                plan.liveness_bound()
+            );
+            plan
+        });
+        let kept = self.workspace().take();
+        let mut workspace = kept.unwrap_or_else(|| plan.workspace());
+        let outputs = Executor.run_planned(graph, plan, &mut workspace, inputs);
+        self.workspace().get_or_insert(workspace);
+        outputs
+    }
+
+    fn workspace(&self) -> MutexGuard<'_, Option<Workspace>> {
+        self.inner.workspace.lock().expect("workspace poisoned")
     }
 
     /// Traced estimate: one span per node plus `exec.*`/`latency.*`
@@ -737,6 +768,51 @@ mod tests {
         };
         assert_eq!(bits(&outputs[0]), bits(&outputs[1]));
         assert_eq!(bits(&outputs[0]), bits(&compiled.run(&[input])));
+    }
+
+    #[test]
+    fn the_arena_is_within_15_percent_of_the_liveness_bound_on_every_zoo_model() {
+        for entry in unigpu_models::full_zoo() {
+            let g = optimize(&(entry.build)(false));
+            for policy in [PlacementPolicy::AllGpu, PlacementPolicy::FallbackVision] {
+                let plan = MemoryPlan::new(&place(&g, policy).graph);
+                let (arena, bound) = (plan.arena_len(), plan.liveness_bound());
+                assert!(
+                    arena as f64 <= 1.15 * bound as f64,
+                    "{} {policy:?}: {arena} arena floats, liveness bound {bound}",
+                    entry.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_model_and_its_clone_on_two_threads_keep_the_first_runs_bits() {
+        let model = unigpu_models::squeezenet(1, 64, 10);
+        let compiled = memory_engine().compile(&model);
+        let input = Tensor::from_vec(
+            compiled.input_shape(),
+            (0..3 * 64 * 64)
+                .map(|i| (i % 23) as f32 / 11.0 - 1.0)
+                .collect(),
+        );
+        let first = compiled.run(std::slice::from_ref(&input));
+        std::thread::scope(|s| {
+            for m in [compiled.clone(), compiled.clone()] {
+                let (input, first) = (&input, &first);
+                s.spawn(move || {
+                    for _ in 0..4 {
+                        let out = m.run(std::slice::from_ref(input));
+                        let bits = |t: &[Tensor]| -> Vec<u32> {
+                            t.iter()
+                                .flat_map(|t| t.as_f32().iter().map(|v| v.to_bits()))
+                                .collect()
+                        };
+                        assert_eq!(bits(&out), bits(first));
+                    }
+                });
+            }
+        });
     }
 
     #[test]

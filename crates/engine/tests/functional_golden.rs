@@ -8,13 +8,23 @@
 //! 1×1 convs (its lines were captured before the conv weights were read in
 //! place and max-pool was vectorized).
 //!
+//! `tests/golden/zoo.digest` does the same for the three detectors, captured
+//! before the executor planned its memory: their heads run `Concat`,
+//! `ConcatFlat`, `ConcatAnchors`, `UpsampleNearest` and the two vision
+//! operators, which the classifiers never execute. Yolov3's output is one
+//! constant row at seeded weights (no cell clears its confidence), so each
+//! detector also digests the tensors entering its vision operator. Every
+//! placement (all-GPU, the vision fallback with its `DeviceCopy` nodes,
+//! all-CPU, and the degraded variant) must compute the same bits.
+//!
 //! An intended change of the bits is re-captured by pasting the `left` side
 //! of the failed assertion over the golden.
 
 use unigpu_device::Platform;
-use unigpu_engine::Engine;
-use unigpu_graph::{Executor, Graph};
+use unigpu_engine::{CompiledModel, Engine};
+use unigpu_graph::{place, Executor, Graph, PlacementPolicy};
 use unigpu_telemetry::hash::{splitmix64, Fnv1a};
+use unigpu_telemetry::SpanRecorder;
 use unigpu_tensor::{Shape, Tensor};
 
 const EDGE: usize = 64;
@@ -41,12 +51,16 @@ fn digest(outputs: &[Tensor]) -> u64 {
     h.finish()
 }
 
-fn digests(name: &str, model: &Graph) -> String {
-    let compiled = Engine::builder()
+fn compile(model: &Graph) -> CompiledModel {
+    Engine::builder()
         .platform(Platform::deeplens())
         .persist(false)
         .build()
-        .compile(model);
+        .compile(model)
+}
+
+fn digests(name: &str, model: &Graph) -> String {
+    let compiled = compile(model);
     let input = [seeded_input(compiled.input_shape())];
     let reference = Executor.run(model, &input);
     let optimized = compiled.run(&input);
@@ -67,4 +81,94 @@ fn functional_outputs_match_the_golden() {
         + &digests("MobileNet1.0", &unigpu_models::mobilenet(1, EDGE, 1000))
         + &digests("ResNet50_v1", &unigpu_models::resnet50(1, EDGE, 1000));
     assert_eq!(actual, include_str!("golden/functional.digest"));
+}
+
+/// `g` with the inputs of its vision operator marked as outputs too.
+fn with_head_inputs(g: &Graph) -> Graph {
+    let mut g = g.clone();
+    let head = g
+        .nodes
+        .iter()
+        .position(|n| n.op.is_vision_control())
+        .expect("a detector");
+    for i in g.nodes[head].inputs.clone() {
+        g.mark_output(i);
+    }
+    g
+}
+
+/// `g` with its head's inputs marked as outputs, through the traced run.
+fn traced_heads(g: &Graph, input: &[Tensor]) -> u64 {
+    let g = with_head_inputs(g);
+    let spans = SpanRecorder::new();
+    let out = Executor.run_traced(&g, input, &spans);
+    assert_eq!(spans.len(), g.nodes.len(), "one span per node");
+    digest(&out)
+}
+
+/// The reference, compiled and head-input digests of a detector, checked
+/// against its three lines of the golden.
+fn assert_detector_matches_the_golden(name: &str, edge: usize, model: &Graph) {
+    let compiled = compile(model);
+    let input = [seeded_input(compiled.input_shape())];
+    let reference = Executor.run(model, &input);
+    let optimized = compiled.run(&input);
+    let heads = traced_heads(&compiled.placement().graph, &input);
+    // All-CPU placement, the degraded variant's, inserts no copy: its graph
+    // is the all-GPU one, folds included, run in its own workspace. The
+    // vision fallback copies.
+    let degraded = compiled.degraded();
+    assert_eq!(
+        degraded.placement().graph,
+        compiled.placement().graph,
+        "{name}: degraded graph"
+    );
+    assert_eq!(
+        digest(&degraded.run(&input)),
+        digest(&optimized),
+        "{name}: degraded bits"
+    );
+    let fallback = place(compiled.graph(), PlacementPolicy::FallbackVision);
+    assert!(fallback.copy_count() > 0, "{name}: the fallback copies");
+    assert_eq!(
+        traced_heads(&fallback.graph, &input),
+        heads,
+        "{name}: FallbackVision bits"
+    );
+
+    let actual = format!(
+        "{name}@{edge} reference {:016x}\n{name}@{edge} compiled {:016x}\n{name}@{edge} heads {heads:016x}\n",
+        digest(&reference),
+        digest(&optimized)
+    );
+    let golden = include_str!("golden/zoo.digest");
+    let want: String = golden
+        .lines()
+        .filter(|l| l.starts_with(&format!("{name}@")))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(actual, want);
+}
+
+#[test]
+fn ssd_mobilenet_matches_the_golden_on_every_placement() {
+    assert_detector_matches_the_golden(
+        "SSD_MobileNet1.0",
+        EDGE,
+        &unigpu_models::ssd_mobilenet(EDGE, 20),
+    );
+}
+
+#[test]
+fn ssd_resnet50_matches_the_golden_on_every_placement() {
+    assert_detector_matches_the_golden(
+        "SSD_ResNet50",
+        EDGE,
+        &unigpu_models::ssd_resnet50(EDGE, 20),
+    );
+}
+
+#[test]
+fn yolov3_matches_the_golden_on_every_placement() {
+    assert_detector_matches_the_golden("Yolov3", 32, &unigpu_models::yolov3(32, 80));
 }

@@ -1,44 +1,38 @@
 //! Functional graph executor — computes real tensors for every node.
+//!
+//! # Executor memory
+//!
+//! A run follows a [`MemoryPlan`] in a [`Workspace`]. Every operator with an
+//! in-place kernel (convolution, pooling, softmax, dense, add, activations,
+//! concats and the SSD head plumbing) writes its arena slot, which it
+//! overwrites whole: a convolution's plane taps zero their slot first, and
+//! its register tiles, like every other kernel, store every output. A slot is
+//! read only after the step that writes it in the same run, so a workspace
+//! may be reused with whatever an earlier run left in it. `DeviceCopy` and
+//! `Flatten` name their producer's slot, and a fire module's expand convs
+//! write straight into the two halves of their concat's slot. An operator
+//! with no in-place kernel keeps the tensor it returns in the workspace's
+//! table until its last reader has run. Weights stay in the graph, inputs
+//! with the caller, and the outputs are copied out at the end.
+//!
+//! [`Executor::run`] and [`Executor::run_traced`] plan per call into a fresh
+//! workspace. [`Executor::run_planned`] takes both from its caller: a compiled
+//! model plans once and keeps one workspace, so that a warm inference
+//! allocates nothing but the tensors it returns.
 
 use crate::graph::Graph;
+use crate::memory::{is_concat, Loc, MemoryPlan, Step, Workspace};
 use crate::node::{Activation, Const, Node, OpKind};
-use unigpu_ops::conv::{all_finite, conv2d_prechecked};
+use std::ops::Range;
+use unigpu_ops::conv::{all_finite, conv2d_prechecked_into};
 use unigpu_ops::nn;
 use unigpu_ops::vision;
 use unigpu_telemetry::SpanRecorder;
-use unigpu_tensor::Tensor;
+use unigpu_tensor::{Shape, Tensor};
 
 /// Executes a graph on concrete inputs.
 #[derive(Debug, Default)]
 pub struct Executor;
-
-/// A node's value for the length of one run. Borrow rule: only what a node
-/// computes is owned; weights stay in the graph, inputs with the caller, and a
-/// `DeviceCopy` (integrated GPUs share DRAM with the CPU) names its producer.
-enum Value<'a> {
-    Owned(Tensor),
-    Borrowed(&'a Tensor),
-    Constant(&'a Const),
-    SameAs(usize),
-}
-
-fn tensor<'v>(values: &'v [Value<'_>], id: usize) -> &'v Tensor {
-    match values.get(id).unwrap_or_else(|| panic!("node {id} read before it was computed")) {
-        Value::Owned(t) => t,
-        Value::Borrowed(t) => t,
-        Value::Constant(c) => c.value(),
-        Value::SameAs(producer) => tensor(values, *producer),
-    }
-}
-
-/// The constant node `id` holds or names, if it is one.
-fn constant<'v>(values: &'v [Value<'_>], id: usize) -> Option<&'v Const> {
-    match &values[id] {
-        Value::Constant(c) => Some(c),
-        Value::SameAs(producer) => constant(values, *producer),
-        Value::Owned(_) | Value::Borrowed(_) => None,
-    }
-}
 
 /// The same scalar formulas as `nn::{relu, leaky_relu, sigmoid}`, applied to
 /// a buffer the caller already owns.
@@ -53,24 +47,116 @@ fn act_inplace(xs: &mut [f32], act: Activation) {
     }
 }
 
-fn apply_act(mut t: Tensor, act: Activation) -> Tensor {
-    act_inplace(t.as_f32_mut(), act);
-    t
-}
-
-/// Bias then activation over the convolution's accumulator, one output plane
-/// at a time while it is cache-hot.
-fn conv_epilogue(y: &mut Tensor, bias: Option<&Tensor>, act: Activation) {
-    let (_, c, h, w) = y.shape().nchw();
+/// Bias then activation over the convolution's accumulator `y` of `c`
+/// channels, one output plane at a time while it is cache-hot.
+fn conv_epilogue(y: &mut [f32], c: usize, plane: usize, bias: Option<&[f32]>, act: Activation) {
     if let Some(b) = bias {
-        assert_eq!(b.numel(), c, "bias length {} != channels {c}", b.numel());
+        assert_eq!(b.len(), c, "bias length {} != channels {c}", b.len());
     }
-    for (p, plane) in y.as_f32_mut().chunks_mut(h * w).enumerate() {
+    for (p, plane) in y.chunks_mut(plane).enumerate() {
         if let Some(b) = bias {
-            let b = b.as_f32()[p % c];
+            let b = b[p % c];
             plane.iter_mut().for_each(|v| *v += b);
         }
         act_inplace(plane, act);
+    }
+}
+
+/// The arena around one step's two mutable regions (its output and its
+/// scratch): the rest, in up to three read-only pieces, each with its start.
+struct Frozen<'a> {
+    pieces: [(usize, &'a [f32]); 3],
+}
+
+impl<'a> Frozen<'a> {
+    fn get(&self, at: usize, len: usize) -> &'a [f32] {
+        self.pieces
+            .iter()
+            .find(|(start, p)| *start <= at && at + len <= start + p.len())
+            .map(|(start, p)| &p[at - start..][..len])
+            .unwrap_or_else(|| {
+                panic!(
+                    "arena floats {at}..{} overlap the step's output or scratch",
+                    at + len
+                )
+            })
+    }
+}
+
+/// Splits `arena` into the disjoint mutable ranges `a` and `b` (either may be
+/// empty) and the read-only rest.
+fn carve(
+    arena: &mut [f32],
+    a: Range<usize>,
+    b: Range<usize>,
+) -> (&mut [f32], &mut [f32], Frozen<'_>) {
+    // An empty range sits at the other's end, where it splits nothing.
+    let a = if a.is_empty() { b.end..b.end } else { a };
+    let b = if b.is_empty() { a.end..a.end } else { b };
+    let swap = a.start > b.start;
+    let (lo, hi) = if swap { (&b, &a) } else { (&a, &b) };
+    assert!(lo.end <= hi.start, "a step's output and scratch overlap");
+    let (p0, rest) = arena.split_at_mut(lo.start);
+    let (m0, rest) = rest.split_at_mut(lo.len());
+    let (p1, rest) = rest.split_at_mut(hi.start - lo.end);
+    let (m1, p2) = rest.split_at_mut(hi.len());
+    let frozen = Frozen {
+        pieces: [(0, &*p0), (lo.end, &*p1), (hi.end, &*p2)],
+    };
+    if swap {
+        (m1, m0, frozen)
+    } else {
+        (m0, m1, frozen)
+    }
+}
+
+/// What one step reads: the values of earlier steps, wherever they live.
+struct Env<'a> {
+    graph: &'a Graph,
+    plan: &'a MemoryPlan,
+    inputs: &'a [Tensor],
+    owned: &'a [Option<Tensor>],
+    arena: Frozen<'a>,
+}
+
+impl<'a> Env<'a> {
+    /// The shape of node `id`'s value: a kept tensor's own, which for the
+    /// vision heads is smaller than the worst case shape inference gives.
+    fn shape(&self, id: usize) -> &'a Shape {
+        match self.plan.locs[id] {
+            Loc::Arena(_) => &self.plan.shapes[id],
+            _ if self.graph.nodes[id].op == OpKind::Flatten => &self.plan.shapes[id],
+            _ => self.tensor(id).shape(),
+        }
+    }
+
+    fn data(&self, id: usize) -> &'a [f32] {
+        match self.plan.locs[id] {
+            Loc::Arena(at) => self.arena.get(at, self.plan.shapes[id].numel()),
+            _ => self.tensor(id).as_f32(),
+        }
+    }
+
+    fn tensor(&self, id: usize) -> &'a Tensor {
+        match self.plan.locs[id] {
+            Loc::Input(k) => &self.inputs[k],
+            Loc::Const(_) => self.constant(id).expect("a constant node").value(),
+            Loc::Owned(r) => self.owned[r]
+                .as_ref()
+                .unwrap_or_else(|| panic!("node {id} read after its last use")),
+            Loc::Arena(_) => panic!("node {id} lives in the arena, not in a tensor"),
+        }
+    }
+
+    /// The constant node `id` holds or names, if it is one.
+    fn constant(&self, id: usize) -> Option<&'a Const> {
+        match self.plan.locs[id] {
+            Loc::Const(c) => match &self.graph.nodes[c].op {
+                OpKind::Constant(k) => Some(k),
+                _ => None,
+            },
+            _ => None,
+        }
     }
 }
 
@@ -78,7 +164,8 @@ impl Executor {
     /// Run `graph` with `inputs` bound to its `Input` nodes in order.
     /// Returns the tensors of the marked outputs.
     pub fn run(&self, graph: &Graph, inputs: &[Tensor]) -> Vec<Tensor> {
-        self.run_impl(graph, inputs, None)
+        let plan = MemoryPlan::new(graph);
+        run_steps(graph, &plan, &mut plan.workspace(), inputs, None)
     }
 
     /// Like [`Executor::run`], recording one wall-clock span per executed
@@ -89,138 +176,210 @@ impl Executor {
         inputs: &[Tensor],
         recorder: &SpanRecorder,
     ) -> Vec<Tensor> {
-        self.run_impl(graph, inputs, Some(recorder))
+        let plan = MemoryPlan::new(graph);
+        run_steps(graph, &plan, &mut plan.workspace(), inputs, Some(recorder))
     }
 
-    fn run_impl(
+    /// [`Executor::run`] under `graph`'s `plan`, in a workspace the plan made
+    /// (for this run or an earlier one).
+    pub fn run_planned(
         &self,
         graph: &Graph,
+        plan: &MemoryPlan,
+        workspace: &mut Workspace,
         inputs: &[Tensor],
-        recorder: Option<&SpanRecorder>,
     ) -> Vec<Tensor> {
-        let input_ids = graph.input_ids();
-        assert_eq!(
-            input_ids.len(),
-            inputs.len(),
-            "graph `{}` expects {} inputs, got {}",
-            graph.name,
-            input_ids.len(),
-            inputs.len()
-        );
-        // in node order: `values[id]` exists once node `id` has run
-        let mut values: Vec<Value> = Vec::with_capacity(graph.nodes.len());
-        let mut next_input = 0usize;
-
-        for (id, node) in graph.nodes.iter().enumerate() {
-            let span_clock = recorder.map(|r| (r.now_us(), std::time::Instant::now()));
-            let out = match &node.op {
-                OpKind::Input { shape } => {
-                    let t = &inputs[next_input];
-                    assert_eq!(
-                        t.shape(),
-                        shape,
-                        "input {next_input} shape mismatch for `{}`",
-                        node.name
-                    );
-                    next_input += 1;
-                    Value::Borrowed(t)
-                }
-                OpKind::Constant(c) => Value::Constant(c),
-                OpKind::DeviceCopy => Value::SameAs(node.inputs[0]),
-                _ => Value::Owned(compute(node, &values)),
-            };
-            values.push(out);
-            if let (Some(r), Some((start_us, started))) = (recorder, span_clock) {
-                r.record(unigpu_telemetry::SpanRecord {
-                    name: node.name.clone(),
-                    category: "op".into(),
-                    start_us,
-                    dur_us: started.elapsed().as_secs_f64() * 1e6,
-                    lane: 0,
-                    attrs: vec![
-                        ("op".into(), node.op.name().into()),
-                        ("shape".into(), format!("{:?}", tensor(&values, id).shape().dims())),
-                    ],
-                    trace: None,
-                });
-            }
-        }
-
-        graph.outputs.iter().map(|&o| tensor(&values, o).clone()).collect()
+        run_steps(graph, plan, workspace, inputs, None)
     }
 }
 
-/// The tensor a computing node produces from its inputs' `values`.
-fn compute(node: &Node, values: &[Value<'_>]) -> Tensor {
-    let get = |i: usize| tensor(values, node.inputs[i]);
-    let all_inputs = || (0..node.inputs.len()).map(get).collect::<Vec<&Tensor>>();
-    match &node.op {
-        OpKind::Input { .. } | OpKind::Constant(_) | OpKind::DeviceCopy => {
-            unreachable!("`{}` holds no tensor of its own", node.op.name())
+fn run_steps(
+    graph: &Graph,
+    plan: &MemoryPlan,
+    ws: &mut Workspace,
+    inputs: &[Tensor],
+    recorder: Option<&SpanRecorder>,
+) -> Vec<Tensor> {
+    assert_eq!(
+        plan.locs.len(),
+        graph.nodes.len(),
+        "a plan for another graph"
+    );
+    assert_eq!(
+        plan.inputs,
+        inputs.len(),
+        "graph `{}` expects {} inputs, got {}",
+        graph.name,
+        plan.inputs,
+        inputs.len()
+    );
+    assert!(
+        ws.arena.len() == plan.arena_len() && ws.owned.len() == plan.locs.len(),
+        "a workspace for another plan"
+    );
+
+    for (id, node) in graph.nodes.iter().enumerate() {
+        let span_clock = recorder.map(|r| (r.now_us(), std::time::Instant::now()));
+        let out = match (plan.steps[id], plan.locs[id]) {
+            (Step::Write, Loc::Arena(at)) => at..at + plan.shapes[id].numel(),
+            _ => 0..0,
+        };
+        let scratch = plan.scratch[id].map_or(0..0, |(at, len)| at..at + len);
+        let (out, scratch, arena) = carve(&mut ws.arena, out, scratch);
+        let env = Env {
+            graph,
+            plan,
+            inputs,
+            owned: &ws.owned,
+            arena,
+        };
+        let owned = match plan.steps[id] {
+            Step::Free => {
+                if let (OpKind::Input { shape }, Loc::Input(k)) = (&node.op, plan.locs[id]) {
+                    assert_eq!(
+                        inputs[k].shape(),
+                        shape,
+                        "input {k} shape mismatch for `{}`",
+                        node.name
+                    );
+                }
+                None
+            }
+            Step::Write => {
+                compute_into(id, node, &env, scratch, out);
+                None
+            }
+            Step::Own => Some(compute_owned(id, node, &env, scratch)),
+        };
+        let dims = recorder.map(|_| {
+            let shape = owned.as_ref().map_or_else(|| env.shape(id), Tensor::shape);
+            format!("{:?}", shape.dims())
+        });
+        if let Some(t) = owned {
+            ws.owned[id] = Some(t);
         }
-        OpKind::Conv2d { w, bias, act } => {
-            // A constant weight, every model's, is checked once and not per run.
-            let finite = match constant(values, node.inputs[1]) {
-                Some(c) => c.all_finite(),
-                None => all_finite(get(1).as_f32()),
-            };
-            let mut y = conv2d_prechecked(get(0), get(1), finite, w);
-            conv_epilogue(&mut y, bias.then(|| get(2)), *act);
-            y
-        }
-        OpKind::BatchNorm { eps } => nn::batch_norm(get(0), get(1), get(2), get(3), get(4), *eps),
-        OpKind::Act(a) => apply_act(get(0).clone(), *a),
-        OpKind::Add => nn::add(get(0), get(1)),
-        OpKind::Concat => nn::concat_channels(&all_inputs()),
-        OpKind::MaxPool { k, s, p } => nn::max_pool2d(get(0), *k, *s, *p),
-        OpKind::AvgPool { k, s, p } => nn::avg_pool2d(get(0), *k, *s, *p),
-        OpKind::GlobalAvgPool => nn::global_avg_pool(get(0)),
-        OpKind::Dense { bias, .. } => nn::dense(get(0), get(1), bias.then(|| get(2))),
-        OpKind::Flatten => nn::flatten(get(0)),
-        OpKind::Softmax => nn::softmax(get(0)),
-        OpKind::UpsampleNearest { scale } => nn::upsample_nearest(get(0), *scale),
-        OpKind::FlattenHead => flatten_head(get(0)),
-        OpKind::ConcatFlat => {
-            // concat along axis 1 for each batch row
-            let parts = all_inputs();
-            let n = parts[0].shape().dim(0);
-            let total: usize = parts.iter().map(|p| p.shape().dim(1)).sum();
-            let mut data = Vec::with_capacity(n * total);
-            for b in 0..n {
-                for p in &parts {
-                    let cols = p.shape().dim(1);
-                    data.extend_from_slice(&p.as_f32()[b * cols..(b + 1) * cols]);
+        for &i in &node.inputs {
+            if let Loc::Owned(r) = plan.locs[i] {
+                if plan.last_use[r] == id {
+                    ws.owned[r] = None;
                 }
             }
-            Tensor::from_vec([n, total], data)
         }
-        OpKind::ClsProbs { classes } => cls_probs(get(0), *classes),
-        OpKind::MultiboxPrior { sizes, ratios } => {
-            let (_, _, h, w) = get(0).shape().nchw();
-            vision::multibox_prior(h, w, sizes, ratios)
+        if let (Some(r), Some((start_us, started)), Some(dims)) = (recorder, span_clock, dims) {
+            r.record(unigpu_telemetry::SpanRecord {
+                name: node.name.clone(),
+                category: "op".into(),
+                start_us,
+                dur_us: started.elapsed().as_secs_f64() * 1e6,
+                lane: 0,
+                attrs: vec![("op".into(), node.op.name().into()), ("shape".into(), dims)],
+                trace: None,
+            });
         }
-        OpKind::ConcatAnchors => {
-            let parts = all_inputs();
-            let total: usize = parts.iter().map(|p| p.shape().dim(1)).sum();
-            let mut data = Vec::with_capacity(total * 4);
-            for p in &parts {
-                data.extend_from_slice(p.as_f32());
+    }
+
+    let (_, _, arena) = carve(&mut ws.arena, 0..0, 0..0);
+    let env = Env {
+        graph,
+        plan,
+        inputs,
+        owned: &ws.owned,
+        arena,
+    };
+    let outputs = graph
+        .outputs
+        .iter()
+        .map(|&o| Tensor::from_vec(env.shape(o).clone(), env.data(o).to_vec()))
+        .collect();
+    ws.owned.iter_mut().for_each(|t| *t = None);
+    outputs
+}
+
+/// Computes node `id` into `out`, which it overwrites whole.
+fn compute_into(id: usize, node: &Node, env: &Env<'_>, scratch: &mut [f32], out: &mut [f32]) {
+    let shapes = &env.plan.shapes;
+    let get = |i: usize| env.data(node.inputs[i]);
+    let shape = |i: usize| env.shape(node.inputs[i]);
+    match &node.op {
+        OpKind::Conv2d { w, bias, act } => {
+            // A constant weight, every model's, is checked once and not per run.
+            let finite = env
+                .constant(node.inputs[1])
+                .map_or_else(|| all_finite(get(1)), Const::all_finite);
+            conv2d_prechecked_into(get(0), get(1), finite, w, scratch, out);
+            conv_epilogue(
+                out,
+                w.out_channels,
+                w.out_h() * w.out_w(),
+                bias.then(|| get(2)),
+                *act,
+            );
+        }
+        OpKind::Act(a) => {
+            out.copy_from_slice(get(0));
+            act_inplace(out, *a);
+        }
+        OpKind::Add => nn::add_into(get(0), get(1), out),
+        op if is_concat(op) => {
+            // An input the plan hosts has already written its range.
+            let n = shapes[id].dim(0);
+            let total = out.len() / n;
+            let mut offset = 0;
+            for &i in &node.inputs {
+                if !env.plan.in_place[i] {
+                    nn::concat_channels_into(env.data(i), n, offset, total, out);
+                }
+                offset += env.shape(i).numel() / n;
             }
-            Tensor::from_vec([1, total, 4], data)
+        }
+        OpKind::MaxPool { k, s, p } => {
+            nn::max_pool2d_into(get(0), shape(0).nchw(), *k, *s, *p, out)
+        }
+        OpKind::GlobalAvgPool => {
+            let (_, _, h, w) = shape(0).nchw();
+            nn::global_avg_pool_into(get(0), h * w, out)
+        }
+        OpKind::Dense { bias, .. } => {
+            nn::dense_into(get(0), get(1), shape(0).dim(1), bias.then(|| get(2)), out)
+        }
+        OpKind::Flatten => out.copy_from_slice(get(0)),
+        OpKind::Softmax => {
+            nn::softmax_into(get(0), shapes[id].dims().last().copied().unwrap_or(1), out)
+        }
+        OpKind::FlattenHead => flatten_head_into(get(0), shape(0).nchw(), out),
+        OpKind::ClsProbs { classes } => cls_probs_into(get(0), shape(0).dims(), *classes, out),
+        op => unreachable!("`{}` has no in-place kernel", op.name()),
+    }
+}
+
+/// The tensor node `id` keeps: what an operator with no in-place kernel
+/// returns, or an in-place kernel's output in a tensor of its own.
+fn compute_owned(id: usize, node: &Node, env: &Env<'_>, scratch: &mut [f32]) -> Tensor {
+    let get = |i: usize| env.tensor(node.inputs[i]);
+    match &node.op {
+        OpKind::BatchNorm { eps } => nn::batch_norm(get(0), get(1), get(2), get(3), get(4), *eps),
+        OpKind::AvgPool { k, s, p } => nn::avg_pool2d(get(0), *k, *s, *p),
+        OpKind::UpsampleNearest { scale } => nn::upsample_nearest(get(0), *scale),
+        OpKind::MultiboxPrior { sizes, ratios } => {
+            let (_, _, h, w) = env.shape(node.inputs[0]).nchw();
+            vision::multibox_prior(h, w, sizes, ratios)
         }
         OpKind::MultiboxDetection { cfg } => vision::multibox_detection(get(0), get(1), get(2), cfg),
         OpKind::YoloDetect { anchors, strides, classes, conf, nms } => {
-            vision::yolo::yolo_detect(&all_inputs(), anchors, strides, *classes, *conf, nms)
+            let parts: Vec<&Tensor> = (0..node.inputs.len()).map(get).collect();
+            vision::yolo::yolo_detect(&parts, anchors, strides, *classes, *conf, nms)
+        }
+        _ => {
+            let mut t = Tensor::zeros(env.plan.shapes[id].clone());
+            compute_into(id, node, env, scratch, t.as_f32_mut());
+            t
         }
     }
 }
 
 /// `NCHW → [N, H·W·C]`: transpose to NHWC then flatten (SSD head layout, so
 /// per-position predictions stay contiguous).
-fn flatten_head(x: &Tensor) -> Tensor {
-    let (n, c, h, w) = x.shape().nchw();
-    let src = x.as_f32();
-    let mut out = vec![0.0f32; n * c * h * w];
+fn flatten_head_into(src: &[f32], (n, c, h, w): (usize, usize, usize, usize), out: &mut [f32]) {
     for ni in 0..n {
         for hi in 0..h {
             for wi in 0..w {
@@ -231,20 +390,15 @@ fn flatten_head(x: &Tensor) -> Tensor {
             }
         }
     }
-    Tensor::from_vec([n, c * h * w], out)
 }
 
 /// `[1, total·(classes)] → [1, classes, anchors]` with per-anchor softmax.
 /// `classes` here includes background (the ClsProbs op stores `classes` as
-/// foreground count; rows are `classes + 1` wide).
-fn cls_probs(x: &Tensor, classes: usize) -> Tensor {
-    let d = x.shape().dims();
+/// foreground count; rows are `classes + 1` wide). `d` is the input's dims.
+fn cls_probs_into(src: &[f32], d: &[usize], classes: usize, o: &mut [f32]) {
     let per = classes + 1;
     let anchors = d[1] / per;
     let batch = d[0];
-    let src = x.as_f32();
-    let mut out = Tensor::zeros([batch, per, anchors]);
-    let o = out.as_f32_mut();
     for b in 0..batch {
         for a in 0..anchors {
             let row = &src[b * d[1] + a * per..b * d[1] + (a + 1) * per];
@@ -261,7 +415,6 @@ fn cls_probs(x: &Tensor, classes: usize) -> Tensor {
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -408,7 +561,8 @@ mod tests {
     fn flatten_head_is_nhwc_order() {
         // 1x2x1x2 tensor: channels (A,B), positions p0,p1
         let x = Tensor::from_vec([1, 2, 1, 2], vec![1.0, 2.0, 10.0, 20.0]);
-        let y = flatten_head(&x);
+        let mut y = Tensor::zeros([1, 4]);
+        flatten_head_into(x.as_f32(), x.shape().nchw(), y.as_f32_mut());
         // NHWC: p0(A,B), p1(A,B)
         assert_eq!(y.as_f32(), &[1.0, 10.0, 2.0, 20.0]);
     }
@@ -417,7 +571,8 @@ mod tests {
     fn cls_probs_softmaxes_per_anchor() {
         // 2 anchors, 1 foreground class (per=2)
         let x = Tensor::from_vec([1, 4], vec![0.0, 0.0, 5.0, -5.0]);
-        let y = cls_probs(&x, 1);
+        let mut y = Tensor::zeros([1, 2, 2]);
+        cls_probs_into(x.as_f32(), x.shape().dims(), 1, y.as_f32_mut());
         assert_eq!(y.shape().dims(), &[1, 2, 2]);
         assert!((y.at(&[0, 0, 0]) - 0.5).abs() < 1e-6);
         assert!(y.at(&[0, 0, 1]) > 0.99); // anchor 1 strongly background

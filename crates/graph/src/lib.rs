@@ -10,7 +10,7 @@
 //!   heterogeneous *device placement* that falls GPU-unfriendly operators
 //!   back to the CPU with `DeviceCopy` nodes inserted at boundaries;
 //! * [`exec`] — the functional executor (real tensors, used by tests and
-//!   examples);
+//!   examples), which runs in the arena [`memory`] plans;
 //! * [`latency`] — the simulated-latency estimator: every operator's cost-
 //!   model profiles are priced on the assigned device, plus CPU↔GPU
 //!   transfer costs at placement boundaries. This is what regenerates the
@@ -20,6 +20,7 @@ pub mod analysis;
 pub mod exec;
 pub mod graph;
 pub mod latency;
+pub mod memory;
 pub mod node;
 pub mod passes;
 
@@ -29,6 +30,7 @@ pub use graph::{Graph, NodeId};
 pub use latency::{
     estimate_latency, estimate_latency_traced, LatencyOptions, LatencyReport, ScheduleProvider,
 };
+pub use memory::{MemoryPlan, Workspace};
 pub use node::{Activation, Const, Node, OpKind};
 pub use passes::{
     fold_batch_norms, fuse_ops, place, rebatch, Device, Placement, PlacementPolicy,

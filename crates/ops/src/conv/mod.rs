@@ -9,5 +9,7 @@ pub mod te;
 
 pub use config::{ConfigSpace, ConvConfig, FallbackClass};
 pub use profile::conv_profile;
-pub use reference::{all_finite, conv2d_prechecked, conv2d_ref};
+pub use reference::{
+    all_finite, conv2d_prechecked, conv2d_prechecked_into, conv2d_ref, conv2d_scratch_len,
+};
 pub use spatial_pack::conv2d_spatial_pack;

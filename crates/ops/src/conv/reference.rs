@@ -34,7 +34,6 @@
 //!   makes every tap's reads contiguous again.
 
 use crate::workload::ConvWorkload;
-use std::borrow::Cow;
 use unigpu_tensor::Tensor;
 
 /// Output channels per register tile.
@@ -66,15 +65,69 @@ pub fn conv2d_ref(data: &Tensor, weight: &Tensor, w: &ConvWorkload) -> Tensor {
 pub fn conv2d_prechecked(data: &Tensor, weight: &Tensor, finite: bool, w: &ConvWorkload) -> Tensor {
     assert_eq!(data.shape().dims(), w.input_shape(), "input shape mismatch");
     assert_eq!(weight.shape().dims(), w.weight_shape(), "weight shape mismatch");
-    debug_assert_eq!(finite, all_finite(weight.as_f32()), "wrong finiteness for the weights");
     let mut out = Tensor::zeros(w.output_shape());
-    let (x, k) = (data.as_f32(), weight.as_f32());
-    if takes_register_tiles(w, finite) {
-        register_tiles(x, k, w, out.as_f32_mut());
-    } else {
-        plane_taps(x, k, w, out.as_f32_mut());
-    }
+    let mut scratch = vec![0.0f32; conv2d_scratch_len(w, finite)];
+    conv2d_prechecked_into(
+        data.as_f32(),
+        weight.as_f32(),
+        finite,
+        w,
+        &mut scratch,
+        out.as_f32_mut(),
+    );
     out
+}
+
+/// [`conv2d_prechecked`] into a caller's buffers: `x` and `k` are the `NCHW`
+/// input and `OIHW` weights, `out` receives the `NCHW` output, and `scratch`
+/// (at least [`conv2d_scratch_len`] floats) holds the padded or
+/// phase-split input copy. Neither buffer needs to be zero: `out` is
+/// overwritten whole and `scratch`'s padding is zeroed here.
+///
+/// # Panics
+/// Panics if a buffer's length disagrees with the workload.
+pub fn conv2d_prechecked_into(
+    x: &[f32],
+    k: &[f32],
+    finite: bool,
+    w: &ConvWorkload,
+    scratch: &mut [f32],
+    out: &mut [f32],
+) {
+    let numel = |shape: [usize; 4]| shape.iter().product::<usize>();
+    assert_eq!(x.len(), numel(w.input_shape()), "input length mismatch");
+    assert_eq!(k.len(), numel(w.weight_shape()), "weight length mismatch");
+    assert_eq!(out.len(), numel(w.output_shape()), "output length mismatch");
+    let scratch = &mut scratch[..conv2d_scratch_len(w, finite)];
+    debug_assert_eq!(finite, all_finite(k), "wrong finiteness for the weights");
+    if takes_register_tiles(w, finite) {
+        register_tiles(x, k, w, scratch, out);
+    } else {
+        out.fill(0.0);
+        plane_taps(x, k, w, scratch, out);
+    }
+}
+
+/// Floats of scratch [`conv2d_prechecked_into`] needs for `w` with weights
+/// that are all finite or not: the register tiles' padded input, or the plane
+/// taps' phase-split rows for `stride_w > 1`. Zero when the input is read in
+/// place.
+pub fn conv2d_scratch_len(w: &ConvWorkload, finite: bool) -> usize {
+    let input = w.batch * w.in_channels;
+    if !takes_register_tiles(w, finite) {
+        return if w.stride_w > 1 {
+            input * w.height * w.width
+        } else {
+            0
+        };
+    }
+    if reads_input_in_place(w) {
+        0
+    } else {
+        // The padded input plus `V + pad_w` zeros: a plane shorter than one
+        // tile reads past its end, and so does the last row's right padding.
+        input * Padded::new(w).channel + V + w.pad_w
+    }
 }
 
 /// Whether no value is infinite or NaN. A fold without an early exit, so it
@@ -151,8 +204,16 @@ impl Padded {
     }
 }
 
-/// Register-tiled convolution of an ungrouped workload into `out`.
-fn register_tiles(x: &[f32], k: &[f32], w: &ConvWorkload, out: &mut [f32]) {
+/// Whether the register tiles read `x` as its own padded plane: unit stride
+/// and no padding, with a plane no shorter than one tile.
+fn reads_input_in_place(w: &ConvWorkload) -> bool {
+    let len = (w.out_h() - 1) * Padded::new(w).pitch + w.out_w();
+    (w.stride_h, w.stride_w, w.pad_h, w.pad_w) == (1, 1, 0, 0) && len >= V
+}
+
+/// Register-tiled convolution of an ungrouped workload into `out`, with the
+/// padded input in `scratch` unless it is read in place.
+fn register_tiles(x: &[f32], k: &[f32], w: &ConvWorkload, scratch: &mut [f32], out: &mut [f32]) {
     let pd = Padded::new(w);
     let (oh, ow) = (w.out_h(), w.out_w());
     let plane = oh * ow;
@@ -160,16 +221,12 @@ fn register_tiles(x: &[f32], k: &[f32], w: &ConvWorkload, out: &mut [f32]) {
     let per_oc = w.in_channels * taps;
     // Flat positions `0..len` of a plane cover every output.
     let len = (oh - 1) * pd.pitch + ow;
-    // Unit stride and no padding: the input is its own padded plane, and the
-    // call allocates nothing but its output.
-    let x: Cow<[f32]> = if (w.stride_h, w.stride_w, w.pad_h, w.pad_w) == (1, 1, 0, 0) && len >= V {
-        Cow::Borrowed(x)
+    let x = if reads_input_in_place(w) {
+        x
     } else {
-        // The padded input plus `V + pad_w` zeros: a plane shorter than one
-        // tile reads past its end, and so does the last row's right padding.
-        let mut padded = vec![0.0f32; w.batch * w.in_channels * pd.channel + V + w.pad_w];
-        pd.fill(x, w, &mut padded);
-        Cow::Owned(padded)
+        scratch.fill(0.0);
+        pd.fill(x, w, scratch);
+        &*scratch
     };
 
     let mut offsets = [0; MAX_TAPS];
@@ -177,6 +234,7 @@ fn register_tiles(x: &[f32], k: &[f32], w: &ConvWorkload, out: &mut [f32]) {
         *off = pd.at(t / w.kernel_w, t % w.kernel_w, w);
     }
     let offsets = &offsets[..taps];
+    debug_assert_eq!(offsets[0], 0, "the first tap reads the plane's start");
 
     for (chunk, k_chunk) in k.chunks(OC_CHUNK * per_oc).enumerate() {
         let channels = k_chunk.len() / per_oc;
@@ -197,7 +255,11 @@ fn register_tiles(x: &[f32], k: &[f32], w: &ConvWorkload, out: &mut [f32]) {
                         let ob = ob.min(k_tile.len() / per_oc - 1);
                         &k_tile[ob * per_oc..][..per_oc]
                     });
-                    let acc = tile(x_n, ks, offsets, pd.channel, p0);
+                    let acc = if taps == 1 {
+                        tile_1x1(x_n, ks, pd.channel, p0)
+                    } else {
+                        tile(x_n, ks, offsets, pd.channel, p0)
+                    };
                     for (acc, o) in acc.iter().zip(out_tile.chunks_exact_mut(plane)) {
                         store(&acc[..count], o, row, col, pd.pitch, ow);
                     }
@@ -223,6 +285,22 @@ fn tile(x: &[f32], ks: [&[f32]; OB], offsets: &[usize], channel: usize, p0: usiz
                 for v in 0..V {
                     a[v] += xs[v] * kv[v];
                 }
+            }
+        }
+    }
+    acc
+}
+
+/// [`tile`] for a single tap, whose offset is 0: input channel `ic` is one
+/// run of `x` with weights `k0[ic]` and `k1[ic]`, in the same `ic` order.
+fn tile_1x1(x: &[f32], [k0, k1]: [&[f32]; OB], channel: usize, p0: usize) -> [[f32; V]; OB] {
+    let mut acc = [[0.0f32; V]; OB];
+    for (ic, (&k0, &k1)) in k0.iter().zip(k1).enumerate() {
+        let xs = &x[ic * channel + p0..][..V];
+        for (a, kv) in acc.iter_mut().zip([k0, k1]) {
+            let kv = [kv; V];
+            for v in 0..V {
+                a[v] += xs[v] * kv[v];
             }
         }
     }
@@ -264,20 +342,22 @@ impl Tap {
     }
 }
 
-/// Every row of `x` (rows of `width`) regrouped by column phase: phase `p`
-/// holds columns `p, p + stride, …`, phases laid out back to back.
-fn split_phases(x: &[f32], width: usize, stride: usize) -> Vec<f32> {
-    let mut out = Vec::with_capacity(x.len());
+/// Every row of `x` (rows of `width`) regrouped by column phase into `out`:
+/// phase `p` holds columns `p, p + stride, …`, phases laid out back to back.
+fn split_phases(x: &[f32], width: usize, stride: usize, out: &mut [f32]) {
+    let mut to = out.iter_mut();
     for row in x.chunks(width) {
         for p in 0..stride {
-            out.extend(row[p.min(row.len())..].iter().step_by(stride));
+            for &v in row[p.min(row.len())..].iter().step_by(stride) {
+                *to.next().expect("scratch holds every input value") = v;
+            }
         }
     }
-    out
 }
 
-/// Plane-tap convolution of any workload into `out`.
-fn plane_taps(x: &[f32], k: &[f32], w: &ConvWorkload, out: &mut [f32]) {
+/// Plane-tap convolution of any workload into `out`, which starts at zero;
+/// for `stride_w > 1` the phase-split input goes to `scratch`.
+fn plane_taps(x: &[f32], k: &[f32], w: &ConvWorkload, scratch: &mut [f32], out: &mut [f32]) {
     let (oh, ow) = (w.out_h(), w.out_w());
     let (ih, iw) = (w.height, w.width);
     let icg = w.in_ch_per_group();
@@ -288,7 +368,12 @@ fn plane_taps(x: &[f32], k: &[f32], w: &ConvWorkload, out: &mut [f32]) {
     // tap's reads are contiguous whatever the stride. Phase `p` holds
     // `ceil((iw - p) / sw)` columns, so column `q` moves to
     // `p * (iw / sw) + min(p, iw % sw) + q / sw` with `p = q % sw`.
-    let x: Cow<[f32]> = if sw == 1 { Cow::Borrowed(x) } else { Cow::Owned(split_phases(x, iw, sw)) };
+    let x = if sw == 1 {
+        x
+    } else {
+        split_phases(x, iw, sw, scratch);
+        &*scratch
+    };
 
     // One (n, oc) output plane at a time: planes are disjoint.
     out.chunks_mut(oh * ow).enumerate().for_each(|(plane, o)| {

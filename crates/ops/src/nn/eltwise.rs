@@ -1,6 +1,6 @@
 //! Elementwise operators and tensor plumbing (concat, upsample, flatten).
 
-use unigpu_tensor::{Shape, Tensor};
+use unigpu_tensor::Tensor;
 
 /// Rectified linear unit.
 pub fn relu(x: &Tensor) -> Tensor {
@@ -26,40 +26,46 @@ pub fn sigmoid(x: &Tensor) -> Tensor {
 /// Elementwise sum of two same-shape tensors (residual connections).
 pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.shape(), b.shape(), "elementwise add shape mismatch");
-    let mut y = a.clone();
-    for (o, v) in y.as_f32_mut().iter_mut().zip(b.as_f32()) {
-        *o += v;
-    }
+    let mut y = Tensor::zeros(a.shape().clone());
+    add_into(a.as_f32(), b.as_f32(), y.as_f32_mut());
     y
 }
 
-/// Concatenate `NCHW` tensors along the channel axis (Fire modules, SSD and
-/// YOLO heads, DenseNet-style junctions).
-pub fn concat_channels(parts: &[&Tensor]) -> Tensor {
-    assert!(!parts.is_empty(), "concat of zero tensors");
-    let (n, _, h, w) = parts[0].shape().nchw();
-    let mut c_total = 0;
-    for p in parts {
-        let (pn, pc, ph, pw) = p.shape().nchw();
-        assert_eq!((pn, ph, pw), (n, h, w), "concat non-channel dims must match");
-        c_total += pc;
+/// [`add`] of two equally long buffers into `out`.
+///
+/// # Panics
+/// Panics if the three lengths differ.
+pub fn add_into(a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert!(
+        a.len() == b.len() && a.len() == out.len(),
+        "elementwise add length mismatch"
+    );
+    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
+        *o = x + y;
     }
-    let mut out = Tensor::zeros(Shape::from([n, c_total, h, w]));
-    let plane = h * w;
-    let o = out.as_f32_mut();
-    for ni in 0..n {
-        let mut c_off = 0;
-        for p in parts {
-            let pc = p.shape().dim(1);
-            let src = p.as_f32();
-            let src_base = ni * pc * plane;
-            let dst_base = (ni * c_total + c_off) * plane;
-            o[dst_base..dst_base + pc * plane]
-                .copy_from_slice(&src[src_base..src_base + pc * plane]);
-            c_off += pc;
-        }
+}
+
+/// One part of a concat along axis 1 (the channels of `NCHW` tensors: Fire
+/// modules, SSD and YOLO heads): each of the `n` equal rows of `part` goes to
+/// floats `offset..` of the matching `total`-float row of `out`. Over a
+/// concat's parts in order, the offsets are the running sums of their rows.
+///
+/// # Panics
+/// Panics if `part` does not split into `n` rows or a row overruns `out`'s.
+pub fn concat_channels_into(part: &[f32], n: usize, offset: usize, total: usize, out: &mut [f32]) {
+    assert!(
+        part.len().is_multiple_of(n),
+        "concat part of {} floats in {n} rows",
+        part.len()
+    );
+    let row = part.len() / n;
+    assert!(
+        offset + row <= total && out.len() == n * total,
+        "concat part overruns its output"
+    );
+    for (src, dst) in part.chunks_exact(row).zip(out.chunks_exact_mut(total)) {
+        dst[offset..offset + row].copy_from_slice(src);
     }
-    out
 }
 
 /// Nearest-neighbour spatial upsampling by an integer factor (YOLOv3 feature
@@ -91,6 +97,7 @@ pub fn flatten(x: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unigpu_tensor::Shape;
 
     #[test]
     fn relu_clamps_negatives() {
@@ -115,6 +122,24 @@ mod tests {
         let a = Tensor::from_vec([2], vec![1.0, 2.0]);
         let b = Tensor::from_vec([2], vec![10.0, 20.0]);
         assert_eq!(add(&a, &b).as_f32(), &[11.0, 22.0]);
+    }
+
+    fn concat_channels(parts: &[&Tensor]) -> Tensor {
+        let (n, _, h, w) = parts[0].shape().nchw();
+        let c_total: usize = parts.iter().map(|p| p.shape().dim(1)).sum();
+        let mut out = Tensor::zeros(Shape::from([n, c_total, h, w]));
+        let mut c_off = 0;
+        for p in parts {
+            concat_channels_into(
+                p.as_f32(),
+                n,
+                c_off * h * w,
+                c_total * h * w,
+                out.as_f32_mut(),
+            );
+            c_off += p.shape().dim(1);
+        }
+        out
     }
 
     #[test]

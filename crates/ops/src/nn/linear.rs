@@ -22,25 +22,40 @@ pub fn dense(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Tensor {
     if let Some(b) = bias {
         assert_eq!(b.numel(), m, "bias length {} != out features {m}", b.numel());
     }
-    let xs = x.as_f32();
-    let ws = w.as_f32();
     let mut out = Tensor::zeros([n, m]);
-    out.as_f32_mut()
-        .chunks_mut(m)
-        .enumerate()
-        .for_each(|(ni, row)| {
-            for (mi, slot) in row.iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for ki in 0..k {
-                    acc += xs[ni * k + ki] * ws[mi * k + ki];
-                }
-                if let Some(b) = bias {
-                    acc += b.as_f32()[mi];
-                }
-                *slot = acc;
-            }
-        });
+    dense_into(
+        x.as_f32(),
+        w.as_f32(),
+        k,
+        bias.map(Tensor::as_f32),
+        out.as_f32_mut(),
+    );
     out
+}
+
+/// [`dense`] into `out` (`n × m`), with the input `x` (`n × k`) and the
+/// weights `w` (`m × k`) as flat buffers.
+///
+/// # Panics
+/// Panics if the lengths do not fit one `n` and `m`.
+pub fn dense_into(x: &[f32], w: &[f32], k: usize, bias: Option<&[f32]>, out: &mut [f32]) {
+    let (n, m) = (x.len() / k, w.len() / k);
+    assert!(
+        x.len() == n * k && w.len() == m * k && out.len() == n * m,
+        "dense length mismatch"
+    );
+    for (ni, row) in out.chunks_mut(m).enumerate() {
+        for (mi, slot) in row.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for ki in 0..k {
+                acc += x[ni * k + ki] * w[mi * k + ki];
+            }
+            if let Some(b) = bias {
+                acc += b[mi];
+            }
+            *slot = acc;
+        }
+    }
 }
 
 /// Add a per-channel bias to an `NCHW` tensor.

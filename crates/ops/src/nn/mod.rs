@@ -11,8 +11,10 @@ pub mod norm;
 pub mod pool;
 pub mod profiles;
 
-pub use eltwise::{add, concat_channels, flatten, leaky_relu, relu, sigmoid, upsample_nearest};
-pub use linear::{bias_add, dense};
-pub use norm::{batch_norm, fold_batch_norm, softmax};
-pub use pool::{avg_pool2d, global_avg_pool, max_pool2d};
+pub use eltwise::{
+    add, add_into, concat_channels_into, flatten, leaky_relu, relu, sigmoid, upsample_nearest,
+};
+pub use linear::{bias_add, dense, dense_into};
+pub use norm::{batch_norm, fold_batch_norm, softmax, softmax_into};
+pub use pool::{avg_pool2d, global_avg_pool, global_avg_pool_into, max_pool2d_into};
 pub use profiles::{eltwise_profile, pool_profile, reduction_profile};

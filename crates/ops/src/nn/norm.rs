@@ -67,11 +67,19 @@ pub fn fold_batch_norm(
 
 /// Numerically stable softmax along the last dimension.
 pub fn softmax(x: &Tensor) -> Tensor {
-    let dims = x.shape().dims().to_vec();
-    let last = *dims.last().expect("softmax needs rank >= 1");
-    let mut out = x.clone();
-    let o = out.as_f32_mut();
-    for row in o.chunks_mut(last) {
+    let last = *x.shape().dims().last().expect("softmax needs rank >= 1");
+    let mut out = Tensor::zeros(x.shape().clone());
+    softmax_into(x.as_f32(), last, out.as_f32_mut());
+    out
+}
+
+/// [`softmax`] of `x`'s rows of `last` floats into `out`.
+///
+/// # Panics
+/// Panics if `x` and `out` differ in length.
+pub fn softmax_into(x: &[f32], last: usize, out: &mut [f32]) {
+    out.copy_from_slice(x);
+    for row in out.chunks_mut(last) {
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
         for v in row.iter_mut() {
@@ -82,7 +90,6 @@ pub fn softmax(x: &Tensor) -> Tensor {
             *v /= sum;
         }
     }
-    out
 }
 
 #[cfg(test)]

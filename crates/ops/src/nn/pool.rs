@@ -46,8 +46,9 @@ fn pool2d(
     out
 }
 
-/// Max pooling with zero-excluded padding (padding never wins the max; the
-/// window simply shrinks at borders, matching MXNet/GluonCV semantics). A
+/// Max pooling of the `NCHW` input `x` of extents `nchw` into `out`, which
+/// is overwritten whole. Padding is zero-excluded: it never wins the max, and
+/// the window simply shrinks at borders, matching MXNet/GluonCV semantics. A
 /// window wholly in the padding gives `0.0`.
 ///
 /// Each output is `acc = acc.max(tap)` from `-∞` over its in-bounds taps in
@@ -55,11 +56,26 @@ fn pool2d(
 /// the input rows go in order, each is split by column phase (column `q`
 /// of the padded row to phase `q % stride`), and then every tap `kw` reads
 /// one contiguous run of a phase for a run of outputs, in vector lanes.
-pub fn max_pool2d(x: &Tensor, kernel: usize, stride: usize, pad: usize) -> Tensor {
-    let (n, c, h, w) = x.shape().nchw();
+///
+/// # Panics
+/// Panics if a buffer's length disagrees with the extents.
+pub fn max_pool2d_into(
+    x: &[f32],
+    (n, c, h, w): (usize, usize, usize, usize),
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+    out: &mut [f32],
+) {
     let oh = (h + 2 * pad - kernel) / stride + 1;
     let ow = (w + 2 * pad - kernel) / stride + 1;
-    let mut out = Tensor::full([n, c, oh, ow], f32::NEG_INFINITY);
+    assert_eq!(x.len(), n * c * h * w, "max-pool input length mismatch");
+    assert_eq!(
+        out.len(),
+        n * c * oh * ow,
+        "max-pool output length mismatch"
+    );
+    out.fill(f32::NEG_INFINITY);
     // Output positions `lo..hi` on one axis whose tap `k` is in bounds.
     let reach = |k: usize, outs: usize, len: usize| {
         let lo = pad.saturating_sub(k).div_ceil(stride);
@@ -78,8 +94,8 @@ pub fn max_pool2d(x: &Tensor, kernel: usize, stride: usize, pad: usize) -> Tenso
     let mut split = [0.0f32; SPLIT_ROW];
     let splits = stride * pitch <= SPLIT_ROW;
 
-    for (p, o) in out.as_f32_mut().chunks_exact_mut(oh * ow).enumerate() {
-        let plane = &x.as_f32()[p * h * w..][..h * w];
+    for (p, o) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let plane = &x[p * h * w..][..h * w];
         for (r, row) in (0..h).map(|r| (r, &plane[r * w..][..w])) {
             if splits {
                 for b in 0..stride {
@@ -116,13 +132,12 @@ pub fn max_pool2d(x: &Tensor, kernel: usize, stride: usize, pad: usize) -> Tenso
             }
         }
     }
-    out
 }
 
-/// Floats of one input row split by column phase that `max_pool2d` keeps
+/// Floats of one input row split by column phase that `max_pool2d_into` keeps
 /// on the stack; a wider row is read strided instead.
 const SPLIT_ROW: usize = 1024;
-/// Kernel columns whose output range `max_pool2d` computes once per call.
+/// Kernel columns whose output range `max_pool2d_into` computes once per call.
 const MAX_KERNEL: usize = 16;
 
 /// Output rows `first..last` whose window holds padded row `pr`.
@@ -145,15 +160,26 @@ pub fn avg_pool2d(x: &Tensor, kernel: usize, stride: usize, pad: usize) -> Tenso
 /// Global average pooling: `NCHW → NC11`.
 pub fn global_avg_pool(x: &Tensor) -> Tensor {
     let (n, c, h, w) = x.shape().nchw();
-    let xs = x.as_f32();
     let mut out = Tensor::zeros([n, c, 1, 1]);
-    let o = out.as_f32_mut();
-    let plane = h * w;
-    for i in 0..n * c {
-        let sum: f32 = xs[i * plane..(i + 1) * plane].iter().sum();
-        o[i] = sum / plane as f32;
-    }
+    global_avg_pool_into(x.as_f32(), h * w, out.as_f32_mut());
     out
+}
+
+/// [`global_avg_pool`] of `out.len()` planes of `plane` floats each into
+/// `out`.
+///
+/// # Panics
+/// Panics if `x` does not hold `out.len()` planes.
+pub fn global_avg_pool_into(x: &[f32], plane: usize, out: &mut [f32]) {
+    assert_eq!(
+        x.len(),
+        out.len() * plane,
+        "global-pool input length mismatch"
+    );
+    for (i, o) in out.iter_mut().enumerate() {
+        let sum: f32 = x[i * plane..(i + 1) * plane].iter().sum();
+        *o = sum / plane as f32;
+    }
 }
 
 #[cfg(test)]
@@ -163,6 +189,22 @@ mod tests {
 
     fn t2x2(vals: [f32; 16]) -> Tensor {
         Tensor::from_vec([1, 1, 4, 4], vals.to_vec())
+    }
+
+    fn max_pool2d(x: &Tensor, kernel: usize, stride: usize, pad: usize) -> Tensor {
+        let (n, c, h, w) = x.shape().nchw();
+        let oh = (h + 2 * pad - kernel) / stride + 1;
+        let ow = (w + 2 * pad - kernel) / stride + 1;
+        let mut out = Tensor::zeros([n, c, oh, ow]);
+        max_pool2d_into(
+            x.as_f32(),
+            (n, c, h, w),
+            kernel,
+            stride,
+            pad,
+            out.as_f32_mut(),
+        );
+        out
     }
 
     #[test]
@@ -178,7 +220,7 @@ mod tests {
         assert_eq!(y.as_f32(), &[6.0, 8.0, 14.0, 16.0]);
     }
 
-    /// The scalar loop `max_pool2d` must reproduce: every in-bounds tap in
+    /// The scalar loop `max_pool2d_into` must reproduce: every in-bounds tap in
     /// `(kh, kw)` order into `acc.max(tap)` from `-∞`, `0.0` for no tap.
     fn max_pool_scalar(x: &Tensor, kernel: usize, stride: usize, pad: usize) -> Tensor {
         let finish = |acc, count| if count == 0 { 0.0 } else { acc };

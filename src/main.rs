@@ -87,6 +87,47 @@ fn positional<'a>(args: &'a [String], default: &'a str) -> &'a str {
         .unwrap_or(default)
 }
 
+/// Rejects the first `--flag` in `args` that none of the `known` lists names,
+/// so that a script passing a retired or misspelt flag fails instead of
+/// running without it. Each command lists the flags it and its helpers read.
+fn known_flags(args: &[String], known: &[&[&str]]) -> Result<(), CliError> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.iter().any(|k| k.contains(&a.as_str())))
+    {
+        Some(a) => Err(CliError(format!("unknown flag {a}"))),
+        None => Ok(()),
+    }
+}
+
+/// What [`engine_for`] reads.
+const ENGINE_FLAGS: &[&str] = &["--fallback", "--tuned", "--trials"];
+
+/// What [`run_serve`] and [`finish_serve`] read, the engine's flags included.
+const SERVE_FLAGS: &[&str] = &[
+    "--platform",
+    "--requests",
+    "--concurrency",
+    "--batch",
+    "--window-ms",
+    "--faults",
+    "--metrics-addr",
+    "--port-file",
+    "--interval-ms",
+    "--queue-cap",
+    "--deadline-ms",
+    "--slo-objective",
+    "--slo-window-ms",
+    "--trace-sample",
+    "--drift-threshold",
+    "--recorder-dump-dir",
+    "--alert-rules",
+    "--hold-ms",
+    "--fallback",
+    "--tuned",
+    "--trials",
+];
+
 fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
@@ -168,6 +209,10 @@ fn engine_for(args: &[String], platform: &Platform) -> Result<Engine, CliError> 
 }
 
 fn cmd_estimate(args: &[String]) -> Result<(), CliError> {
+    known_flags(
+        args,
+        &[ENGINE_FLAGS, &["--platform", "--baseline", "--per-op"]],
+    )?;
     let name = positional(args, "ResNet50_v1");
     let platform = platform_by_name(opt(args, "--platform")?.unwrap_or("deeplens"))?;
     let g = model_by_name(name, &platform)?;
@@ -398,6 +443,7 @@ fn finish_serve(args: &[String], server: Option<MetricsServer>) -> Result<(), Cl
 /// the telemetry metrics. `--metrics-addr` exposes the registry over HTTP
 /// while the run is live (`--hold-ms` keeps it up after the final report).
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    known_flags(args, &[SERVE_FLAGS, &["--trace"]])?;
     let run = run_serve(args)?;
     let (report, concurrency, metrics, spans) =
         (&run.report, run.concurrency, &run.metrics, &run.spans);
@@ -473,6 +519,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 /// burn rate, per-lane utilization, and every histogram/gauge/counter in
 /// the registry — the terminal rendering of what `--metrics-addr` exposes.
 fn cmd_report(args: &[String]) -> Result<(), CliError> {
+    known_flags(args, &[SERVE_FLAGS])?;
     let run = run_serve(args)?;
     let report = &run.report;
     println!(
@@ -519,6 +566,7 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
 /// cost-model calibration: the per-node predicted cost table, the
 /// predicted-vs-observed drift digest, and the miscalibration verdict.
 fn cmd_drift(args: &[String]) -> Result<(), CliError> {
+    known_flags(args, &[SERVE_FLAGS])?;
     let run = run_serve(args)?;
     let report = &run.report;
     println!(
@@ -578,6 +626,10 @@ fn cmd_drift(args: &[String]) -> Result<(), CliError> {
 /// estimator with telemetry enabled, export a Chrome trace (load it in
 /// `chrome://tracing` or Perfetto), and print a hotspot summary.
 fn cmd_profile(args: &[String]) -> Result<(), CliError> {
+    known_flags(
+        args,
+        &[ENGINE_FLAGS, &["--device", "--platform", "--trace"]],
+    )?;
     let name = positional(args, "MobileNet1.0");
     let device = opt(args, "--device")?
         .or(opt(args, "--platform")?)
@@ -648,6 +700,17 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
 /// skips workloads already present in the on-disk database under
 /// `UNIGPU_DB_DIR` and folds new results back into it.
 fn cmd_tune(args: &[String]) -> Result<(), CliError> {
+    known_flags(
+        args,
+        &[&[
+            "--platform",
+            "--trials",
+            "--jobs",
+            "--farm",
+            "--out",
+            "--resume",
+        ]],
+    )?;
     let name = positional(args, "SqueezeNet1.0");
     let platform = platform_by_name(opt(args, "--platform")?.unwrap_or("deeplens"))?;
     let trials = opt_num(args, "--trials")?.unwrap_or(96);
@@ -724,6 +787,16 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
 fn cmd_farm(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("tracker") => {
+            known_flags(
+                args,
+                &[&[
+                    "--listen",
+                    "--lease-ms",
+                    "--retries",
+                    "--trace",
+                    "--port-file",
+                ]],
+            )?;
             let listen = opt(args, "--listen")?.unwrap_or("127.0.0.1:0");
             let mut cfg = TrackerConfig::default();
             if let Some(ms) = opt_num(args, "--lease-ms")? {
@@ -744,6 +817,7 @@ fn cmd_farm(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         Some("worker") => {
+            known_flags(args, &[&["--tracker", "--device", "--name"]])?;
             let tracker = opt(args, "--tracker")?
                 .ok_or_else(|| CliError("farm worker needs --tracker HOST:PORT".into()))?;
             let device = opt(args, "--device")?.unwrap_or("deeplens");
@@ -775,6 +849,21 @@ fn cmd_farm(args: &[String]) -> Result<(), CliError> {
 fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("replica") => {
+            let replica_flags = [
+                "--device",
+                "--name",
+                "--listen",
+                "--faults",
+                "--port-file",
+                "--concurrency",
+                "--batch",
+                "--window-ms",
+                "--queue-cap",
+                "--deadline-ms",
+                "--cache-dir",
+                "--max-resumes",
+            ];
+            known_flags(args, &[&replica_flags])?;
             let device = opt(args, "--device")?.unwrap_or("deeplens");
             let platform = platform_by_name(device)?;
             let name = opt(args, "--name")?.unwrap_or("replica").to_string();
@@ -826,6 +915,17 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         Some("router") => {
+            known_flags(
+                args,
+                &[&[
+                    "--replica",
+                    "--model",
+                    "--requests",
+                    "--policy",
+                    "--seed",
+                    "--interval-ms",
+                ]],
+            )?;
             let addrs = opt_all(args, "--replica")?;
             if addrs.is_empty() {
                 return Err(CliError(
@@ -946,6 +1046,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_codegen(args: &[String]) -> Result<(), CliError> {
+    known_flags(args, &[&["--target"]])?;
     let target = match opt(args, "--target")?.unwrap_or("opencl") {
         "cuda" => Target::Cuda,
         "opencl" => Target::OpenCl,
@@ -976,6 +1077,7 @@ fn cmd_paper() -> Result<(), CliError> {
 }
 
 fn cmd_dot(args: &[String]) -> Result<(), CliError> {
+    known_flags(args, &[])?;
     let name = positional(args, "MobileNet1.0");
     let platform = Platform::deeplens();
     let g = optimize(&model_by_name(name, &platform)?);
@@ -1032,7 +1134,7 @@ fn usage() -> CliError {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("models") => cmd_models(),
+        Some("models") => known_flags(&args[1..], &[]).and_then(|()| cmd_models()),
         Some("estimate") => cmd_estimate(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
@@ -1043,7 +1145,7 @@ fn main() {
         Some("fleet") => cmd_fleet(&args[1..]),
         Some("codegen") => cmd_codegen(&args[1..]),
         Some("dot") => cmd_dot(&args[1..]),
-        Some("paper") => cmd_paper(),
+        Some("paper") => known_flags(&args[1..], &[]).and_then(|()| cmd_paper()),
         _ => Err(usage()),
     };
     if let Err(e) = result {

@@ -1,7 +1,7 @@
 //! The `unigpu` binary's argument handling: a malformed numeric flag, a
 //! value flag given without its value, a fault plan item it cannot read or
-//! an unknown target exits with code 2 and names it, instead of silently
-//! running with the default; a command that starts with a flag runs its
+//! an unknown target or flag exits with code 2 and names it, instead of
+//! silently running with the default; a command that starts with a flag runs its
 //! default model; `estimate` prints an empty vision sum as `0.00`.
 
 use std::path::{Path, PathBuf};
@@ -113,8 +113,44 @@ fn profile_without_a_model_profiles_the_default() {
 
 #[test]
 fn dot_without_a_model_draws_the_default() {
-    let out = unigpu("dot", &["dot", "--x"]);
+    let out = unigpu("dot", &["dot"]);
     assert_prints(&out, "digraph");
+}
+
+/// A flag no command reads, a retired one among them, fails the run before
+/// it starts: `--x` was once ignored by `dot`, and `--bogus-flag 3` by
+/// `estimate`.
+#[test]
+fn every_command_rejects_an_unknown_flag() {
+    let cases: [&[&str]; 6] = [
+        &["estimate", "SqueezeNet1.0", "--bogus-flag", "3"],
+        &["dot", "--x"],
+        &[
+            "serve",
+            "MobileNet1.0",
+            "--requests",
+            "4",
+            "--kernel-fail-first",
+            "4",
+        ],
+        &[
+            "fleet",
+            "router",
+            "--replica",
+            "x",
+            "--model",
+            "SqueezeNet1.0",
+            "--trace",
+            "t.json",
+        ],
+        &["codegen", "--targets", "cuda"],
+        &["paper", "--json"],
+    ];
+    for args in cases {
+        let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
+        let out = unigpu("unknown-flag", args);
+        assert_rejected(&out, &format!("unknown flag {flag}"));
+    }
 }
 
 #[test]
