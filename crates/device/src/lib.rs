@@ -34,7 +34,7 @@ pub mod spec;
 pub mod timeline;
 
 pub use cost::{CostModel, CostTable};
-pub use exec::{dispatch_chunks, dispatch_map};
+pub use exec::{dispatch_chunks, dispatch_lanes, dispatch_map, lanes};
 pub use fault::{
     DeviceFault, DeviceFaultPlan, DeviceFaultState, FaultPlan, LaunchOutcome, NetFaultPlan,
 };

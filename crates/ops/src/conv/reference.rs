@@ -34,6 +34,7 @@
 //!   makes every tap's reads contiguous again.
 
 use crate::workload::ConvWorkload;
+use unigpu_device::dispatch_lanes;
 use unigpu_tensor::Tensor;
 
 /// Output channels per register tile.
@@ -212,15 +213,13 @@ fn reads_input_in_place(w: &ConvWorkload) -> bool {
 }
 
 /// Register-tiled convolution of an ungrouped workload into `out`, with the
-/// padded input in `scratch` unless it is read in place.
+/// padded input in `scratch` unless it is read in place. Per batch image the
+/// lanes of one dispatch split the output channels, in whole tiles of `OB`.
 fn register_tiles(x: &[f32], k: &[f32], w: &ConvWorkload, scratch: &mut [f32], out: &mut [f32]) {
     let pd = Padded::new(w);
-    let (oh, ow) = (w.out_h(), w.out_w());
-    let plane = oh * ow;
+    let plane = w.out_h() * w.out_w();
     let taps = w.kernel_h * w.kernel_w;
     let per_oc = w.in_channels * taps;
-    // Flat positions `0..len` of a plane cover every output.
-    let len = (oh - 1) * pd.pitch + ow;
     let x = if reads_input_in_place(w) {
         x
     } else {
@@ -236,33 +235,52 @@ fn register_tiles(x: &[f32], k: &[f32], w: &ConvWorkload, scratch: &mut [f32], o
     let offsets = &offsets[..taps];
     debug_assert_eq!(offsets[0], 0, "the first tap reads the plane's start");
 
-    for (chunk, k_chunk) in k.chunks(OC_CHUNK * per_oc).enumerate() {
-        let channels = k_chunk.len() / per_oc;
-        for n in 0..w.batch {
-            let x_n = &x[n * w.in_channels * pd.channel..];
-            let out_n = &mut out[(n * w.out_channels + chunk * OC_CHUNK) * plane..][..channels * plane];
-            for start in (0..len).step_by(V) {
-                // A plane's last tile ends at `len`, recomputing part of the
-                // one before (to the same bits); a plane shorter than a tile
-                // keeps `len` of its `V` positions.
-                let p0 = start.min(len.saturating_sub(V));
-                let (row, col) = (p0 / pd.pitch, p0 % pd.pitch);
-                let count = V.min(len - p0);
-                let tiles = k_chunk.chunks(OB * per_oc).zip(out_n.chunks_mut(OB * plane));
-                for (k_tile, out_tile) in tiles {
-                    // An odd last channel is computed twice; its copy is dropped.
-                    let ks = std::array::from_fn(|ob| {
-                        let ob = ob.min(k_tile.len() / per_oc - 1);
-                        &k_tile[ob * per_oc..][..per_oc]
-                    });
-                    let acc = if taps == 1 {
-                        tile_1x1(x_n, ks, pd.channel, p0)
-                    } else {
-                        tile(x_n, ks, offsets, pd.channel, p0)
-                    };
-                    for (acc, o) in acc.iter().zip(out_tile.chunks_exact_mut(plane)) {
-                        store(&acc[..count], o, row, col, pd.pitch, ow);
-                    }
+    for (n, out_n) in out.chunks_exact_mut(w.out_channels * plane).enumerate() {
+        // The tiles of an image's last channel read on past its end.
+        let x_n = &x[n * w.in_channels * pd.channel..];
+        let lane = |first: usize, out_run: &mut [f32], _: &mut [f32]| {
+            let k_run = &k[first * OB * per_oc..][..out_run.len() / plane * per_oc];
+            sweep(x_n, k_run, offsets, &pd, w, out_run);
+        };
+        dispatch_lanes(out_n, OB * plane, per_oc, &mut [], lane);
+    }
+}
+
+/// The register tiles of one image's output channels `out` (whole planes),
+/// whose weights are `k`: `OC_CHUNK` channels at a time sweep every position.
+fn sweep(x: &[f32], k: &[f32], offsets: &[usize], pd: &Padded, w: &ConvWorkload, out: &mut [f32]) {
+    let ow = w.out_w();
+    let plane = w.out_h() * ow;
+    let per_oc = w.in_channels * offsets.len();
+    // Flat positions `0..len` of a plane cover every output.
+    let len = (w.out_h() - 1) * pd.pitch + ow;
+    for (k_chunk, out_chunk) in k
+        .chunks(OC_CHUNK * per_oc)
+        .zip(out.chunks_mut(OC_CHUNK * plane))
+    {
+        for start in (0..len).step_by(V) {
+            // A plane's last tile ends at `len`, recomputing part of the
+            // one before (to the same bits); a plane shorter than a tile
+            // keeps `len` of its `V` positions.
+            let p0 = start.min(len.saturating_sub(V));
+            let (row, col) = (p0 / pd.pitch, p0 % pd.pitch);
+            let count = V.min(len - p0);
+            let tiles = k_chunk
+                .chunks(OB * per_oc)
+                .zip(out_chunk.chunks_mut(OB * plane));
+            for (k_tile, out_tile) in tiles {
+                // An odd last channel is computed twice; its copy is dropped.
+                let ks = std::array::from_fn(|ob| {
+                    let ob = ob.min(k_tile.len() / per_oc - 1);
+                    &k_tile[ob * per_oc..][..per_oc]
+                });
+                let acc = if offsets.len() == 1 {
+                    tile_1x1(x, ks, pd.channel, p0)
+                } else {
+                    tile(x, ks, offsets, pd.channel, p0)
+                };
+                for (acc, o) in acc.iter().zip(out_tile.chunks_exact_mut(plane)) {
+                    store(&acc[..count], o, row, col, pd.pitch, ow);
                 }
             }
         }
@@ -375,8 +393,8 @@ fn plane_taps(x: &[f32], k: &[f32], w: &ConvWorkload, scratch: &mut [f32], out: 
         &*scratch
     };
 
-    // One (n, oc) output plane at a time: planes are disjoint.
-    out.chunks_mut(oh * ow).enumerate().for_each(|(plane, o)| {
+    // One work-group per (n, oc) output plane: planes are disjoint.
+    let one_plane = |plane: usize, o: &mut [f32]| {
         let n = plane / w.out_channels;
         let oc = plane % w.out_channels;
         let g = oc / ocg;
@@ -415,7 +433,13 @@ fn plane_taps(x: &[f32], k: &[f32], w: &ConvWorkload, scratch: &mut [f32], out: 
                 }
             }
         }
-    });
+    };
+    let lane = |first: usize, run: &mut [f32], _: &mut [f32]| {
+        for (i, o) in run.chunks_mut(oh * ow).enumerate() {
+            one_plane(first + i, o);
+        }
+    };
+    dispatch_lanes(out, oh * ow, icg * taps_per_ic, &mut [], lane);
 }
 
 #[cfg(test)]
@@ -553,6 +577,31 @@ mod tests {
         let (got, want) = (conv2d_ref(&data, &wt, &w), conv_scalar(&data, &wt, &w));
         let bits = |t: &Tensor| t.as_f32().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn lane_split_is_bit_identical_to_scalar_at_any_channel_count() {
+        // Each image's output times `ic · kh · kw` is past the pool's line
+        // (64 K) in every case with two or more tiles of `OB` channels, so the
+        // lanes split the channels; an odd count leaves the last lane an odd
+        // tile, and batch 2 dispatches once per image.
+        for (n, oc, size) in [
+            (1, 1, 32),
+            (1, 3, 32),
+            (1, 33, 32),
+            (1, 1000, 8),
+            (2, 33, 32),
+        ] {
+            for (k, s, p) in [(3, 1, 1), (1, 1, 0), (3, 2, 1)] {
+                for groups in [1, 2].into_iter().filter(|g| oc % g == 0) {
+                    let w = ConvWorkload {
+                        groups,
+                        ..ConvWorkload::square(n, 24, oc, size, k, s, p)
+                    };
+                    assert_matches_scalar(&w, (oc * 10 + k) as u64);
+                }
+            }
+        }
     }
 
     /// A value drawn mostly from `[-1, 1)`, else from the specials: for data

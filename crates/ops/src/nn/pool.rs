@@ -1,5 +1,6 @@
 //! Spatial pooling operators.
 
+use unigpu_device::dispatch_lanes;
 use unigpu_tensor::Tensor;
 
 fn pool2d(
@@ -75,7 +76,6 @@ pub fn max_pool2d_into(
         n * c * oh * ow,
         "max-pool output length mismatch"
     );
-    out.fill(f32::NEG_INFINITY);
     // Output positions `lo..hi` on one axis whose tap `k` is in bounds.
     let reach = |k: usize, outs: usize, len: usize| {
         let lo = pad.saturating_sub(k).div_ceil(stride);
@@ -91,10 +91,11 @@ pub fn max_pool2d_into(
     let live_cols = reach(kernel - 1, ow, w).0..reach(0, ow, w).1;
     // Phase `b` of a split row holds padded columns `b, b + stride, …`.
     let pitch = (w + 2 * pad).div_ceil(stride);
-    let mut split = [0.0f32; SPLIT_ROW];
     let splits = stride * pitch <= SPLIT_ROW;
 
-    for (p, o) in out.chunks_exact_mut(oh * ow).enumerate() {
+    // One work-group per (n, c) plane; a lane splits its rows in its own buffer.
+    let one_plane = |p: usize, o: &mut [f32], split: &mut [f32; SPLIT_ROW]| {
+        o.fill(f32::NEG_INFINITY);
         let plane = &x[p * h * w..][..h * w];
         for (r, row) in (0..h).map(|r| (r, &plane[r * w..][..w])) {
             if splits {
@@ -131,7 +132,14 @@ pub fn max_pool2d_into(
                 acc.fill(0.0);
             }
         }
-    }
+    };
+    let lane = |first: usize, run: &mut [f32], _: &mut [f32]| {
+        let mut split = [0.0f32; SPLIT_ROW];
+        for (i, o) in run.chunks_exact_mut(oh * ow).enumerate() {
+            one_plane(first + i, o, &mut split);
+        }
+    };
+    dispatch_lanes(out, oh * ow, kernel * kernel, &mut [], lane);
 }
 
 /// Floats of one input row split by column phase that `max_pool2d_into` keeps
@@ -268,12 +276,15 @@ mod tests {
         }
         assert!(cases > 90, "{cases} cases");
         // ResNet's 3/2/1, SqueezeNet's 3/2/0, and rows too wide to split on
-        // the stack, which are read strided
+        // the stack, which are read strided; the last two are big enough
+        // that the lanes split their planes
         for (shape, k, s, p) in [
             ([1, 3, 17, 17], 3, 2, 1),
             ([1, 2, 15, 16], 3, 2, 0),
             ([1, 1, 3, 2 * SPLIT_ROW + 5], 3, 2, 1),
             ([1, 1, 2, SPLIT_ROW + 1], 3, 1, 1),
+            ([2, 33, 31, 31], 3, 2, 0),
+            ([1, 9, 3, 2 * SPLIT_ROW + 5], 3, 2, 1),
         ] {
             let data = (0..shape.iter().product()).map(|_| special(&mut rng)).collect();
             let x = Tensor::from_vec(shape, data);

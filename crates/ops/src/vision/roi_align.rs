@@ -9,6 +9,7 @@
 //! expression, its samples added in `(sy, sx)` order from `0.0`, one
 //! division — so the output bits do not depend on the loop order.
 
+use unigpu_device::{dispatch_lanes, lanes};
 use unigpu_tensor::layout::nchw_to_nhwc;
 use unigpu_tensor::Tensor;
 
@@ -85,65 +86,92 @@ pub fn roi_align(
     assert_eq!(rdims[1], 5, "roi rows are (batch, x1, y1, x2, y2)");
     assert!(sampling_ratio >= 1);
     let r = rdims[0];
-    let nhwc = nchw_to_nhwc(features);
     let rr = rois.as_f32();
-    let mut out = Tensor::zeros([r, c, pooled, pooled]);
-    let o = out.as_f32_mut();
-    let bins = pooled * pooled;
-    let per_bin = sampling_ratio * sampling_ratio;
-    // one ROI's sums, bin-major: a bin's channels are contiguous
-    let mut sums = vec![0.0f32; bins * c];
-
+    // Every batch index is checked up front, in ROI order, so a bad one
+    // panics with its ROI's index whichever lane would have pooled it.
     for ri in 0..r {
         let batch = rr[ri * 5];
-        assert!(batch.is_finite(), "roi {ri} batch index {batch} is not finite");
-        if batch < 0.0 {
-            continue;
-        }
+        assert!(
+            batch.is_finite(),
+            "roi {ri} batch index {batch} is not finite"
+        );
         let b = batch as usize;
-        assert!(b < n, "roi batch index {b} out of range");
-        let x1 = rr[ri * 5 + 1] * spatial_scale;
-        let y1 = rr[ri * 5 + 2] * spatial_scale;
-        let x2 = rr[ri * 5 + 3] * spatial_scale;
-        let y2 = rr[ri * 5 + 4] * spatial_scale;
-        let rw = (x2 - x1).max(1.0);
-        let rh = (y2 - y1).max(1.0);
-        let bin_w = rw / pooled as f32;
-        let bin_h = rh / pooled as f32;
-        let pixels = &nhwc.as_f32()[b * h * w * c..][..h * w * c];
-        sums.fill(0.0);
-        for py in 0..pooled {
-            for px in 0..pooled {
-                let acc = &mut sums[(py * pooled + px) * c..][..c];
-                for sy in 0..sampling_ratio {
-                    let yy = y1
-                        + py as f32 * bin_h
-                        + (sy as f32 + 0.5) * bin_h / sampling_ratio as f32;
-                    for sx in 0..sampling_ratio {
-                        let xx = x1
-                            + px as f32 * bin_w
-                            + (sx as f32 + 0.5) * bin_w / sampling_ratio as f32;
-                        match Sample::at(h, w, yy, xx) {
-                            Some(s) => s.accumulate(pixels, acc),
-                            // Off the map the sample is zero and reads
-                            // nothing; adding it keeps each channel's
-                            // sequence of additions the per-channel one.
-                            None => acc.iter_mut().for_each(|a| *a += 0.0),
-                        }
+        assert!(batch < 0.0 || b < n, "roi batch index {b} out of range");
+    }
+    let nhwc = nchw_to_nhwc(features);
+    let mut out = Tensor::zeros([r, c, pooled, pooled]);
+    let bins = pooled * pooled;
+    let per_roi = c * bins;
+    if per_roi == 0 {
+        return out;
+    }
+    // One ROI's sums per lane, bin-major: a bin's channels are contiguous.
+    let mut sums = vec![0.0f32; lanes() * per_roi];
+
+    // The lanes split the ROIs; each ROI is one work-group, and each output
+    // element sums four taps per sample.
+    let taps = 4 * sampling_ratio * sampling_ratio;
+    let per_bin = (sampling_ratio * sampling_ratio) as f32;
+    let lane = |first: usize, o: &mut [f32], sums: &mut [f32]| {
+        for (i, out_roi) in o.chunks_mut(per_roi).enumerate() {
+            let roi = &rr[(first + i) * 5..][..5];
+            if roi[0] < 0.0 {
+                continue;
+            }
+            let pixels = &nhwc.as_f32()[roi[0] as usize * h * w * c..][..h * w * c];
+            let geometry = (pooled, spatial_scale, sampling_ratio);
+            pool_roi(roi, pixels, (h, w, c), geometry, sums);
+            // Channel-major out, one contiguous row of bins per channel: the
+            // strided reads stay within `sums`, which fits in cache.
+            for (ci, row) in out_roi.chunks_exact_mut(bins).enumerate() {
+                for (bin, slot) in row.iter_mut().enumerate() {
+                    *slot = sums[bin * c + ci] / per_bin;
+                }
+            }
+        }
+    };
+    dispatch_lanes(out.as_f32_mut(), per_roi, taps, &mut sums, lane);
+    out
+}
+
+/// One ROI `(batch, x1, y1, x2, y2)`'s bin sums over `pixels`, one `h × w`
+/// image of `c` channels in `HWC` order, into `sums` (bin-major, `pooled² ×
+/// c`), at `(pooled, spatial_scale, sampling_ratio)`.
+fn pool_roi(
+    roi: &[f32],
+    pixels: &[f32],
+    (h, w, c): (usize, usize, usize),
+    (pooled, spatial_scale, sampling_ratio): (usize, f32, usize),
+    sums: &mut [f32],
+) {
+    let x1 = roi[1] * spatial_scale;
+    let y1 = roi[2] * spatial_scale;
+    let x2 = roi[3] * spatial_scale;
+    let y2 = roi[4] * spatial_scale;
+    let rw = (x2 - x1).max(1.0);
+    let rh = (y2 - y1).max(1.0);
+    let bin_w = rw / pooled as f32;
+    let bin_h = rh / pooled as f32;
+    sums.fill(0.0);
+    for py in 0..pooled {
+        for px in 0..pooled {
+            let acc = &mut sums[(py * pooled + px) * c..][..c];
+            for sy in 0..sampling_ratio {
+                let yy = y1 + py as f32 * bin_h + (sy as f32 + 0.5) * bin_h / sampling_ratio as f32;
+                for sx in 0..sampling_ratio {
+                    let xx =
+                        x1 + px as f32 * bin_w + (sx as f32 + 0.5) * bin_w / sampling_ratio as f32;
+                    match Sample::at(h, w, yy, xx) {
+                        Some(s) => s.accumulate(pixels, acc),
+                        // Off the map the sample is zero and reads
+                        // nothing; adding it keeps each channel's
+                        // sequence of additions the per-channel one.
+                        None => acc.iter_mut().for_each(|a| *a += 0.0),
                     }
                 }
             }
         }
-        // Channel-major out, one contiguous row of bins per channel: the
-        // strided reads stay within `sums`, which fits in cache.
-        let out_roi = &mut o[ri * c * bins..][..c * bins];
-        for ci in 0..c {
-            for (bin, slot) in out_roi[ci * bins..][..bins].iter_mut().enumerate() {
-                *slot = sums[bin * c + ci] / per_bin as f32;
-            }
-        }
     }
-    out
 }
 
 #[cfg(test)]

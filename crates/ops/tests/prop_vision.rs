@@ -293,6 +293,44 @@ fn roi_align_is_bit_identical_to_the_per_channel_loop() {
 }
 
 #[test]
+fn roi_align_split_over_lanes_matches_the_per_channel_loop() {
+    // 64 channels × 7² bins × 2² samples: two ROIs are past the pool's line,
+    // so from two ROIs up the lanes split them, each with its own sums block.
+    let lanes = unigpu_device::lanes();
+    let (c, pooled, sampling) = (64, 7, 2);
+    let mut rng = Rng::new(77);
+    let features = rng.tensor([2, c, 12, 12], -1.0, 1.0);
+    for r in [0, 1, lanes - 1, lanes, lanes + 1, 3 * lanes + 1] {
+        // The last two ROIs, in the last lane, are padding.
+        let padding = r.saturating_sub(2)..r;
+        let mut rows = Vec::with_capacity(r * 5);
+        for i in 0..r {
+            let image = rng.int(0, 2) as f32;
+            let batch = if padding.contains(&i) { -1.0 } else { image };
+            let (x, y) = (rng.float(-2.0, 10.0), rng.float(-2.0, 10.0));
+            let (x2, y2) = (x + rng.float(0.5, 6.0), y + rng.float(0.5, 6.0));
+            rows.extend([batch, x, y, x2, y2]);
+        }
+        let rois = Tensor::from_vec([r, 5], rows);
+        let got = bits(&roi_align(&features, &rois, pooled, 1.0, sampling));
+        // The oracle pools a padding row from image 0: compare the others.
+        let want = roi_align_per_channel(&features, &rois, pooled, 1.0, sampling);
+        let per_roi = c * pooled * pooled;
+        assert_eq!(got.len(), r * per_roi);
+        let want = bits(&want);
+        let rows = got.chunks(per_roi).zip(want.chunks(per_roi));
+        for (i, (g, w)) in rows.enumerate() {
+            if padding.contains(&i) {
+                let zero = g.iter().all(|&v| v == 0);
+                assert!(zero, "{r} rois: padding roi {i} is not zero");
+            } else {
+                assert_eq!(g, w, "{r} rois: roi {i}");
+            }
+        }
+    }
+}
+
+#[test]
 fn roi_align_ignores_feature_values_outside_the_map() {
     // A sample off the map is zero even where the features are not finite:
     // it must be skipped, not weighted by zero.

@@ -16,7 +16,9 @@ echo "==> functional bit-identity gate (release codegen)"
 # (conv2d_ref == scalar oracle == spatial pack, roi_align == per-channel loop,
 # max_pool2d == its scalar loop, the packed-key sort == a total_cmp sort,
 # vision and end-to-end output digests) must also hold under the optimizer
-# that ships.
+# that ships, and so must the lane pool's (every group once, inline bits ==
+# pooled bits, a lane's panic re-raised on its caller).
+cargo test -q --release -p unigpu-device --lib -- exec
 cargo test -q --release -p unigpu-ops --lib -- conv::reference nn::pool vision::roi_align vision::sort vision::nms
 cargo test -q --release -p unigpu-ops --test prop_conv --test prop_vision --test vision_golden
 cargo test -q --release -p unigpu-engine --test functional_golden
@@ -61,6 +63,28 @@ fi
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
+
+echo "==> unsafe gate"
+# The product holds one `unsafe` site: the lane pool's lifetime erasure in
+# crates/device/src/exec.rs, under its `// SAFETY:` argument. Test code may
+# hold more (the counting allocators under crates/*/tests/); a file's unit
+# tests, from its `#[cfg(test)]` line to its end, are not scanned.
+unsafe_sites=$(find crates src examples -name '*.rs' -not -path 'crates/*/tests/*' -not -path '*/target/*' \
+  | sort | while read -r f; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nw 'unsafe' | sed "s|^|$f:|" || true
+  done)
+pool_site='crates/device/src/exec.rs'
+if [ "$(printf '%s\n' "$unsafe_sites" | grep -c .)" -ne 1 ] ||
+  ! printf '%s\n' "$unsafe_sites" | grep -q "^$pool_site:"; then
+  echo "error: 'unsafe' outside the lane pool's one site in $pool_site:"
+  echo "$unsafe_sites"
+  exit 1
+fi
+if ! grep -B12 -w 'unsafe' "$pool_site" | grep -q '// SAFETY:'; then
+  echo "error: the lane pool's unsafe site in $pool_site lost its // SAFETY: argument"
+  exit 1
+fi
+echo "unsafe gate: $unsafe_sites"
 
 echo "==> pub audit"
 # Every `pub` item needs a caller outside tests (scripts/pub-audit.allow
