@@ -20,12 +20,17 @@
 //! An intended change of the bits is re-captured by pasting the `left` side
 //! of the failed assertion over the golden.
 
-use unigpu_device::Platform;
+use std::sync::atomic::{AtomicBool, Ordering};
+use unigpu_device::{DeviceSpec, Platform};
 use unigpu_engine::{CompiledModel, Engine};
 use unigpu_graph::{place, Executor, Graph, PlacementPolicy};
 use unigpu_telemetry::hash::{splitmix64, Fnv1a};
 use unigpu_telemetry::SpanRecorder;
 use unigpu_tensor::{Shape, Tensor};
+use unigpu_tuner::{
+    tune_graph, tune_graph_with, tune_one, DispatchError, Dispatcher, TuneJob, TuneOutcome,
+    TuningBudget,
+};
 
 const EDGE: usize = 64;
 const SEED: u64 = 2019;
@@ -81,6 +86,58 @@ fn functional_outputs_match_the_golden() {
         + &digests("MobileNet1.0", &unigpu_models::mobilenet(1, EDGE, 1000))
         + &digests("ResNet50_v1", &unigpu_models::resnet50(1, EDGE, 1000));
     assert_eq!(actual, include_str!("golden/functional.digest"));
+}
+
+/// The tuner spreads its jobs over the lane pool while another thread's
+/// inference asks the pool for its kernels: whichever dispatch finds the
+/// pool busy runs inline. Both finish, the database equals one tuned a job
+/// at a time, and every run computes the golden bits.
+#[test]
+fn tuning_beside_inference_keeps_both_results() {
+    struct TuneEach;
+    impl Dispatcher for TuneEach {
+        fn name(&self) -> String {
+            "each".into()
+        }
+        fn dispatch(
+            &self,
+            jobs: &[TuneJob],
+            spec: &DeviceSpec,
+            budget: &TuningBudget,
+        ) -> Result<Vec<TuneOutcome>, DispatchError> {
+            Ok(jobs.iter().map(|j| tune_one(j, spec, budget)).collect())
+        }
+    }
+
+    let tuned = unigpu_models::mobilenet(1, 224, 1000);
+    let spec = Platform::deeplens().gpu;
+    let budget = TuningBudget { trials_per_workload: 16, ..Default::default() };
+    let oracle = tune_graph_with(&tuned, &spec, &budget, &TuneEach, None).unwrap();
+
+    let model = unigpu_models::squeezenet(1, EDGE, 1000);
+    let compiled = compile(&model);
+    let input = [seeded_input(compiled.input_shape())];
+    let golden = include_str!("golden/functional.digest")
+        .lines()
+        .find_map(|l| l.strip_prefix(&format!("SqueezeNet1.0@{EDGE} compiled ")))
+        .expect("the golden has SqueezeNet's compiled line")
+        .to_string();
+    let tuning = AtomicBool::new(true);
+    let (db, runs) = std::thread::scope(|s| {
+        let tuner = s.spawn(|| {
+            let db = tune_graph(&tuned, &spec, &budget);
+            tuning.store(false, Ordering::Release);
+            db
+        });
+        let mut runs = 0;
+        while runs == 0 || tuning.load(Ordering::Acquire) {
+            let bits = format!("{:016x}", digest(&compiled.run(&input)));
+            assert_eq!(bits, golden, "run {runs} beside the tuner");
+            runs += 1;
+        }
+        (tuner.join().expect("the tuner finishes"), runs)
+    });
+    assert_eq!(db.records(), oracle.records(), "after {runs} run(s) beside it");
 }
 
 /// `g` with the inputs of its vision operator marked as outputs too.

@@ -2,7 +2,7 @@
 //! tensor-level search on a remote tracker's worker pool instead of
 //! in-process. Submit the whole batch, poll until done, return the outcomes
 //! in job order. Because every job is self-seeded by its index, the farm's
-//! databases are bit-identical to the serial dispatcher's at zero noise.
+//! databases are bit-identical to the local dispatcher's at zero noise.
 
 use crate::proto::{read_frame, write_frame, Frame};
 use std::net::TcpStream;

@@ -11,7 +11,7 @@
 //!   jobs with deadlines and heartbeats, re-queues leases on worker death
 //!   or timeout with bounded retries, accumulates per-batch results.
 //! * [`worker`] — serves one simulated [`DeviceSpec`], running leased jobs
-//!   through `unigpu_tuner::tune_one` (bit-identical to the serial path).
+//!   through `unigpu_tuner::tune_one` (bit-identical to the local path).
 //! * [`client`] — [`FarmClient`], the `Dispatcher` impl that
 //!   `tune_graph_with` uses to fan a model's workloads out to the farm.
 //! * [`proto`] — the frame format shared by all three.

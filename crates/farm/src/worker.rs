@@ -1,7 +1,7 @@
 //! A farm worker: owns one simulated device and runs leased tuning jobs.
 //!
 //! The loop is deliberately simple — request a job, tune it with
-//! [`tune_one`] (the exact serial-pipeline body, so results are
+//! [`tune_one`] (the job body the local dispatcher runs too, so results are
 //! bit-identical), send the result, repeat. While a job is tuning, a scoped
 //! heartbeat thread keeps the lease alive; heartbeat failures are tolerated
 //! because the tracker's re-queue path covers a lapsed lease anyway.

@@ -1,5 +1,5 @@
-//! Farm protocol and fault-tolerance tests: loopback parity with the serial
-//! dispatcher, malformed-frame rejection, lease re-queue on worker death,
+//! Farm protocol and fault-tolerance tests: loopback parity with a plain
+//! `tune_one` loop, malformed-frame rejection, lease re-queue on worker death,
 //! and duplicate-result idempotency.
 
 use std::io::Write;
@@ -11,7 +11,7 @@ use unigpu_farm::{
     WorkerConfig, WorkerExit,
 };
 use unigpu_ops::ConvWorkload;
-use unigpu_tuner::{tune_one, DispatchError, Dispatcher, SerialDispatcher, TuneJob, TuningBudget};
+use unigpu_tuner::{tune_one, DispatchError, Dispatcher, TuneJob, TuneOutcome, TuningBudget};
 
 fn spec() -> DeviceSpec {
     DeviceSpec::intel_hd505()
@@ -30,6 +30,11 @@ fn test_jobs() -> Vec<TuneJob> {
     .enumerate()
     .map(|(index, &workload)| TuneJob { index, workload })
     .collect()
+}
+
+/// The oracle: every job tuned in-process, one after another.
+fn tune_each(jobs: &[TuneJob]) -> Vec<TuneOutcome> {
+    jobs.iter().map(|j| tune_one(j, &spec(), &budget())).collect()
 }
 
 fn spawn_tracker(cfg: TrackerConfig) -> TrackerHandle {
@@ -61,7 +66,7 @@ fn farm_loopback_matches_serial_dispatch() {
     let jobs = test_jobs();
     let client = FarmClient::new(addr);
     let farm = client.dispatch(&jobs, &spec(), &budget()).expect("farm dispatch succeeds");
-    let serial = SerialDispatcher.dispatch(&jobs, &spec(), &budget()).unwrap();
+    let serial = tune_each(&jobs);
 
     assert_eq!(farm.len(), serial.len());
     for (f, s) in farm.iter().zip(&serial) {
@@ -191,7 +196,7 @@ fn killed_worker_lease_is_requeued_and_finished_by_a_healthy_worker() {
     let _healthy = spawn_worker(addr, "healthy", FaultPlan::default());
     let farm =
         client_thread.join().unwrap().expect("batch survives the killed worker");
-    let serial = SerialDispatcher.dispatch(&jobs, &spec(), &budget()).unwrap();
+    let serial = tune_each(&jobs);
     for (f, s) in farm.iter().zip(&serial) {
         assert_eq!(f.record, s.record, "re-queued jobs still reproduce the serial result");
     }

@@ -1,27 +1,28 @@
 //! Workload dispatch: how `tune_graph` fans tensor-level search out.
 //!
 //! The paper concedes that schedule search "took up to tens of hours ... for
-//! one device" (§3.2.3); AutoTVM answers this in production with an RPC
-//! tracker and a farm of measurement workers. This module is the seam that
-//! makes the search distributable without changing its results: one
-//! *distinct* convolution workload becomes one [`TuneJob`], a [`Dispatcher`]
-//! turns jobs into [`TuneOutcome`]s, and every dispatcher derives its
-//! per-job seeds from the job's position in the distinct-workload list — so
-//! the serial loop, the local thread pool, and a remote farm all produce
-//! bit-identical databases when measurement noise is zero.
+//! one device" (§3.2.3); AutoTVM answers this by searching independent
+//! workloads in parallel, on local cores and on an RPC farm of measurement
+//! workers. This module is the seam that spreads the search without changing
+//! its results: one *distinct* convolution workload becomes one [`TuneJob`],
+//! a [`Dispatcher`] turns jobs into [`TuneOutcome`]s, and every job derives
+//! its seeds from its position in the distinct-workload list — so the host's
+//! lanes, however many there are, and a remote farm produce bit-identical
+//! databases when measurement noise is zero.
 //!
 //! Implementations:
-//! * [`SerialDispatcher`] — the original in-process loop;
-//! * [`ThreadPoolDispatcher`] — local scoped threads (`unigpu tune --jobs N`);
-//! * `FarmClient` (in `unigpu-farm`) — the remote tracker/worker service.
+//! * [`LocalDispatcher`] — the jobs spread over the host's lanes
+//!   (`unigpu_device::dispatch_lanes`); what `tune_graph` and `unigpu tune`
+//!   use;
+//! * `FarmClient` (in `unigpu-farm`) — the remote tracker/worker service
+//!   (`unigpu tune --farm`).
 
 use crate::measure::SimMeasurer;
 use crate::records::TuneRecord;
 use crate::tuners::{ModelBasedTuner, Tuner};
 use crate::TuningBudget;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use unigpu_device::DeviceSpec;
+use unigpu_device::{dispatch_lanes, lanes, DeviceSpec};
 use unigpu_ops::conv::{ConfigSpace, ConvConfig};
 use unigpu_ops::ConvWorkload;
 use unigpu_telemetry::tel_debug;
@@ -31,7 +32,8 @@ use unigpu_telemetry::tel_debug;
 /// `index` is the workload's position in the graph's distinct-workload list;
 /// measurement and tuner seeds derive from it (`budget.seed ^ index` and
 /// `budget.seed + index`), which is what lets any dispatcher — local or
-/// remote — reproduce the serial path exactly.
+/// remote, on any number of lanes — reproduce the one-job-at-a-time loop
+/// exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TuneJob {
     pub index: usize,
@@ -94,7 +96,7 @@ impl From<std::io::Error> for DispatchError {
 
 /// A strategy for turning tune jobs into outcomes.
 pub trait Dispatcher: Send + Sync {
-    /// Human-readable label for logs (`serial`, `threads(4)`, `farm(addr)`).
+    /// Human-readable label for logs (`local(2 lanes)`, `farm(addr)`).
     fn name(&self) -> String;
 
     /// Tune every job for `spec`. Outcomes may arrive in any order; the
@@ -120,9 +122,8 @@ pub struct MeasuredDrift {
     pub measured_ms: f64,
 }
 
-/// Tune a single job exactly as the serial pipeline always has: build the
-/// config space, run the model-based tuner with index-derived seeds, and
-/// pick the top-k candidates by true cost.
+/// Tune a single job: build the config space, run the model-based tuner
+/// with index-derived seeds, and pick the top-k candidates by true cost.
 pub fn tune_one(job: &TuneJob, spec: &DeviceSpec, budget: &TuningBudget) -> TuneOutcome {
     let w = &job.workload;
     let i = job.index;
@@ -165,13 +166,20 @@ pub fn tune_one(job: &TuneJob, spec: &DeviceSpec, budget: &TuningBudget) -> Tune
     }
 }
 
-/// The original in-process serial loop.
+/// The jobs spread over the host's lanes: [`tune_one`] once per job, one
+/// work-group per job through [`dispatch_lanes`], so every lane tunes one
+/// contiguous run of jobs and the caller is lane 0. Outcomes come back in
+/// job order, and a job's panic is re-raised on the caller with its own
+/// payload. The jobs run one after another on the caller on a one-lane
+/// host, when the pool is busy with another dispatch, or when this dispatch
+/// is itself called from a lane. Every job seeds itself from its index, so
+/// the lane it runs on never changes its outcome.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SerialDispatcher;
+pub struct LocalDispatcher;
 
-impl Dispatcher for SerialDispatcher {
+impl Dispatcher for LocalDispatcher {
     fn name(&self) -> String {
-        "serial".into()
+        format!("local({} lanes)", lanes())
     }
 
     fn dispatch(
@@ -180,112 +188,88 @@ impl Dispatcher for SerialDispatcher {
         spec: &DeviceSpec,
         budget: &TuningBudget,
     ) -> Result<Vec<TuneOutcome>, DispatchError> {
-        Ok(jobs.iter().map(|j| tune_one(j, spec, budget)).collect())
-    }
-}
-
-/// Local thread-pool loopback (`unigpu tune --jobs N`): distinct workloads
-/// tune concurrently on N scoped threads, each taking the next job index from
-/// a shared counter. Deterministic because every job is self-seeded; results
-/// come back in job order.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadPoolDispatcher {
-    threads: usize,
-}
-
-impl ThreadPoolDispatcher {
-    pub fn new(threads: usize) -> Self {
-        ThreadPoolDispatcher { threads: threads.max(1) }
-    }
-
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Dispatcher for ThreadPoolDispatcher {
-    fn name(&self) -> String {
-        format!("threads({})", self.threads)
-    }
-
-    fn dispatch(
-        &self,
-        jobs: &[TuneJob],
-        spec: &DeviceSpec,
-        budget: &TuningBudget,
-    ) -> Result<Vec<TuneOutcome>, DispatchError> {
-        let next = AtomicUsize::new(0);
-        let mut done: Vec<(usize, TuneOutcome)> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..self.threads.min(jobs.len()))
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            // Relaxed: the counter only hands out indices;
-                            // outcomes come back through `join`.
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(job) = jobs.get(i) else { return mine };
-                            mine.push((i, tune_one(job, spec, budget)));
-                        }
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .collect()
+        let mut outcomes: Vec<Option<TuneOutcome>> = jobs.iter().map(|_| None).collect();
+        // The lane pool takes a dispatch whose `out.len() × reduce` clears
+        // its `POOLED_MIN_WORK`, sized for kernels at 0.15–1 ns a unit so
+        // that waking the workers (19 µs to break even) pays. A job is a
+        // whole model-based search, milliseconds of GBT fits and
+        // measurements (about 2 ms at 128 trials on one lane), so it counts
+        // as unbounded work: any two jobs pool.
+        dispatch_lanes(&mut outcomes, 1, usize::MAX, &mut [], |first, run, _: &mut [u8]| {
+            for (outcome, job) in run.iter_mut().zip(&jobs[first..]) {
+                *outcome = Some(tune_one(job, spec, budget));
+            }
         });
-        done.sort_by_key(|&(i, _)| i);
-        Ok(done.into_iter().map(|(_, outcome)| outcome).collect())
+        Ok(outcomes.into_iter().map(|o| o.expect("every job ran")).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{self, AssertUnwindSafe};
 
-    fn jobs() -> Vec<TuneJob> {
-        [
+    /// `count` jobs cycling over three workloads; each job's index seeds it.
+    fn jobs_of(count: usize) -> Vec<TuneJob> {
+        let workloads = [
             ConvWorkload::square(1, 64, 64, 28, 3, 1, 1),
             ConvWorkload::square(1, 64, 128, 28, 1, 1, 0),
             ConvWorkload::square(1, 128, 128, 14, 3, 1, 1),
-        ]
-        .iter()
-        .enumerate()
-        .map(|(index, &workload)| TuneJob { index, workload })
-        .collect()
+        ];
+        (0..count)
+            .map(|index| TuneJob { index, workload: workloads[index % workloads.len()] })
+            .collect()
+    }
+
+    /// The oracle: every job tuned on the caller, in job order.
+    fn tune_each(jobs: &[TuneJob], spec: &DeviceSpec, budget: &TuningBudget) -> Vec<TuneOutcome> {
+        jobs.iter().map(|j| tune_one(j, spec, budget)).collect()
     }
 
     #[test]
-    fn thread_pool_matches_serial_bit_for_bit() {
+    fn local_dispatch_matches_the_tune_one_loop_at_every_job_count() {
         let spec = DeviceSpec::intel_hd505();
-        let budget = TuningBudget { trials_per_workload: 32, ..Default::default() };
-        let jobs = jobs();
-        let serial = SerialDispatcher.dispatch(&jobs, &spec, &budget).unwrap();
-        // fewer threads than jobs, as many, and more; outcomes in job order
-        for threads in [2, 3, 4] {
-            let pooled = ThreadPoolDispatcher::new(threads).dispatch(&jobs, &spec, &budget).unwrap();
-            assert_eq!(serial.len(), pooled.len());
-            for (s, p) in serial.iter().zip(&pooled) {
-                assert_eq!(s.index, p.index, "{threads} threads");
-                assert_eq!(s.record, p.record, "records must be bit-identical at noise 0");
-                assert_eq!(s.candidates, p.candidates);
-            }
+        let budget = TuningBudget { trials_per_workload: 16, ..Default::default() };
+        let lanes = lanes();
+        // no job, one, fewer than the lanes, one more, and several runs per lane
+        for count in [0, 1, lanes - 1, lanes + 1, 3 * lanes + 1] {
+            let jobs = jobs_of(count);
+            let local = LocalDispatcher.dispatch(&jobs, &spec, &budget).unwrap();
+            assert_eq!(local, tune_each(&jobs, &spec, &budget), "{count} jobs, {lanes} lanes");
         }
     }
 
     #[test]
-    fn thread_pool_with_no_jobs_returns_no_outcomes() {
+    fn a_jobs_panic_surfaces_with_its_own_message() {
         let spec = DeviceSpec::intel_hd505();
-        let out = ThreadPoolDispatcher::new(4).dispatch(&[], &spec, &TuningBudget::default()).unwrap();
-        assert!(out.is_empty());
+        let budget = TuningBudget { trials_per_workload: 8, ..Default::default() };
+        // The last job runs on the last lane, a worker's on a multi-lane
+        // host; its zero stride divides by zero when it sizes its output.
+        let mut jobs = jobs_of(3 * lanes() + 1);
+        jobs.last_mut().unwrap().workload.stride_h = 0;
+        let message = |payload: Box<dyn std::any::Any + Send>| {
+            payload
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+        };
+        let alone = panic::catch_unwind(AssertUnwindSafe(|| {
+            tune_one(jobs.last().unwrap(), &spec, &budget)
+        }))
+        .expect_err("a zero stride panics");
+        let dispatched =
+            panic::catch_unwind(AssertUnwindSafe(|| LocalDispatcher.dispatch(&jobs, &spec, &budget)))
+                .expect_err("the job's panic reaches the caller");
+        let expected = message(alone);
+        assert!(expected.is_some(), "the job panics with a message");
+        assert_eq!(message(dispatched), expected);
     }
 
     #[test]
     fn outcome_round_trips_through_json() {
         let spec = DeviceSpec::mali_t860();
         let budget = TuningBudget { trials_per_workload: 16, ..Default::default() };
-        let out = tune_one(&jobs()[0], &spec, &budget);
+        let out = tune_one(&jobs_of(1)[0], &spec, &budget);
         let text = serde_json::to_string(&out).unwrap();
         let back: TuneOutcome = serde_json::from_str(&text).unwrap();
         assert_eq!(out, back, "f64 costs survive the wire exactly");
@@ -295,11 +279,11 @@ mod tests {
     fn seeds_derive_from_index_not_dispatch_order() {
         let spec = DeviceSpec::intel_hd505();
         let budget = TuningBudget { trials_per_workload: 24, ..Default::default() };
-        let jobs = jobs();
-        let forward = SerialDispatcher.dispatch(&jobs, &spec, &budget).unwrap();
+        let jobs = jobs_of(3);
+        let forward = LocalDispatcher.dispatch(&jobs, &spec, &budget).unwrap();
         let mut reversed: Vec<TuneJob> = jobs.clone();
         reversed.reverse();
-        let mut backward = SerialDispatcher.dispatch(&reversed, &spec, &budget).unwrap();
+        let mut backward = LocalDispatcher.dispatch(&reversed, &spec, &budget).unwrap();
         backward.sort_by_key(|o| o.index);
         for (f, b) in forward.iter().zip(&backward) {
             assert_eq!(f.record, b.record);

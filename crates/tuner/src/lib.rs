@@ -18,9 +18,9 @@
 //!   over per-layer schedule candidates weighing kernel gains against data
 //!   layout transformation overheads.
 //! * [`dispatch`] — how the pipeline fans search out: one [`TuneJob`] per
-//!   distinct workload through a [`Dispatcher`] (serial loop, local thread
-//!   pool, or the `unigpu-farm` tracker/worker service), all bit-identical
-//!   at zero measurement noise.
+//!   distinct workload through a [`Dispatcher`] (the host's lanes, or the
+//!   `unigpu-farm` tracker/worker service), bit-identical at zero
+//!   measurement noise on any number of lanes.
 //! * [`pipeline`] — end-to-end: extract a model's conv workloads, tune each,
 //!   produce a [`records::Database`] whose `TunedSchedules` plugs into the
 //!   graph latency estimator.
@@ -38,8 +38,8 @@ pub mod records;
 pub mod tuners;
 
 pub use dispatch::{
-    tune_one, Candidate, DispatchError, Dispatcher, MeasuredDrift, SerialDispatcher,
-    ThreadPoolDispatcher, TuneJob, TuneOutcome,
+    tune_one, Candidate, DispatchError, Dispatcher, LocalDispatcher, MeasuredDrift, TuneJob,
+    TuneOutcome,
 };
 pub use measure::{Measurer, SimMeasurer};
 pub use pipeline::{tune_graph, tune_graph_with, TunedSchedules, TuningBudget};

@@ -2,7 +2,7 @@
 //! followed by graph-level layout selection (GraphTuner), producing the
 //! tuning database consumed by the latency estimator.
 
-use crate::dispatch::{DispatchError, Dispatcher, SerialDispatcher, TuneJob};
+use crate::dispatch::{DispatchError, Dispatcher, LocalDispatcher, TuneJob};
 use crate::graph_tuner::{optimize_chain, ChainLayer, LayerCandidate};
 use crate::records::{Database, TuneRecord};
 use serde::{Deserialize, Serialize};
@@ -44,12 +44,13 @@ pub fn conv_workloads(g: &Graph) -> Vec<ConvWorkload> {
         .collect()
 }
 
-/// Tune every convolution workload of `graph` for `spec`, serially and
-/// in-process — the original pipeline. See [`tune_graph_with`] for the
-/// dispatcher-parameterized form this delegates to.
+/// Tune every convolution workload of `graph` for `spec` in-process, the
+/// workloads spread over the host's lanes by [`LocalDispatcher`]. See
+/// [`tune_graph_with`] for the dispatcher-parameterized form this delegates
+/// to.
 pub fn tune_graph(graph: &Graph, spec: &DeviceSpec, budget: &TuningBudget) -> Database {
-    tune_graph_with(graph, spec, budget, &SerialDispatcher, None)
-        .expect("serial dispatch is infallible")
+    tune_graph_with(graph, spec, budget, &LocalDispatcher, None)
+        .expect("local dispatch is infallible")
 }
 
 /// Tune every convolution workload of `graph` for `spec` through a
@@ -277,21 +278,32 @@ mod tests {
         }
     }
 
+    /// Every job tuned on the caller, in job order: the oracle of the lanes.
+    struct TuneEach;
+
+    impl Dispatcher for TuneEach {
+        fn name(&self) -> String {
+            "each".into()
+        }
+
+        fn dispatch(
+            &self,
+            jobs: &[TuneJob],
+            spec: &DeviceSpec,
+            budget: &TuningBudget,
+        ) -> Result<Vec<crate::dispatch::TuneOutcome>, DispatchError> {
+            Ok(jobs.iter().map(|j| crate::dispatch::tune_one(j, spec, budget)).collect())
+        }
+    }
+
     #[test]
-    fn thread_pool_database_matches_serial() {
+    fn tune_graph_matches_the_tune_one_loop() {
         let g = conv_chain_graph();
         let spec = unigpu_device::DeviceSpec::intel_hd505();
         let budget = TuningBudget { trials_per_workload: 32, ..Default::default() };
-        let serial = tune_graph(&g, &spec, &budget);
-        let pooled = tune_graph_with(
-            &g,
-            &spec,
-            &budget,
-            &crate::dispatch::ThreadPoolDispatcher::new(4),
-            None,
-        )
-        .unwrap();
-        assert_eq!(serial.records(), pooled.records(), "noise=0 ⇒ bit-identical databases");
+        let local = tune_graph(&g, &spec, &budget);
+        let each = tune_graph_with(&g, &spec, &budget, &TuneEach, None).unwrap();
+        assert_eq!(local.records(), each.records(), "noise=0 ⇒ bit-identical databases");
     }
 
     #[test]
@@ -306,7 +318,7 @@ mod tests {
         prior.insert(full.lookup(&spec.name, &wls[0]).unwrap().clone());
 
         let resumed =
-            tune_graph_with(&g, &spec, &budget, &SerialDispatcher, Some(&prior)).unwrap();
+            tune_graph_with(&g, &spec, &budget, &LocalDispatcher, Some(&prior)).unwrap();
         assert_eq!(resumed.len(), full.len());
         for w in &wls {
             assert!(resumed.lookup(&spec.name, w).is_some(), "missing {w}");

@@ -224,6 +224,8 @@ impl ModelBasedTuner {
         }
         pool.sort_by(|a, b| a.1.total_cmp(&b.1));
         pool.dedup_by_key(|p| p.0);
+        // at most as many as are left unseen, or the top-up never ends
+        let count = count.min(space.len() - seen.len());
         let mut out: Vec<usize> = pool.into_iter().map(|p| p.0).take(count).collect();
         // top-up with random unseen
         while out.len() < count {
@@ -253,7 +255,8 @@ impl Tuner for ModelBasedTuner {
         let mut xs: Vec<[f64; CONV_FEATURE_DIM]> = Vec::with_capacity(budget);
         let mut ys: Vec<f64> = Vec::with_capacity(budget);
 
-        while history.len() < budget {
+        // A budget beyond the space ends once every config has been seen.
+        while history.len() < budget && seen.len() < space.len() {
             let picks = if history.is_empty() {
                 // Warm-up: one random batch.
                 assert!(self.batch > 0, "a model-based search measures at least one trial per batch");
@@ -376,6 +379,23 @@ mod tests {
             let m = mutate(idx, &space, &mut rng);
             assert!(m < space.len());
         }
+    }
+
+    #[test]
+    fn model_tuner_stops_once_a_small_space_is_exhausted() {
+        // A depthwise 3×3 on a 1×1 map leaves few configs to try.
+        let w = ConvWorkload::depthwise(1, 32, 1, 3, 1, 1);
+        let spec = DeviceSpec::intel_hd505();
+        let space = ConfigSpace::build(&w, &spec);
+        let budget = space.len() + 160;
+        let mut m = SimMeasurer::new(spec, 0.0, 42);
+        let r = ModelBasedTuner::new(5).tune(&w, &space, &mut m, budget);
+        assert_eq!(r.trials, r.history.len(), "trials counts the measurements made");
+        assert!(r.trials < budget, "{} trials of a {budget} budget", r.trials);
+        let seen: std::collections::HashSet<usize> = r.history.iter().map(|h| h.0).collect();
+        assert_eq!(seen.len(), space.len(), "every config is measured before the search ends");
+        let best = (0..space.len()).map(|i| m.true_cost(&w, &space.get(i))).fold(f64::INFINITY, f64::min);
+        assert_eq!(r.best_cost_ms, best, "at noise 0 the search ends at the optimum");
     }
 
     #[test]

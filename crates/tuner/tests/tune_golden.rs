@@ -13,8 +13,7 @@ use unigpu_ops::conv::ConfigSpace;
 use unigpu_telemetry::hash::splitmix64;
 use unigpu_tuner::pipeline::conv_workloads;
 use unigpu_tuner::{
-    tune_graph, Dispatcher, ModelBasedTuner, SerialDispatcher, SimMeasurer, TuneJob, Tuner,
-    TuningBudget,
+    tune_graph, tune_one, ModelBasedTuner, SimMeasurer, TuneJob, TuneOutcome, Tuner, TuningBudget,
 };
 
 /// SplitMix64 chained over the bytes, eight at a time, seeded with the length.
@@ -72,7 +71,8 @@ fn tuned_schedules_match_the_golden() {
         for platform in Platform::all() {
             let spec = &platform.gpu;
             let db = tune_graph(model, spec, &budget);
-            let outcomes = SerialDispatcher.dispatch(&jobs, spec, &budget).unwrap();
+            let outcomes: Vec<TuneOutcome> =
+                jobs.iter().map(|j| tune_one(j, spec, &budget)).collect();
             let mut candidates = String::new();
             for outcome in &outcomes {
                 for c in &outcome.candidates {

@@ -23,6 +23,11 @@ cargo test -q --release -p unigpu-ops --lib -- conv::reference nn::pool vision::
 cargo test -q --release -p unigpu-ops --test prop_conv --test prop_vision --test vision_golden
 cargo test -q --release -p unigpu-engine --test functional_golden
 
+echo "==> tuner suite on one lane"
+# `tune_graph` spreads its jobs over the lane pool; pinned to one CPU the
+# pool has no workers and every dispatch runs inline, which must pass too.
+taskset -c 0 cargo test -q -p unigpu-tuner
+
 echo "==> cargo fmt --check"
 # The telemetry crate is held to rustfmt; the rest of the tree predates
 # formatting enforcement, so workspace-wide drift is reported but advisory.
@@ -113,9 +118,10 @@ check_db_dirs() {
   done
 }
 
-echo "==> farm loopback smoke test"
+echo "==> farm loopback smoke test and dispatch parity gate"
 # Tracker + two workers on an ephemeral loopback port; a farm-dispatched
-# tune must complete and write a populated database.
+# tune must complete and write a populated database, byte-identical to the
+# in-process tune on every lane and on one lane (`taskset -c 0`).
 farm_tmp=$(mktemp -d)
 tracker_pid=""
 worker1_pid=""
@@ -159,6 +165,17 @@ if ! grep -q '"workload"' "$farm_tmp/farm.jsonl"; then
   exit 1
 fi
 echo "farm smoke test: $(wc -l < "$farm_tmp/farm.jsonl") record line(s) tuned via $addr"
+UNIGPU_DB_DIR="$farm_tmp/db" ./target/release/unigpu tune SqueezeNet1.0 \
+  --platform deeplens --trials 8 --out "$farm_tmp/lanes.jsonl" > /dev/null
+UNIGPU_DB_DIR="$farm_tmp/db" taskset -c 0 ./target/release/unigpu tune SqueezeNet1.0 \
+  --platform deeplens --trials 8 --out "$farm_tmp/one_lane.jsonl" > /dev/null
+for db in lanes one_lane; do
+  if ! cmp "$farm_tmp/farm.jsonl" "$farm_tmp/$db.jsonl"; then
+    echo "error: the $db database differs from the farm's"
+    exit 1
+  fi
+done
+echo "dispatch parity: farm, all-lanes and one-lane databases identical"
 check_db_dirs "$farm_tmp/db" "$farm_tmp/w1db" "$farm_tmp/w2db"
 cleanup_farm
 trap - EXIT

@@ -12,7 +12,7 @@
 //! unigpu drift ResNet50_v1 --faults throttle_after_ms=5:3.0 --drift-threshold 0.25
 //! unigpu profile MobileNet1.0 --device intel --trace trace.json
 //! unigpu tune SqueezeNet1.0 --platform aisage --trials 128 --out db.jsonl
-//! unigpu tune SqueezeNet1.0 --jobs 4 --resume
+//! unigpu tune SqueezeNet1.0 --resume
 //! unigpu farm tracker --listen 127.0.0.1:9190
 //! unigpu farm worker --tracker 127.0.0.1:9190 --device deeplens
 //! unigpu tune SqueezeNet1.0 --farm 127.0.0.1:9190
@@ -48,8 +48,7 @@ use unigpu::telemetry::{
     TraceContext,
 };
 use unigpu::tuner::{
-    device_db_path, tune_graph_with, Database, Dispatcher, SerialDispatcher, ThreadPoolDispatcher,
-    TuningBudget,
+    device_db_path, tune_graph_with, Database, Dispatcher, LocalDispatcher, TuningBudget,
 };
 use unigpu::Engine;
 
@@ -693,23 +692,16 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `unigpu tune <model> [--jobs N | --farm ADDR] [--resume]` —
-/// tensor-level schedule search through a dispatcher: in-process serial
-/// (default), a local thread pool, or a remote tuning farm. All three
-/// produce bit-identical databases at zero measurement noise. `--resume`
-/// skips workloads already present in the on-disk database under
-/// `UNIGPU_DB_DIR` and folds new results back into it.
+/// `unigpu tune <model> [--farm ADDR] [--resume]` — tensor-level schedule
+/// search through a dispatcher: in-process over the host's lanes (default)
+/// or a remote tuning farm. Both produce bit-identical databases at zero
+/// measurement noise. `--resume` skips workloads already present in the
+/// on-disk database under `UNIGPU_DB_DIR` and folds new results back into
+/// it.
 fn cmd_tune(args: &[String]) -> Result<(), CliError> {
     known_flags(
         args,
-        &[&[
-            "--platform",
-            "--trials",
-            "--jobs",
-            "--farm",
-            "--out",
-            "--resume",
-        ]],
+        &[&["--platform", "--trials", "--farm", "--out", "--resume"]],
     )?;
     let name = positional(args, "SqueezeNet1.0");
     let platform = platform_by_name(opt(args, "--platform")?.unwrap_or("deeplens"))?;
@@ -717,16 +709,14 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
     let g = model_by_name(name, &platform)?;
     let budget = TuningBudget { trials_per_workload: trials, ..Default::default() };
 
-    let jobs: Option<usize> = opt_num(args, "--jobs")?;
-    let dispatcher: Box<dyn Dispatcher> = match (opt(args, "--farm")?, jobs) {
+    let dispatcher: Box<dyn Dispatcher> = match opt(args, "--farm")? {
         // root the farm batch's trace in the graph fingerprint: the tracker's
         // per-lease spans stitch under it, and re-tuning the same graph
         // reproduces the same ids
-        (Some(addr), _) => Box::new(
+        Some(addr) => Box::new(
             FarmClient::new(addr).with_trace(TraceContext::from_seed(fingerprint(&g))),
         ),
-        (None, Some(n)) => Box::new(ThreadPoolDispatcher::new(n)),
-        (None, None) => Box::new(SerialDispatcher),
+        None => Box::new(LocalDispatcher),
     };
 
     let resume_path = device_db_path(&platform.gpu.name);
@@ -1110,7 +1100,7 @@ fn usage() -> CliError {
            profile <model> [--device deeplens|aisage|nano] [--trace out.json]\n\
                     [--tuned] [--trials N] [--fallback]\n\
            tune <model> [--platform P] [--trials N] [--out file.jsonl]\n\
-                    [--jobs N | --farm HOST:PORT] [--resume]\n\
+                    [--farm HOST:PORT] [--resume]\n\
            farm tracker [--listen ADDR] [--lease-ms N] [--retries N]\n\
                     [--port-file F] [--trace out.json]\n\
            farm worker --tracker ADDR [--device deeplens|aisage|nano] [--name N]\n\

@@ -118,12 +118,13 @@ fn dot_without_a_model_draws_the_default() {
 }
 
 /// A flag no command reads, a retired one among them, fails the run before
-/// it starts: `--x` was once ignored by `dot`, and `--bogus-flag 3` by
-/// `estimate`.
+/// it starts: `--x` was once ignored by `dot`, `--bogus-flag 3` by
+/// `estimate`, and `tune --jobs N` sized a thread pool the lanes replaced.
 #[test]
 fn every_command_rejects_an_unknown_flag() {
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 7] = [
         &["estimate", "SqueezeNet1.0", "--bogus-flag", "3"],
+        &["tune", "SqueezeNet1.0", "--jobs", "2"],
         &["dot", "--x"],
         &[
             "serve",
