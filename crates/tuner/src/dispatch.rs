@@ -226,17 +226,26 @@ mod tests {
         jobs.iter().map(|j| tune_one(j, spec, budget)).collect()
     }
 
+    /// `LocalDispatcher` on the lane pool against the serial `tune_one` loop.
     #[test]
-    fn local_dispatch_matches_the_tune_one_loop_at_every_job_count() {
+    fn thread_pool_matches_serial_bit_for_bit() {
         let spec = DeviceSpec::intel_hd505();
         let budget = TuningBudget { trials_per_workload: 16, ..Default::default() };
         let lanes = lanes();
-        // no job, one, fewer than the lanes, one more, and several runs per lane
-        for count in [0, 1, lanes - 1, lanes + 1, 3 * lanes + 1] {
+        // one job, fewer than the lanes, one more, and several runs per lane
+        for count in [1, lanes - 1, lanes + 1, 3 * lanes + 1] {
             let jobs = jobs_of(count);
             let local = LocalDispatcher.dispatch(&jobs, &spec, &budget).unwrap();
             assert_eq!(local, tune_each(&jobs, &spec, &budget), "{count} jobs, {lanes} lanes");
         }
+    }
+
+    #[test]
+    fn thread_pool_with_no_jobs_returns_no_outcomes() {
+        let spec = DeviceSpec::intel_hd505();
+        let budget = TuningBudget { trials_per_workload: 16, ..Default::default() };
+        let local = LocalDispatcher.dispatch(&[], &spec, &budget).unwrap();
+        assert!(local.is_empty(), "{} outcomes for no job", local.len());
     }
 
     #[test]
