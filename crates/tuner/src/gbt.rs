@@ -5,109 +5,99 @@
 //! trees. Targets are `log(cost)` in practice (the tuner's choice), which
 //! makes the ranking robust to the heavy right tail of bad schedules.
 //!
-//! Trees are grown with XGBoost's exact greedy method. [`Gbt::fit`] sorts
-//! every feature column once, by `(total_cmp` value, sample index`)`, and
-//! each level of each tree makes one pass over every sorted column. The
-//! pass hands each sample to its node's running sums (a `node_of` array
-//! names each sample's node), so a node sees its own samples in exactly the
-//! order a per-node stable sort would give. A column whose values are all
-//! `==` is dropped up front: no node could ever split on it.
+//! Trees are grown with XGBoost's exact greedy method, one level at a time.
+//! [`Gbt::fit`] sorts every feature column once, by `(total_cmp` value,
+//! sample index`)`; a column whose values are all `==` is dropped up front,
+//! since no node could ever split on it. Every node of the level being split
+//! owns one contiguous run of each column, holding its samples in that same
+//! order: the root's runs are the sorted columns themselves, and after each
+//! level that has a deeper one to scan, a stable two-cursor partition moves
+//! each split node's run into its children's, left before right, while the
+//! samples of settled leaves drop out. A node scans its runs four columns at
+//! a time with the left-side sums in locals, each column keeping its own
+//! best split against the node's bar; the columns' bests are then taken in
+//! ascending feature order by strict `<`, which picks the first minimum a
+//! running bar over the features in order would.
+//!
 //! A node evaluates the split between two neighbours whenever their values
-//! differ (`!=`), at the threshold `(a + b) / 2`, keeping a candidate only
-//! if it strictly beats the best so far, features in ascending order. Node
-//! totals accumulate in ascending sample order from `-0.0`, as
-//! `Iterator::sum` does over a node's sample list. Every floating-point
-//! operation of the classic recursive builder, which re-sorts each feature
-//! at each node, therefore happens here in the same order on the same
-//! operands, and the fitted ensemble is bit-identical to it (held by the
-//! oracle in this module's tests). Residuals are updated from the leaf each
-//! sample was routed to while the tree grew, by the same `x <= thresh`
-//! test `predict` walks.
+//! differ (`!=`), at the threshold `(a + b) / 2`, keeping a candidate only if
+//! it strictly beats the best so far. Node totals accumulate in ascending
+//! sample order from `-0.0`, as `Iterator::sum` does over a node's sample
+//! list. Every floating-point operation of the classic recursive builder,
+//! which re-sorts each feature at each node, therefore happens here in the
+//! same order on the same operands, and the fitted ensemble is bit-identical
+//! to it (held by the oracle in this module's tests). Residuals are updated
+//! from the leaf each sample was routed to while the tree grew, by the same
+//! `x <= thresh` test `predict` walks. All trees of an ensemble share one
+//! node arena.
 
-/// One node of a regression tree (indices into the arena).
+/// One node of a regression tree (indices into the ensemble's arena).
 #[derive(Debug, Clone)]
 enum TreeNode {
     Leaf(f64),
     Split { feature: usize, thresh: f64, left: usize, right: usize },
 }
 
-/// A depth-limited CART regression tree; node 0 is the root.
-#[derive(Debug, Clone)]
-pub(crate) struct RegressionTree {
-    nodes: Vec<TreeNode>,
+impl TreeNode {
+    fn value(&self) -> f64 {
+        match *self {
+            TreeNode::Leaf(v) => v,
+            TreeNode::Split { .. } => unreachable!("samples end in leaves"),
+        }
+    }
 }
 
-/// A node of the level being split: its totals and its best split so far,
-/// plus the scan state of the column being passed over.
+/// The value of the leaf that `x` reaches from `root`.
+fn walk(nodes: &[TreeNode], root: usize, x: &[f64]) -> f64 {
+    let mut cur = root;
+    loop {
+        match nodes[cur] {
+            TreeNode::Leaf(v) => return v,
+            TreeNode::Split { feature, thresh, left, right } => {
+                cur = if x[feature] <= thresh { left } else { right };
+            }
+        }
+    }
+}
+
+/// A node of a level: its totals and where its runs start.
 #[derive(Debug, Clone, Copy)]
 struct Open {
     count: usize,
     sum: f64,
     sq: f64,
-    splits: bool,
-    /// The sse a split must beat: the node's own less `1e-12`, then the
-    /// best split's.
-    bar: f64,
-    /// `(feature, thresh)` of the best split found.
-    best: Option<(usize, f64)>,
-    lsum: f64,
-    lsq: f64,
-    lcount: usize,
-    prev: Option<f64>,
+    /// Offset of the node's run within each column's slice of the level.
+    start: usize,
 }
 
 impl Open {
     /// A node no sample has reached yet; totals start from `-0.0`, as
     /// `Iterator::sum` does.
-    const EMPTY: Open = Open {
-        count: 0,
-        sum: -0.0,
-        sq: -0.0,
-        splits: false,
-        bar: 0.0,
-        best: None,
-        lsum: 0.0,
-        lsq: 0.0,
-        lcount: 0,
-        prev: None,
-    };
+    const EMPTY: Open = Open { count: 0, sum: -0.0, sq: -0.0, start: 0 };
 
-    /// The next sample of this node in the current column: evaluate the
-    /// split between it and the previous one, then move it to the left side.
-    fn scan(&mut self, feature: usize, x: f64, y: f64, min_leaf: usize) {
-        if let Some(prev) = self.prev {
-            if prev != x && self.lcount >= min_leaf && self.count - self.lcount >= min_leaf {
-                let lcount = self.lcount as f64;
-                let rsum = self.sum - self.lsum;
-                let rsq = self.sq - self.lsq;
-                let rcount = self.count as f64 - lcount;
-                let sse = (self.lsq - self.lsum * self.lsum / lcount) + (rsq - rsum * rsum / rcount);
-                if sse < self.bar {
-                    self.bar = sse;
-                    self.best = Some((feature, (prev + x) / 2.0));
-                }
-            }
-        }
-        self.lsum += y;
-        self.lsq += y * y;
-        self.lcount += 1;
-        self.prev = Some(x);
+    fn add(&mut self, y: f64) {
+        self.count += 1;
+        self.sum += y;
+        self.sq += y * y;
     }
 }
 
 /// Scratch for fitting trees on one sample set, reused by every tree.
 pub(crate) struct Workspace<'a, X> {
     xs: &'a [X],
-    /// The `k`th column, `columns[k * n..(k + 1) * n]`, holds feature
-    /// `features[k]` as `(value, sample)` sorted by `(total_cmp` value,
-    /// sample`)`. Features whose values are all `==` have no column.
-    columns: Vec<(f64, usize)>,
+    /// Three blocks of `features.len()` columns of `n` cells each. The first
+    /// holds feature `features[k]` as `(value, sample)` sorted by
+    /// `(total_cmp` value, sample`)` in its `k`th column; the other two take
+    /// turns holding the runs of the levels below the root.
+    cells: Vec<(f64, usize)>,
+    /// Features whose values are not all `==`, ascending.
     features: Vec<usize>,
     /// Arena index of the node each sample sits in; after a fit, its leaf.
     node_of: Vec<usize>,
     /// The nodes of the level being split, which are contiguous in the arena.
     open: Vec<Open>,
-    nodes: Vec<TreeNode>,
+    /// Their children, the next level.
+    kids: Vec<Open>,
 }
 
 impl<'a, X: AsRef<[f64]>> Workspace<'a, X> {
@@ -115,121 +105,223 @@ impl<'a, X: AsRef<[f64]>> Workspace<'a, X> {
     pub(crate) fn new(xs: &'a [X]) -> Self {
         let n = xs.len();
         let dim = xs.first().map_or(0, |x| x.as_ref().len());
-        let mut columns = Vec::with_capacity(dim * n);
+        let mut cells = Vec::with_capacity(3 * dim * n);
         let mut features = Vec::with_capacity(dim);
         for f in 0..dim {
-            let start = columns.len();
-            columns.extend(xs.iter().enumerate().map(|(s, x)| (x.as_ref()[f], s)));
-            let column = &mut columns[start..];
+            let start = cells.len();
+            cells.extend(xs.iter().enumerate().map(|(s, x)| (x.as_ref()[f], s)));
+            let column = &mut cells[start..];
             column.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             // No two neighbours differ: no node ever has a split to weigh here.
             if column.windows(2).all(|w| w[0].0 == w[1].0) {
-                columns.truncate(start);
+                cells.truncate(start);
             } else {
                 features.push(f);
             }
         }
-        Workspace { xs, columns, features, node_of: vec![0; n], open: Vec::new(), nodes: Vec::new() }
+        cells.resize(3 * cells.len(), (0.0, 0));
+        Workspace {
+            xs,
+            cells,
+            features,
+            node_of: vec![0; n],
+            open: Vec::with_capacity(n),
+            kids: Vec::with_capacity(n),
+        }
     }
-}
 
-impl RegressionTree {
-    /// Fit on every sample of `ws` by greedy variance reduction, one level
-    /// at a time.
-    pub(crate) fn fit<X: AsRef<[f64]>>(
-        ws: &mut Workspace<'_, X>,
-        ys: &[f64],
-        max_depth: usize,
-        min_leaf: usize,
-    ) -> Self {
-        let n = ws.node_of.len();
-        ws.nodes.clear();
-        ws.nodes.push(TreeNode::Leaf(0.0)); // the root, settled below
-        ws.node_of.fill(0);
-        ws.open.clear();
-        ws.open.push(Open::EMPTY);
-        // Arena index of `open[0]`.
-        let mut level = 0;
+    /// Grow one tree on every sample by greedy variance reduction, one level
+    /// at a time, appending its nodes to `nodes`; returns its root.
+    fn grow(&mut self, ys: &[f64], max_depth: usize, min_leaf: usize, nodes: &mut Vec<TreeNode>) -> usize {
+        let n = self.node_of.len();
+        let block = self.features.len() * n;
+        let (sorted, runs) = self.cells.split_at_mut(block);
+        let sorted = &*sorted;
+        let (mut runs, mut spare) = runs.split_at_mut(block);
+        let root = nodes.len();
+        nodes.push(TreeNode::Leaf(0.0)); // settled below
+        self.node_of.fill(root);
+        self.open.clear();
+        self.open.push(Open::EMPTY);
+        for &y in ys {
+            self.open[0].add(y);
+        }
+        // Arena index of `open[0]`, and whether its runs are `sorted` or `runs`.
+        let mut level = root;
+        let mut at_root = true;
         let mut depth = max_depth;
-        while !ws.open.is_empty() {
-            // A sample's index into `open`; one in a settled leaf wraps past its end.
-            let slot = |node: usize| node.wrapping_sub(level);
-            for (&node, &y) in ws.node_of.iter().zip(ys) {
-                if let Some(o) = ws.open.get_mut(slot(node)) {
-                    o.count += 1;
-                    o.sum += y;
-                    o.sq += y * y;
-                }
-            }
-            for o in &mut ws.open {
-                o.splits = depth > 0 && o.count >= 2 * min_leaf;
-                o.bar = o.sq - o.sum * o.sum / o.count as f64 - 1e-12;
-            }
-            if ws.open.iter().any(|o| o.splits) {
-                for (&f, column) in ws.features.iter().zip(ws.columns.chunks_exact(n)) {
-                    for o in &mut ws.open {
-                        (o.lsum, o.lsq, o.lcount, o.prev) = (0.0, 0.0, 0, None);
-                    }
-                    for &(x, s) in column {
-                        match ws.open.get_mut(slot(ws.node_of[s])) {
-                            Some(o) if o.splits => o.scan(f, x, ys[s], min_leaf),
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            // Settle this level; the children of its splits, appended in
-            // order, are the next.
-            let next = ws.nodes.len();
-            for (i, o) in ws.open.iter().enumerate() {
-                ws.nodes[level + i] = match o.best {
+        let splits = |o: &Open, depth: usize| depth > 0 && o.count >= 2 * min_leaf;
+        while !self.open.is_empty() {
+            let cols: &[(f64, usize)] = if at_root { sorted } else { &*runs };
+            let next = nodes.len();
+            for (i, o) in self.open.iter().enumerate() {
+                let best = if splits(o, depth) { best_split(cols, n, &self.features, o, ys, min_leaf) } else { None };
+                nodes[level + i] = match best {
                     None => TreeNode::Leaf(o.sum / o.count.max(1) as f64),
                     Some((feature, thresh)) => {
-                        let left = ws.nodes.len();
-                        ws.nodes.extend([TreeNode::Leaf(0.0), TreeNode::Leaf(0.0)]);
+                        let left = nodes.len();
+                        nodes.extend([TreeNode::Leaf(0.0), TreeNode::Leaf(0.0)]);
                         TreeNode::Split { feature, thresh, left, right: left + 1 }
                     }
                 };
             }
-            for (x, node) in ws.xs.iter().zip(&mut ws.node_of) {
-                if let TreeNode::Split { feature, thresh, left, right } = ws.nodes[*node] {
+            // Route the samples of this level's splits to the children,
+            // appended in order, which are the next level; their totals
+            // accumulate in ascending sample order.
+            self.kids.clear();
+            self.kids.resize(nodes.len() - next, Open::EMPTY);
+            for ((x, node), &y) in self.xs.iter().zip(&mut self.node_of).zip(ys) {
+                if let TreeNode::Split { feature, thresh, left, right } = nodes[*node] {
                     *node = if x.as_ref()[feature] <= thresh { left } else { right };
+                    self.kids[*node - next].add(y);
                 }
             }
-            ws.open.clear();
-            ws.open.resize(ws.nodes.len() - next, Open::EMPTY);
-            level = next;
+            let mut start = 0;
+            for kid in &mut self.kids {
+                kid.start = start;
+                start += kid.count;
+            }
             depth = depth.saturating_sub(1);
-        }
-        RegressionTree { nodes: ws.nodes.clone() }
-    }
-
-    fn leaf(&self, node: usize) -> f64 {
-        match self.nodes[node] {
-            TreeNode::Leaf(v) => v,
-            TreeNode::Split { .. } => unreachable!("samples end in leaves"),
-        }
-    }
-
-    /// Predict one sample.
-    pub(crate) fn predict(&self, x: &[f64]) -> f64 {
-        let mut cur = 0;
-        loop {
-            match &self.nodes[cur] {
-                TreeNode::Leaf(v) => return *v,
-                TreeNode::Split { feature, thresh, left, right } => {
-                    cur = if x[*feature] <= *thresh { *left } else { *right };
+            if self.kids.iter().any(|kid| splits(kid, depth)) {
+                for (k, col) in cols.chunks_exact(n).enumerate() {
+                    let out = &mut spare[k * n..(k + 1) * n];
+                    for (i, o) in self.open.iter().enumerate() {
+                        if let TreeNode::Split { left, .. } = nodes[level + i] {
+                            let run = &col[o.start..o.start + o.count];
+                            let kid = &self.kids[left - next];
+                            partition(run, &self.node_of, left, &mut out[kid.start..kid.start + o.count], kid.count);
+                        }
+                    }
                 }
+                std::mem::swap(&mut runs, &mut spare);
+                at_root = false;
             }
+            std::mem::swap(&mut self.open, &mut self.kids);
+            level = next;
+        }
+        root
+    }
+}
+
+/// Stable two-cursor partition of a split node's run into `out`: the samples
+/// routed to arena node `left` first, the rest after the first `lefts`.
+fn partition(run: &[(f64, usize)], node_of: &[usize], left: usize, out: &mut [(f64, usize)], lefts: usize) {
+    let (mut l, mut r) = (0, lefts);
+    for &cell in run {
+        let goes_left = node_of[cell.1] == left;
+        out[if goes_left { l } else { r }] = cell;
+        l += goes_left as usize;
+        r += !goes_left as usize;
+    }
+}
+
+/// The best split of a node, as `(feature, thresh)`, or `None` if no split
+/// beats the node's own sse by more than `1e-12`.
+fn best_split(
+    cols: &[(f64, usize)],
+    n: usize,
+    features: &[usize],
+    o: &Open,
+    ys: &[f64],
+    min_leaf: usize,
+) -> Option<(usize, f64)> {
+    let run = |k: usize| &cols[k * n + o.start..][..o.count];
+    let node_bar = o.sq - o.sum * o.sum / o.count as f64 - 1e-12;
+    let (mut bar, mut best) = (node_bar, None);
+    let mut take = |k: usize, (sse, at): (f64, usize)| {
+        if at > 0 && sse < bar {
+            bar = sse;
+            best = Some((features[k], (run(k)[at - 1].0 + run(k)[at].0) / 2.0));
+        }
+    };
+    // Four columns at a time, then the one to three left over.
+    let mut k = 0;
+    while k + 4 <= features.len() {
+        let [a, b, c, d] = scan([run(k), run(k + 1), run(k + 2), run(k + 3)], ys, o, node_bar, min_leaf);
+        take(k, a);
+        take(k + 1, b);
+        take(k + 2, c);
+        take(k + 3, d);
+        k += 4;
+    }
+    match features.len() - k {
+        3 => {
+            let [a, b, c] = scan([run(k), run(k + 1), run(k + 2)], ys, o, node_bar, min_leaf);
+            take(k, a);
+            take(k + 1, b);
+            take(k + 2, c);
+        }
+        2 => {
+            let [a, b] = scan([run(k), run(k + 1)], ys, o, node_bar, min_leaf);
+            take(k, a);
+            take(k + 1, b);
+        }
+        1 => {
+            let [a] = scan([run(k)], ys, o, node_bar, min_leaf);
+            take(k, a);
+        }
+        _ => {}
+    }
+    best
+}
+
+/// Scan `C` runs of one node side by side with the left-side sums in
+/// locals. Returns each run's best `(sse, at)`, the split before `run[at]`
+/// whose sse first reached the run's minimum below `bar`; `at == 0` if none.
+#[allow(clippy::needless_range_loop)] // `i` indexes all `C` runs in step, not `runs`
+fn scan<const C: usize>(runs: [&[(f64, usize)]; C], ys: &[f64], o: &Open, bar: f64, min_leaf: usize) -> [(f64, usize); C] {
+    let mut best = [(bar, 0); C];
+    // A split leaves at least `first` samples on either side.
+    let first = min_leaf.max(1);
+    if o.count < 2 * first {
+        return best;
+    }
+    let (count, sum, sq) = (o.count as f64, o.sum, o.sq);
+    // The last split leaves `first` samples on the right: no need to read them.
+    let end = o.count - first + 1;
+    let runs = runs.map(|run| &run[..end]);
+    let mut lsum = [0.0; C];
+    let mut lsq = [0.0; C];
+    for i in 0..first {
+        for c in 0..C {
+            let y = ys[runs[c][i].1];
+            lsum[c] += y;
+            lsq[c] += y * y;
         }
     }
+    let mut prev = runs.map(|run| run[first - 1].0);
+    for i in first..end {
+        let lcount = i as f64;
+        let rcount = count - lcount;
+        for c in 0..C {
+            let (x, s) = runs[c][i];
+            if prev[c] != x {
+                let rsum = sum - lsum[c];
+                let rsq = sq - lsq[c];
+                let sse = (lsq[c] - lsum[c] * lsum[c] / lcount) + (rsq - rsum * rsum / rcount);
+                // A select, not a branch: which candidate wins is data, and
+                // a mispredicted jump here cost more than the whole step.
+                let better = sse < best[c].0;
+                best[c].0 = if better { sse } else { best[c].0 };
+                best[c].1 = if better { i } else { best[c].1 };
+            }
+            prev[c] = x;
+            let y = ys[s];
+            lsum[c] += y;
+            lsq[c] += y * y;
+        }
+    }
+    best
 }
 
 /// Gradient-boosted ensemble.
 #[derive(Debug, Clone, Default)]
 pub struct Gbt {
     base: f64,
-    trees: Vec<RegressionTree>,
+    /// Every tree's nodes, tree after tree.
+    nodes: Vec<TreeNode>,
+    /// Arena index of each tree's root, in fitting order.
+    roots: Vec<usize>,
     learning_rate: f64,
 }
 
@@ -241,32 +333,32 @@ impl Gbt {
         let base = ys.iter().sum::<f64>() / ys.len() as f64;
         let mut residual: Vec<f64> = ys.iter().map(|&y| y - base).collect();
         let mut ws = Workspace::new(xs);
-        let mut trees = Vec::with_capacity(n_trees);
+        // A tree has at most `2^(depth + 1) - 1` nodes, and at most one leaf per sample.
+        let per_tree = (2 * xs.len() - 1).min(2usize.saturating_pow(depth as u32 + 1) - 1);
+        let mut nodes = Vec::with_capacity(n_trees * per_tree);
+        let mut roots = Vec::with_capacity(n_trees);
         for _ in 0..n_trees {
-            let tree = RegressionTree::fit(&mut ws, &residual, depth, 2);
+            roots.push(ws.grow(&residual, depth, 2, &mut nodes));
             for (r, &leaf) in residual.iter_mut().zip(&ws.node_of) {
-                *r -= lr * tree.leaf(leaf);
+                *r -= lr * nodes[leaf].value();
             }
-            trees.push(tree);
         }
-        Gbt { base, trees, learning_rate: lr }
+        Gbt { base, nodes, roots, learning_rate: lr }
     }
 
     /// Predict one sample.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        self.base
-            + self.learning_rate
-                * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
+        self.base + self.learning_rate * self.roots.iter().map(|&root| walk(&self.nodes, root, x)).sum::<f64>()
     }
 
     /// Number of trees fitted.
     pub fn len(&self) -> usize {
-        self.trees.len()
+        self.roots.len()
     }
 
     /// True if no trees were fitted.
     pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
+        self.roots.is_empty()
     }
 }
 
@@ -279,9 +371,16 @@ mod tests {
     fn single_tree_fits_a_step_function() {
         let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64]).collect();
         let ys: Vec<f64> = (0..40).map(|i| if i < 20 { 1.0 } else { 5.0 }).collect();
-        let t = RegressionTree::fit(&mut Workspace::new(&xs), &ys, 2, 2);
-        assert!((t.predict(&[3.0]) - 1.0).abs() < 1e-9);
-        assert!((t.predict(&[33.0]) - 5.0).abs() < 1e-9);
+        let t = tree(&xs, &ys, 2, 2);
+        assert!((t(&[3.0]) - 1.0).abs() < 1e-9);
+        assert!((t(&[33.0]) - 5.0).abs() < 1e-9);
+    }
+
+    /// One tree grown on every sample of `xs`, as a predictor.
+    fn tree(xs: &[Vec<f64>], ys: &[f64], max_depth: usize, min_leaf: usize) -> impl Fn(&[f64]) -> f64 {
+        let mut nodes = Vec::new();
+        let root = Workspace::new(xs).grow(ys, max_depth, min_leaf, &mut nodes);
+        move |x| walk(&nodes, root, x)
     }
 
     #[test]
@@ -408,7 +507,27 @@ mod tests {
         }
 
         fn predict(&self, x: &[f64]) -> f64 {
-            RegressionTree { nodes: self.nodes.clone() }.predict(x)
+            walk(&self.nodes, 0, x)
+        }
+
+        /// How many levels hold both a split and a leaf, and how many
+        /// splits have one child that splits again and one leaf.
+        fn shape(&self) -> (usize, usize) {
+            let (mut mixed, mut one_sided) = (0, 0);
+            let mut level = vec![0];
+            while !level.is_empty() {
+                let split = |&i: &usize| matches!(self.nodes[i], TreeNode::Split { .. });
+                mixed += (level.iter().any(split) && !level.iter().all(split)) as usize;
+                let mut next = Vec::new();
+                for &i in &level {
+                    if let TreeNode::Split { left, right, .. } = self.nodes[i] {
+                        one_sided += (split(&left) != split(&right)) as usize;
+                        next.extend([left, right]);
+                    }
+                }
+                level = next;
+            }
+            (mixed, one_sided)
         }
     }
 
@@ -479,51 +598,73 @@ mod tests {
         }
     }
 
+    /// Draw case `case`'s dataset of `n` samples, then fit one tree and a
+    /// small ensemble at a depth drawn from `depths` and compare them with
+    /// the oracle's, bit for bit, on the samples and on fresh queries.
+    /// Returns the oracle's tree.
+    fn check_against_oracle(case: u64, n: usize, depths: (usize, usize)) -> OracleTree {
+        let mut d = Draw(case.wrapping_mul(0xa076_1d64_78bd_642f));
+        let dim = d.int(1, 14);
+        let columns: Vec<Column> = (0..dim)
+            .map(|_| match d.int(0, 4) {
+                0 => Column::Continuous,
+                1 => Column::Levels(d.int(1, 6)),
+                2 => Column::Holes,
+                3 => Column::Edges,
+                _ => Column::Levels(d.int(2, 3)),
+            })
+            .collect();
+        let point = |d: &mut Draw| -> Vec<f64> { columns.iter().map(|&c| draw_value(d, c)).collect() };
+        let xs: Vec<Vec<f64>> = (0..n).map(|_| point(&mut d)).collect();
+        let queries: Vec<Vec<f64>> = (0..16).map(|_| point(&mut d)).collect();
+        let kind = d.int(0, 5);
+        let ys: Vec<f64> = (0..n).map(|_| draw_target(&mut d, kind)).collect();
+        let depth = d.int(depths.0, depths.1);
+        let min_leaf = d.int(1, 3);
+
+        let tree = tree(&xs, &ys, depth, min_leaf);
+        let idx: Vec<usize> = (0..n).collect();
+        let oracle_tree = OracleTree::fit(&xs, &ys, &idx, depth, min_leaf);
+        for x in xs.iter().chain(&queries) {
+            assert_eq!(
+                tree(x).to_bits(),
+                oracle_tree.predict(x).to_bits(),
+                "case {case}: tree (n {n}, dim {dim}, depth {depth}, min_leaf {min_leaf}) at {x:?}"
+            );
+        }
+
+        let n_trees = d.int(1, 6);
+        let lr = [0.25, 0.1, 1.0][d.int(0, 2)];
+        let model = Gbt::fit(&xs, &ys, n_trees, depth, lr);
+        let oracle = oracle_gbt(&xs, &ys, n_trees, depth, lr);
+        for x in xs.iter().chain(&queries) {
+            assert_eq!(
+                model.predict(x).to_bits(),
+                oracle(x).to_bits(),
+                "case {case}: ensemble (n {n}, dim {dim}, depth {depth}, {n_trees} trees) at {x:?}"
+            );
+        }
+        oracle_tree
+    }
+
     #[test]
     fn level_wise_fit_is_bit_identical_to_the_recursive_builder() {
         for case in 0..3000u64 {
-            let mut d = Draw(case.wrapping_mul(0xa076_1d64_78bd_642f));
-            let n = 1 + (case as usize % 130);
-            let dim = d.int(1, 14);
-            let columns: Vec<Column> = (0..dim)
-                .map(|_| match d.int(0, 4) {
-                    0 => Column::Continuous,
-                    1 => Column::Levels(d.int(1, 6)),
-                    2 => Column::Holes,
-                    3 => Column::Edges,
-                    _ => Column::Levels(d.int(2, 3)),
-                })
-                .collect();
-            let point = |d: &mut Draw| -> Vec<f64> { columns.iter().map(|&c| draw_value(d, c)).collect() };
-            let xs: Vec<Vec<f64>> = (0..n).map(|_| point(&mut d)).collect();
-            let queries: Vec<Vec<f64>> = (0..16).map(|_| point(&mut d)).collect();
-            let kind = d.int(0, 5);
-            let ys: Vec<f64> = (0..n).map(|_| draw_target(&mut d, kind)).collect();
-            let depth = d.int(0, 4);
-            let min_leaf = d.int(1, 3);
-
-            let tree = RegressionTree::fit(&mut Workspace::new(&xs), &ys, depth, min_leaf);
-            let idx: Vec<usize> = (0..n).collect();
-            let oracle = OracleTree::fit(&xs, &ys, &idx, depth, min_leaf);
-            for x in xs.iter().chain(&queries) {
-                assert_eq!(
-                    tree.predict(x).to_bits(),
-                    oracle.predict(x).to_bits(),
-                    "case {case}: tree (n {n}, dim {dim}, depth {depth}, min_leaf {min_leaf}) at {x:?}"
-                );
-            }
-
-            let n_trees = d.int(1, 6);
-            let lr = [0.25, 0.1, 1.0][d.int(0, 2)];
-            let model = Gbt::fit(&xs, &ys, n_trees, depth, lr);
-            let oracle = oracle_gbt(&xs, &ys, n_trees, depth, lr);
-            for x in xs.iter().chain(&queries) {
-                assert_eq!(
-                    model.predict(x).to_bits(),
-                    oracle(x).to_bits(),
-                    "case {case}: ensemble (n {n}, dim {dim}, depth {depth}, {n_trees} trees) at {x:?}"
-                );
-            }
+            check_against_oracle(case, 1 + (case as usize % 130), (0, 4));
         }
+    }
+
+    /// Deep trees on up to 260 samples: runs partitioned four and five
+    /// times, levels where some nodes split and others settle, and splits
+    /// with one child that splits again beside one that settles.
+    #[test]
+    fn deep_level_wise_fits_are_bit_identical_to_the_recursive_builder() {
+        let (mut mixed, mut one_sided) = (0, 0);
+        for case in 3000..3400u64 {
+            let (m, o) = check_against_oracle(case, 131 + (case as usize % 130), (5, 6)).shape();
+            mixed += m;
+            one_sided += o;
+        }
+        assert!(mixed >= 400 && one_sided >= 400, "{mixed} mixed levels, {one_sided} one-sided splits");
     }
 }

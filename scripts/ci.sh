@@ -577,13 +577,15 @@ echo "==> hot-path allocation gates"
 # hold the same lines per submit, per route and per frame. One compile_zoo
 # operation is a cold and a warm compile of one model on one platform, which
 # read no weight (crates/engine/tests/compile_bytes.rs). One tune_zoo
-# operation is one measured trial of the model-based search, whose surrogate
-# fit reuses one workspace per round. One exec_functional operation is one
+# operation is one measured trial of the model-based search: a refit every 16
+# trials allocates once per buffer, not once per tree, and most of the rest is
+# the kernel name each simulated measurement formats (crates/tuner/tests/
+# tune_allocs.rs pins a warm search). One exec_functional operation is one
 # warm SqueezeNet inference (it computes in the workspace the compiled model
 # keeps, and allocates only its returned Vec and the one tensor's shape and
 # data: 3) plus one pass of the four vision operators (24); the count repeats
 # exactly, and crates/engine/tests/run_allocs.rs pins the inference's share.
-for gate in serve_steady:4 fleet_wire:3 compile_zoo:7000 tune_zoo:16 exec_functional:27; do
+for gate in serve_steady:4 fleet_wire:3 compile_zoo:7000 tune_zoo:6 exec_functional:27; do
   workload=${gate%:*} alloc_budget=${gate#*:}
   allocs=$(bash benchmark/run.sh --workload "$workload" --seconds 3 --trace 0 \
     | sed -n 's/^allocs_per_op = \([0-9.eE+-]*\) count$/\1/p')
