@@ -193,7 +193,7 @@ impl Dispatcher for LocalDispatcher {
         // its `POOLED_MIN_WORK`, sized for kernels at 0.15–1 ns a unit so
         // that waking the workers (19 µs to break even) pays. A job is a
         // whole model-based search, milliseconds of GBT fits and
-        // measurements (about 1.4 ms at 128 trials on one lane), so it counts
+        // measurements (about 1.2 ms at 128 trials on one lane), so it counts
         // as unbounded work: any two jobs pool.
         dispatch_lanes(&mut outcomes, 1, usize::MAX, &mut [], |first, run, _: &mut [u8]| {
             for (outcome, job) in run.iter_mut().zip(&jobs[first..]) {

@@ -7,17 +7,19 @@
 //!
 //! Trees are grown with XGBoost's exact greedy method, one level at a time.
 //! [`Gbt::fit`] sorts every feature column once, by `(total_cmp` value,
-//! sample index`)`; a column whose values are all `==` is dropped up front,
-//! since no node could ever split on it. Every node of the level being split
-//! owns one contiguous run of each column, holding its samples in that same
-//! order: the root's runs are the sorted columns themselves, and after each
-//! level that has a deeper one to scan, a stable two-cursor partition moves
-//! each split node's run into its children's, left before right, while the
-//! samples of settled leaves drop out. A node scans its runs four columns at
-//! a time with the left-side sums in locals, each column keeping its own
-//! best split against the node's bar; the columns' bests are then taken in
-//! ascending feature order by strict `<`, which picks the first minimum a
-//! running bar over the features in order would.
+//! sample index`)`, and keeps each sample there with the class of its value
+//! among the column's `==` groups; a column whose values are all `==` is
+//! dropped up front, since no node could ever split on it. Every node of the
+//! level being split owns one contiguous run of each column, holding its
+//! samples in that same order: the root's runs are the sorted columns
+//! themselves, and after each level that has a deeper one to scan, a stable
+//! two-cursor partition moves each split node's run into its children's,
+//! left before right, while the samples of settled leaves drop out. A node
+//! scans its runs four columns at a time with the left-side sums in locals,
+//! each column keeping its own best split against the node's bar; the
+//! columns' bests are then taken in ascending feature order by strict `<`,
+//! which picks the first minimum a running bar over the features in order
+//! would.
 //!
 //! A node evaluates the split between two neighbours whenever their values
 //! differ (`!=`), at the threshold `(a + b) / 2`, keeping a candidate only if
@@ -60,6 +62,13 @@ fn walk(nodes: &[TreeNode], root: usize, x: &[f64]) -> f64 {
     }
 }
 
+/// A sample's place in a sorted column: `(class, sample)`. The first cell of
+/// a column has class 0, and each next one the class before it plus one if
+/// their values differ (`!=`). Two cells of a column hold `==` values exactly
+/// when their classes are equal (a `NaN` gets a class of its own, `-0.0`
+/// shares `0.0`'s), so a scan compares classes where it would compare values.
+type Cell = (u32, u32);
+
 /// A node of a level: its totals and where its runs start.
 #[derive(Debug, Clone, Copy)]
 struct Open {
@@ -86,10 +95,10 @@ impl Open {
 pub(crate) struct Workspace<'a, X> {
     xs: &'a [X],
     /// Three blocks of `features.len()` columns of `n` cells each. The first
-    /// holds feature `features[k]` as `(value, sample)` sorted by
-    /// `(total_cmp` value, sample`)` in its `k`th column; the other two take
-    /// turns holding the runs of the levels below the root.
-    cells: Vec<(f64, usize)>,
+    /// holds feature `features[k]`'s samples sorted by `(total_cmp` value,
+    /// sample`)` in its `k`th column; the other two take turns holding the
+    /// runs of the levels below the root.
+    cells: Vec<Cell>,
     /// Features whose values are not all `==`, ascending.
     features: Vec<usize>,
     /// Arena index of the node each sample sits in; after a fit, its leaf.
@@ -105,21 +114,28 @@ impl<'a, X: AsRef<[f64]>> Workspace<'a, X> {
     pub(crate) fn new(xs: &'a [X]) -> Self {
         let n = xs.len();
         let dim = xs.first().map_or(0, |x| x.as_ref().len());
+        assert!(u32::try_from(n).is_ok(), "a fit takes fewer than 2^32 samples");
         let mut cells = Vec::with_capacity(3 * dim * n);
         let mut features = Vec::with_capacity(dim);
+        let mut column: Vec<(f64, u32)> = Vec::with_capacity(n);
         for f in 0..dim {
-            let start = cells.len();
-            cells.extend(xs.iter().enumerate().map(|(s, x)| (x.as_ref()[f], s)));
-            let column = &mut cells[start..];
+            column.clear();
+            column.extend(xs.iter().zip(0..).map(|(x, s)| (x.as_ref()[f], s)));
             column.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let start = cells.len();
+            let mut class = 0;
+            cells.extend(column.iter().enumerate().map(|(i, &(x, s))| {
+                class += (i > 0 && column[i - 1].0 != x) as u32;
+                (class, s)
+            }));
             // No two neighbours differ: no node ever has a split to weigh here.
-            if column.windows(2).all(|w| w[0].0 == w[1].0) {
+            if class == 0 {
                 cells.truncate(start);
             } else {
                 features.push(f);
             }
         }
-        cells.resize(3 * cells.len(), (0.0, 0));
+        cells.resize(3 * cells.len(), (0, 0));
         Workspace {
             xs,
             cells,
@@ -152,10 +168,10 @@ impl<'a, X: AsRef<[f64]>> Workspace<'a, X> {
         let mut depth = max_depth;
         let splits = |o: &Open, depth: usize| depth > 0 && o.count >= 2 * min_leaf;
         while !self.open.is_empty() {
-            let cols: &[(f64, usize)] = if at_root { sorted } else { &*runs };
+            let cols: &[Cell] = if at_root { sorted } else { &*runs };
             let next = nodes.len();
             for (i, o) in self.open.iter().enumerate() {
-                let best = if splits(o, depth) { best_split(cols, n, &self.features, o, ys, min_leaf) } else { None };
+                let best = if splits(o, depth) { best_split(cols, n, &self.features, self.xs, o, ys, min_leaf) } else { None };
                 nodes[level + i] = match best {
                     None => TreeNode::Leaf(o.sum / o.count.max(1) as f64),
                     Some((feature, thresh)) => {
@@ -205,10 +221,10 @@ impl<'a, X: AsRef<[f64]>> Workspace<'a, X> {
 
 /// Stable two-cursor partition of a split node's run into `out`: the samples
 /// routed to arena node `left` first, the rest after the first `lefts`.
-fn partition(run: &[(f64, usize)], node_of: &[usize], left: usize, out: &mut [(f64, usize)], lefts: usize) {
+fn partition(run: &[Cell], node_of: &[usize], left: usize, out: &mut [Cell], lefts: usize) {
     let (mut l, mut r) = (0, lefts);
     for &cell in run {
-        let goes_left = node_of[cell.1] == left;
+        let goes_left = node_of[cell.1 as usize] == left;
         out[if goes_left { l } else { r }] = cell;
         l += goes_left as usize;
         r += !goes_left as usize;
@@ -217,10 +233,11 @@ fn partition(run: &[(f64, usize)], node_of: &[usize], left: usize, out: &mut [(f
 
 /// The best split of a node, as `(feature, thresh)`, or `None` if no split
 /// beats the node's own sse by more than `1e-12`.
-fn best_split(
-    cols: &[(f64, usize)],
+fn best_split<X: AsRef<[f64]>>(
+    cols: &[Cell],
     n: usize,
     features: &[usize],
+    xs: &[X],
     o: &Open,
     ys: &[f64],
     min_leaf: usize,
@@ -231,7 +248,8 @@ fn best_split(
     let mut take = |k: usize, (sse, at): (f64, usize)| {
         if at > 0 && sse < bar {
             bar = sse;
-            best = Some((features[k], (run(k)[at - 1].0 + run(k)[at].0) / 2.0));
+            let x = |i: usize| xs[run(k)[i].1 as usize].as_ref()[features[k]];
+            best = Some((features[k], (x(at - 1) + x(at)) / 2.0));
         }
     };
     // Four columns at a time, then the one to three left over.
@@ -269,7 +287,7 @@ fn best_split(
 /// locals. Returns each run's best `(sse, at)`, the split before `run[at]`
 /// whose sse first reached the run's minimum below `bar`; `at == 0` if none.
 #[allow(clippy::needless_range_loop)] // `i` indexes all `C` runs in step, not `runs`
-fn scan<const C: usize>(runs: [&[(f64, usize)]; C], ys: &[f64], o: &Open, bar: f64, min_leaf: usize) -> [(f64, usize); C] {
+fn scan<const C: usize>(runs: [&[Cell]; C], ys: &[f64], o: &Open, bar: f64, min_leaf: usize) -> [(f64, usize); C] {
     let mut best = [(bar, 0); C];
     // A split leaves at least `first` samples on either side.
     let first = min_leaf.max(1);
@@ -284,7 +302,7 @@ fn scan<const C: usize>(runs: [&[(f64, usize)]; C], ys: &[f64], o: &Open, bar: f
     let mut lsq = [0.0; C];
     for i in 0..first {
         for c in 0..C {
-            let y = ys[runs[c][i].1];
+            let y = ys[runs[c][i].1 as usize];
             lsum[c] += y;
             lsq[c] += y * y;
         }
@@ -294,8 +312,8 @@ fn scan<const C: usize>(runs: [&[(f64, usize)]; C], ys: &[f64], o: &Open, bar: f
         let lcount = i as f64;
         let rcount = count - lcount;
         for c in 0..C {
-            let (x, s) = runs[c][i];
-            if prev[c] != x {
+            let (class, s) = runs[c][i];
+            if prev[c] != class {
                 let rsum = sum - lsum[c];
                 let rsq = sq - lsq[c];
                 let sse = (lsq[c] - lsum[c] * lsum[c] / lcount) + (rsq - rsum * rsum / rcount);
@@ -305,8 +323,8 @@ fn scan<const C: usize>(runs: [&[(f64, usize)]; C], ys: &[f64], o: &Open, bar: f
                 best[c].0 = if better { sse } else { best[c].0 };
                 best[c].1 = if better { i } else { best[c].1 };
             }
-            prev[c] = x;
-            let y = ys[s];
+            prev[c] = class;
+            let y = ys[s as usize];
             lsum[c] += y;
             lsq[c] += y * y;
         }

@@ -15,7 +15,7 @@ use unigpu_device::DeviceSpec;
 use unigpu_ops::ConvWorkload;
 use unigpu_tuner::{tune_one, TuneJob, TuningBudget};
 
-const WARM_TUNE_ALLOCS: u64 = 616;
+const WARM_TUNE_ALLOCS: u64 = 623;
 
 struct Counting;
 
