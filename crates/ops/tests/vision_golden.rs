@@ -13,7 +13,10 @@
 mod common;
 
 use common::Rng;
-use unigpu_ops::vision::{box_nms, roi_align, segmented_argsort, NmsConfig};
+use unigpu_ops::vision::{
+    box_nms, multibox_detection, roi_align, segmented_argsort, yolo::yolo_detect, MultiboxConfig,
+    NmsConfig,
+};
 use unigpu_telemetry::hash::Fnv1a;
 use unigpu_tensor::Tensor;
 
@@ -96,6 +99,39 @@ fn rois(rng: &mut Rng) -> Tensor {
     Tensor::from_vec([ROIS, 5], rows)
 }
 
+/// Per-anchor class probabilities `[1, classes + 1, ANCHORS]` (each anchor's
+/// column sums to about one), box deltas and corner-form anchors.
+fn ssd_head(rng: &mut Rng) -> (Tensor, Tensor, Tensor) {
+    let per = CLASSES + 1;
+    let mut probs = vec![0.0; per * ANCHORS];
+    for a in 0..ANCHORS {
+        let raw: Vec<f32> = (0..per).map(|_| rng.float(0.0, 1.0)).collect();
+        let sum: f32 = raw.iter().sum();
+        for (c, p) in raw.iter().enumerate() {
+            probs[c * ANCHORS + a] = p / sum;
+        }
+    }
+    let loc = rng.tensor([1, ANCHORS * 4], -1.0, 1.0);
+    let anchors = boxes(rng).as_f32().chunks(6).flat_map(|r| r[2..].to_vec()).collect();
+    (
+        Tensor::from_vec([1, per, ANCHORS], probs),
+        loc,
+        Tensor::from_vec([1, ANCHORS, 4], anchors),
+    )
+}
+
+/// Yolov3's three heads at a 128² input: 4², 8² and 16² cells, three
+/// anchors of 5 + 80 channels each.
+const YOLO_CELLS: [usize; 3] = [4, 8, 16];
+
+fn yolo_anchors() -> Vec<Vec<(f32, f32)>> {
+    vec![
+        vec![(116.0, 90.0), (156.0, 198.0), (373.0, 326.0)],
+        vec![(30.0, 61.0), (62.0, 45.0), (59.0, 119.0)],
+        vec![(10.0, 13.0), (16.0, 30.0), (33.0, 23.0)],
+    ]
+}
+
 #[test]
 fn vision_outputs_match_the_golden() {
     let mut rng = Rng::new(2019);
@@ -105,6 +141,11 @@ fn vision_outputs_match_the_golden() {
     let boxes = boxes(&mut rng);
     let features = rng.tensor([1, 256, MAP, MAP], -1.0, 1.0);
     let rois = rois(&mut rng);
+    let (probs, loc, anchors) = ssd_head(&mut rng);
+    let feats: Vec<Tensor> = YOLO_CELLS
+        .iter()
+        .map(|&s| rng.tensor([1, 3 * 85, s, s], -3.0, 3.0))
+        .collect();
 
     let mut actual = String::new();
     for block in [64, 256] {
@@ -125,5 +166,11 @@ fn vision_outputs_match_the_golden() {
         "roi_align {ROIS}x256x7x7 {:016x}\n",
         tensor_digest(&roi_align(&features, &rois, 7, 1.0, 2))
     );
+    let detections = multibox_detection(&probs, &loc, &anchors, &MultiboxConfig::default());
+    actual += &format!("multibox_detection {ANCHORS}x{} {:016x}\n", CLASSES + 1, tensor_digest(&detections));
+    let yolo_nms = NmsConfig { iou_threshold: 0.45, valid_thresh: 0.3, topk: Some(400), force_suppress: false };
+    let parts: Vec<&Tensor> = feats.iter().collect();
+    let yolo = yolo_detect(&parts, &yolo_anchors(), &[32, 16, 8], 80, 0.3, &yolo_nms);
+    actual += &format!("yolo_detect 3x85 4/8/16 {:016x}\n", tensor_digest(&yolo));
     assert_eq!(actual, include_str!("golden/vision.digest"));
 }
