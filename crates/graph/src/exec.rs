@@ -2,23 +2,26 @@
 //!
 //! # Executor memory
 //!
-//! A run follows a [`MemoryPlan`] in a [`Workspace`]. Every operator with an
-//! in-place kernel (convolution, pooling, softmax, dense, add, activations,
-//! concats and the SSD head plumbing) writes its arena slot, which it
-//! overwrites whole: a convolution's plane taps zero their slot first, and
-//! its register tiles, like every other kernel, store every output. A slot is
-//! read only after the step that writes it in the same run, so a workspace
-//! may be reused with whatever an earlier run left in it. `DeviceCopy` and
-//! `Flatten` name their producer's slot, and a fire module's expand convs
-//! write straight into the two halves of their concat's slot. An operator
-//! with no in-place kernel keeps the tensor it returns in the workspace's
-//! table until its last reader has run. Weights stay in the graph, inputs
-//! with the caller, and the outputs are copied out at the end.
+//! A run follows a [`MemoryPlan`] in a [`Workspace`]. Every operator writes
+//! its arena slot, which it overwrites whole: a convolution's plane taps
+//! zero their slot first, the detectors mark every row invalid before they
+//! store their survivors, and every other kernel stores every output. A slot
+//! is read only after the step that writes it in the same run, so a
+//! workspace may be reused with whatever an earlier run left in it.
+//! `DeviceCopy` and `Flatten` name their producer's slot, and a value only a
+//! concat reads (a fire module's expand convs, an SSD prior, a YOLO
+//! upsample) is written straight into its range of the concat's slot. A
+//! convolution that strides or pads copies its input into a scratch slot,
+//! and the detectors decode their candidate rows into one. `YoloDetect`'s
+//! slot holds as many rows as there are anchor-cells; the workspace keeps
+//! how many candidates the run found, and the output is trimmed to
+//! `max(candidates, 1)` rows when it is copied out. Weights stay in the
+//! graph, inputs with the caller, and the outputs are copied out at the end.
 //!
 //! [`Executor::run`] and [`Executor::run_traced`] plan per call into a fresh
 //! workspace. [`Executor::run_planned`] takes both from its caller: a compiled
 //! model plans once and keeps one workspace, so that a warm inference
-//! allocates nothing but the tensors it returns.
+//! allocates nothing but the tensors it returns and what `box_nms` sorts.
 
 use crate::graph::Graph;
 use crate::memory::{is_concat, Loc, MemoryPlan, Step, Workspace};
@@ -115,36 +118,15 @@ struct Env<'a> {
     graph: &'a Graph,
     plan: &'a MemoryPlan,
     inputs: &'a [Tensor],
-    owned: &'a [Option<Tensor>],
     arena: Frozen<'a>,
 }
 
 impl<'a> Env<'a> {
-    /// The shape of node `id`'s value: a kept tensor's own, which for the
-    /// vision heads is smaller than the worst case shape inference gives.
-    fn shape(&self, id: usize) -> &'a Shape {
-        match self.plan.locs[id] {
-            Loc::Arena(_) => &self.plan.shapes[id],
-            _ if self.graph.nodes[id].op == OpKind::Flatten => &self.plan.shapes[id],
-            _ => self.tensor(id).shape(),
-        }
-    }
-
     fn data(&self, id: usize) -> &'a [f32] {
         match self.plan.locs[id] {
+            Loc::Input(k) => self.inputs[k].as_f32(),
+            Loc::Const(_) => self.constant(id).expect("a constant node").value().as_f32(),
             Loc::Arena(at) => self.arena.get(at, self.plan.shapes[id].numel()),
-            _ => self.tensor(id).as_f32(),
-        }
-    }
-
-    fn tensor(&self, id: usize) -> &'a Tensor {
-        match self.plan.locs[id] {
-            Loc::Input(k) => &self.inputs[k],
-            Loc::Const(_) => self.constant(id).expect("a constant node").value(),
-            Loc::Owned(r) => self.owned[r]
-                .as_ref()
-                .unwrap_or_else(|| panic!("node {id} read after its last use")),
-            Loc::Arena(_) => panic!("node {id} lives in the arena, not in a tensor"),
         }
     }
 
@@ -214,7 +196,7 @@ fn run_steps(
         inputs.len()
     );
     assert!(
-        ws.arena.len() == plan.arena_len() && ws.owned.len() == plan.locs.len(),
+        ws.arena.len() == plan.arena_len() && ws.rows.len() == plan.locs.len(),
         "a workspace for another plan"
     );
 
@@ -230,10 +212,9 @@ fn run_steps(
             graph,
             plan,
             inputs,
-            owned: &ws.owned,
             arena,
         };
-        let owned = match plan.steps[id] {
+        match plan.steps[id] {
             Step::Free => {
                 if let (OpKind::Input { shape }, Loc::Input(k)) = (&node.op, plan.locs[id]) {
                     assert_eq!(
@@ -243,29 +224,15 @@ fn run_steps(
                         node.name
                     );
                 }
-                None
             }
             Step::Write => {
-                compute_into(id, node, &env, scratch, out);
-                None
-            }
-            Step::Own => Some(compute_owned(id, node, &env, scratch)),
-        };
-        let dims = recorder.map(|_| {
-            let shape = owned.as_ref().map_or_else(|| env.shape(id), Tensor::shape);
-            format!("{:?}", shape.dims())
-        });
-        if let Some(t) = owned {
-            ws.owned[id] = Some(t);
-        }
-        for &i in &node.inputs {
-            if let Loc::Owned(r) = plan.locs[i] {
-                if plan.last_use[r] == id {
-                    ws.owned[r] = None;
+                if let Some(rows) = compute_into(id, node, &env, scratch, out) {
+                    ws.rows[id] = rows;
                 }
             }
         }
-        if let (Some(r), Some((start_us, started)), Some(dims)) = (recorder, span_clock, dims) {
+        if let (Some(r), Some((start_us, started))) = (recorder, span_clock) {
+            let dims = format!("{:?}", value_shape(graph, plan, &ws.rows, id).dims());
             r.record(unigpu_telemetry::SpanRecord {
                 name: node.name.clone(),
                 category: "op".into(),
@@ -283,23 +250,44 @@ fn run_steps(
         graph,
         plan,
         inputs,
-        owned: &ws.owned,
         arena,
     };
-    let outputs = graph
+    graph
         .outputs
         .iter()
-        .map(|&o| Tensor::from_vec(env.shape(o).clone(), env.data(o).to_vec()))
-        .collect();
-    ws.owned.iter_mut().for_each(|t| *t = None);
-    outputs
+        .map(|&o| {
+            let shape = value_shape(graph, plan, &ws.rows, o);
+            let data = env.data(o)[..shape.numel()].to_vec();
+            Tensor::from_vec(shape, data)
+        })
+        .collect()
 }
 
-/// Computes node `id` into `out`, which it overwrites whole.
-fn compute_into(id: usize, node: &Node, env: &Env<'_>, scratch: &mut [f32], out: &mut [f32]) {
+/// The shape of node `id`'s value: shape inference's, but a `YoloDetect`'s
+/// (or a copy of it) has the `max(candidates, 1)` rows its step found.
+fn value_shape(graph: &Graph, plan: &MemoryPlan, rows: &[usize], id: usize) -> Shape {
+    let mut src = id;
+    while graph.nodes[src].op == OpKind::DeviceCopy {
+        src = graph.nodes[src].inputs[0];
+    }
+    match graph.nodes[src].op {
+        OpKind::YoloDetect { .. } => Shape::from([1, rows[src].max(1), 6]),
+        _ => plan.shapes[id].clone(),
+    }
+}
+
+/// Computes node `id` into `out`, which it overwrites whole, and returns
+/// how many rows it found if that depends on the data.
+fn compute_into(
+    id: usize,
+    node: &Node,
+    env: &Env<'_>,
+    scratch: &mut [f32],
+    out: &mut [f32],
+) -> Option<usize> {
     let shapes = &env.plan.shapes;
     let get = |i: usize| env.data(node.inputs[i]);
-    let shape = |i: usize| env.shape(node.inputs[i]);
+    let shape = |i: usize| &shapes[node.inputs[i]];
     match &node.op {
         OpKind::Conv2d { w, bias, act } => {
             // A constant weight, every model's, is checked once and not per run.
@@ -315,6 +303,10 @@ fn compute_into(id: usize, node: &Node, env: &Env<'_>, scratch: &mut [f32], out:
                 *act,
             );
         }
+        OpKind::BatchNorm { eps } => {
+            let (_, _, h, w) = shape(0).nchw();
+            nn::batch_norm_into(get(0), h * w, [get(1), get(2), get(3), get(4)], *eps, out)
+        }
         OpKind::Act(a) => {
             out.copy_from_slice(get(0));
             act_inplace(out, *a);
@@ -329,7 +321,7 @@ fn compute_into(id: usize, node: &Node, env: &Env<'_>, scratch: &mut [f32], out:
                 if !env.plan.in_place[i] {
                     nn::concat_channels_into(env.data(i), n, offset, total, out);
                 }
-                offset += env.shape(i).numel() / n;
+                offset += shapes[i].numel() / n;
             }
         }
         OpKind::MaxPool { k, s, p } => {
@@ -342,39 +334,31 @@ fn compute_into(id: usize, node: &Node, env: &Env<'_>, scratch: &mut [f32], out:
         OpKind::Dense { bias, .. } => {
             nn::dense_into(get(0), get(1), shape(0).dim(1), bias.then(|| get(2)), out)
         }
-        OpKind::Flatten => out.copy_from_slice(get(0)),
         OpKind::Softmax => {
             nn::softmax_into(get(0), shapes[id].dims().last().copied().unwrap_or(1), out)
         }
+        OpKind::UpsampleNearest { scale } => {
+            nn::upsample_nearest_into(get(0), shape(0).nchw(), *scale, out)
+        }
         OpKind::FlattenHead => flatten_head_into(get(0), shape(0).nchw(), out),
         OpKind::ClsProbs { classes } => cls_probs_into(get(0), shape(0).dims(), *classes, out),
-        op => unreachable!("`{}` has no in-place kernel", op.name()),
-    }
-}
-
-/// The tensor node `id` keeps: what an operator with no in-place kernel
-/// returns, or an in-place kernel's output in a tensor of its own.
-fn compute_owned(id: usize, node: &Node, env: &Env<'_>, scratch: &mut [f32]) -> Tensor {
-    let get = |i: usize| env.tensor(node.inputs[i]);
-    match &node.op {
-        OpKind::BatchNorm { eps } => nn::batch_norm(get(0), get(1), get(2), get(3), get(4), *eps),
-        OpKind::AvgPool { k, s, p } => nn::avg_pool2d(get(0), *k, *s, *p),
-        OpKind::UpsampleNearest { scale } => nn::upsample_nearest(get(0), *scale),
         OpKind::MultiboxPrior { sizes, ratios } => {
-            let (_, _, h, w) = env.shape(node.inputs[0]).nchw();
-            vision::multibox_prior(h, w, sizes, ratios)
+            let (_, _, h, w) = shape(0).nchw();
+            vision::multibox_prior_into(h, w, sizes, ratios, out)
         }
-        OpKind::MultiboxDetection { cfg } => vision::multibox_detection(get(0), get(1), get(2), cfg),
+        OpKind::MultiboxDetection { cfg } => {
+            vision::multibox_detection(get(0), get(1), get(2), cfg, scratch, out)
+        }
         OpKind::YoloDetect { anchors, strides, classes, conf, nms } => {
-            let parts: Vec<&Tensor> = (0..node.inputs.len()).map(get).collect();
-            vision::yolo::yolo_detect(&parts, anchors, strides, *classes, *conf, nms)
+            let scales = anchors.iter().zip(strides).enumerate().map(|(k, (a, &stride))| {
+                let (_, _, h, w) = shape(k).nchw();
+                vision::YoloScale { feat: get(k), hw: (h, w), anchors: a, stride }
+            });
+            return Some(vision::yolo_detect(scales, *classes, *conf, nms, scratch, out));
         }
-        _ => {
-            let mut t = Tensor::zeros(env.plan.shapes[id].clone());
-            compute_into(id, node, env, scratch, t.as_f32_mut());
-            t
-        }
+        op => unreachable!("`{}` is no step's to compute", op.name()),
     }
+    None
 }
 
 /// `NCHW → [N, H·W·C]`: transpose to NHWC then flatten (SSD head layout, so

@@ -142,7 +142,7 @@ fn infer_one(op: &OpKind, ins: &[&Shape], name: &str, id: usize) -> Shape {
             }
             Shape::from([n, c, h, w])
         }
-        OpKind::MaxPool { k, s, p } | OpKind::AvgPool { k, s, p } => {
+        OpKind::MaxPool { k, s, p } => {
             let (n, c, h, w) = ins[0].nchw();
             Shape::from([n, c, (h + 2 * p - k) / s + 1, (w + 2 * p - k) / s + 1])
         }

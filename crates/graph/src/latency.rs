@@ -146,7 +146,7 @@ fn op_profiles(
         | OpKind::ConcatFlat
         | OpKind::ConcatAnchors
         | OpKind::UpsampleNearest { .. } => vec![eltwise_profile(op.name(), out_n, 0.0)],
-        OpKind::MaxPool { k, .. } | OpKind::AvgPool { k, .. } => {
+        OpKind::MaxPool { k, .. } => {
             vec![pool_profile(op.name(), out_n, k * k)]
         }
         OpKind::GlobalAvgPool => {

@@ -4,23 +4,28 @@
 //! [`Graph::infer_shapes`] and [`Graph::consumers`], and gives every node a
 //! [`Loc`]:
 //!
-//! * an operator whose kernel writes into a caller's buffer gets a slot in one
-//!   `f32` arena, live from the step that first writes it to the last step
-//!   that reads it (a graph output stays live to the end);
+//! * every operator writes its value into a slot of one `f32` arena, live
+//!   from the step that first writes it to the last step that reads it (a
+//!   graph output stays live to the end);
 //! * `DeviceCopy` (integrated GPUs share DRAM with the CPU) and `Flatten`
 //!   (a reshape) name their producer's slot and cost nothing;
 //! * a concat along axis 1 at batch 1 (`Concat`, `ConcatFlat`,
 //!   `ConcatAnchors`) is one contiguous run per input, so each input that
-//!   only the concat reads and that writes into the arena is computed
-//!   straight into its range of the concat's slot: a fire module's
-//!   `expand1x1` and `expand3x3` write the two halves of its concat, which
-//!   then copies nothing;
-//! * a convolution that strides or pads gets a scratch slot, live for its own
-//!   step, for its padded (or phase-split) input copy;
-//! * an operator with no in-place kernel (the vision heads, `UpsampleNearest`,
-//!   …) keeps the tensor it returns, and so does every value such an operator
-//!   reads: it takes `&Tensor`s. Graph inputs and constants stay where they
-//!   are.
+//!   only the concat reads is computed straight into its range of the
+//!   concat's slot: a fire module's `expand1x1` and `expand3x3` write the two
+//!   halves of its concat, SSD's priors their runs of the anchor list and
+//!   YOLO's upsamples the front of their route concat, which then copy
+//!   nothing;
+//! * an operator that needs working memory gets a scratch slot, live for its
+//!   own step: a convolution that strides or pads for its padded (or
+//!   phase-split) input copy, `MultiboxDetection` and `YoloDetect` for their
+//!   candidate rows;
+//! * graph inputs and constants stay where they are.
+//!
+//! `YoloDetect` finds as many candidates as its data has: its slot holds
+//! shape inference's worst case, one row per anchor-cell, and the
+//! [`Workspace`] keeps the count a run found, by which the executor trims the
+//! value when it copies it out.
 //!
 //! Offsets come from greedy placement: the slots are placed largest size
 //! class first and in start order within a class, each at the best-fitting
@@ -30,7 +35,7 @@
 use crate::graph::{Graph, NodeId};
 use crate::node::OpKind;
 use unigpu_ops::conv::conv2d_scratch_len;
-use unigpu_tensor::{Shape, Tensor};
+use unigpu_tensor::Shape;
 
 /// Slot sizes and offsets are multiples of this many floats (64 bytes).
 const ALIGN: usize = 16;
@@ -47,8 +52,6 @@ pub(crate) enum Loc {
     Const(NodeId),
     /// `arena[offset..offset + numel]`.
     Arena(usize),
-    /// The tensor kept for the node with this id in [`Workspace`]'s table.
-    Owned(NodeId),
 }
 
 /// What a node's step does.
@@ -58,40 +61,6 @@ pub(crate) enum Step {
     Free,
     /// Write the value into its arena slot.
     Write,
-    /// Compute a tensor and keep it in the workspace's table.
-    Own,
-}
-
-/// How an operator reads its inputs.
-#[derive(PartialEq)]
-enum Reads {
-    /// Flat buffers, wherever they live.
-    Slices,
-    /// `&Tensor`s, so none of its inputs may live in the arena.
-    Tensors,
-    /// Only their shapes.
-    Shapes,
-}
-
-fn reads(op: &OpKind) -> Reads {
-    match op {
-        OpKind::BatchNorm { .. }
-        | OpKind::AvgPool { .. }
-        | OpKind::UpsampleNearest { .. }
-        | OpKind::MultiboxDetection { .. }
-        | OpKind::YoloDetect { .. } => Reads::Tensors,
-        OpKind::MultiboxPrior { .. } => Reads::Shapes,
-        _ => Reads::Slices,
-    }
-}
-
-/// Whether the executor computes `op` into a buffer it is given.
-fn writes_into(op: &OpKind) -> bool {
-    reads(op) == Reads::Slices
-        && !matches!(
-            op,
-            OpKind::Input { .. } | OpKind::Constant(_) | OpKind::DeviceCopy | OpKind::Flatten
-        )
 }
 
 /// The concats along axis 1, which are one contiguous run per input at
@@ -101,6 +70,18 @@ pub(crate) fn is_concat(op: &OpKind) -> bool {
         op,
         OpKind::Concat | OpKind::ConcatFlat | OpKind::ConcatAnchors
     )
+}
+
+/// Floats of working memory `op` needs during its own step, beside its
+/// output of `shape`.
+fn scratch_len(op: &OpKind, shape: &Shape) -> usize {
+    match op {
+        // The worst case: weights that turn out finite or not.
+        OpKind::Conv2d { w, .. } => conv2d_scratch_len(w, true).max(conv2d_scratch_len(w, false)),
+        // One candidate row per output row.
+        OpKind::MultiboxDetection { .. } | OpKind::YoloDetect { .. } => shape.numel(),
+        _ => 0,
+    }
 }
 
 /// One arena slot: `len` floats live over steps `first..=last`.
@@ -132,24 +113,22 @@ pub struct MemoryPlan {
     /// Per node: whether it writes straight into its consumer concat's slot,
     /// so that the concat skips it.
     pub(crate) in_place: Vec<bool>,
-    /// Per convolution step: the arena offset and length of its scratch.
+    /// Per step: the arena offset and length of its scratch, if it has one.
     pub(crate) scratch: Vec<Option<(usize, usize)>>,
-    /// Per owned value: the last step that reads it (`nodes.len()` for an
-    /// output), after which the workspace drops it.
-    pub(crate) last_use: Vec<usize>,
     arena_len: usize,
     /// The arena slots and their offsets.
     slots: Vec<(Slot, usize)>,
 }
 
-/// The buffers one run computes into: the arena and the table of kept
-/// tensors. Made by [`MemoryPlan::workspace`] and reusable across runs of
-/// the graph the plan was made for. No run reads a value an earlier run left
-/// behind: every step overwrites its whole slot before any step reads it.
+/// The buffers one run computes into: the arena, and per node the rows a
+/// `YoloDetect` found. Made by [`MemoryPlan::workspace`] and reusable across
+/// runs of the graph the plan was made for. No run reads a value an earlier
+/// run left behind: every step overwrites its whole slot (and its count)
+/// before any step reads it.
 #[derive(Debug)]
 pub struct Workspace {
     pub(crate) arena: Vec<f32>,
-    pub(crate) owned: Vec<Option<Tensor>>,
+    pub(crate) rows: Vec<usize>,
 }
 
 impl MemoryPlan {
@@ -164,26 +143,14 @@ impl MemoryPlan {
         let end = nodes.len();
         let is_output = |id: NodeId| graph.outputs.contains(&id);
 
-        // Which values some consumer reads as a `&Tensor` (a copy passes the
-        // need on to its producer), in reverse order so consumers come first.
-        let mut tensor = vec![false; end];
-        for (id, node) in nodes.iter().enumerate().rev() {
-            if reads(&node.op) == Reads::Tensors || (node.op == OpKind::DeviceCopy && tensor[id]) {
-                node.inputs.iter().for_each(|&i| tensor[i] = true);
-            }
-        }
-
         // Steps, and the node whose storage each node's value is.
         let mut steps = Vec::with_capacity(end);
         let mut root: Vec<NodeId> = Vec::with_capacity(end);
         for (id, node) in nodes.iter().enumerate() {
-            let aliases =
-                node.op == OpKind::DeviceCopy || (node.op == OpKind::Flatten && !tensor[id]);
             let (step, r) = match &node.op {
-                _ if aliases => (Step::Free, root[node.inputs[0]]),
+                OpKind::DeviceCopy | OpKind::Flatten => (Step::Free, root[node.inputs[0]]),
                 OpKind::Input { .. } | OpKind::Constant(_) => (Step::Free, id),
-                op if writes_into(op) && !tensor[id] => (Step::Write, id),
-                _ => (Step::Own, id),
+                _ => (Step::Write, id),
             };
             steps.push(step);
             root.push(r);
@@ -193,7 +160,7 @@ impl MemoryPlan {
         // float offsets.
         let mut host: Vec<Option<(NodeId, usize)>> = vec![None; end];
         for (id, node) in nodes.iter().enumerate() {
-            if !is_concat(&node.op) || steps[id] != Step::Write || shapes[id].dim(0) != 1 {
+            if !is_concat(&node.op) || shapes[id].dim(0) != 1 {
                 continue;
             }
             let mut offset = 0;
@@ -210,14 +177,14 @@ impl MemoryPlan {
         }
 
         // The last step reading each storage node.
-        let mut last_use: Vec<usize> = (0..end).collect();
+        let mut last_read: Vec<usize> = (0..end).collect();
         for (id, node) in nodes.iter().enumerate() {
             for &i in &node.inputs {
-                last_use[root[i]] = last_use[root[i]].max(id);
+                last_read[root[i]] = last_read[root[i]].max(id);
             }
         }
         for &o in &graph.outputs {
-            last_use[root[o]] = end;
+            last_read[root[o]] = end;
         }
 
         // One slot per written value not hosted by a concat, then one per
@@ -231,7 +198,7 @@ impl MemoryPlan {
                 slots.push(Slot {
                     len,
                     first: id,
-                    last: last_use[id],
+                    last: last_read[id],
                 });
             }
         }
@@ -243,17 +210,14 @@ impl MemoryPlan {
         }
         let mut scratch_slot = vec![None; end];
         for (id, node) in nodes.iter().enumerate() {
-            if let (OpKind::Conv2d { w, .. }, Step::Write | Step::Own) = (&node.op, steps[id]) {
-                // The worst case: weights that turn out finite or not.
-                let len = conv2d_scratch_len(w, true).max(conv2d_scratch_len(w, false));
-                if len > 0 {
-                    scratch_slot[id] = Some(slots.len());
-                    slots.push(Slot {
-                        len: len.next_multiple_of(ALIGN),
-                        first: id,
-                        last: id,
-                    });
-                }
+            let len = scratch_len(&node.op, &shapes[id]);
+            if steps[id] == Step::Write && len > 0 {
+                scratch_slot[id] = Some(slots.len());
+                slots.push(Slot {
+                    len: len.next_multiple_of(ALIGN),
+                    first: id,
+                    last: id,
+                });
             }
         }
 
@@ -268,17 +232,16 @@ impl MemoryPlan {
         let input_ids = graph.input_ids();
         let mut locs: Vec<Loc> = Vec::with_capacity(end);
         for (id, node) in nodes.iter().enumerate() {
-            let loc = match (&node.op, steps[id]) {
-                (_, Step::Free) if root[id] != id => locs[root[id]],
-                (OpKind::Input { .. }, _) => {
+            let loc = match &node.op {
+                _ if root[id] != id => locs[root[id]],
+                OpKind::Input { .. } => {
                     Loc::Input(input_ids.iter().position(|&i| i == id).expect("an input"))
                 }
-                (OpKind::Constant(_), _) => Loc::Const(id),
-                (_, Step::Write) => match host[id] {
+                OpKind::Constant(_) => Loc::Const(id),
+                _ => match host[id] {
                     Some((c, at)) => Loc::Arena(offsets[slot_of[c]] + at),
                     None => Loc::Arena(offsets[slot_of[id]]),
                 },
-                _ => Loc::Owned(id),
             };
             locs.push(loc);
         }
@@ -293,7 +256,6 @@ impl MemoryPlan {
                 .iter()
                 .map(|s| s.map(|s: usize| (offsets[s], slots[s].len)))
                 .collect(),
-            last_use,
             arena_len,
             slots: slots.into_iter().zip(offsets).collect(),
         }
@@ -321,7 +283,7 @@ impl MemoryPlan {
     pub fn workspace(&self) -> Workspace {
         Workspace {
             arena: vec![0.0; self.arena_len],
-            owned: vec![None; self.locs.len()],
+            rows: vec![0; self.locs.len()],
         }
     }
 }
@@ -369,17 +331,20 @@ mod tests {
     use crate::node::Activation;
     use crate::Executor;
     use unigpu_ops::conv::conv2d_ref;
-    use unigpu_ops::nn;
+    use unigpu_ops::vision::MultiboxConfig;
+    use unigpu_ops::{nn, vision};
     use unigpu_ops::ConvWorkload;
     use unigpu_telemetry::hash::SplitMix64;
     use unigpu_tensor::init::random_uniform;
+    use unigpu_tensor::Tensor;
 
     fn shape(c: usize, hw: usize) -> Shape {
         Shape::from([1, c, hw, hw])
     }
 
     /// A random DAG over `[1, C, 6, 6]` values: convs, adds, activations,
-    /// concats, pools, copies and flattens, with some values read by many
+    /// batch norms over constant parameters, concats (some of an upsampled
+    /// pool), pools, copies and flattens, with some values read by many
     /// nodes and some marked as outputs.
     fn random_dag(seed: u64) -> Graph {
         let mut rng = SplitMix64::new(seed);
@@ -392,7 +357,7 @@ mod tests {
             let (a, ca) = values[rng.below(values.len())];
             let (b, cb) = values[rng.below(values.len())];
             let name = format!("n{n}");
-            let (id, c) = match rng.below(7) {
+            let (id, c) = match rng.below(9) {
                 0 | 1 => {
                     let oc = 1 + rng.below(4);
                     let (k, p) = if rng.chance(0.5) { (1, 0) } else { (3, 1) };
@@ -419,6 +384,20 @@ mod tests {
                 3 => (g.add(OpKind::Concat, vec![a, b], name), ca + cb),
                 4 => (g.add(OpKind::Act(Activation::Sigmoid), vec![a], name), ca),
                 5 => (g.add(OpKind::DeviceCopy, vec![a], name), ca),
+                6 => {
+                    let mut params = vec![a];
+                    for (k, lo) in [0.5, -0.5, -0.5, 0.1].into_iter().enumerate() {
+                        let mut t = random_uniform([ca], seed * 4 + k as u64);
+                        t.map_inplace(|v| v + lo);
+                        params.push(g.add(OpKind::constant(t), vec![], "bn"));
+                    }
+                    (g.add(OpKind::BatchNorm { eps: 1e-3 }, params, name), ca)
+                }
+                7 => {
+                    let pool = g.add(OpKind::MaxPool { k: 2, s: 2, p: 0 }, vec![a], "pool");
+                    let up = g.add(OpKind::UpsampleNearest { scale: 2 }, vec![pool], "up");
+                    (g.add(OpKind::Concat, vec![up, b], name), ca + cb)
+                }
                 _ => (
                     g.add(OpKind::MaxPool { k: 3, s: 1, p: 1 }, vec![a], name),
                     ca,
@@ -459,45 +438,43 @@ mod tests {
         }
     }
 
-    /// Every node of `g` through the `Tensor`-returning kernels, each value
+    /// Every node of `g` through its kernel into a fresh tensor, each value
     /// kept to the end: what the planned run must compute.
     fn per_node_oracle(g: &Graph, input: &Tensor) -> Vec<Tensor> {
+        let shapes = g.infer_shapes();
         let mut values: Vec<Tensor> = Vec::new();
-        for node in &g.nodes {
+        for (id, node) in g.nodes.iter().enumerate() {
             let get = |i: usize| &values[node.inputs[i]];
-            let value = match &node.op {
-                OpKind::Input { .. } => input.clone(),
-                OpKind::Constant(c) => c.value().clone(),
-                OpKind::Conv2d { w, .. } => nn::relu(&conv2d_ref(get(0), get(1), w)),
-                OpKind::Add => nn::add(get(0), get(1)),
+            let data = |i: usize| get(i).as_f32();
+            let mut t = Tensor::zeros(shapes[id].clone());
+            match &node.op {
+                OpKind::Input { .. } => t = input.clone(),
+                OpKind::Constant(c) => t = c.value().clone(),
+                OpKind::Conv2d { w, .. } => t = nn::relu(&conv2d_ref(get(0), get(1), w)),
+                OpKind::Add => t = nn::add(get(0), get(1)),
                 OpKind::Concat => {
-                    let (a, b) = (get(0), get(1));
-                    let mut t = Tensor::zeros(g.infer_shapes()[values.len()].clone());
                     let total = t.numel();
-                    nn::concat_channels_into(a.as_f32(), 1, 0, total, t.as_f32_mut());
-                    nn::concat_channels_into(b.as_f32(), 1, a.numel(), total, t.as_f32_mut());
-                    t
+                    nn::concat_channels_into(data(0), 1, 0, total, t.as_f32_mut());
+                    nn::concat_channels_into(data(1), 1, get(0).numel(), total, t.as_f32_mut());
                 }
-                OpKind::Act(_) => nn::sigmoid(get(0)),
-                OpKind::DeviceCopy => get(0).clone(),
+                OpKind::Act(_) => t = nn::sigmoid(get(0)),
+                OpKind::DeviceCopy => t = get(0).clone(),
+                OpKind::BatchNorm { eps } => {
+                    let params = [data(1), data(2), data(3), data(4)];
+                    nn::batch_norm_into(data(0), 36, params, *eps, t.as_f32_mut())
+                }
                 OpKind::MaxPool { k, s, p } => {
-                    let mut t = Tensor::zeros(get(0).shape().clone()); // 3/1/1 keeps the shape
-                    nn::max_pool2d_into(
-                        get(0).as_f32(),
-                        get(0).shape().nchw(),
-                        *k,
-                        *s,
-                        *p,
-                        t.as_f32_mut(),
-                    );
-                    t
+                    nn::max_pool2d_into(data(0), get(0).shape().nchw(), *k, *s, *p, t.as_f32_mut())
                 }
-                OpKind::GlobalAvgPool => nn::global_avg_pool(get(0)),
-                OpKind::Flatten => nn::flatten(get(0)),
-                OpKind::Softmax => nn::softmax(get(0)),
+                OpKind::UpsampleNearest { scale } => {
+                    nn::upsample_nearest_into(data(0), get(0).shape().nchw(), *scale, t.as_f32_mut())
+                }
+                OpKind::GlobalAvgPool => t = nn::global_avg_pool(get(0)),
+                OpKind::Flatten => t = nn::flatten(get(0)),
+                OpKind::Softmax => t = nn::softmax(get(0)),
                 op => unreachable!("{}", op.name()),
-            };
-            values.push(value);
+            }
+            values.push(t);
         }
         g.outputs.iter().map(|&o| values[o].clone()).collect()
     }
@@ -525,10 +502,6 @@ mod tests {
                 bits(&again),
                 bits(&want),
                 "seed {seed}, NaN-filled workspace"
-            );
-            assert!(
-                ws.owned.iter().all(Option::is_none),
-                "seed {seed}: a run keeps no tensor"
             );
         }
     }
@@ -582,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn values_read_as_tensors_are_kept_and_not_planned() {
+    fn upsample_lives_in_the_arena_and_writes_its_concat() {
         let mut g = Graph::new("up");
         let x = g.add(OpKind::Input { shape: shape(2, 4) }, vec![], "x");
         let y = g.add(OpKind::Input { shape: shape(3, 8) }, vec![], "y");
@@ -593,18 +566,96 @@ mod tests {
         let cat = g.add(OpKind::Concat, vec![up, b], "cat");
         g.mark_output(cat);
         let plan = MemoryPlan::new(&g);
-        assert_eq!(
-            plan.locs[a],
-            Loc::Owned(a),
-            "upsample reads a tensor through the copy"
-        );
-        assert_eq!(plan.locs[copy], Loc::Owned(a));
-        assert_eq!(plan.locs[up], Loc::Owned(up), "no in-place kernel");
-        assert!(
-            !plan.in_place[up] && plan.in_place[b],
-            "only the arena-backed input is hosted"
-        );
+        let Loc::Arena(at) = plan.locs[cat] else {
+            panic!("the concat lives in the arena")
+        };
+        assert!(matches!(plan.locs[a], Loc::Arena(_)), "upsample's input");
+        assert_eq!(plan.locs[copy], plan.locs[a]);
+        assert_eq!(plan.locs[up], Loc::Arena(at), "upsample writes the concat's front");
+        assert_eq!(plan.locs[b], Loc::Arena(at + 2 * 64));
+        assert!(plan.in_place[up] && plan.in_place[b], "the concat hosts both");
         assert_eq!((plan.locs[x], plan.locs[y]), (Loc::Input(0), Loc::Input(1)));
-        assert_eq!(plan.last_use[a], up);
+        // relu, then the concat from upsample on
+        assert_eq!(plan.slots.len(), 2);
+    }
+
+    /// An SSD head at batch 1: two priors into their anchor concat, class
+    /// probabilities from raw scores, and the detection over both. The
+    /// probabilities are an output too.
+    fn ssd_head() -> (Graph, [NodeId; 3]) {
+        let mut g = Graph::new("ssd-head");
+        let f1 = g.add(OpKind::Input { shape: shape(4, 3) }, vec![], "f1");
+        let f2 = g.add(OpKind::Input { shape: shape(4, 2) }, vec![], "f2");
+        let (sizes, ratios) = (vec![0.2, 0.4], vec![1.0, 2.0, 0.5]);
+        let prior = |g: &mut Graph, f, name: &str| {
+            let op = OpKind::MultiboxPrior { sizes: sizes.clone(), ratios: ratios.clone() };
+            g.add(op, vec![f], name)
+        };
+        let p1 = prior(&mut g, f1, "p1");
+        let p2 = prior(&mut g, f2, "p2");
+        let anchors = g.add(OpKind::ConcatAnchors, vec![p1, p2], "anchors");
+        let scores = g.add(OpKind::Input { shape: Shape::from([1, 52 * 3]) }, vec![], "scores");
+        let probs = g.add(OpKind::ClsProbs { classes: 2 }, vec![scores], "probs");
+        let loc = g.add(OpKind::Input { shape: Shape::from([1, 52 * 4]) }, vec![], "loc");
+        let loc_gpu = g.add(OpKind::DeviceCopy, vec![loc], "loc.gpu");
+        let det = g.add(
+            OpKind::MultiboxDetection { cfg: MultiboxConfig::default() },
+            vec![probs, loc_gpu, anchors],
+            "det",
+        );
+        g.mark_output(det);
+        g.mark_output(probs);
+        (g, [p1, p2, det])
+    }
+
+    #[test]
+    fn an_ssd_head_plans_its_priors_into_their_concat_and_reruns_bit_for_bit() {
+        let (g, [p1, p2, det]) = ssd_head();
+        let plan = MemoryPlan::new(&g);
+        assert!(plan.in_place[p1] && plan.in_place[p2], "the priors write the anchor list");
+        assert!(
+            plan.scratch[det].is_some_and(|(_, len)| len >= 52 * 6),
+            "the detection decodes into its scratch"
+        );
+        let signed = |shape: [usize; 2], seed| {
+            let mut t = random_uniform(shape, seed);
+            t.map_inplace(|v| 4.0 * v - 2.0);
+            t
+        };
+        let inputs = |seed| {
+            [
+                random_uniform([1, 4, 3, 3], seed),
+                random_uniform([1, 4, 2, 2], seed + 1),
+                signed([1, 52 * 3], seed + 2),
+                signed([1, 52 * 4], seed + 3),
+            ]
+        };
+        let mut inputs = [inputs(5), inputs(1)];
+        // every third anchor is sure background in the run that counts
+        for a in (0..52).step_by(3) {
+            inputs[1][2].as_f32_mut()[a * 3] = 20.0;
+        }
+        let mut ws = plan.workspace();
+        // a run where those anchors are candidates leaves its rows behind
+        Executor.run_planned(&g, &plan, &mut ws, &inputs[0]);
+        let inputs = &inputs[1];
+        let first = Executor.run_planned(&g, &plan, &mut ws, inputs);
+        let kept = first[0].as_f32().chunks(6).filter(|r| r[0] >= 0.0).count();
+        assert!((1..35).contains(&kept), "{kept} detections");
+        ws.arena.fill(f32::NAN);
+        let again = Executor.run_planned(&g, &plan, &mut ws, inputs);
+        assert_eq!(bits(&again), bits(&first), "NaN-filled workspace");
+
+        // the same kernels on fresh buffers
+        let mut anchors = vec![0.0; 52 * 4];
+        let (a1, a2) = anchors.split_at_mut(36 * 4);
+        vision::multibox_prior_into(3, 3, &[0.2, 0.4], &[1.0, 2.0, 0.5], a1);
+        vision::multibox_prior_into(2, 2, &[0.2, 0.4], &[1.0, 2.0, 0.5], a2);
+        let mut want = Tensor::zeros([1, 52, 6]);
+        let mut scratch = vec![0.0; 52 * 6];
+        let cfg = MultiboxConfig::default();
+        let (p, l) = (first[1].as_f32(), inputs[3].as_f32());
+        vision::multibox_detection(p, l, &anchors, &cfg, &mut scratch, want.as_f32_mut());
+        assert_eq!(bits(&first[..1]), bits(&[want]));
     }
 }

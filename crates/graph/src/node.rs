@@ -160,7 +160,6 @@ pub enum OpKind {
     /// Channel concat over `NCHW` inputs.
     Concat,
     MaxPool { k: usize, s: usize, p: usize },
-    AvgPool { k: usize, s: usize, p: usize },
     GlobalAvgPool,
     /// Fully connected; inputs `(data, weight[, bias])`.
     Dense { units: usize, bias: bool },
@@ -210,7 +209,6 @@ impl OpKind {
             OpKind::Add => "add",
             OpKind::Concat => "concat",
             OpKind::MaxPool { .. } => "max_pool",
-            OpKind::AvgPool { .. } => "avg_pool",
             OpKind::GlobalAvgPool => "global_avg_pool",
             OpKind::Dense { .. } => "dense",
             OpKind::Flatten => "flatten",

@@ -69,23 +69,30 @@ pub fn concat_channels_into(part: &[f32], n: usize, offset: usize, total: usize,
 }
 
 /// Nearest-neighbour spatial upsampling by an integer factor (YOLOv3 feature
-/// pyramid).
-pub fn upsample_nearest(x: &Tensor, scale: usize) -> Tensor {
+/// pyramid) of the `NCHW` input `x` of extents `nchw` into `out`.
+///
+/// # Panics
+/// Panics if `scale` is 0 or a buffer's length disagrees with the extents.
+pub fn upsample_nearest_into(
+    x: &[f32],
+    (n, c, h, w): (usize, usize, usize, usize),
+    scale: usize,
+    out: &mut [f32],
+) {
     assert!(scale >= 1);
-    let (n, c, h, w) = x.shape().nchw();
     let (oh, ow) = (h * scale, w * scale);
-    let xs = x.as_f32();
-    let mut out = Tensor::zeros([n, c, oh, ow]);
-    let o = out.as_f32_mut();
-    for p in 0..n * c {
-        for ohi in 0..oh {
-            let hi = ohi / scale;
-            for owi in 0..ow {
-                o[(p * oh + ohi) * ow + owi] = xs[(p * h + hi) * w + owi / scale];
+    assert!(
+        x.len() == n * c * h * w && out.len() == n * c * oh * ow,
+        "upsample length mismatch"
+    );
+    for (o, x) in out.chunks_exact_mut(oh * ow).zip(x.chunks_exact(h * w)) {
+        for (ohi, row) in o.chunks_exact_mut(ow).enumerate() {
+            let src = &x[ohi / scale * w..][..w];
+            for (owi, v) in row.iter_mut().enumerate() {
+                *v = src[owi / scale];
             }
         }
     }
-    out
 }
 
 /// Flatten `NCHW → N×(CHW)` for the classifier head.
@@ -164,7 +171,8 @@ mod tests {
     #[test]
     fn upsample_replicates_pixels() {
         let x = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = upsample_nearest(&x, 2);
+        let mut y = Tensor::zeros([1, 1, 4, 4]);
+        upsample_nearest_into(x.as_f32(), x.shape().nchw(), 2, y.as_f32_mut());
         assert_eq!(y.shape().dims(), &[1, 1, 4, 4]);
         assert_eq!(y.at(&[0, 0, 0, 0]), 1.0);
         assert_eq!(y.at(&[0, 0, 0, 1]), 1.0);

@@ -2,33 +2,30 @@
 
 use unigpu_tensor::Tensor;
 
-/// Inference batch norm over `NCHW`:
-/// `y = gamma · (x - mean) / sqrt(var + eps) + beta`.
-pub fn batch_norm(
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    mean: &Tensor,
-    var: &Tensor,
-    eps: f32,
-) -> Tensor {
-    let (n, c, h, w) = x.shape().nchw();
-    for t in [gamma, beta, mean, var] {
-        assert_eq!(t.numel(), c, "BN parameter length mismatch");
-    }
-    let (g, b, m, v) = (gamma.as_f32(), beta.as_f32(), mean.as_f32(), var.as_f32());
-    let scale: Vec<f32> = (0..c).map(|i| g[i] / (v[i] + eps).sqrt()).collect();
-    let shift: Vec<f32> = (0..c).map(|i| b[i] - m[i] * scale[i]).collect();
-    let mut out = x.clone();
-    let plane = h * w;
-    let o = out.as_f32_mut();
-    for p in 0..n * c {
+/// Inference batch norm of `NCHW` data `x`, in planes of `plane` floats,
+/// into `out`: `y = gamma · (x - mean) / sqrt(var + eps) + beta`, with the
+/// channel count that of the four `[gamma, beta, mean, var]` parameters.
+///
+/// # Panics
+/// Panics if a parameter's length differs from the others', or `x` and
+/// `out` are not whole planes of every channel.
+pub fn batch_norm_into(x: &[f32], plane: usize, params: [&[f32]; 4], eps: f32, out: &mut [f32]) {
+    let [g, b, m, v] = params;
+    let c = g.len();
+    assert!(params.iter().all(|p| p.len() == c), "BN parameter length mismatch");
+    assert!(
+        x.len() == out.len() && x.len().is_multiple_of(c * plane),
+        "BN data of {} floats is not whole planes of {c} channels",
+        x.len()
+    );
+    for (p, (o, x)) in out.chunks_exact_mut(plane).zip(x.chunks_exact(plane)).enumerate() {
         let ci = p % c;
-        for q in &mut o[p * plane..(p + 1) * plane] {
-            *q = *q * scale[ci] + shift[ci];
+        let scale = g[ci] / (v[ci] + eps).sqrt();
+        let shift = b[ci] - m[ci] * scale;
+        for (o, &x) in o.iter_mut().zip(x) {
+            *o = x * scale + shift;
         }
     }
-    out
 }
 
 /// Fold an inference batch norm into the preceding convolution's weights and
@@ -101,15 +98,24 @@ mod tests {
     use unigpu_tensor::init::random_uniform;
     use unigpu_tensor::{allclose, Tensor};
 
+    fn batch_norm(x: &Tensor, params: [&Tensor; 4], eps: f32) -> Tensor {
+        let (_, _, h, w) = x.shape().nchw();
+        let mut y = Tensor::zeros(x.shape().clone());
+        batch_norm_into(x.as_f32(), h * w, params.map(Tensor::as_f32), eps, y.as_f32_mut());
+        y
+    }
+
     #[test]
     fn bn_normalizes_channel() {
         let x = Tensor::from_vec([1, 1, 1, 4], vec![1.0, 2.0, 3.0, 4.0]);
         let y = batch_norm(
             &x,
-            &Tensor::full([1], 1.0),
-            &Tensor::zeros([1]),
-            &Tensor::full([1], 2.5),
-            &Tensor::full([1], 1.25),
+            [
+                &Tensor::full([1], 1.0),
+                &Tensor::zeros([1]),
+                &Tensor::full([1], 2.5),
+                &Tensor::full([1], 1.25),
+            ],
             0.0,
         );
         // (x - 2.5)/sqrt(1.25): symmetric around 0
@@ -133,7 +139,7 @@ mod tests {
         };
         let eps = 1e-5;
 
-        let unfused = batch_norm(&conv2d_ref(&data, &wt, &w), &gamma, &beta, &mean, &var, eps);
+        let unfused = batch_norm(&conv2d_ref(&data, &wt, &w), [&gamma, &beta, &mean, &var], eps);
         let (wf, bf) = fold_batch_norm(&wt, None, &gamma, &beta, &mean, &var, eps);
         let fused = bias_add(&conv2d_ref(&data, &wf, &w), &bf);
         assert!(

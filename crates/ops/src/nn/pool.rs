@@ -3,50 +3,6 @@
 use unigpu_device::dispatch_lanes;
 use unigpu_tensor::Tensor;
 
-fn pool2d(
-    x: &Tensor,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-    init: f32,
-    step: impl Fn(f32, f32) -> f32,
-    finish: impl Fn(f32, usize) -> f32,
-) -> Tensor {
-    let (n, c, h, w) = x.shape().nchw();
-    let oh = (h + 2 * pad - kernel) / stride + 1;
-    let ow = (w + 2 * pad - kernel) / stride + 1;
-    let xs = x.as_f32();
-    let mut out = Tensor::zeros([n, c, oh, ow]);
-    let o = out.as_f32_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * h * w;
-            for ohi in 0..oh {
-                for owi in 0..ow {
-                    let mut acc = init;
-                    let mut count = 0usize;
-                    for kh in 0..kernel {
-                        let hi = (ohi * stride + kh) as isize - pad as isize;
-                        if hi < 0 || hi >= h as isize {
-                            continue;
-                        }
-                        for kw in 0..kernel {
-                            let wi = (owi * stride + kw) as isize - pad as isize;
-                            if wi < 0 || wi >= w as isize {
-                                continue;
-                            }
-                            acc = step(acc, xs[base + hi as usize * w + wi as usize]);
-                            count += 1;
-                        }
-                    }
-                    o[((ni * c + ci) * oh + ohi) * ow + owi] = finish(acc, count);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Max pooling of the `NCHW` input `x` of extents `nchw` into `out`, which
 /// is overwritten whole. Padding is zero-excluded: it never wins the max, and
 /// the window simply shrinks at borders, matching MXNet/GluonCV semantics. A
@@ -154,17 +110,6 @@ fn reach_rows(pr: usize, kernel: usize, stride: usize, outs: usize) -> (usize, u
     (first, (pr / stride + 1).min(outs).max(first))
 }
 
-/// Average pooling, excluding padding from the divisor.
-pub fn avg_pool2d(x: &Tensor, kernel: usize, stride: usize, pad: usize) -> Tensor {
-    pool2d(x, kernel, stride, pad, 0.0, |a, v| a + v, |acc, count| {
-        if count == 0 {
-            0.0
-        } else {
-            acc / count as f32
-        }
-    })
-}
-
 /// Global average pooling: `NCHW → NC11`.
 pub fn global_avg_pool(x: &Tensor) -> Tensor {
     let (n, c, h, w) = x.shape().nchw();
@@ -231,8 +176,36 @@ mod tests {
     /// The scalar loop `max_pool2d_into` must reproduce: every in-bounds tap in
     /// `(kh, kw)` order into `acc.max(tap)` from `-∞`, `0.0` for no tap.
     fn max_pool_scalar(x: &Tensor, kernel: usize, stride: usize, pad: usize) -> Tensor {
-        let finish = |acc, count| if count == 0 { 0.0 } else { acc };
-        pool2d(x, kernel, stride, pad, f32::NEG_INFINITY, f32::max, finish)
+        let (n, c, h, w) = x.shape().nchw();
+        let oh = (h + 2 * pad - kernel) / stride + 1;
+        let ow = (w + 2 * pad - kernel) / stride + 1;
+        let xs = x.as_f32();
+        let mut out = Tensor::zeros([n, c, oh, ow]);
+        let o = out.as_f32_mut();
+        for p in 0..n * c {
+            for ohi in 0..oh {
+                for owi in 0..ow {
+                    let mut acc = f32::NEG_INFINITY;
+                    let mut count = 0usize;
+                    for kh in 0..kernel {
+                        let hi = (ohi * stride + kh) as isize - pad as isize;
+                        if hi < 0 || hi >= h as isize {
+                            continue;
+                        }
+                        for kw in 0..kernel {
+                            let wi = (owi * stride + kw) as isize - pad as isize;
+                            if wi < 0 || wi >= w as isize {
+                                continue;
+                            }
+                            acc = acc.max(xs[(p * h + hi as usize) * w + wi as usize]);
+                            count += 1;
+                        }
+                    }
+                    o[(p * oh + ohi) * ow + owi] = if count == 0 { 0.0 } else { acc };
+                }
+            }
+        }
+        out
     }
 
     /// Mostly `[-1, 1)`, else ±0, subnormals, ±∞ or NaN.
@@ -304,14 +277,6 @@ mod tests {
             assert_eq!(v, if inside { f32::NEG_INFINITY } else { 0.0 }, "({r}, {c})");
         }
         assert_eq!(bits(&y), bits(&max_pool_scalar(&x, 1, 1, 2)));
-    }
-
-    #[test]
-    fn avg_pool_excludes_padding_from_divisor() {
-        let x = Tensor::from_vec([1, 1, 2, 2], vec![4.0, 4.0, 4.0, 4.0]);
-        // 3x3 window with pad 1 at corner covers 4 real cells → avg must be 4.
-        let y = avg_pool2d(&x, 3, 1, 1);
-        assert_eq!(y.at(&[0, 0, 0, 0]), 4.0);
     }
 
     #[test]

@@ -9,8 +9,9 @@ pub mod scan;
 pub mod sort;
 pub mod yolo;
 
-pub use multibox::{multibox_detection, multibox_prior, MultiboxConfig};
+pub use multibox::{multibox_detection, multibox_prior_into, MultiboxConfig};
 pub use nms::{box_nms, iou, NmsConfig};
 pub use roi_align::roi_align;
 pub use scan::prefix_sum;
 pub use sort::segmented_argsort;
+pub use yolo::{yolo_detect, YoloScale};

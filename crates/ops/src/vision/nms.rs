@@ -71,12 +71,28 @@ pub fn box_nms(boxes: &Tensor, cfg: &NmsConfig) -> Tensor {
     let dims = boxes.shape().dims();
     assert_eq!(dims.len(), 3, "box_nms expects [batch, n, 6]");
     assert_eq!(dims[2], 6, "box rows are (class, score, x1, y1, x2, y2)");
-    let (batch, n) = (dims[0], dims[1]);
-    let src = boxes.as_f32();
+    let mut out = Tensor::zeros(boxes.shape().clone());
+    box_nms_into(boxes.as_f32(), dims[0], cfg, out.as_f32_mut());
+    out
+}
+
+/// [`box_nms`] of `batch` images of `n` rows each into `out`, which holds
+/// `m >= n` rows per image: each image's survivors go to the first of its
+/// rows in score order, and every other row is `-1`.
+///
+/// # Panics
+/// Panics if either buffer is not `batch` images of whole rows, or `out`'s
+/// images are shorter than `boxes`'.
+pub(crate) fn box_nms_into(boxes: &[f32], batch: usize, cfg: &NmsConfig, out: &mut [f32]) {
+    let image = |len: usize| {
+        assert!(len.is_multiple_of(6 * batch), "{len} floats are not {batch} images of 6-float rows");
+        len / (6 * batch)
+    };
+    let (n, m) = (image(boxes.len()), image(out.len()));
+    assert!(n <= m, "{n} boxes per image do not fit in {m} output rows");
 
     // Divergence-free init: everything starts invalid.
-    let mut out = Tensor::full([batch, n, 6], -1.0);
-    let o = out.as_f32_mut();
+    out.fill(-1.0);
 
     // Gather valid candidates per batch and sort them all with ONE segmented
     // sort launch (scores flattened, one segment per image).
@@ -87,7 +103,7 @@ pub fn box_nms(boxes: &Tensor, cfg: &NmsConfig) -> Tensor {
     offsets.push(0);
     for b in 0..batch {
         for i in 0..n {
-            let (cls, score, _) = row(&src[b * n * 6..], i);
+            let (cls, score, _) = row(&boxes[b * n * 6..], i);
             if cls >= 0.0 && score > cfg.valid_thresh {
                 flat_scores.push(score);
                 flat_ids.push(i);
@@ -108,7 +124,7 @@ pub fn box_nms(boxes: &Tensor, cfg: &NmsConfig) -> Tensor {
         if let Some(k) = cfg.topk {
             order.truncate(k);
         }
-        let bsrc = &src[b * n * 6..(b + 1) * n * 6];
+        let bsrc = &boxes[b * n * 6..(b + 1) * n * 6];
         let mut suppressed = vec![false; order.len()];
         let mut emit = 0usize;
         for i in 0..order.len() {
@@ -117,7 +133,7 @@ pub fn box_nms(boxes: &Tensor, cfg: &NmsConfig) -> Tensor {
             }
             let (cls_i, _, box_i) = row(bsrc, order[i]);
             // Accept candidate i.
-            let dst = &mut o[(b * n + emit) * 6..(b * n + emit) * 6 + 6];
+            let dst = &mut out[(b * m + emit) * 6..(b * m + emit) * 6 + 6];
             dst.copy_from_slice(&bsrc[order[i] * 6..order[i] * 6 + 6]);
             emit += 1;
             // Thread-per-candidate suppression sweep (data-parallel on GPU).
@@ -134,7 +150,6 @@ pub fn box_nms(boxes: &Tensor, cfg: &NmsConfig) -> Tensor {
             }
         }
     }
-    out
 }
 
 /// Profiles for the optimized `box_nms`: segmented-sort launches plus one

@@ -14,8 +14,8 @@ mod common;
 
 use common::Rng;
 use unigpu_ops::vision::{
-    box_nms, multibox_detection, roi_align, segmented_argsort, yolo::yolo_detect, MultiboxConfig,
-    NmsConfig,
+    box_nms, multibox_detection, roi_align, segmented_argsort, yolo_detect, MultiboxConfig,
+    NmsConfig, YoloScale,
 };
 use unigpu_telemetry::hash::Fnv1a;
 use unigpu_tensor::Tensor;
@@ -166,11 +166,21 @@ fn vision_outputs_match_the_golden() {
         "roi_align {ROIS}x256x7x7 {:016x}\n",
         tensor_digest(&roi_align(&features, &rois, 7, 1.0, 2))
     );
-    let detections = multibox_detection(&probs, &loc, &anchors, &MultiboxConfig::default());
+    let mut detections = Tensor::zeros([1, ANCHORS, 6]);
+    let mut scratch = vec![f32::NAN; ANCHORS * 6];
+    let (p, l, a) = (probs.as_f32(), loc.as_f32(), anchors.as_f32());
+    multibox_detection(p, l, a, &MultiboxConfig::default(), &mut scratch, detections.as_f32_mut());
     actual += &format!("multibox_detection {ANCHORS}x{} {:016x}\n", CLASSES + 1, tensor_digest(&detections));
     let yolo_nms = NmsConfig { iou_threshold: 0.45, valid_thresh: 0.3, topk: Some(400), force_suppress: false };
-    let parts: Vec<&Tensor> = feats.iter().collect();
-    let yolo = yolo_detect(&parts, &yolo_anchors(), &[32, 16, 8], 80, 0.3, &yolo_nms);
+    let anchors = yolo_anchors();
+    let scales = feats.iter().zip(&anchors).zip([32, 16, 8]).map(|((f, a), stride)| {
+        let (_, _, h, w) = f.shape().nchw();
+        YoloScale { feat: f.as_f32(), hw: (h, w), anchors: a, stride }
+    });
+    let cells: usize = YOLO_CELLS.iter().map(|s| 3 * s * s).sum();
+    let (mut scratch, mut out) = (vec![f32::NAN; cells * 6], vec![f32::NAN; cells * 6]);
+    let n = yolo_detect(scales, 80, 0.3, &yolo_nms, &mut scratch, &mut out).max(1);
+    let yolo = Tensor::from_vec([1, n, 6], out[..n * 6].to_vec());
     actual += &format!("yolo_detect 3x85 4/8/16 {:016x}\n", tensor_digest(&yolo));
     assert_eq!(actual, include_str!("golden/vision.digest"));
 }

@@ -15,11 +15,12 @@ echo "==> functional bit-identity gate (release codegen)"
 # `cargo test` above builds at opt-level 2; the kernels' bit-for-bit contracts
 # (conv2d_ref == scalar oracle == spatial pack, roi_align == per-channel loop,
 # max_pool2d == its scalar loop, the packed-key sort == a total_cmp sort,
+# the slice forms of batch norm, upsample, priors and the two detectors,
 # vision and end-to-end output digests) must also hold under the optimizer
 # that ships, and so must the lane pool's (every group once, inline bits ==
 # pooled bits, a lane's panic re-raised on its caller).
 cargo test -q --release -p unigpu-device --lib -- exec
-cargo test -q --release -p unigpu-ops --lib -- conv::reference nn::pool vision::roi_align vision::sort vision::nms
+cargo test -q --release -p unigpu-ops --lib -- conv::reference nn::pool nn::norm nn::eltwise vision::roi_align vision::sort vision::nms vision::multibox vision::yolo
 cargo test -q --release -p unigpu-ops --test prop_conv --test prop_vision --test vision_golden
 cargo test -q --release -p unigpu-engine --test functional_golden
 
