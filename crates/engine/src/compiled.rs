@@ -16,15 +16,15 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use unigpu_device::{CostTable, DeviceSpec, Platform};
-use unigpu_graph::latency::FallbackSchedules;
+use unigpu_graph::latency::{FallbackSchedules, LANE_CPU, LANE_GPU, LANE_TRANSFER};
 use unigpu_graph::passes::optimize;
 use unigpu_graph::{
-    estimate_latency, place, rebatch, Executor, Graph, LatencyOptions, LatencyReport, MemoryPlan,
-    OpKind, Placement, PlacementPolicy, ScheduleProvider, Workspace,
+    estimate_latency, place, rebatch, Device, Graph, LatencyOptions, LatencyReport, OpKind,
+    Placement, PlacementPolicy, Plan, ScheduleProvider,
 };
 use unigpu_ops::conv::ConvConfig;
 use unigpu_ops::ConvWorkload;
-use unigpu_telemetry::{tel_debug, tel_info, MetricsRegistry, SpanRecorder};
+use unigpu_telemetry::{tel_debug, tel_info, MetricsRegistry, SpanRecord, SpanRecorder};
 use unigpu_tensor::{Shape, Tensor};
 use unigpu_tuner::{tune_graph, Database, TuneRecord, TunedSchedules, TuningBudget};
 
@@ -200,14 +200,15 @@ impl Engine {
                 key.model,
                 key.device
             );
-            return self.instantiate(key, g, placed, artifact, true);
+            return self.instantiate(key, g, placed, artifact, None);
         }
-        let artifact = Arc::new(self.build_artifact(&key, &g, &placed));
+        let (artifact, plan) = self.build_artifact(&key, &g, &placed);
+        let artifact = Arc::new(artifact);
         self.cache
             .lock()
             .expect("artifact cache poisoned")
             .put(key.clone(), Arc::clone(&artifact));
-        self.instantiate(key, g, placed, artifact, false)
+        self.instantiate(key, g, placed, artifact, Some(plan))
     }
 
     fn cached(&self, key: &ArtifactKey) -> Option<Arc<Artifact>> {
@@ -222,8 +223,9 @@ impl Engine {
         (g, placed)
     }
 
-    /// Obtain the schedules and price the placed graph on them.
-    fn build_artifact(&self, key: &ArtifactKey, g: &Graph, placed: &Placement) -> Artifact {
+    /// Obtain the schedules and price the placed graph on them: the artifact,
+    /// and the plan its meta was read from.
+    fn build_artifact(&self, key: &ArtifactKey, g: &Graph, placed: &Placement) -> (Artifact, Plan) {
         let (provider, records): (SharedProvider, Vec<TuneRecord>) = match &self.tuning {
             TuningConfig::Fallback => (Arc::new(FallbackSchedules), Vec::new()),
             TuningConfig::Tuned => {
@@ -245,22 +247,31 @@ impl Engine {
                 (Arc::new(tuned), records)
             }
         };
-        let report = estimate_latency(placed, &self.platform, provider.as_ref(), &self.opts);
-        Artifact {
-            meta: artifact_meta(key, placed, &report),
-            records,
-        }
+        let plan = Plan::new(placed, &self.platform, provider.as_ref(), &self.opts);
+        let meta = ArtifactMeta {
+            kind: ARTIFACT_KIND.into(),
+            version: ARTIFACT_VERSION,
+            model: key.model.clone(),
+            fingerprint: key.fingerprint,
+            device: key.device.clone(),
+            tuning: key.tuning.clone(),
+            nodes: placed.graph.nodes.len(),
+            total_ms: plan.report().total_ms,
+            cost_table: plan.report().per_op.iter().map(|t| (t.name.clone(), t.ms)).collect(),
+        };
+        (Artifact { meta, records }, plan)
     }
 
-    /// Materialize a `CompiledModel` from an artifact (cached or fresh) and
-    /// the compile's optimized graph and placement.
+    /// Materialize a `CompiledModel` from an artifact and the compile's
+    /// optimized graph and placement: a fresh artifact comes with the plan
+    /// it was priced from, a cached one without, and is priced on first use.
     fn instantiate(
         &self,
         key: ArtifactKey,
         g: Graph,
         placed: Placement,
         artifact: Arc<Artifact>,
-        from_cache: bool,
+        plan: Option<Plan>,
     ) -> CompiledModel {
         let has_vision = g.nodes.iter().any(|n| n.op.is_vision_control());
         let provider: SharedProvider = if artifact.records.is_empty() {
@@ -281,33 +292,13 @@ impl Engine {
                 opts: self.opts,
                 artifact,
                 provider,
-                from_cache,
+                from_cache: plan.is_none(),
                 has_vision,
                 batch_cost: Mutex::default(),
                 degraded: OnceLock::new(),
-                plan: OnceLock::new(),
-                workspace: Mutex::default(),
+                plan: plan.map_or_else(OnceLock::new, OnceLock::from),
             }),
         }
-    }
-}
-
-/// The artifact metadata of a placed graph priced as `report`.
-fn artifact_meta(key: &ArtifactKey, placed: &Placement, report: &LatencyReport) -> ArtifactMeta {
-    ArtifactMeta {
-        kind: ARTIFACT_KIND.into(),
-        version: ARTIFACT_VERSION,
-        model: key.model.clone(),
-        fingerprint: key.fingerprint,
-        device: key.device.clone(),
-        tuning: key.tuning.clone(),
-        nodes: placed.graph.nodes.len(),
-        total_ms: report.total_ms,
-        cost_table: report
-            .per_op
-            .iter()
-            .map(|t| (t.name.clone(), t.ms))
-            .collect(),
     }
 }
 
@@ -331,11 +322,9 @@ struct CompiledInner {
     batch_cost: Mutex<HashMap<usize, f64>>,
     /// The all-CPU variant, derived once for every server of this model.
     degraded: OnceLock<CompiledModel>,
-    /// The placed graph's memory plan, made by the first run.
-    plan: OnceLock<MemoryPlan>,
-    /// The workspace runs reuse: a run takes it and puts it back, and a run
-    /// that finds it taken by a concurrent one makes its own.
-    workspace: Mutex<Option<Workspace>>,
+    /// The placement priced on `provider`'s schedules: filled by a cold
+    /// compile, or by the first use of a warm one.
+    plan: OnceLock<Plan>,
 }
 
 /// A model compiled by [`Engine::compile`]: optimized graph, device
@@ -406,14 +395,17 @@ impl CompiledModel {
             .expect("compiled model has an input node")
     }
 
+    /// The compiled placement priced on its schedules, priced once per model.
+    pub fn plan(&self) -> &Plan {
+        let inner = &self.inner;
+        inner.plan.get_or_init(|| {
+            Plan::new(&inner.placement, &inner.platform, inner.provider.as_ref(), &inner.opts)
+        })
+    }
+
     /// Single-sample latency estimate on the compiled placement.
-    pub fn estimate(&self) -> LatencyReport {
-        estimate_latency(
-            &self.inner.placement,
-            &self.inner.platform,
-            self.inner.provider.as_ref(),
-            &self.inner.opts,
-        )
+    pub fn estimate(&self) -> &LatencyReport {
+        self.plan().report()
     }
 
     /// Latency of `batch` coalesced requests executed as one launch
@@ -424,29 +416,22 @@ impl CompiledModel {
     /// batches classification models but not detectors.
     pub fn estimate_batch_ms(&self, batch: usize) -> f64 {
         let batch = batch.max(1);
+        if batch == 1 || self.inner.has_vision {
+            return batch as f64 * self.estimate().total_ms;
+        }
         if let Some(&ms) = self.batch_costs().get(&batch) {
             return ms;
         }
-        let ms = self.compute_batch_ms(batch);
+        let g = rebatch(&self.inner.graph, batch);
+        let placed = place(&g, self.inner.policy);
+        let batched = BatchAgnostic(self.inner.provider.as_ref());
+        let ms = estimate_latency(&placed, &self.inner.platform, &batched, &self.inner.opts).total_ms;
         self.batch_costs().insert(batch, ms);
         ms
     }
 
     fn batch_costs(&self) -> MutexGuard<'_, HashMap<usize, f64>> {
         self.inner.batch_cost.lock().expect("batch cost poisoned")
-    }
-
-    fn compute_batch_ms(&self, batch: usize) -> f64 {
-        if batch == 1 {
-            return self.estimate().total_ms;
-        }
-        if self.inner.has_vision {
-            return batch as f64 * self.estimate_batch_ms(1);
-        }
-        let g = rebatch(&self.inner.graph, batch);
-        let placed = place(&g, self.inner.policy);
-        let batched = BatchAgnostic(self.inner.provider.as_ref());
-        estimate_latency(&placed, &self.inner.platform, &batched, &self.inner.opts).total_ms
     }
 
     /// An all-CPU variant of this model: same optimized graph and schedule
@@ -476,7 +461,6 @@ impl CompiledModel {
                     batch_cost: Mutex::default(),
                     degraded: OnceLock::new(),
                     plan: OnceLock::new(),
-                    workspace: Mutex::default(),
                 }),
             })
             .clone()
@@ -485,44 +469,60 @@ impl CompiledModel {
     /// Execute the model functionally on real tensors (placement-aware
     /// graph, so `DeviceCopy` boundaries are exercised). Compiling reads no
     /// weight: the first run folds the batch norms, once for this model, its
-    /// clones and its degraded variant, and plans the graph's memory. Later
-    /// runs reuse that plan and one workspace, and allocate only the tensors
+    /// clones and its degraded variant, and places the plan's arena. Later
+    /// runs reuse that arena and one workspace, and allocate only the tensors
     /// they return.
     pub fn run(&self, inputs: &[Tensor]) -> Vec<Tensor> {
-        let graph = &self.inner.placement.graph;
-        let plan = self.inner.plan.get_or_init(|| {
-            let plan = MemoryPlan::new(graph);
-            tel_debug!(
-                "engine",
-                "memory plan of {}: {} arena floats, liveness bound {}",
-                self.model(),
-                plan.arena_len(),
-                plan.liveness_bound()
-            );
-            plan
-        });
-        let kept = self.workspace().take();
-        let mut workspace = kept.unwrap_or_else(|| plan.workspace());
-        let outputs = Executor.run_planned(graph, plan, &mut workspace, inputs);
-        self.workspace().get_or_insert(workspace);
-        outputs
+        self.plan().run(&self.inner.placement.graph, inputs)
     }
 
-    fn workspace(&self) -> MutexGuard<'_, Option<Workspace>> {
-        self.inner.workspace.lock().expect("workspace poisoned")
-    }
-
-    /// Traced estimate: one span per node plus `exec.*`/`latency.*`
-    /// metrics, for Chrome-trace export.
-    pub fn trace(&self, spans: &SpanRecorder, metrics: &MetricsRegistry) -> LatencyReport {
-        unigpu_graph::estimate_latency_traced(
-            &self.inner.placement,
-            &self.inner.platform,
-            self.inner.provider.as_ref(),
-            &self.inner.opts,
-            spans,
-            metrics,
-        )
+    /// Traced estimate: the plan's steps as one span per node on the
+    /// simulated clock (lane = device, attrs = op kind/device/shape;
+    /// `DeviceCopy` crossings land on their own lane with the transferred
+    /// byte count), plus `exec.*`/`latency.*` metrics, for Chrome-trace
+    /// export.
+    pub fn trace(&self, spans: &SpanRecorder, metrics: &MetricsRegistry) -> &LatencyReport {
+        let plan = self.plan();
+        let mut clock_ms = 0.0;
+        for (node, (device, ms, shape)) in self.inner.placement.graph.nodes.iter().zip(plan.steps()) {
+            let copy = node.op == OpKind::DeviceCopy;
+            let (lane, kernels) = match device {
+                _ if copy => (LANE_TRANSFER, "exec.device_copies"),
+                Device::Gpu => (LANE_GPU, "exec.gpu_kernels"),
+                Device::Cpu => (LANE_CPU, "exec.cpu_kernels"),
+            };
+            let mut attrs = vec![
+                ("op".to_string(), node.op.name().to_string()),
+                ("device".to_string(), format!("{device:?}")),
+                ("shape".to_string(), format!("{:?}", shape.dims())),
+            ];
+            metrics.inc("exec.nodes");
+            if copy {
+                let bytes = shape.numel() * 4;
+                attrs.push(("bytes".to_string(), bytes.to_string()));
+                metrics.inc(kernels);
+                metrics.add("exec.transfer_bytes", bytes as u64);
+            } else if ms > 0.0 {
+                metrics.inc(kernels);
+                metrics.observe("node_ms", ms);
+            }
+            spans.record(SpanRecord {
+                name: node.name.clone(),
+                category: if copy { "transfer" } else { "op" }.to_string(),
+                start_us: clock_ms * 1000.0,
+                dur_us: ms * 1000.0,
+                lane,
+                attrs,
+                trace: None,
+            });
+            clock_ms += ms;
+        }
+        let report = plan.report();
+        metrics.set_gauge("latency.total_ms", report.total_ms);
+        metrics.set_gauge("latency.gpu_ms", report.gpu_ms);
+        metrics.set_gauge("latency.cpu_ms", report.cpu_ms);
+        metrics.set_gauge("latency.transfer_ms", report.transfer_ms);
+        report
     }
 }
 
@@ -772,11 +772,14 @@ mod tests {
 
     #[test]
     fn the_arena_is_within_15_percent_of_the_liveness_bound_on_every_zoo_model() {
+        let (platform, opts) = (Platform::deeplens(), LatencyOptions::default());
         for entry in unigpu_models::full_zoo() {
             let g = optimize(&(entry.build)(false));
             for policy in [PlacementPolicy::AllGpu, PlacementPolicy::FallbackVision] {
-                let plan = MemoryPlan::new(&place(&g, policy).graph);
-                let (arena, bound) = (plan.arena_len(), plan.liveness_bound());
+                let placed = place(&g, policy);
+                let plan = Plan::new(&placed, &platform, &FallbackSchedules, &opts);
+                let arena = plan.arena_len(&placed.graph);
+                let bound = plan.liveness_bound(&placed.graph);
                 assert!(
                     arena as f64 <= 1.15 * bound as f64,
                     "{} {policy:?}: {arena} arena floats, liveness bound {bound}",
@@ -813,6 +816,70 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn traced_estimate_records_span_per_node_and_metrics() {
+        let compiled = memory_engine().compile(&conv_chain("chain", 3));
+        let nodes = compiled.placement().graph.nodes.len();
+        let spans = SpanRecorder::new();
+        let metrics = MetricsRegistry::new();
+        let r = compiled.trace(&spans, &metrics);
+        let recorded = spans.spans();
+        assert_eq!(recorded.len(), nodes, "one span per node");
+        // simulated clock: spans start monotonically and cover total_ms
+        for pair in recorded.windows(2) {
+            assert!(pair[1].start_us >= pair[0].start_us);
+        }
+        let span_total_us: f64 = recorded.iter().map(|s| s.dur_us).sum();
+        assert!((span_total_us / 1000.0 - r.total_ms).abs() < 1e-9);
+        assert_eq!(metrics.counter("exec.nodes"), nodes as u64);
+        assert_eq!(metrics.counter("exec.gpu_kernels"), 3);
+        assert_eq!(metrics.gauge("latency.total_ms"), Some(r.total_ms));
+        assert!(metrics.histogram_summary("node_ms").unwrap().count >= 3);
+    }
+
+    #[test]
+    fn traced_estimate_surfaces_device_copies() {
+        // The vision fallback puts the detector on the CPU behind an explicit
+        // §3.1.2 boundary crossing from the GPU activation feeding it.
+        let mut g = Graph::new("copy");
+        let x = g.add(OpKind::Input { shape: Shape::from([1, 6, 4, 4]) }, vec![], "x");
+        let a = g.add(OpKind::Act(Activation::Sigmoid), vec![x], "sigmoid");
+        let det = OpKind::YoloDetect {
+            anchors: vec![vec![(10.0, 13.0)]],
+            strides: vec![8],
+            classes: 1,
+            conf: 0.3,
+            nms: unigpu_ops::vision::NmsConfig {
+                iou_threshold: 0.45,
+                valid_thresh: 0.3,
+                topk: None,
+                force_suppress: false,
+            },
+        };
+        let d = g.add(det, vec![a], "detect");
+        g.mark_output(d);
+        let compiled = Engine::builder()
+            .policy(PlacementPolicy::FallbackVision)
+            .persist(false)
+            .build()
+            .compile(&g);
+        assert_eq!(compiled.placement().copy_count(), 1);
+
+        let spans = SpanRecorder::new();
+        let metrics = MetricsRegistry::new();
+        assert!(compiled.trace(&spans, &metrics).transfer_ms > 0.0);
+        let copy = spans
+            .spans()
+            .into_iter()
+            .find(|s| s.category == "transfer")
+            .expect("DeviceCopy span present");
+        assert_eq!(copy.lane, LANE_TRANSFER);
+        assert!(copy.attrs.contains(&("bytes".to_string(), (6 * 4 * 4 * 4).to_string())));
+        assert_eq!(metrics.counter("exec.device_copies"), 1);
+        assert_eq!(metrics.counter("exec.transfer_bytes"), 6 * 4 * 4 * 4);
+        assert_eq!(metrics.counter("exec.cpu_kernels"), 1);
     }
 
     #[test]

@@ -73,12 +73,12 @@ fn every_zoo_estimate_matches_the_golden() {
             // one model alive at a time: the detectors hold hundreds of MB
             let model = (entry.build)(platform.name == Platform::aisage().name);
             for policy in POLICIES {
-                let r = compile(&model, &platform, policy).estimate();
+                let compiled = compile(&model, &platform, policy);
                 lines += &format!(
                     "{} {} {policy:?} {:016x}\n",
                     entry.name,
                     platform.name,
-                    digest(&r)
+                    digest(compiled.estimate())
                 );
             }
         }

@@ -7,6 +7,9 @@
 //! concat's slot, and the padded input copies of the convolutions that stride
 //! or pad go to the workspace's scratch.
 //!
+//! Pricing is read, not redone: once a compiled model has been estimated, a
+//! second `estimate()` and `estimate_batch_ms(1)` allocate nothing.
+//!
 //! The count comes from a process-wide counting allocator, so this file
 //! holds exactly one `#[test]`: a sibling test thread would be counted too.
 
@@ -56,6 +59,14 @@ fn a_warm_squeezenet_run_makes_a_fixed_number_of_allocations() {
         .persist(false)
         .build()
         .compile(&model);
+    compiled.estimate();
+    let before = ALLOCS.load(Relaxed);
+    let total_ms = compiled.estimate().total_ms;
+    let batch_1_ms = compiled.estimate_batch_ms(1);
+    let allocs = ALLOCS.load(Relaxed) - before;
+    assert_eq!(batch_1_ms.to_bits(), total_ms.to_bits());
+    assert_eq!(allocs, 0, "allocations in a second estimate and a batch-1 price");
+
     let input = [Tensor::full(compiled.input_shape(), 0.5)];
     let first = compiled.run(&input);
 

@@ -2,9 +2,9 @@
 //!
 //! # Executor memory
 //!
-//! A run follows a [`MemoryPlan`] in a [`Workspace`]. Every operator writes
-//! its arena slot, which it overwrites whole: a convolution's plane taps
-//! zero their slot first, the detectors mark every row invalid before they
+//! A run follows an arena layout (`memory.rs`) in a workspace. Every operator
+//! writes its arena slot, which it overwrites whole: a convolution's plane
+//! taps zero their slot first, the detectors mark every row invalid before they
 //! store their survivors, and every other kernel stores every output. A slot
 //! is read only after the step that writes it in the same run, so a
 //! workspace may be reused with whatever an earlier run left in it.
@@ -18,13 +18,14 @@
 //! `max(candidates, 1)` rows when it is copied out. Weights stay in the
 //! graph, inputs with the caller, and the outputs are copied out at the end.
 //!
-//! [`Executor::run`] and [`Executor::run_traced`] plan per call into a fresh
-//! workspace. [`Executor::run_planned`] takes both from its caller: a compiled
-//! model plans once and keeps one workspace, so that a warm inference
-//! allocates nothing but the tensors it returns and what `box_nms` sorts.
+//! [`Executor::run`] and [`Executor::run_traced`] infer shapes and place an
+//! arena per call, into a fresh workspace. [`Plan::run`](crate::Plan::run)
+//! places its arena from the plan's shapes once and keeps one workspace, so
+//! that a warm inference allocates nothing but the tensors it returns and
+//! what `box_nms` sorts.
 
 use crate::graph::Graph;
-use crate::memory::{is_concat, Loc, MemoryPlan, Step, Workspace};
+use crate::memory::{is_concat, Arena, Loc, Step, Workspace};
 use crate::node::{Activation, Const, Node, OpKind};
 use std::ops::Range;
 use unigpu_ops::conv::{all_finite, conv2d_prechecked_into};
@@ -116,23 +117,24 @@ fn carve(
 /// What one step reads: the values of earlier steps, wherever they live.
 struct Env<'a> {
     graph: &'a Graph,
-    plan: &'a MemoryPlan,
+    shapes: &'a [Shape],
+    layout: &'a Arena,
     inputs: &'a [Tensor],
     arena: Frozen<'a>,
 }
 
 impl<'a> Env<'a> {
     fn data(&self, id: usize) -> &'a [f32] {
-        match self.plan.locs[id] {
+        match self.layout.locs[id] {
             Loc::Input(k) => self.inputs[k].as_f32(),
             Loc::Const(_) => self.constant(id).expect("a constant node").value().as_f32(),
-            Loc::Arena(at) => self.arena.get(at, self.plan.shapes[id].numel()),
+            Loc::Arena(at) => self.arena.get(at, self.shapes[id].numel()),
         }
     }
 
     /// The constant node `id` holds or names, if it is one.
     fn constant(&self, id: usize) -> Option<&'a Const> {
-        match self.plan.locs[id] {
+        match self.layout.locs[id] {
             Loc::Const(c) => match &self.graph.nodes[c].op {
                 OpKind::Constant(k) => Some(k),
                 _ => None,
@@ -146,8 +148,7 @@ impl Executor {
     /// Run `graph` with `inputs` bound to its `Input` nodes in order.
     /// Returns the tensors of the marked outputs.
     pub fn run(&self, graph: &Graph, inputs: &[Tensor]) -> Vec<Tensor> {
-        let plan = MemoryPlan::new(graph);
-        run_steps(graph, &plan, &mut plan.workspace(), inputs, None)
+        run_once(graph, inputs, None)
     }
 
     /// Like [`Executor::run`], recording one wall-clock span per executed
@@ -158,65 +159,63 @@ impl Executor {
         inputs: &[Tensor],
         recorder: &SpanRecorder,
     ) -> Vec<Tensor> {
-        let plan = MemoryPlan::new(graph);
-        run_steps(graph, &plan, &mut plan.workspace(), inputs, Some(recorder))
-    }
-
-    /// [`Executor::run`] under `graph`'s `plan`, in a workspace the plan made
-    /// (for this run or an earlier one).
-    pub fn run_planned(
-        &self,
-        graph: &Graph,
-        plan: &MemoryPlan,
-        workspace: &mut Workspace,
-        inputs: &[Tensor],
-    ) -> Vec<Tensor> {
-        run_steps(graph, plan, workspace, inputs, None)
+        run_once(graph, inputs, Some(recorder))
     }
 }
 
-fn run_steps(
+/// One run of `graph` in an arena placed for it alone.
+fn run_once(graph: &Graph, inputs: &[Tensor], recorder: Option<&SpanRecorder>) -> Vec<Tensor> {
+    let shapes = graph.infer_shapes();
+    let layout = Arena::new(graph, &shapes);
+    run_steps(graph, &shapes, &layout, &mut layout.workspace(), inputs, recorder)
+}
+
+/// Runs `graph`, whose shapes are `shapes`, in `layout`, in a workspace the
+/// layout made (for this run or an earlier one).
+pub(crate) fn run_steps(
     graph: &Graph,
-    plan: &MemoryPlan,
+    shapes: &[Shape],
+    layout: &Arena,
     ws: &mut Workspace,
     inputs: &[Tensor],
     recorder: Option<&SpanRecorder>,
 ) -> Vec<Tensor> {
     assert_eq!(
-        plan.locs.len(),
+        layout.locs.len(),
         graph.nodes.len(),
-        "a plan for another graph"
+        "an arena for another graph"
     );
     assert_eq!(
-        plan.inputs,
+        layout.inputs,
         inputs.len(),
         "graph `{}` expects {} inputs, got {}",
         graph.name,
-        plan.inputs,
+        layout.inputs,
         inputs.len()
     );
     assert!(
-        ws.arena.len() == plan.arena_len() && ws.rows.len() == plan.locs.len(),
-        "a workspace for another plan"
+        ws.arena.len() == layout.arena_len() && ws.rows.len() == layout.locs.len(),
+        "a workspace for another arena"
     );
 
     for (id, node) in graph.nodes.iter().enumerate() {
         let span_clock = recorder.map(|r| (r.now_us(), std::time::Instant::now()));
-        let out = match (plan.steps[id], plan.locs[id]) {
-            (Step::Write, Loc::Arena(at)) => at..at + plan.shapes[id].numel(),
+        let out = match (layout.steps[id], layout.locs[id]) {
+            (Step::Write, Loc::Arena(at)) => at..at + shapes[id].numel(),
             _ => 0..0,
         };
-        let scratch = plan.scratch[id].map_or(0..0, |(at, len)| at..at + len);
+        let scratch = layout.scratch[id].map_or(0..0, |(at, len)| at..at + len);
         let (out, scratch, arena) = carve(&mut ws.arena, out, scratch);
         let env = Env {
             graph,
-            plan,
+            shapes,
+            layout,
             inputs,
             arena,
         };
-        match plan.steps[id] {
+        match layout.steps[id] {
             Step::Free => {
-                if let (OpKind::Input { shape }, Loc::Input(k)) = (&node.op, plan.locs[id]) {
+                if let (OpKind::Input { shape }, Loc::Input(k)) = (&node.op, layout.locs[id]) {
                     assert_eq!(
                         inputs[k].shape(),
                         shape,
@@ -232,7 +231,7 @@ fn run_steps(
             }
         }
         if let (Some(r), Some((start_us, started))) = (recorder, span_clock) {
-            let dims = format!("{:?}", value_shape(graph, plan, &ws.rows, id).dims());
+            let dims = format!("{:?}", value_shape(graph, shapes, &ws.rows, id).dims());
             r.record(unigpu_telemetry::SpanRecord {
                 name: node.name.clone(),
                 category: "op".into(),
@@ -248,7 +247,8 @@ fn run_steps(
     let (_, _, arena) = carve(&mut ws.arena, 0..0, 0..0);
     let env = Env {
         graph,
-        plan,
+        shapes,
+        layout,
         inputs,
         arena,
     };
@@ -256,7 +256,7 @@ fn run_steps(
         .outputs
         .iter()
         .map(|&o| {
-            let shape = value_shape(graph, plan, &ws.rows, o);
+            let shape = value_shape(graph, shapes, &ws.rows, o);
             let data = env.data(o)[..shape.numel()].to_vec();
             Tensor::from_vec(shape, data)
         })
@@ -265,14 +265,14 @@ fn run_steps(
 
 /// The shape of node `id`'s value: shape inference's, but a `YoloDetect`'s
 /// (or a copy of it) has the `max(candidates, 1)` rows its step found.
-fn value_shape(graph: &Graph, plan: &MemoryPlan, rows: &[usize], id: usize) -> Shape {
+fn value_shape(graph: &Graph, shapes: &[Shape], rows: &[usize], id: usize) -> Shape {
     let mut src = id;
     while graph.nodes[src].op == OpKind::DeviceCopy {
         src = graph.nodes[src].inputs[0];
     }
     match graph.nodes[src].op {
         OpKind::YoloDetect { .. } => Shape::from([1, rows[src].max(1), 6]),
-        _ => plan.shapes[id].clone(),
+        _ => shapes[id].clone(),
     }
 }
 
@@ -285,7 +285,7 @@ fn compute_into(
     scratch: &mut [f32],
     out: &mut [f32],
 ) -> Option<usize> {
-    let shapes = &env.plan.shapes;
+    let shapes = env.shapes;
     let get = |i: usize| env.data(node.inputs[i]);
     let shape = |i: usize| &shapes[node.inputs[i]];
     match &node.op {
@@ -313,12 +313,12 @@ fn compute_into(
         }
         OpKind::Add => nn::add_into(get(0), get(1), out),
         op if is_concat(op) => {
-            // An input the plan hosts has already written its range.
+            // An input the arena hosts has already written its range.
             let n = shapes[id].dim(0);
             let total = out.len() / n;
             let mut offset = 0;
             for &i in &node.inputs {
-                if !env.plan.in_place[i] {
+                if !env.layout.in_place[i] {
                     nn::concat_channels_into(env.data(i), n, offset, total, out);
                 }
                 offset += shapes[i].numel() / n;

@@ -46,7 +46,7 @@ impl Graph {
     }
 
     /// Ids of `Input` nodes in order.
-    pub fn input_ids(&self) -> Vec<NodeId> {
+    pub(crate) fn input_ids(&self) -> Vec<NodeId> {
         self.nodes
             .iter()
             .enumerate()
@@ -69,7 +69,7 @@ impl Graph {
     }
 
     /// Consumers of each node.
-    pub fn consumers(&self) -> Vec<Vec<NodeId>> {
+    pub(crate) fn consumers(&self) -> Vec<Vec<NodeId>> {
         let mut c = vec![Vec::new(); self.nodes.len()];
         for (id, n) in self.nodes.iter().enumerate() {
             for &i in &n.inputs {
@@ -85,13 +85,23 @@ impl Graph {
     /// Panics on rank/shape inconsistencies — shape inference doubles as
     /// graph validation.
     pub fn infer_shapes(&self) -> Vec<Shape> {
-        let mut shapes: Vec<Shape> = Vec::with_capacity(self.nodes.len());
-        for (id, n) in self.nodes.iter().enumerate() {
+        let mut shapes = Vec::with_capacity(self.nodes.len());
+        self.extend_shapes(&mut shapes);
+        shapes
+    }
+
+    /// Infer the shapes of the nodes after the prefix `shapes` already
+    /// holds, appending them: a builder that tracks its shapes infers only
+    /// the nodes it added.
+    ///
+    /// # Panics
+    /// Panics like [`Graph::infer_shapes`].
+    pub fn extend_shapes(&self, shapes: &mut Vec<Shape>) {
+        for (id, n) in self.nodes.iter().enumerate().skip(shapes.len()) {
             let ins: Vec<&Shape> = n.inputs.iter().map(|&i| &shapes[i]).collect();
             let out = infer_one(&n.op, &ins, &n.name, id);
             shapes.push(out);
         }
-        shapes
     }
 
     /// Total FLOPs of all convolution + dense layers (reporting).

@@ -8,8 +8,8 @@
 use crate::graph::NodeId;
 use crate::node::OpKind;
 use crate::passes::{Device, Placement};
+use crate::plan::Plan;
 use unigpu_device::{CostModel, DeviceSpec, KernelProfile, Platform, TransferProfile, Vendor};
-use unigpu_telemetry::{MetricsRegistry, SpanRecord, SpanRecorder};
 use unigpu_ops::conv::{conv_profile, ConvConfig};
 use unigpu_ops::nn::{eltwise_profile, pool_profile, reduction_profile};
 use unigpu_ops::vision::multibox::multibox_profiles;
@@ -60,7 +60,7 @@ pub struct OpTiming {
 }
 
 /// End-to-end latency breakdown.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencyReport {
     pub total_ms: f64,
     pub gpu_ms: f64,
@@ -217,64 +217,45 @@ fn op_profiles(
     }
 }
 
-/// Span lanes used by the traced estimator (Chrome `tid`s).
+/// Span lanes of a traced estimate (Chrome `tid`s).
 pub const LANE_GPU: u32 = 0;
 /// CPU-fallback lane.
 pub const LANE_CPU: u32 = 1;
 /// CPU↔GPU transfer lane (§3.1.2 boundary crossings).
 pub const LANE_TRANSFER: u32 = 2;
 
-/// Estimate the single-sample latency of a placed graph on a platform.
+/// Estimate the single-sample latency of a placed graph on a platform: the
+/// report of its [`Plan`].
 pub fn estimate_latency(
     placement: &Placement,
     platform: &Platform,
     provider: &dyn ScheduleProvider,
     opts: &LatencyOptions,
 ) -> LatencyReport {
-    estimate_latency_impl(placement, platform, provider, opts, None)
+    Plan::new(placement, platform, provider, opts).report
 }
 
-/// Like [`estimate_latency`], additionally recording one span per graph
-/// node on the simulated clock (lane = device, attrs = op kind/device/
-/// shape; `DeviceCopy` crossings land on their own lane with the
-/// transferred byte count) and updating the metrics registry.
-pub fn estimate_latency_traced(
+/// Prices every node of `placement`, whose shapes are `shapes`, on its
+/// device: per node its device and ms, in node order, and the report they
+/// sum to in that order.
+pub(crate) fn price(
     placement: &Placement,
+    shapes: &[Shape],
     platform: &Platform,
     provider: &dyn ScheduleProvider,
     opts: &LatencyOptions,
-    spans: &SpanRecorder,
-    metrics: &MetricsRegistry,
-) -> LatencyReport {
-    estimate_latency_impl(placement, platform, provider, opts, Some((spans, metrics)))
-}
-
-fn estimate_latency_impl(
-    placement: &Placement,
-    platform: &Platform,
-    provider: &dyn ScheduleProvider,
-    opts: &LatencyOptions,
-    telemetry: Option<(&SpanRecorder, &MetricsRegistry)>,
-) -> LatencyReport {
+) -> (Vec<(Device, f64)>, LatencyReport) {
     let g = &placement.graph;
-    let shapes = g.infer_shapes();
     let gpu = CostModel::new(platform.gpu.clone());
     let cpu = CostModel::new(platform.cpu.clone());
 
-    let mut report = LatencyReport {
-        total_ms: 0.0,
-        gpu_ms: 0.0,
-        cpu_ms: 0.0,
-        transfer_ms: 0.0,
-        per_op: Vec::new(),
-    };
+    let mut report = LatencyReport::default();
+    let mut steps = Vec::with_capacity(g.nodes.len());
 
     for (id, node) in g.nodes.iter().enumerate() {
         let device = placement.device[id];
-        let mut copy_bytes = 0usize;
         let ms = if let OpKind::DeviceCopy = node.op {
             let bytes = shapes[node.inputs[0]].numel() * 4;
-            copy_bytes = bytes;
             let t = gpu.transfer_time_ms(&TransferProfile { bytes });
             report.transfer_ms += t;
             t
@@ -293,45 +274,7 @@ fn estimate_latency_impl(
             }
             t
         };
-        if let Some((spans, metrics)) = telemetry {
-            let is_copy = matches!(node.op, OpKind::DeviceCopy);
-            let lane = if is_copy {
-                LANE_TRANSFER
-            } else {
-                match device {
-                    Device::Gpu => LANE_GPU,
-                    Device::Cpu => LANE_CPU,
-                }
-            };
-            let mut attrs = vec![
-                ("op".to_string(), node.op.name().to_string()),
-                ("device".to_string(), format!("{device:?}")),
-                ("shape".to_string(), format!("{:?}", shapes[id].dims())),
-            ];
-            if is_copy {
-                attrs.push(("bytes".to_string(), copy_bytes.to_string()));
-            }
-            spans.record(SpanRecord {
-                name: node.name.clone(),
-                category: if is_copy { "transfer" } else { "op" }.to_string(),
-                start_us: report.total_ms * 1000.0,
-                dur_us: ms * 1000.0,
-                lane,
-                attrs,
-                trace: None,
-            });
-            metrics.inc("exec.nodes");
-            if is_copy {
-                metrics.inc("exec.device_copies");
-                metrics.add("exec.transfer_bytes", copy_bytes as u64);
-            } else if ms > 0.0 {
-                match device {
-                    Device::Gpu => metrics.inc("exec.gpu_kernels"),
-                    Device::Cpu => metrics.inc("exec.cpu_kernels"),
-                }
-                metrics.observe("node_ms", ms);
-            }
-        }
+        steps.push((device, ms));
         report.total_ms += ms;
         if ms > 0.0 {
             report.per_op.push(OpTiming {
@@ -343,16 +286,10 @@ fn estimate_latency_impl(
             });
         }
     }
-    if let Some((_, metrics)) = telemetry {
-        metrics.set_gauge("latency.total_ms", report.total_ms);
-        metrics.set_gauge("latency.gpu_ms", report.gpu_ms);
-        metrics.set_gauge("latency.cpu_ms", report.cpu_ms);
-        metrics.set_gauge("latency.transfer_ms", report.transfer_ms);
-    }
     // Vendor check: CUDA outperforms OpenCL on Nvidia (§2.1) is already
     // encoded in launch overheads; nothing extra here.
     debug_assert!(platform.gpu.vendor != Vendor::Generic);
-    report
+    (steps, report)
 }
 
 #[cfg(test)]
@@ -480,73 +417,6 @@ mod tests {
                 before.total_ms
             );
         }
-    }
-
-    #[test]
-    fn traced_estimate_records_span_per_node_and_metrics() {
-        use unigpu_telemetry::{MetricsRegistry, SpanRecorder};
-        let g = conv_graph(3);
-        let plat = Platform::deeplens();
-        let placed = place(&g, PlacementPolicy::AllGpu);
-        let spans = SpanRecorder::new();
-        let metrics = MetricsRegistry::new();
-        let r = estimate_latency_traced(
-            &placed,
-            &plat,
-            &FallbackSchedules,
-            &LatencyOptions::default(),
-            &spans,
-            &metrics,
-        );
-        let recorded = spans.spans();
-        assert_eq!(recorded.len(), placed.graph.nodes.len(), "one span per node");
-        // simulated clock: spans start monotonically and cover total_ms
-        for pair in recorded.windows(2) {
-            assert!(pair[1].start_us >= pair[0].start_us);
-        }
-        let span_total_us: f64 = recorded.iter().map(|s| s.dur_us).sum();
-        assert!((span_total_us / 1000.0 - r.total_ms).abs() < 1e-9);
-        assert_eq!(metrics.counter("exec.nodes"), placed.graph.nodes.len() as u64);
-        assert_eq!(metrics.counter("exec.gpu_kernels"), 3);
-        assert_eq!(metrics.gauge("latency.total_ms"), Some(r.total_ms));
-        assert!(metrics.histogram_summary("node_ms").unwrap().count >= 3);
-    }
-
-    #[test]
-    fn traced_estimate_surfaces_device_copies() {
-        use unigpu_telemetry::{MetricsRegistry, SpanRecorder};
-        // Hand-placed graph with an explicit §3.1.2 boundary crossing.
-        let mut g = Graph::new("copy");
-        let sh = Shape::from([1, 4, 8, 8]);
-        let x = g.add(OpKind::Input { shape: sh.clone() }, vec![], "x");
-        let c = g.add(OpKind::DeviceCopy, vec![x], "to_cpu");
-        let a = g.add(OpKind::Act(Activation::Relu), vec![c], "relu");
-        g.mark_output(a);
-        let n = g.nodes.len();
-        let placement = Placement { graph: g, device: vec![Device::Gpu, Device::Cpu, Device::Cpu] };
-        assert_eq!(placement.device.len(), n);
-
-        let spans = SpanRecorder::new();
-        let metrics = MetricsRegistry::new();
-        let r = estimate_latency_traced(
-            &placement,
-            &Platform::deeplens(),
-            &FallbackSchedules,
-            &LatencyOptions::default(),
-            &spans,
-            &metrics,
-        );
-        assert!(r.transfer_ms > 0.0);
-        let copy = spans
-            .spans()
-            .into_iter()
-            .find(|s| s.category == "transfer")
-            .expect("DeviceCopy span present");
-        assert_eq!(copy.lane, LANE_TRANSFER);
-        assert!(copy.attrs.contains(&("bytes".to_string(), (4 * 8 * 8 * 4).to_string())));
-        assert_eq!(metrics.counter("exec.device_copies"), 1);
-        assert_eq!(metrics.counter("exec.transfer_bytes"), 4 * 8 * 8 * 4);
-        assert_eq!(metrics.counter("exec.cpu_kernels"), 1);
     }
 
     #[test]

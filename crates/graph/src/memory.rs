@@ -1,8 +1,9 @@
 //! Static memory planning: where every value of one run of a graph lives.
 //!
-//! [`MemoryPlan::new`] makes one pass over the topological order, with
-//! [`Graph::infer_shapes`] and [`Graph::consumers`], and gives every node a
-//! [`Loc`]:
+//! `Arena::new` makes one pass over the topological order, with the shapes
+//! its caller inferred (a [`Plan`](crate::Plan)'s, or those of one
+//! [`Executor::run`](crate::Executor::run)) and `Graph::consumers`, and
+//! gives every node a `Loc`:
 //!
 //! * every operator writes its value into a slot of one `f32` arena, live
 //!   from the step that first writes it to the last step that reads it (a
@@ -24,13 +25,14 @@
 //!
 //! `YoloDetect` finds as many candidates as its data has: its slot holds
 //! shape inference's worst case, one row per anchor-cell, and the
-//! [`Workspace`] keeps the count a run found, by which the executor trims the
+//! `Workspace` keeps the count a run found, by which the executor trims the
 //! value when it copies it out.
 //!
 //! Offsets come from greedy placement: the slots are placed largest size
 //! class first and in start order within a class, each at the best-fitting
-//! gap among the placed slots whose lifetimes overlap its own. [`MemoryPlan::liveness_bound`] is the lower bound any
-//! placement has to meet, the most floats live at one step.
+//! gap among the placed slots whose lifetimes overlap its own.
+//! `Arena::liveness_bound` is the lower bound any placement has to meet, the
+//! most floats live at one step.
 
 use crate::graph::{Graph, NodeId};
 use crate::node::OpKind;
@@ -98,16 +100,13 @@ impl Slot {
     }
 }
 
-/// The memory plan of one graph: a location per node, the arena size, and
-/// what each step writes. Built once per compiled model; [`Executor::run`]
-/// builds one per call.
-///
-/// [`Executor::run`]: crate::Executor::run
+/// The arena layout of one graph: a location per node, the arena size, and
+/// what each step writes. Placed once per plan; `Executor::run` places one
+/// per call.
 #[derive(Debug)]
-pub struct MemoryPlan {
+pub(crate) struct Arena {
     /// How many `Input` nodes the graph has.
     pub(crate) inputs: usize,
-    pub(crate) shapes: Vec<Shape>,
     pub(crate) locs: Vec<Loc>,
     pub(crate) steps: Vec<Step>,
     /// Per node: whether it writes straight into its consumer concat's slot,
@@ -121,23 +120,19 @@ pub struct MemoryPlan {
 }
 
 /// The buffers one run computes into: the arena, and per node the rows a
-/// `YoloDetect` found. Made by [`MemoryPlan::workspace`] and reusable across
-/// runs of the graph the plan was made for. No run reads a value an earlier
+/// `YoloDetect` found. Made by `Arena::workspace` and reusable across runs
+/// of the graph the arena was placed for. No run reads a value an earlier
 /// run left behind: every step overwrites its whole slot (and its count)
 /// before any step reads it.
 #[derive(Debug)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     pub(crate) arena: Vec<f32>,
     pub(crate) rows: Vec<usize>,
 }
 
-impl MemoryPlan {
-    /// Plans `graph`'s memory.
-    ///
-    /// # Panics
-    /// Panics where shape inference does.
-    pub fn new(graph: &Graph) -> MemoryPlan {
-        let shapes = graph.infer_shapes();
+impl Arena {
+    /// Places the values of `graph`, whose shapes are `shapes`.
+    pub(crate) fn new(graph: &Graph, shapes: &[Shape]) -> Arena {
         let consumers = graph.consumers();
         let nodes = &graph.nodes;
         let end = nodes.len();
@@ -246,9 +241,8 @@ impl MemoryPlan {
             locs.push(loc);
         }
 
-        MemoryPlan {
+        Arena {
             inputs: input_ids.len(),
-            shapes,
             locs,
             steps,
             in_place: host.iter().map(Option::is_some).collect(),
@@ -262,13 +256,13 @@ impl MemoryPlan {
     }
 
     /// Floats in the arena.
-    pub fn arena_len(&self) -> usize {
+    pub(crate) fn arena_len(&self) -> usize {
         self.arena_len
     }
 
     /// The most arena floats live at one step: no placement of these slots
     /// fits in less.
-    pub fn liveness_bound(&self) -> usize {
+    pub(crate) fn liveness_bound(&self) -> usize {
         let live_at = |t: usize| -> usize {
             let live = self
                 .slots
@@ -279,8 +273,8 @@ impl MemoryPlan {
         (0..=self.locs.len()).map(live_at).max().unwrap_or(0)
     }
 
-    /// A fresh workspace for runs under this plan.
-    pub fn workspace(&self) -> Workspace {
+    /// A fresh workspace for runs in this arena.
+    pub(crate) fn workspace(&self) -> Workspace {
         Workspace {
             arena: vec![0.0; self.arena_len],
             rows: vec![0; self.locs.len()],
@@ -329,7 +323,7 @@ fn place_slots(slots: &[Slot]) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::node::Activation;
-    use crate::Executor;
+    use crate::exec::run_steps;
     use unigpu_ops::conv::conv2d_ref;
     use unigpu_ops::vision::MultiboxConfig;
     use unigpu_ops::{nn, vision};
@@ -337,6 +331,13 @@ mod tests {
     use unigpu_telemetry::hash::SplitMix64;
     use unigpu_tensor::init::random_uniform;
     use unigpu_tensor::Tensor;
+
+    /// `g`'s shapes and its arena.
+    fn placed(g: &Graph) -> (Vec<Shape>, Arena) {
+        let shapes = g.infer_shapes();
+        let arena = Arena::new(g, &shapes);
+        (shapes, arena)
+    }
 
     fn shape(c: usize, hw: usize) -> Shape {
         Shape::from([1, c, hw, hw])
@@ -419,13 +420,13 @@ mod tests {
     #[test]
     fn no_two_slots_live_at_once_overlap_in_the_arena() {
         for seed in 0..300 {
-            let plan = MemoryPlan::new(&random_dag(seed));
-            for (i, &(a, at)) in plan.slots.iter().enumerate() {
+            let (_, arena) = placed(&random_dag(seed));
+            for (i, &(a, at)) in arena.slots.iter().enumerate() {
                 assert!(
-                    at % ALIGN == 0 && at + a.len <= plan.arena_len(),
+                    at % ALIGN == 0 && at + a.len <= arena.arena_len(),
                     "seed {seed}: slot {i} placed out of the arena"
                 );
-                for &(b, bt) in &plan.slots[i + 1..] {
+                for &(b, bt) in &arena.slots[i + 1..] {
                     if a.overlaps_in_time(&b) {
                         assert!(
                             at + a.len <= bt || bt + b.len <= at,
@@ -434,7 +435,7 @@ mod tests {
                     }
                 }
             }
-            assert!(plan.liveness_bound() <= plan.arena_len(), "seed {seed}");
+            assert!(arena.liveness_bound() <= arena.arena_len(), "seed {seed}");
         }
     }
 
@@ -492,12 +493,12 @@ mod tests {
             let mut input = random_uniform([1, 2, 6, 6], seed);
             input.map_inplace(|v| v - 0.5);
             let want = per_node_oracle(&g, &input);
-            let plan = MemoryPlan::new(&g);
-            let mut ws = plan.workspace();
-            let first = Executor.run_planned(&g, &plan, &mut ws, std::slice::from_ref(&input));
+            let (shapes, arena) = placed(&g);
+            let mut ws = arena.workspace();
+            let first = run_steps(&g, &shapes, &arena, &mut ws, std::slice::from_ref(&input), None);
             assert_eq!(bits(&first), bits(&want), "seed {seed}");
             ws.arena.fill(f32::NAN);
-            let again = Executor.run_planned(&g, &plan, &mut ws, std::slice::from_ref(&input));
+            let again = run_steps(&g, &shapes, &arena, &mut ws, std::slice::from_ref(&input), None);
             assert_eq!(
                 bits(&again),
                 bits(&want),
@@ -534,24 +535,24 @@ mod tests {
         let copy = g.add(OpKind::DeviceCopy, vec![cat], "copy");
         let flat = g.add(OpKind::Flatten, vec![copy], "flat");
         g.mark_output(flat);
-        let plan = MemoryPlan::new(&g);
-        let Loc::Arena(at) = plan.locs[cat] else {
+        let (_, arena) = placed(&g);
+        let Loc::Arena(at) = arena.locs[cat] else {
             panic!("the concat lives in the arena")
         };
-        assert_eq!(plan.locs[e1], Loc::Arena(at));
-        assert_eq!(plan.locs[e3], Loc::Arena(at + 3 * 36));
-        assert!(plan.in_place[e1] && plan.in_place[e3] && !plan.in_place[s]);
+        assert_eq!(arena.locs[e1], Loc::Arena(at));
+        assert_eq!(arena.locs[e3], Loc::Arena(at + 3 * 36));
+        assert!(arena.in_place[e1] && arena.in_place[e3] && !arena.in_place[s]);
         assert_eq!(
-            (plan.locs[copy], plan.locs[flat]),
+            (arena.locs[copy], arena.locs[flat]),
             (Loc::Arena(at), Loc::Arena(at))
         );
-        assert_eq!(plan.steps[copy], Step::Free);
+        assert_eq!(arena.steps[copy], Step::Free);
         assert!(
-            plan.scratch[e3].is_some() && plan.scratch[e1].is_none(),
+            arena.scratch[e3].is_some() && arena.scratch[e1].is_none(),
             "only the padded conv copies its input"
         );
         // squeeze, the concat (from expand1x1 on), and expand3x3's scratch
-        assert_eq!(plan.slots.len(), 3);
+        assert_eq!(arena.slots.len(), 3);
     }
 
     #[test]
@@ -565,18 +566,18 @@ mod tests {
         let b = g.add(OpKind::Act(Activation::Relu), vec![y], "relu2");
         let cat = g.add(OpKind::Concat, vec![up, b], "cat");
         g.mark_output(cat);
-        let plan = MemoryPlan::new(&g);
-        let Loc::Arena(at) = plan.locs[cat] else {
+        let (_, arena) = placed(&g);
+        let Loc::Arena(at) = arena.locs[cat] else {
             panic!("the concat lives in the arena")
         };
-        assert!(matches!(plan.locs[a], Loc::Arena(_)), "upsample's input");
-        assert_eq!(plan.locs[copy], plan.locs[a]);
-        assert_eq!(plan.locs[up], Loc::Arena(at), "upsample writes the concat's front");
-        assert_eq!(plan.locs[b], Loc::Arena(at + 2 * 64));
-        assert!(plan.in_place[up] && plan.in_place[b], "the concat hosts both");
-        assert_eq!((plan.locs[x], plan.locs[y]), (Loc::Input(0), Loc::Input(1)));
+        assert!(matches!(arena.locs[a], Loc::Arena(_)), "upsample's input");
+        assert_eq!(arena.locs[copy], arena.locs[a]);
+        assert_eq!(arena.locs[up], Loc::Arena(at), "upsample writes the concat's front");
+        assert_eq!(arena.locs[b], Loc::Arena(at + 2 * 64));
+        assert!(arena.in_place[up] && arena.in_place[b], "the concat hosts both");
+        assert_eq!((arena.locs[x], arena.locs[y]), (Loc::Input(0), Loc::Input(1)));
         // relu, then the concat from upsample on
-        assert_eq!(plan.slots.len(), 2);
+        assert_eq!(arena.slots.len(), 2);
     }
 
     /// An SSD head at batch 1: two priors into their anchor concat, class
@@ -611,10 +612,10 @@ mod tests {
     #[test]
     fn an_ssd_head_plans_its_priors_into_their_concat_and_reruns_bit_for_bit() {
         let (g, [p1, p2, det]) = ssd_head();
-        let plan = MemoryPlan::new(&g);
-        assert!(plan.in_place[p1] && plan.in_place[p2], "the priors write the anchor list");
+        let (shapes, arena) = placed(&g);
+        assert!(arena.in_place[p1] && arena.in_place[p2], "the priors write the anchor list");
         assert!(
-            plan.scratch[det].is_some_and(|(_, len)| len >= 52 * 6),
+            arena.scratch[det].is_some_and(|(_, len)| len >= 52 * 6),
             "the detection decodes into its scratch"
         );
         let signed = |shape: [usize; 2], seed| {
@@ -635,15 +636,15 @@ mod tests {
         for a in (0..52).step_by(3) {
             inputs[1][2].as_f32_mut()[a * 3] = 20.0;
         }
-        let mut ws = plan.workspace();
+        let mut ws = arena.workspace();
         // a run where those anchors are candidates leaves its rows behind
-        Executor.run_planned(&g, &plan, &mut ws, &inputs[0]);
+        run_steps(&g, &shapes, &arena, &mut ws, &inputs[0], None);
         let inputs = &inputs[1];
-        let first = Executor.run_planned(&g, &plan, &mut ws, inputs);
+        let first = run_steps(&g, &shapes, &arena, &mut ws, inputs, None);
         let kept = first[0].as_f32().chunks(6).filter(|r| r[0] >= 0.0).count();
         assert!((1..35).contains(&kept), "{kept} detections");
         ws.arena.fill(f32::NAN);
-        let again = Executor.run_planned(&g, &plan, &mut ws, inputs);
+        let again = run_steps(&g, &shapes, &arena, &mut ws, inputs, None);
         assert_eq!(bits(&again), bits(&first), "NaN-filled workspace");
 
         // the same kernels on fresh buffers

@@ -24,9 +24,8 @@ impl ModelBuilder {
 
     fn push(&mut self, op: OpKind, inputs: Vec<NodeId>, name: String) -> NodeId {
         let id = self.g.add(op, inputs, name);
-        // infer just the new node's shape from tracked input shapes
-        let shapes = self.g.infer_shapes();
-        self.shapes = shapes;
+        // infer just the new node's shape from the tracked ones
+        self.g.extend_shapes(&mut self.shapes);
         id
     }
 
@@ -171,6 +170,7 @@ impl ModelBuilder {
 
     /// Finish: mark outputs and return the graph.
     pub fn finish(mut self, outputs: Vec<NodeId>) -> Graph {
+        debug_assert_eq!(self.shapes, self.g.infer_shapes(), "{}: tracked shapes", self.g.name);
         for o in outputs {
             self.g.mark_output(o);
         }

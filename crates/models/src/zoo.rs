@@ -90,9 +90,14 @@ mod tests {
     fn all_models_build_and_infer_shapes() {
         for e in full_zoo() {
             for aisage in [false, true] {
+                // `finish` asserts, in debug builds such as this test's, that
+                // the shapes the builder tracked equal a fresh `infer_shapes()`
                 let g = (e.build)(aisage);
                 let shapes = g.infer_shapes();
                 assert!(!shapes.is_empty(), "{}", e.name);
+                let mut half = shapes[..shapes.len() / 2].to_vec();
+                g.extend_shapes(&mut half);
+                assert_eq!(half, shapes, "{}: extending a prefix", e.name);
                 assert!(g.conv_count() > 20, "{} is a real CNN", e.name);
             }
         }

@@ -52,18 +52,18 @@ fn main() {
                 .build()
                 .compile(&model)
         };
-        let all_gpu = compile_with(PlacementPolicy::AllGpu).estimate();
+        let all_gpu = compile_with(PlacementPolicy::AllGpu).estimate().total_ms;
         let fb = compile_with(PlacementPolicy::FallbackVision);
-        let fallback = fb.estimate();
-        let cpu = compile_with(PlacementPolicy::AllCpu).estimate();
+        let fallback = fb.estimate().total_ms;
+        let cpu = compile_with(PlacementPolicy::AllCpu).estimate().total_ms;
         println!(
             "  {:<22} all-GPU {:>8.2} ms | NMS→CPU {:>8.2} ms ({:+.2}%, {} copies) | all-CPU {:>8.2} ms",
             platform.name,
-            all_gpu.total_ms,
-            fallback.total_ms,
-            (fallback.total_ms / all_gpu.total_ms - 1.0) * 100.0,
+            all_gpu,
+            fallback,
+            (fallback / all_gpu - 1.0) * 100.0,
             fb.placement().copy_count(),
-            cpu.total_ms,
+            cpu,
         );
     }
     println!("\nthe fallback path costs well under 1% — the §3.1.2 result.");

@@ -236,6 +236,38 @@ echo "determinism gate: '$d1' reproduced across runs"
 rm -rf "$det_tmp"
 trap - EXIT
 
+echo "==> profile trace gate"
+# `unigpu profile` writes the compiled plan's priced steps as a Chrome trace.
+# The first run compiles cold (priced while building the artifact), the
+# second warm from the same artifact dir (priced from the cached records on
+# first use): both must write byte-identical traces with one span per node.
+prof_tmp=$(mktemp -d)
+trap 'rm -rf "$prof_tmp"' EXIT
+for run in 1 2; do
+  if ! UNIGPU_DB_DIR="$prof_tmp/db" ./target/release/unigpu profile SSD_MobileNet1.0 \
+      --device deeplens --trace "$prof_tmp/trace$run.json" \
+      > "$prof_tmp/run$run.log" 2>&1; then
+    echo "error: profile run $run exited non-zero"
+    cat "$prof_tmp/run$run.log"
+    exit 1
+  fi
+  counts=$(sed -n 's/.*; \([0-9]*\) nodes, \([0-9]*\) spans)$/\1 \2/p' "$prof_tmp/run$run.log")
+  read -r nodes spans <<< "$counts"
+  if [ -z "$nodes" ] || [ "$nodes" != "$spans" ]; then
+    echo "error: profile run $run printed '$counts' (nodes spans), not one span per node"
+    cat "$prof_tmp/run$run.log"
+    exit 1
+  fi
+done
+if ! cmp "$prof_tmp/trace1.json" "$prof_tmp/trace2.json"; then
+  echo "error: a cold and a warm profile wrote different traces"
+  exit 1
+fi
+echo "profile trace gate: $spans spans for $nodes nodes, cold and warm traces identical"
+check_db_dirs "$prof_tmp/db"
+rm -rf "$prof_tmp"
+trap - EXIT
+
 echo "==> metrics endpoint smoke test"
 # The chaos serve again, now with the exposition endpoint live: scrape once
 # mid-run and once after drain (--hold-ms keeps the endpoint up past the

@@ -621,9 +621,9 @@ fn cmd_drift(args: &[String]) -> Result<(), CliError> {
     finish_serve(args, run.server)
 }
 
-/// `unigpu profile <model> --device <d> --trace out.json` — run the latency
-/// estimator with telemetry enabled, export a Chrome trace (load it in
-/// `chrome://tracing` or Perfetto), and print a hotspot summary.
+/// `unigpu profile <model> --device <d> --trace out.json` — emit the compiled
+/// plan's priced steps as spans and metrics, export a Chrome trace (load it
+/// in `chrome://tracing` or Perfetto), and print a hotspot summary.
 fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     known_flags(
         args,

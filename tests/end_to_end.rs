@@ -21,7 +21,7 @@ fn engine(plat: &Platform) -> EngineBuilder {
 
 /// Our stack on fallback (untuned) schedules.
 fn ours_untuned(g: &Graph, plat: &Platform) -> LatencyReport {
-    engine(plat).build().compile(g).estimate()
+    engine(plat).build().compile(g).estimate().clone()
 }
 
 #[test]
@@ -73,7 +73,7 @@ fn tuning_improves_every_platform_and_is_deterministic() {
         let db2 = tune_graph(&g, &plat.gpu, &budget);
         assert_eq!(db.to_json_lines(), db2.to_json_lines(), "tuning must be deterministic");
         let before = ours_untuned(&g, &plat);
-        let after = engine(&plat).tuned_database(db).build().compile(&g).estimate();
+        let after = engine(&plat).tuned_database(db).build().compile(&g).estimate().clone();
         assert!(
             after.total_ms < before.total_ms,
             "{}: {} !< {}",
