@@ -194,7 +194,7 @@ pub(crate) fn run_steps(
         inputs.len()
     );
     assert!(
-        ws.arena.len() == layout.arena_len() && ws.rows.len() == layout.locs.len(),
+        ws.arena.len() == layout.arena_len && ws.rows.len() == layout.locs.len(),
         "a workspace for another arena"
     );
 

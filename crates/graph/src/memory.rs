@@ -114,7 +114,8 @@ pub(crate) struct Arena {
     pub(crate) in_place: Vec<bool>,
     /// Per step: the arena offset and length of its scratch, if it has one.
     pub(crate) scratch: Vec<Option<(usize, usize)>>,
-    arena_len: usize,
+    /// Floats in the arena.
+    pub(crate) arena_len: usize,
     /// The arena slots and their offsets.
     slots: Vec<(Slot, usize)>,
 }
@@ -253,11 +254,6 @@ impl Arena {
             arena_len,
             slots: slots.into_iter().zip(offsets).collect(),
         }
-    }
-
-    /// Floats in the arena.
-    pub(crate) fn arena_len(&self) -> usize {
-        self.arena_len
     }
 
     /// The most arena floats live at one step: no placement of these slots
@@ -423,7 +419,7 @@ mod tests {
             let (_, arena) = placed(&random_dag(seed));
             for (i, &(a, at)) in arena.slots.iter().enumerate() {
                 assert!(
-                    at % ALIGN == 0 && at + a.len <= arena.arena_len(),
+                    at % ALIGN == 0 && at + a.len <= arena.arena_len,
                     "seed {seed}: slot {i} placed out of the arena"
                 );
                 for &(b, bt) in &arena.slots[i + 1..] {
@@ -435,7 +431,7 @@ mod tests {
                     }
                 }
             }
-            assert!(arena.liveness_bound() <= arena.arena_len(), "seed {seed}");
+            assert!(arena.liveness_bound() <= arena.arena_len, "seed {seed}");
         }
     }
 

@@ -65,7 +65,7 @@ impl Plan {
 
     /// Floats in the arena of `graph`, the graph this plan priced.
     pub fn arena_len(&self, graph: &Graph) -> usize {
-        self.arena(graph).arena_len()
+        self.arena(graph).arena_len
     }
 
     /// The most arena floats live at one step of `graph`: no placement fits
@@ -81,7 +81,7 @@ impl Plan {
                 "graph",
                 "arena of {}: {} floats, liveness bound {}",
                 graph.name,
-                arena.arena_len(),
+                arena.arena_len,
                 arena.liveness_bound()
             );
             arena
